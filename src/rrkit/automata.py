@@ -18,7 +18,29 @@ from .errors import InputError
 
 EPSILON = ""
 
-Word = "tuple[str, ...]"
+
+def trim_states(
+    initial: str, accepting: Iterable[str], edges: Iterable[tuple[str, str]]
+) -> set[str]:
+    """States on some path from `initial` to an accepting state, plus
+    `initial` itself; `edges` are (src, dst) pairs, labels ignored."""
+    fwd: dict[str, set[str]] = {}
+    bwd: dict[str, set[str]] = {}
+    for src, dst in edges:
+        fwd.setdefault(src, set()).add(dst)
+        bwd.setdefault(dst, set()).add(src)
+
+    def closure(seeds: Iterable[str], step: dict[str, set[str]]) -> set[str]:
+        seen = set(seeds)
+        todo = list(seen)
+        while todo:
+            for nxt in step.get(todo.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    return (closure({initial}, fwd) & closure(accepting, bwd)) | {initial}
 
 
 @dataclass(frozen=True)
@@ -186,9 +208,6 @@ class Nfa:
                     if after:
                         queue.append((word + (symbol,), after))
 
-    def is_empty(self) -> bool:
-        return self.shortest_witness() is None
-
     def has_epsilon_moves(self) -> bool:
         return any(label == EPSILON for _, label, _ in self.transitions)
 
@@ -220,28 +239,7 @@ class Nfa:
 
         The initial state is always kept so the result is a valid automaton.
         """
-        fwd: dict[str, set[str]] = {}
-        bwd: dict[str, set[str]] = {}
-        for src, _, dst in self.transitions:
-            fwd.setdefault(src, set()).add(dst)
-            bwd.setdefault(dst, set()).add(src)
-        reach = {self.initial}
-        todo = [self.initial]
-        while todo:
-            q = todo.pop()
-            for nxt in fwd.get(q, ()):
-                if nxt not in reach:
-                    reach.add(nxt)
-                    todo.append(nxt)
-        live = set(self.accepting)
-        todo = list(live)
-        while todo:
-            q = todo.pop()
-            for prv in bwd.get(q, ()):
-                if prv not in live:
-                    live.add(prv)
-                    todo.append(prv)
-        keep = (reach & live) | {self.initial}
+        keep = trim_states(self.initial, self.accepting, ((t[0], t[2]) for t in self.transitions))
         return Nfa(
             frozenset(keep),
             self.alphabet,

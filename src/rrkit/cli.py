@@ -26,6 +26,8 @@ def _load_nfa(path: str) -> Nfa:
     try:
         with open(path, encoding="utf-8") as fh:
             return Nfa.from_json(fh.read())
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except InputError as exc:
@@ -36,6 +38,8 @@ def _load_grammar(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_grammar(fh.read())
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -149,8 +153,17 @@ def _cmd_index(args) -> int:
         value = rational_index(f, args.states, mode="exhaustive")
         mode = "exhaustive"
     else:
+        if args.sample < 1:
+            raise InputError(f"--sample must be at least 1, got {args.sample}")
+        seed = args.seed
+        if seed is None:
+            raw = os.environ.get("RR_SEED", "0")
+            try:
+                seed = int(raw)
+            except ValueError:
+                raise InputError(f"RR_SEED must be an integer, got {raw!r}") from None
         value = rational_index(
-            f, args.states, mode="sample", sample_count=args.sample, seed=args.seed
+            f, args.states, mode="sample", sample_count=args.sample, seed=seed
         )
         mode = "sample"
     if args.json:
@@ -228,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("RR_SEED", "0")),
+        default=None,
         help="sampling seed (default: RR_SEED env var, else 0)",
     )
     p.add_argument("--json", action="store_true")

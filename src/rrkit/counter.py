@@ -18,9 +18,6 @@ from .errors import ContractError, InputError
 GUARDS = ("any", "zero", "positive")
 ACCEPT_MODES = ("final_state", "final_state_and_zero")
 
-# (src, read, guard, delta, dst); read == "" is an epsilon move
-CounterTransition = "tuple[str, str, str, int, str]"
-
 
 @dataclass(frozen=True)
 class CounterAutomaton:
@@ -28,6 +25,7 @@ class CounterAutomaton:
     alphabet: tuple[str, ...]
     initial: str
     accepting: frozenset[str]
+    # (src, read, guard, delta, dst); read == "" is an epsilon move
     transitions: frozenset[tuple[str, str, str, int, str]]
     accept_mode: str = "final_state"
 

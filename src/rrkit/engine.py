@@ -18,9 +18,7 @@ from .automata import EPSILON, Nfa
 from .errors import ContractError, InputError, UnsupportedFilterError
 from .filters import FilterSpec
 from .grammars import Cfg
-from .reductions import bar_hillel
-
-METHODS = ("bar_hillel", "counter", "substitution")
+from .reductions import _check_terminals, _derivable, intersection_shortest
 
 
 @dataclass(frozen=True)
@@ -30,8 +28,10 @@ class DecisionReport:
     A present witness is always accepted by the input automaton and passes
     the filter's membership oracle (checked before the report is built).
     stats carries construction sizes: nonterminals_created for the grammar
-    route, states_created for the counter route, shortest_witness_length
-    when a witness exists.
+    route (the size |N|·|Q|²+1 of the triple product the search runs
+    over, exactly the nonterminal count of the materialized product for
+    the CNF filter grammar), states_created for the counter route,
+    shortest_witness_length when a witness exists.
     """
 
     nonempty: bool
@@ -80,10 +80,13 @@ def _with_alphabet(a: Nfa, alphabet: tuple[str, ...]) -> Nfa:
 def nrr_decide(a: Nfa, f: FilterSpec) -> DecisionReport:
     """Decide L(a) ∩ F ≠ ∅ and report a shortest witness.
 
-    Grammar-backed filters go through the triple-product grammar and its
-    shortest derivable word; counter filters through the product counter
-    machine unfolded to an NFA at the default counter cap.  The witness is
-    re-checked against the automaton and the filter oracle before return.
+    Grammar-backed filters go through intersection_shortest on the CNF
+    filter grammar: the least word (shortest, then lexicographic over the
+    sorted terminal names) of the implicit triple product, whose size
+    |N|·|Q|²+1 is reported as nonterminals_created.  Counter filters go
+    through the product counter machine unfolded to an NFA at the default
+    counter cap.  The witness is re-checked against the automaton and the
+    filter oracle before return.
     """
     for sym in a.alphabet:
         if sym not in f.alphabet:
@@ -104,11 +107,10 @@ def nrr_decide(a: Nfa, f: FilterSpec) -> DecisionReport:
         }
     else:
         grammar = f.filter_grammar().cnf()
-        product_grammar = bar_hillel(grammar, a_full)
-        witness = product_grammar.shortest_word()
+        witness = intersection_shortest(grammar, a_full)
         method = "bar_hillel"
         stats = {
-            "nonterminals_created": len(product_grammar.nonterminals),
+            "nonterminals_created": len(grammar.nonterminals) * len(a_full.states) ** 2 + 1,
             "states_created": 0,
         }
     if witness is not None:
@@ -207,11 +209,6 @@ def _shortest_dyck1_word(
     return None
 
 
-def _machine_shortest(f: FilterSpec, machine: Nfa) -> Optional[int]:
-    report = nrr_decide(machine, f)
-    return None if report.witness is None else len(report.witness)
-
-
 def rational_index(
     f: FilterSpec,
     n: int,
@@ -263,7 +260,8 @@ def rational_index(
                 {(str(i), sym, str(j)) for i, sym, j in subset},
                 states={str(i) for i in range(n)},
             )
-            shortest = _machine_shortest(f, machine)
+            witness = nrr_decide(machine, f).witness
+            shortest = None if witness is None else len(witness)
         if shortest is not None and (best is None or shortest > best):
             best = shortest
     if best is None:
@@ -328,29 +326,22 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
     a factor of at least 2/3, which bounds the recursion depth
     logarithmically in the witness length.
 
-    Emptiness is established first by a length-free worklist closure over
-    the derivable triples; the length-indexed search then runs on nonempty
-    instances only, and the reported depth/live-triple figures are its
-    instrumentation.
+    Emptiness is established first by the length-free search over the
+    derivable triples (reductions._derivable), whose triple set also
+    prunes the candidates; the length-indexed search then runs on
+    nonempty instances only, and the reported depth/live-triple figures
+    are its instrumentation.
     """
     if not f_grammar.is_cnf():
         raise ContractError("the checker expects a grammar in Chomsky normal form")
     if a.has_epsilon_moves():
         raise InputError("the checker expects an automaton without epsilon moves")
-    for t in f_grammar.terminals:
-        if t not in a.alphabet:
-            raise InputError(f"grammar terminal {t!r} is missing from the automaton alphabet")
+    _check_terminals(f_grammar, a)
 
     axiom_eps = (f_grammar.axiom, ()) in set(f_grammar.rules)
     if axiom_eps and a.initial in a.accepting:
         return CheckerStats(0, 0, True)
 
-    terminal_leaves: set[tuple[str, str, str]] = set()
-    for lhs, rhs in f_grammar.rules:
-        if len(rhs) == 1:
-            for src, label, dst in a.transitions:
-                if label == rhs[0]:
-                    terminal_leaves.add((src, lhs, dst))
     as_right: dict[str, list[tuple[str, str]]] = {}
     as_left: dict[str, list[tuple[str, str]]] = {}
     for lhs, rhs in f_grammar.rules:
@@ -361,7 +352,8 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
     states = sorted(a.states)
     goals = [(a.initial, f_grammar.axiom, p) for p in sorted(a.accepting)]
 
-    closure = _derivable_closure(terminal_leaves, as_right, as_left)
+    # derivable triples and their least words; length 1 marks a terminal leaf
+    closure = dict(_derivable(f_grammar, a))
     if not any(goal in closure for goal in goals):
         return CheckerStats(0, 0, False)
 
@@ -379,7 +371,7 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
             memo[key] = False
             return False
         if n == 1:
-            memo[key] = t in terminal_leaves
+            memo[key] = len(closure[t]) == 1
             return memo[key]
         lo = -(-n // 3)
         hi = (2 * n) // 3
@@ -451,44 +443,3 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
         if any(derivable_n(goal, n, 1) for goal in goals):
             return CheckerStats(recorder["depth"], recorder["live"], True)
         n += 1
-
-
-def _derivable_closure(
-    terminal_leaves: set[tuple[str, str, str]],
-    as_right: Mapping[str, list[tuple[str, str]]],
-    as_left: Mapping[str, list[tuple[str, str]]],
-) -> frozenset[tuple[str, str, str]]:
-    """All derivable triples, as a bottom-up worklist fixpoint.
-
-    A settled triple joins, through each binary rule it can be a child of,
-    with already-settled siblings that share its boundary state.  This is
-    the length-indexed search with the lengths forgotten; the
-    length-indexed loop cannot decide emptiness on its own because no
-    length bound is known in advance, and the closure also prunes its
-    candidate triples.
-    """
-    known: set[tuple[str, str, str]] = set()
-    starts: dict[tuple[str, str], list[str]] = {}
-    ends: dict[tuple[str, str], list[str]] = {}
-    queue: deque[tuple[str, str, str]] = deque()
-
-    def add(t: tuple[str, str, str]) -> None:
-        if t in known:
-            return
-        known.add(t)
-        q, sym, p = t
-        starts.setdefault((sym, q), []).append(p)
-        ends.setdefault((sym, p), []).append(q)
-        queue.append(t)
-
-    for t in sorted(terminal_leaves):
-        add(t)
-    while queue:
-        q, sym, p = queue.popleft()
-        for lhs, sibling_sym in as_left.get(sym, ()):
-            for p2 in tuple(starts.get((sibling_sym, p), ())):
-                add((q, lhs, p2))
-        for lhs, sibling_sym in as_right.get(sym, ()):
-            for q0 in tuple(ends.get((sibling_sym, q), ())):
-                add((q0, lhs, p))
-    return frozenset(known)

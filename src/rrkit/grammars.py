@@ -12,8 +12,6 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import ContractError, InputError
 
-Rule = "tuple[str, tuple[str, ...]]"
-
 
 @dataclass(frozen=True)
 class Cfg:
@@ -74,13 +72,6 @@ class Cfg:
                     order.append(sym)
         order.extend(sorted(self.nonterminals - seen))
         return tuple(order)
-
-    @cached_property
-    def rules_by_lhs(self) -> Mapping[str, tuple[tuple[str, ...], ...]]:
-        out: dict[str, list[tuple[str, ...]]] = {}
-        for lhs, rhs in self.rules:
-            out.setdefault(lhs, []).append(rhs)
-        return {lhs: tuple(rhss) for lhs, rhss in out.items()}
 
     # -- normal form -------------------------------------------------------
 

@@ -1,15 +1,15 @@
 """Grammar/automaton constructions the decision engine is built from.
 
-Contents: the triple-product grammar for a CFG/NFA intersection, worklist
-variants of the same product that avoid materializing the grammar, a
-transducer turning Dyck words into the words of a given grammar, the
-derivation-height bound, the height-marking transformation, and the
-morphism reduction embedding two-pair bracket realizability into S_#^up.
+Contents: the triple-product grammar for a CFG/NFA intersection; one
+ordered search over the same triples that answers intersection questions
+without materializing the grammar; a transducer turning Dyck words into
+the words of a given grammar; the derivation-height bound; the
+height-marking transformation; and the morphism reduction embedding
+two-pair bracket realizability into S_#^up.
 """
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
@@ -55,6 +55,12 @@ class _Moves:
         return self._step.get((q, sigma), ())
 
 
+def _check_terminals(g: Cfg, a: Nfa) -> None:
+    for t in g.terminals:
+        if t not in a.alphabet:
+            raise InputError(f"grammar terminal {t!r} is missing from the automaton alphabet")
+
+
 def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     """Triple-product grammar generating L(g) ∩ L(a).
 
@@ -68,9 +74,7 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     mixed rule bodies.
     """
     terminal_set = set(g.terminals)
-    for t in g.terminals:
-        if t not in a.alphabet:
-            raise InputError(f"grammar terminal {t!r} is missing from the automaton alphabet")
+    _check_terminals(g, a)
     moves = _Moves(a)
     states = moves.states
 
@@ -137,154 +141,84 @@ def _require_cnf(g: Cfg) -> None:
         raise ContractError("this operation expects a grammar in Chomsky normal form")
 
 
-def _split_cnf_rules(g: Cfg) -> tuple[list[tuple[str, str]], list[tuple[str, str, str]], bool]:
-    terminal_rules: list[tuple[str, str]] = []
-    binary_rules: list[tuple[str, str, str]] = []
-    axiom_eps = False
-    for lhs, rhs in g.rules:
-        if rhs == ():
-            axiom_eps = True
-        elif len(rhs) == 1:
-            terminal_rules.append((lhs, rhs[0]))
-        else:
-            binary_rules.append((lhs, rhs[0], rhs[1]))
-    return terminal_rules, binary_rules, axiom_eps
+Triple = tuple[str, str, str]
 
 
-def intersection_nonempty(g: Cfg, a: Nfa) -> bool:
-    """Decide L(g) ∩ L(a) ≠ ∅ for CNF g without materializing the product.
+def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
+    """Every derivable triple (q, A, p) of CNF g over a, with its least word.
 
-    Worklist closure over derivable triples (q, A, p): terminal rules seed
-    the set, binary rules join a triple ending at r with one starting in
-    the epsilon closure of r.  Language-equal to emptiness of bar_hillel
-    output, but memory stays proportional to the derivable triples.
+    A triple is derivable when some nonempty word derived from A takes a
+    from q to p; words are tuples of ranks in the sorted terminal names,
+    ordered by (length, ranks).  Knuth's generalization of Dijkstra over
+    the CFL-reachability worklist: terminal rules seed the heap, and a
+    settled triple joins, through each binary rule it can be a child of,
+    with the settled siblings across an epsilon path at its boundary.
+    Concatenation is monotone and never shrinks a word in this order, so
+    a triple's first pop carries its least word and triples come out in
+    (length, ranks) order.  The axiom's epsilon rule is the caller's.
     """
-    _require_cnf(g)
-    for t in g.terminals:
-        if t not in a.alphabet:
-            raise InputError(f"grammar terminal {t!r} is missing from the automaton alphabet")
-    terminal_rules, binary_rules, axiom_eps = _split_cnf_rules(g)
-    if axiom_eps and a.eps_closure({a.initial}) & a.accepting:
-        return True
-    goals = {(a.initial, g.axiom, p) for p in a.accepting}
+    rank = {t: i for i, t in enumerate(sorted(g.terminals))}
     moves = _Moves(a)
     left_rules: dict[str, list[tuple[str, str]]] = {}
     right_rules: dict[str, list[tuple[str, str]]] = {}
-    for lhs, b, c in binary_rules:
-        left_rules.setdefault(b, []).append((lhs, c))
-        right_rules.setdefault(c, []).append((lhs, b))
+    heap: list[tuple[int, tuple[int, ...], Triple]] = []
+    for lhs, rhs in g.rules:
+        if len(rhs) == 1:
+            for q in moves.states:
+                for p in moves.targets(q, rhs[0]):
+                    heap.append((1, (rank[rhs[0]],), (q, lhs, p)))
+        elif len(rhs) == 2:
+            left_rules.setdefault(rhs[0], []).append((lhs, rhs[1]))
+            right_rules.setdefault(rhs[1], []).append((lhs, rhs[0]))
+    heapq.heapify(heap)
 
-    known: set[tuple[str, str, str]] = set()
-    starts: dict[tuple[str, str], list[str]] = {}
-    ends: dict[tuple[str, str], list[str]] = {}
-    queue: deque[tuple[str, str, str]] = deque()
-
-    def add(q: str, sym: str, p: str) -> bool:
-        t = (q, sym, p)
-        if t in known:
-            return False
-        known.add(t)
-        starts.setdefault((sym, q), []).append(p)
-        ends.setdefault((sym, p), []).append(q)
-        queue.append(t)
-        return t in goals
-
-    for lhs, sigma in terminal_rules:
-        for q in moves.states:
-            for p in moves.targets(q, sigma):
-                if add(q, lhs, p):
-                    return True
-    while queue:
-        q, sym, p = queue.popleft()
+    settled: set[Triple] = set()
+    starts: dict[tuple[str, str], list[tuple[str, tuple[int, ...]]]] = {}
+    ends: dict[tuple[str, str], list[tuple[str, tuple[int, ...]]]] = {}
+    while heap:
+        n, word, t = heapq.heappop(heap)
+        if t in settled:
+            continue
+        settled.add(t)
+        yield t, word
+        q, sym, p = t
+        starts.setdefault((sym, q), []).append((p, word))
+        ends.setdefault((sym, p), []).append((q, word))
         for lhs, c in left_rules.get(sym, ()):
-            for r2 in moves.closure[p]:
-                for p2 in tuple(starts.get((c, r2), ())):
-                    if add(q, lhs, p2):
-                        return True
+            for r in moves.closure[p]:
+                for p2, right in starts.get((c, r), ()):
+                    if (q, lhs, p2) not in settled:
+                        heapq.heappush(heap, (n + len(right), word + right, (q, lhs, p2)))
         for lhs, b in right_rules.get(sym, ()):
             for r in moves.closure_inv[q]:
-                for q0 in tuple(ends.get((b, r), ())):
-                    if add(q0, lhs, p):
-                        return True
-    return False
+                for q0, left in ends.get((b, r), ()):
+                    if (q0, lhs, p) not in settled:
+                        heapq.heappush(heap, (len(left) + n, left + word, (q0, lhs, p)))
 
 
 def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
-    """A shortest word of L(g) ∩ L(a) for CNF g, or None when empty.
+    """The least word of L(g) ∩ L(a) for CNF g, or None when empty.
 
-    Dijkstra over derivable triples: a triple's distance is the length of
-    a shortest word derivable from it, terminal seeds cost 1, a binary
-    join costs the sum of its parts.  Parent links rebuild the word.
+    Least means shortest, ties broken lexicographically over the sorted
+    terminal names: the word bar_hillel(g, a).shortest_word() returns,
+    found without materializing the product.  Epsilon moves of a are
+    crossed at every junction, as in bar_hillel.
     """
     _require_cnf(g)
-    for t in g.terminals:
-        if t not in a.alphabet:
-            raise InputError(f"grammar terminal {t!r} is missing from the automaton alphabet")
-    terminal_rules, binary_rules, axiom_eps = _split_cnf_rules(g)
-    if axiom_eps and a.eps_closure({a.initial}) & a.accepting:
+    _check_terminals(g, a)
+    if (g.axiom, ()) in g.rules and a.eps_closure({a.initial}) & a.accepting:
         return ()
     goals = {(a.initial, g.axiom, p) for p in a.accepting}
-    moves = _Moves(a)
-    left_rules: dict[str, list[tuple[str, str]]] = {}
-    right_rules: dict[str, list[tuple[str, str]]] = {}
-    for lhs, b, c in binary_rules:
-        left_rules.setdefault(b, []).append((lhs, c))
-        right_rules.setdefault(c, []).append((lhs, b))
-
-    Triple = tuple[str, str, str]
-    dist: dict[Triple, int] = {}
-    parent: dict[Triple, tuple] = {}
-    counter = 0
-    heap: list[tuple[int, int, Triple, tuple]] = []
-
-    def push(t: Triple, d: int, how: tuple) -> None:
-        nonlocal counter
-        if t not in dist:
-            counter += 1
-            heapq.heappush(heap, (d, counter, t, how))
-
-    for lhs, sigma in terminal_rules:
-        for q in moves.states:
-            for p in moves.targets(q, sigma):
-                push((q, lhs, p), 1, ("leaf", sigma))
-
-    starts: dict[tuple[str, str], list[tuple[str, int]]] = {}
-    ends: dict[tuple[str, str], list[tuple[str, int]]] = {}
-    goal_hit: Optional[Triple] = None
-    while heap:
-        d, _, t, how = heapq.heappop(heap)
-        if t in dist:
-            continue
-        dist[t] = d
-        parent[t] = how
-        q, sym, p = t
+    terminals = sorted(g.terminals)
+    for t, word in _derivable(g, a):
         if t in goals:
-            goal_hit = t
-            break
-        starts.setdefault((sym, q), []).append((p, d))
-        ends.setdefault((sym, p), []).append((q, d))
-        for lhs, c in left_rules.get(sym, ()):
-            for r2 in moves.closure[p]:
-                for p2, d2 in starts.get((c, r2), ()):
-                    push((q, lhs, p2), d + d2, ("join", t, (r2, c, p2)))
-        for lhs, b in right_rules.get(sym, ()):
-            for r in moves.closure_inv[q]:
-                for q0, d0 in ends.get((b, r), ()):
-                    push((q0, lhs, p), d + d0, ("join", (q0, b, r), t))
-    if goal_hit is None:
-        return None
+            return tuple(terminals[r] for r in word)
+    return None
 
-    word: list[str] = []
-    stack: list[Triple] = [goal_hit]
-    while stack:
-        t = stack.pop()
-        how = parent[t]
-        if how[0] == "leaf":
-            word.append(how[1])
-        else:
-            stack.append(how[2])
-            stack.append(how[1])
-    return tuple(word)
+
+def intersection_nonempty(g: Cfg, a: Nfa) -> bool:
+    """Decide L(g) ∩ L(a) ≠ ∅ for CNF g without materializing the product."""
+    return intersection_shortest(g, a) is not None
 
 
 def cs_transducer(g: Cfg) -> Transducer:

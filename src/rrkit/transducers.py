@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .automata import EPSILON, Nfa
+from .automata import EPSILON, Nfa, trim_states
 from .errors import ContractError, InputError
 
 
@@ -198,28 +198,7 @@ class Transducer:
         )
 
     def trimmed(self) -> "Transducer":
-        fwd: dict[str, set[str]] = {}
-        bwd: dict[str, set[str]] = {}
-        for src, _, _, dst in self.transitions:
-            fwd.setdefault(src, set()).add(dst)
-            bwd.setdefault(dst, set()).add(src)
-        reach = {self.initial}
-        todo = [self.initial]
-        while todo:
-            q = todo.pop()
-            for nxt in fwd.get(q, ()):
-                if nxt not in reach:
-                    reach.add(nxt)
-                    todo.append(nxt)
-        live = set(self.accepting)
-        todo = list(live)
-        while todo:
-            q = todo.pop()
-            for prv in bwd.get(q, ()):
-                if prv not in live:
-                    live.add(prv)
-                    todo.append(prv)
-        keep = (reach & live) | {self.initial}
+        keep = trim_states(self.initial, self.accepting, ((t[0], t[3]) for t in self.transitions))
         return Transducer(
             self.input_alphabet,
             self.output_alphabet,

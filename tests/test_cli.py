@@ -104,6 +104,38 @@ def test_index_seed_env_default(monkeypatch, capsys):
     assert capsys.readouterr().out == via_env
 
 
+def assert_usage_error(capsys, argv):
+    """Exit 2 with exactly one `rr: error:` line on stderr, no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("rr: error: ")
+    assert "Traceback" not in err
+
+
+def test_index_bad_seed_env_is_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("RR_SEED", "abc")
+    assert_usage_error(capsys, ["index", "--filter", "dyck1", "--states", "2", "--sample", "5"])
+
+
+def test_bad_seed_env_is_ignored_outside_sampling(monkeypatch, capsys):
+    monkeypatch.setenv("RR_SEED", "abc")
+    assert main(["member", "--filter", "dyck1", "--word", "a1 abar1"]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_index_nonpositive_sample_is_exit_2(count, capsys):
+    assert_usage_error(capsys, ["index", "--filter", "dyck1", "--states", "2", "--sample", count])
+
+
+def test_non_utf8_inputs_are_exit_2(tmp_path, capsys):
+    blob = tmp_path / "blob"
+    blob.write_bytes(b"\xff")
+    assert_usage_error(capsys, ["decide", "--filter", "dyck1", "--nfa", str(blob)])
+    assert_usage_error(capsys, ["reduce", "cs", "--grammar", str(blob)])
+
+
 def test_index_exhaustive_too_large_is_exit_2(capsys):
     assert main(["index", "--filter", "dyck1", "--states", "4"]) == 2
     assert "rr: error:" in capsys.readouterr().err

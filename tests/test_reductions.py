@@ -20,6 +20,8 @@ from rrkit import (
     intersection_nonempty,
     intersection_shortest,
     mark_automaton,
+    nrr_decide,
+    parse_filter_name,
     parse_grammar,
     reduce_d2_to_ssharpup,
     ssharpup_embedding,
@@ -112,6 +114,7 @@ def test_intersection_helpers_agree_with_product():
         nonempty = intersection_nonempty(g, a)
         assert nonempty == prod.nonempty(), (g, a)
         w = intersection_shortest(g, a)
+        assert w == prod.shortest_word(), (g, a)
         assert (w is not None) == nonempty
         if w is not None:
             assert g.cyk(w)
@@ -125,6 +128,22 @@ def test_intersection_helpers_agree_with_product():
                     if a.accepts(u)
                 }
                 assert shorter == set(), (g, a, w)
+
+
+def test_decide_matches_materialized_product():
+    # nrr_decide searches the product implicitly; its witness, including
+    # the lexicographic tie-break, and its size figure are those of the
+    # materialized bar_hillel grammar
+    rng = random.Random(913)
+    for name in ("dyck1", "dyck2", "sym", "symsharp"):
+        f = parse_filter_name(name)
+        g = f.filter_grammar().cnf()
+        for k in range(12):
+            a = random_nfa(rng, max_states=4, alphabet=f.alphabet, allow_epsilon=k % 2 == 1)
+            prod = bar_hillel(g, a)
+            report = nrr_decide(a, f)
+            assert report.witness == prod.shortest_word(), (name, a)
+            assert report.stats["nonterminals_created"] == len(prod.nonterminals), (name, a)
 
 
 def test_intersection_epsilon_word():
