@@ -1,10 +1,11 @@
 """Watching the divide-and-conquer checker stay shallow.
 
 The instrumented checker answers the same emptiness question as the
-product grammar, but by recursively splitting candidate derivations at a
-central nonterminal, so its recursion depth grows with the logarithm of
-the witness length rather than the length itself.  The machines below
-force longer and longer witnesses; the recorded depth barely moves.
+product grammar, and measures how deep a recursive verifier must go to
+check the least witness's derivation tree when every frame splits at a
+central triple holding between a third and two thirds of its yield.
+The machines below force longer and longer witnesses; the depth grows
+like log_{3/2} of the witness length, not like the length itself.
 """
 
 import math
@@ -25,7 +26,7 @@ def main():
     g = dyck_grammar(1).cnf()
     f = parse_filter_name("dyck1")
     print(f"{'witness':>8}  {'depth':>5}  {'live':>4}  {'log bound':>9}")
-    for k in (1, 2, 4, 8, 16):
+    for k in (1, 2, 4, 8, 16, 32, 64):
         a = deep_path(k)
         stats = log2_check(g, a)
         ell = nrr_decide(a, f).stats["shortest_witness_length"]

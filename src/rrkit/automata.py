@@ -268,6 +268,10 @@ class Nfa:
             transitions = [
                 (t["from"], t["label"], t["to"]) for t in data["transitions"]
             ]
+            names = [*data["states"], *data["alphabet"], data["initial"], *data["accepting"]]
+            for name in names + [x for t in transitions for x in t]:
+                if not isinstance(name, str):
+                    raise InputError(f"state and symbol names must be strings, got {name!r}")
             return cls(
                 frozenset(data["states"]),
                 tuple(data["alphabet"]),

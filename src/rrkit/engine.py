@@ -4,8 +4,9 @@ nrr_decide answers "does L(a) meet the filter" with a verified witness,
 dispatching per filter kind; substitution_collapse rewrites an automaton so
 an outer filter can be applied after a language substitution;
 rational_index measures worst-case shortest witnesses over n-state
-machines; log2_check re-decides grammar filters with the depth-bounded
-recursive certificate search and reports its instrumentation.
+machines; log2_check re-decides grammar filters and measures the
+Lewis–Stearns–Hartmanis decomposition of the least witness's derivation
+tree, the certificate a log² n-space recognizer verifies.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .automata import EPSILON, Nfa
 from .errors import ContractError, InputError, UnsupportedFilterError
 from .filters import FilterSpec
 from .grammars import Cfg
-from .reductions import _check_terminals, _derivable, intersection_shortest
+from .reductions import Triple, _check_terminals, _derivable, intersection_shortest
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,19 @@ class DecisionReport:
 
 @dataclass(frozen=True)
 class CheckerStats:
-    """Instrumentation of the recursive certificate search.
+    """Space figures of the recursive verification of one certificate.
 
-    max_live_triples counts, at any instant, the triples pinned by the
-    recursion stack (one per frame) plus the single chain triple the
-    active frame is extending; suspended frames' chain positions are
-    recoverable from the deterministic iteration order and are not
-    counted, which is what keeps the count at most depth + 1.
+    max_recursion_depth is the number of nested frames the 1/3–2/3
+    decomposition of the least witness's derivation tree needs (a leaf
+    is one frame; see log2_check).  max_live_triples counts, at any
+    instant, the triples pinned by the recursion stack (one per frame)
+    plus the single chain triple the active frame is extending;
+    suspended frames' chain positions are recoverable from the
+    deterministic iteration order and are not counted.  A frame walks a
+    chain only above a composite subtree, whose own frames then run one
+    level deeper, so the peak equals max_recursion_depth.  Both are 0
+    when no tree is needed: an empty intersection, or the empty word
+    accepted through the axiom's epsilon rule.
     """
 
     max_recursion_depth: int
@@ -316,21 +323,22 @@ def _sample_machines(
 
 
 def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
-    """Decide L(a) ∩ L(f_grammar) ≠ ∅ by the recursive certificate search.
+    """Decide L(a) ∩ L(f_grammar) ≠ ∅ and measure a log-depth certificate.
 
     A triple (q, A, p) claims the automaton reads a word derivable from A
-    going from q to p.  A composite claim is verified by picking a central
-    triple whose word takes between a third and two thirds of the length,
-    then walking the ancestor chain back to the claim, verifying each
-    chain sibling recursively; every recursive call shrinks the length by
-    a factor of at least 2/3, which bounds the recursion depth
-    logarithmically in the witness length.
-
-    Emptiness is established first by the length-free search over the
-    derivable triples (reductions._derivable), whose triple set also
-    prunes the candidates; the length-indexed search then runs on
-    nonempty instances only, and the reported depth/live-triple figures
-    are its instrumentation.
+    going from q to p.  The verdict comes from the derivable triples
+    (reductions._derivable); the figures come from one certificate, the
+    derivation tree of the least witness.  It is rebuilt from least words
+    alone: a composite triple's children are the first rule A -> B C (in
+    grammar order) and split state r (in sorted order) whose children's
+    least words concatenate to its own.  The tree is then verified as in
+    Lewis, Stearns & Hartmanis (1965): a subtree of yield n descends into
+    the heavier child (the left one on a tie) while the yield exceeds
+    2n/3, reaching a central triple of yield between n/3 and 2n/3, and
+    its frame verifies the central subtree and every light sibling passed
+    on the way down, each in a frame one level deeper.  Every frame
+    shrinks the yield by a factor of at least 2/3, so the depth is at
+    most log_{3/2} of the witness length plus a constant.
     """
     if not f_grammar.is_cnf():
         raise ContractError("the checker expects a grammar in Chomsky normal form")
@@ -342,104 +350,44 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
     if axiom_eps and a.initial in a.accepting:
         return CheckerStats(0, 0, True)
 
-    as_right: dict[str, list[tuple[str, str]]] = {}
-    as_left: dict[str, list[tuple[str, str]]] = {}
-    for lhs, rhs in f_grammar.rules:
-        if len(rhs) == 2:
-            b, c = rhs
-            as_right.setdefault(c, []).append((lhs, b))
-            as_left.setdefault(b, []).append((lhs, c))
-    states = sorted(a.states)
-    goals = [(a.initial, f_grammar.axiom, p) for p in sorted(a.accepting)]
-
-    # derivable triples and their least words; length 1 marks a terminal leaf
-    closure = dict(_derivable(f_grammar, a))
-    if not any(goal in closure for goal in goals):
+    # least words of the triples settled up to the least goal; a tree
+    # node's children have shorter words, so they are all settled by then
+    goals = {(a.initial, f_grammar.axiom, p) for p in a.accepting}
+    least: dict[Triple, tuple[int, ...]] = {}
+    for t, word in _derivable(f_grammar, a):
+        least[t] = word
+        if t in goals:
+            break
+    else:
         return CheckerStats(0, 0, False)
 
-    recorder = {"depth": 0, "live": 0}
-    memo: dict[tuple[tuple[str, str, str], int], bool] = {}
+    binary: dict[str, list[tuple[str, str]]] = {}
+    for lhs, rhs in f_grammar.rules:
+        if len(rhs) == 2:
+            binary.setdefault(lhs, []).append(rhs)
+    states = sorted(a.states)
 
-    def derivable_n(t: tuple[str, str, str], n: int, depth: int) -> bool:
-        recorder["depth"] = max(recorder["depth"], depth)
-        recorder["live"] = max(recorder["live"], depth)
-        key = (t, n)
-        if key in memo:
-            return memo[key]
-        if t not in closure:
-            # not derivable at any length; skip without burning depth
-            memo[key] = False
-            return False
+    def children(t: Triple) -> tuple[Triple, Triple]:
+        q, sym, p = t
+        for b, c in binary[sym]:
+            for r in states:
+                left, right = (q, b, r), (r, c, p)
+                if left in least and right in least and least[left] + least[right] == least[t]:
+                    return left, right
+        raise RuntimeError(f"internal error: no split reproduces the least word of {t}")
+
+    def depth(t: Triple) -> int:
+        n = len(least[t])
         if n == 1:
-            memo[key] = len(closure[t]) == 1
-            return memo[key]
-        lo = -(-n // 3)
-        hi = (2 * n) // 3
-        result = False
-        for central in central_candidates():
-            if result:
-                break
-            for m in range(lo, hi + 1):
-                if not derivable_n(central, m, depth + 1):
-                    continue
-                if _chain_reaches(central, m, t, n, depth):
-                    result = True
-                    break
-        memo[key] = result
-        return result
+            return 1
+        light = []
+        while 3 * len(least[t]) > 2 * n:
+            heavy, other = children(t)
+            if len(least[heavy]) < len(least[other]):
+                heavy, other = other, heavy
+            light.append(other)
+            t = heavy
+        return 1 + max(map(depth, [t, *light]))
 
-    def central_candidates():
-        # candidate central triples in a fixed order: by nonterminal rank,
-        # then state pair; triples outside the length-free closure cannot
-        # head a subtree of any length and are not offered at all
-        for sym in f_grammar.ordered_nonterminals:
-            for q in states:
-                for p in states:
-                    if (q, sym, p) in closure:
-                        yield (q, sym, p)
-
-    def _chain_reaches(
-        start: tuple[str, str, str], start_len: int, t: tuple[str, str, str], n: int, depth: int
-    ) -> bool:
-        visited = {(start, start_len)}
-        frontier = deque([(start, start_len)])
-        while frontier:
-            cur, cur_len = frontier.popleft()
-            recorder["live"] = max(recorder["live"], depth + 1)
-            cq, csym, cp = cur
-            budget = n - cur_len
-            if budget < 1:
-                continue
-            for lhs, sibling_sym in as_right.get(csym, ()):
-                for x in states:
-                    if (x, sibling_sym, cq) not in closure:
-                        continue
-                    for k in range(1, budget + 1):
-                        if not derivable_n((x, sibling_sym, cq), k, depth + 1):
-                            continue
-                        parent = ((x, lhs, cp), cur_len + k)
-                        if parent == (t, n):
-                            return True
-                        if parent[1] < n and parent not in visited:
-                            visited.add(parent)
-                            frontier.append(parent)
-            for lhs, sibling_sym in as_left.get(csym, ()):
-                for y in states:
-                    if (cp, sibling_sym, y) not in closure:
-                        continue
-                    for k in range(1, budget + 1):
-                        if not derivable_n((cp, sibling_sym, y), k, depth + 1):
-                            continue
-                        parent = ((cq, lhs, y), cur_len + k)
-                        if parent == (t, n):
-                            return True
-                        if parent[1] < n and parent not in visited:
-                            visited.add(parent)
-                            frontier.append(parent)
-        return False
-
-    n = 1
-    while True:
-        if any(derivable_n(goal, n, 1) for goal in goals):
-            return CheckerStats(recorder["depth"], recorder["live"], True)
-        n += 1
+    d = depth(t)
+    return CheckerStats(d, d, True)

@@ -8,6 +8,7 @@ minutes, which is why tests compare against the frozen values instead of
 recomputing them).
 """
 from collections import deque
+from functools import lru_cache
 from itertools import product
 
 
@@ -112,16 +113,36 @@ def dyck_oracle(n, word):
     return balanced_brackets(word, [(f"a{k}", f"abar{k}") for k in range(1, n + 1)])
 
 
+@lru_cache(maxsize=None)
 def dyck_words(n, max_len):
-    """All balanced words up to max_len, by filtering every tuple."""
+    """All balanced words up to max_len, by length, then lexicographically
+    over the alphabet a1, abar1, a2, abar2, ...
+
+    A depth-first walk per length tries the letters in alphabet order and
+    extends a prefix only while it can still close: an opener needs room
+    for its closer, a closer must match the innermost open bracket.  Every
+    balanced word is reached once, in the order filtering all tuples
+    would list them.  The tuple is cached, so repeated sweeps share it.
+    """
     pairs = [(f"a{k}", f"abar{k}") for k in range(1, n + 1)]
     alphabet = [s for pair in pairs for s in pair]
+    close_of = dict(pairs)
     result = []
+
+    def walk(prefix, stack, length):
+        if len(prefix) == length:
+            result.append(prefix)
+            return
+        for sym in alphabet:
+            if sym in close_of:
+                if len(stack) + 2 <= length - len(prefix):
+                    walk(prefix + (sym,), stack + (close_of[sym],), length)
+            elif stack and stack[-1] == sym:
+                walk(prefix + (sym,), stack[:-1], length)
+
     for length in range(0, max_len + 1, 2):
-        for w in product(alphabet, repeat=length):
-            if balanced_brackets(w, pairs):
-                result.append(w)
-    return result
+        walk((), (), length)
+    return tuple(result)
 
 
 def sym_oracle(word):

@@ -147,8 +147,8 @@ def test_criterion_03_encoding_dual_inclusion():
             "runs": parse_grammar("S -> a1 S | a1").cnf(),
         }
         d2 = dyck_grammar(2).cnf()
-        sweep = list(dyck_words(2, 12))
         t0 = time.monotonic()
+        sweep = list(dyck_words(2, 12))
         images = 0
         preimages = 0
         for name, g in grammars.items():

@@ -123,3 +123,7 @@ def test_validation():
         Nfa.build(("a",), "q", {"q"}, {("q", "b", "q")})
     with pytest.raises(InputError):
         Nfa.from_json('{"states": []}')
+    mixed = {"states": ["q", 1], "alphabet": ["a"], "initial": "q", "accepting": [1],
+            "transitions": [{"from": "q", "label": "a", "to": 1}]}
+    with pytest.raises(InputError, match="must be strings"):
+        Nfa.from_dict(mixed)

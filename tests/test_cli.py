@@ -146,6 +146,15 @@ def test_check_log2_verdict_exit(in_tests_dir, capsys):
     assert capsys.readouterr().out == "empty\n"
 
 
+def test_check_log2_terminal_outside_nfa_alphabet_is_exit_2(in_tests_dir, tmp_path, capsys):
+    a = json.loads((TESTS_DIR / "data" / "pair.json").read_text())
+    a["alphabet"] = ["a1"]
+    a["transitions"] = [t for t in a["transitions"] if t["label"] == "a1"]
+    nfa = tmp_path / "a1-only.json"
+    nfa.write_text(json.dumps(a))
+    assert_usage_error(capsys, ["check-log2", "--grammar", "data/d1.txt", "--nfa", str(nfa)])
+
+
 def test_console_entry_point_parity(in_tests_dir):
     """`python -m rrkit.cli` (the `__main__` guard, not the installed `rr`
     script) gives the same exit code and stdout as in-process `main`.

@@ -310,6 +310,27 @@ def test_log2_check_depth_grows_slowly():
     assert stats.max_recursion_depth <= math.ceil(math.log(20, 1.5)) + 2
 
 
+def test_log2_check_depth_tracks_the_decomposition():
+    # on a1^k abar1^k the depth is the 1/3-2/3 decomposition depth of the
+    # witness's derivation tree; the figures for L = 2..12 were measured
+    # with a memo-free length-indexed certificate search
+    g = d1_cnf()
+
+    def depth(length):
+        k = length // 2
+        stats = log2_check(g, path_nfa(("a1",) * k + ("abar1",) * k))
+        assert stats.result
+        assert stats.max_live_triples == stats.max_recursion_depth
+        return stats.max_recursion_depth
+
+    assert [depth(L) for L in (2, 4, 6, 8, 10, 12)] == [2, 3, 4, 5, 5, 6]
+    previous = 0
+    for L in range(2, 129, 2):
+        d = depth(L)
+        assert previous <= d <= math.ceil(math.log(L, 1.5)) + 2, L
+        previous = d
+
+
 def test_report_serialization_shapes():
     report = nrr_decide(pair_machine(), FilterSpec.dyck(1))
     d = report.to_dict()
