@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .automata import Nfa
 from .engine import log2_check, nrr_decide, rational_index
@@ -184,8 +184,16 @@ def _cmd_check_log2(args) -> int:
     return 0 if stats.result else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as an InputError, so main prints them as one
+    `rr: error:` line; subcommand parsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rr",
         description="Decide regular realizability against fixed context-free filters.",
     )
@@ -253,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_reduce_args(args) -> Optional[str]:
+def _check_reduce_args(args) -> None:
     needs = {
         "bar-hillel": ("grammar", "nfa"),
         "cs": ("grammar",),
@@ -262,19 +270,14 @@ def _check_reduce_args(args) -> Optional[str]:
     }[args.target]
     for name in needs:
         if getattr(args, name) is None:
-            return f"reduce {args.target} requires --{name}"
-    return None
+            raise InputError(f"reduce {args.target} requires --{name}")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "reduce":
-        problem = _check_reduce_args(args)
-        if problem is not None:
-            print(f"rr: error: {problem}", file=sys.stderr)
-            return 2
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "reduce":
+            _check_reduce_args(args)
         return args.func(args)
     except (InputError, ContractError, UnsupportedFilterError, OSError) as exc:
         print(f"rr: error: {exc}", file=sys.stderr)

@@ -121,34 +121,69 @@ class CounterAutomaton:
         return False
 
     def shortest_word(self, max_len: int, counter_cap: Optional[int] = None) -> Optional[tuple[str, ...]]:
-        """Shortest accepted word found with counter values <= counter_cap
-        and length <= max_len; None when none exists within those bounds.
+        """The least accepted word of length <= max_len whose run keeps the
+        counter <= counter_cap, or None when there is none within those
+        bounds.  Least means shortest, then lexicographically smallest in
+        the declared alphabet order: the word to_nfa(counter_cap)
+        .shortest_witness() returns, found without building the unfolding.
 
-        0/1 BFS: epsilon moves cost nothing, symbol moves cost one, so the
-        first accepting configuration popped is reached by a shortest word.
+        Configurations (state, value) are claimed in (length, lex) order of
+        the words that reach them.  Each group holds the configurations
+        whose least word is the group's word; a group is created with its
+        epsilon closure, and each configuration is marked seen at that
+        moment, so a configuration's least word u·s comes from expanding
+        the group of u (itself u's least-word group) by s.  The first
+        accepting group created carries the least accepted word.
         """
         cap = counter_cap if counter_cap is not None else max_len + len(self.states)
-        queue = deque([(self.initial, 0, ())])
-        done: set[tuple[str, int]] = set()
-        while queue:
-            state, value, word = queue.popleft()
-            if (state, value) in done:
-                continue
-            done.add((state, value))
-            if self._is_accepting(state, value):
-                return word
-            for read, guard, delta, dst in self._by_state.get(state, ()):
-                if not self._guard_ok(guard, value):
-                    continue
-                nval = value + delta
-                if nval < 0 or nval > cap:
-                    continue
-                if read == EPSILON:
-                    if (dst, nval) not in done:
-                        queue.appendleft((dst, nval, word))
-                elif len(word) < max_len:
-                    if (dst, nval) not in done:
-                        queue.append((dst, nval, word + (read,)))
+        seen: set[tuple[str, int]] = set()
+
+        def claim(configs: Iterable[tuple[str, int]]) -> tuple[list[tuple[str, int]], bool]:
+            """The unseen configurations and their epsilon closure, marked
+            seen, and whether one of them accepts."""
+            group = []
+            for config in configs:
+                if config not in seen:
+                    seen.add(config)
+                    group.append(config)
+            accepted = False
+            for state, value in group:  # grows while it is walked
+                if self._is_accepting(state, value):
+                    accepted = True
+                for read, guard, delta, dst in self._by_state.get(state, ()):
+                    if read != EPSILON or not self._guard_ok(guard, value):
+                        continue
+                    nxt = (dst, value + delta)
+                    if 0 <= nxt[1] <= cap and nxt not in seen:
+                        seen.add(nxt)
+                        group.append(nxt)
+            return group, accepted
+
+        start, accepted = claim([(self.initial, 0)])
+        if accepted:
+            return ()
+        level = [((), start)]
+        for _ in range(max_len):
+            created = []
+            for word, group in level:
+                successors: dict[str, list[tuple[str, int]]] = {}
+                for state, value in group:
+                    for read, guard, delta, dst in self._by_state.get(state, ()):
+                        if read == EPSILON or not self._guard_ok(guard, value):
+                            continue
+                        nval = value + delta
+                        if 0 <= nval <= cap:
+                            successors.setdefault(read, []).append((dst, nval))
+                for symbol in self.alphabet:
+                    if symbol in successors:
+                        fresh, accepted = claim(successors[symbol])
+                        if accepted:
+                            return word + (symbol,)
+                        if fresh:
+                            created.append((word + (symbol,), fresh))
+            if not created:
+                return None
+            level = created
         return None
 
     # -- constructions -------------------------------------------------------
@@ -191,7 +226,8 @@ class CounterAutomaton:
         States are (state, value) pairs; moves that would push the counter
         past the cap fall into an absorbing reject state.  For a nonempty
         machine the default cap is large enough to keep some witness, so
-        emptiness is preserved.
+        emptiness is preserved.  shortest_word walks these configurations
+        on the fly and finds this automaton's shortest_witness.
         """
         if cap is None:
             cap = len(self.states) ** 2

@@ -31,8 +31,10 @@ class DecisionReport:
     stats carries construction sizes: nonterminals_created for the grammar
     route (the size |N|·|Q|²+1 of the triple product the search runs
     over, exactly the nonterminal count of the materialized product for
-    the CNF filter grammar), states_created for the counter route,
-    shortest_witness_length when a witness exists.
+    the CNF filter grammar), states_created for the counter route
+    (|P| + |P|·(|P|²+1) + 1: the states of the product counter machine P
+    plus those of its unfolding at cap |P|², which the search walks
+    without building), shortest_witness_length when a witness exists.
     """
 
     nonempty: bool
@@ -91,9 +93,12 @@ def nrr_decide(a: Nfa, f: FilterSpec) -> DecisionReport:
     filter grammar: the least word (shortest, then lexicographic over the
     sorted terminal names) of the implicit triple product, whose size
     |N|·|Q|²+1 is reported as nonterminals_created.  Counter filters go
-    through the product counter machine unfolded to an NFA at the default
-    counter cap.  The witness is re-checked against the automaton and the
-    filter oracle before return.
+    through the product counter machine P: its shortest_word walks the
+    configurations of the unfolding at counter cap |P|² on the fly, in
+    the same (length, lex) order, so the witness is the shortest witness
+    of P's default unfolding, and the unfolding's size is reported as
+    states_created.  The witness is re-checked against the
+    automaton and the filter oracle before return.
     """
     for sym in a.alphabet:
         if sym not in f.alphabet:
@@ -105,12 +110,14 @@ def nrr_decide(a: Nfa, f: FilterSpec) -> DecisionReport:
     a_full = _with_alphabet(a, f.alphabet)
     if f.kind == "counter":
         product = f.automaton.product(a_full)
-        unfolded = product.to_nfa()
-        witness = unfolded.shortest_witness()
+        size = len(product.states)
+        cap = size**2
+        # a least word repeats no configuration, so max_len cuts none off
+        witness = product.shortest_word(max_len=size * (cap + 1), counter_cap=cap)
         method = "counter"
         stats = {
             "nonterminals_created": 0,
-            "states_created": len(product.states) + len(unfolded.states),
+            "states_created": size + size * (cap + 1) + 1,
         }
     else:
         grammar = f.filter_grammar().cnf()

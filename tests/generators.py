@@ -6,8 +6,8 @@ import random
 from rrkit import Cfg, CounterAutomaton, Nfa
 
 
-def random_nfa(rng, max_states=4, alphabet=("a1", "abar1"), allow_epsilon=False):
-    n = rng.randint(1, max_states)
+def random_nfa(rng, max_states=4, alphabet=("a1", "abar1"), allow_epsilon=False, min_states=1):
+    n = rng.randint(min_states, max_states)
     states = [f"q{i}" for i in range(n)]
     transitions = set()
     for src in states:

@@ -53,37 +53,51 @@ def enumerate_accepted(transitions, initial, accepting, alphabet, max_len):
 def grammar_words(rules, axiom, max_len, nonterminals=None):
     """All terminal words of length <= max_len derivable from the axiom.
 
-    Bottom-up fixpoint over per-nonterminal word sets; handles epsilon,
-    unit, and long rules alike.  Only usable for small grammars and small
-    max_len, which is the point.  Pass the nonterminal set explicitly when
-    some nonterminal has no rules (inference from left-hand sides would
-    then mistake it for a terminal).
+    Bottom-up semi-naive fixpoint over per-nonterminal word sets; handles
+    epsilon, unit, and long rules alike.  Each round expands only the
+    right-hand-side combinations that use at least one word new in the
+    last round: positions before the first such word (the pivot) take
+    older words, the pivot a new one, later positions any word.  Only
+    usable for small grammars and small max_len, which is the point.
+    Pass the nonterminal set explicitly when some nonterminal has no rules
+    (inference from left-hand sides would then mistake it for a terminal).
     """
     if nonterminals is None:
         nonterminals = {lhs for lhs, _ in rules}
     words = {nt: set() for nt in nonterminals}
-    changed = True
-    while changed:
-        changed = False
+    new = {nt: set() for nt in nonterminals}
+    for lhs, rhs in rules:
+        if not any(sym in nonterminals for sym in rhs) and len(rhs) <= max_len:
+            new[lhs].add(tuple(rhs))
+    while any(new.values()):
+        for nt in nonterminals:
+            words[nt] |= new[nt]
+        old = {nt: words[nt] - new[nt] for nt in nonterminals}
+        found = {nt: set() for nt in nonterminals}
         for lhs, rhs in rules:
-            for candidate in _expand(rhs, words, nonterminals, max_len):
-                if candidate not in words[lhs]:
-                    words[lhs].add(candidate)
-                    changed = True
+            for pivot, sym in enumerate(rhs):
+                if sym in nonterminals and new[sym]:
+                    sources = [
+                        (old if k < pivot else new if k == pivot else words)[s]
+                        if s in nonterminals
+                        else [(s,)]
+                        for k, s in enumerate(rhs)
+                    ]
+                    found[lhs].update(_concatenations(sources, max_len))
+        new = {nt: found[nt] - words[nt] for nt in nonterminals}
     return sorted(words.get(axiom, ()), key=lambda w: (len(w), w))
 
 
-def _expand(rhs, words, nonterminals, max_len):
+def _concatenations(sources, max_len):
+    """Every concatenation of one word from each source, up to max_len."""
     partial = [()]
-    for sym in rhs:
-        options = words[sym] if sym in nonterminals else [(sym,)]
-        nxt = []
-        for prefix in partial:
-            for opt in options:
-                joined = prefix + opt
-                if len(joined) <= max_len:
-                    nxt.append(joined)
-        partial = nxt
+    for options in sources:
+        partial = [
+            prefix + opt
+            for prefix in partial
+            for opt in options
+            if len(prefix) + len(opt) <= max_len
+        ]
         if not partial:
             return []
     return partial

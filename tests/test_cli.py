@@ -136,6 +136,30 @@ def test_non_utf8_inputs_are_exit_2(tmp_path, capsys):
     assert_usage_error(capsys, ["reduce", "cs", "--grammar", str(blob)])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "--filter", "-y", "--word", ""],  # a value that reads as a flag
+        ["decide", "--filter", "dyck1"],  # a missing required option
+        ["decide", "--filter", "dyck1", "--nfa", "data/pair.json", "--bogus"],  # an unknown flag
+        ["index", "--filter", "dyck1", "--states", "two"],  # a bad --states type
+        ["witness", "--filter", "dyck1", "--nfa", "data/pair.json", "--method", "log2"],  # a bad choice
+        ["frobnicate"],  # an unknown command
+        [],  # no command
+    ],
+)
+def test_usage_errors_are_one_line(argv, in_tests_dir, capsys):
+    assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["decide", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rr")
+
+
 def test_index_exhaustive_too_large_is_exit_2(capsys):
     assert main(["index", "--filter", "dyck1", "--states", "4"]) == 2
     assert "rr: error:" in capsys.readouterr().err

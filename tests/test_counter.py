@@ -114,17 +114,36 @@ def test_to_nfa_preserves_emptiness_on_random_instances():
         assert (native is not None) == (unfolded.shortest_witness() is not None), c
 
 
+def dense_counter(rng, alphabet):
+    """A 2-3 state machine with each (src, read, dst) move present at
+    random, so that several least-length words often tie."""
+    states = [f"q{i}" for i in range(rng.randint(2, 3))]
+    transitions = {
+        (src, read, rng.choice(("any", "zero", "positive")), rng.choice((-1, 0, 1)), dst)
+        for src in states
+        for read in (*alphabet, "")
+        for dst in states
+        if rng.random() < 0.5
+    }
+    accepting = rng.sample(states[1:], rng.randint(1, len(states) - 1))
+    mode = rng.choice(("final_state", "final_state_and_zero"))
+    return CounterAutomaton.build(
+        alphabet, "q0", accepting, transitions, accept_mode=mode, states=states
+    )
+
+
 def test_shortest_word_matches_unfolding():
+    """The configuration search returns the unfolding's witness word for
+    word.  Ties break in the declared alphabet order: over ("b", "a")
+    that differs from the order of the label strings."""
     rng = random.Random(613)
-    for _ in range(40):
-        c = random_counter(rng, max_states=3)
-        cap = len(c.states) ** 2
-        witness = c.to_nfa(cap=cap).shortest_witness()
-        if witness is not None and len(witness) <= 12:
-            native = c.shortest_word(max_len=12, counter_cap=cap)
-            assert native is not None and len(native) == len(witness), c
-        elif witness is None:
-            assert c.shortest_word(max_len=12, counter_cap=cap) is None, c
+    machines = [random_counter(rng, max_states=3) for _ in range(40)]
+    machines += [dense_counter(rng, ("b", "a")) for _ in range(600)]
+    for c in machines:
+        for cap in (len(c.states) ** 2, 1):
+            witness = c.to_nfa(cap=cap).shortest_witness()
+            native = c.shortest_word(max_len=len(c.states) * (cap + 1), counter_cap=cap)
+            assert native == witness, (c, cap)
 
 
 def test_json_round_trip():

@@ -25,7 +25,7 @@ from rrkit import (
     substitution_collapse,
 )
 from rrkit.errors import ContractError, UnsupportedFilterError
-from rrkit.filters import d1_counter, dyck_grammar
+from rrkit.filters import d1_counter, dyck_grammar, parse_filter_name
 
 from generators import random_cnf, random_nfa
 from oracles import (
@@ -109,6 +109,24 @@ def test_routes_agree_on_random_machines():
         assert via_grammar.nonempty == via_counter.nonempty, a
         if via_grammar.nonempty:
             assert len(via_grammar.witness) == len(via_counter.witness), a
+
+
+def test_counter_route_matches_unfolding():
+    """The counter route searches the unfolding without building it: its
+    witness is the one the materialized unfolding gives, tie-break
+    included, and states_created is that unfolding's size."""
+    rng = random.Random(1313)
+    counter_filter = FilterSpec.from_counter(d1_counter())
+    grammar_filter = parse_filter_name("dyck1")
+    sizes = [(2, 8)] * 320 + [(16, 24)] * 4
+    for k, (low, high) in enumerate(sizes):
+        a = random_nfa(rng, max_states=high, min_states=low, allow_epsilon=k % 2 == 0)
+        report = nrr_decide(a, counter_filter)
+        product = d1_counter().product(a)
+        unfolded = product.to_nfa()
+        assert report.witness == unfolded.shortest_witness(), a
+        assert report.stats["states_created"] == len(product.states) + len(unfolded.states), a
+        assert report.witness == nrr_decide(a, grammar_filter).witness, a
 
 
 def test_decide_against_enumeration():
