@@ -2,13 +2,13 @@
 
 The same NFA is intersected with the one-pair bracket language twice:
 once through the product grammar and once through the bounded-counter
-unfolding (by handing the engine the counter realization of the same
-language).  Both report the same verdict and the same shortest witness;
-the stats give the sizes of the search spaces each route walks
-implicitly (neither is built).
+unfolding (method="counter" makes the engine decide against the counter
+realization of the same language).  Both report the same verdict and
+the same shortest witness; the stats give the sizes of the search
+spaces each route walks implicitly (neither is built).
 """
 
-from rrkit import FilterSpec, Nfa, d1_counter, nrr_decide
+from rrkit import Nfa, nrr_decide
 from rrkit.filters import parse_filter_name
 
 a = Nfa.build(
@@ -23,8 +23,9 @@ a = Nfa.build(
     },
 )
 
-grammar_route = nrr_decide(a, parse_filter_name("dyck1"))
-counter_route = nrr_decide(a, FilterSpec.from_counter(d1_counter()))
+dyck1 = parse_filter_name("dyck1")
+grammar_route = nrr_decide(a, dyck1)
+counter_route = nrr_decide(a, dyck1, method="counter")
 
 for label, report in (("grammar", grammar_route), ("counter", counter_route)):
     print(f"{label} route: nonempty={report.nonempty} witness={report.witness}")

@@ -17,7 +17,7 @@ from typing import NoReturn, Optional
 from .automata import Nfa
 from .engine import log2_check, nrr_decide, rational_index
 from .errors import ContractError, InputError, UnsupportedFilterError
-from .filters import FilterSpec, d1_counter, parse_filter_name
+from .filters import parse_filter_name
 from .grammars import format_grammar, parse_grammar
 from .reductions import bar_hillel, cs_transducer, height_bound, mark_automaton, reduce_d2_to_ssharpup
 
@@ -60,53 +60,15 @@ def _cmd_member(args) -> int:
     return 0 if result else 1
 
 
-def _decide_with_method(a: Nfa, f: FilterSpec, method: str):
-    if method == "auto":
-        return nrr_decide(a, f)
-    if method == "bar-hillel":
-        if f.kind == "counter":
-            raise InputError("a counter-backed filter has no grammar route")
-        return nrr_decide(a, f)
-    if method == "counter":
-        if f.kind == "counter":
-            return nrr_decide(a, f)
-        if f.kind == "dyck" and f.n == 1:
-            return nrr_decide(a, FilterSpec.from_counter(d1_counter()))
-        raise InputError(f"no counter realization is registered for filter kind {f.kind!r}")
-    raise InputError(f"unknown method {method!r}")
-
-
 def _cmd_decide(args) -> int:
+    """Serves both decide and witness; they differ in the plain-text line."""
     f = parse_filter_name(args.filter)
     a = _load_nfa(args.nfa)
-    if args.method == "log2":
-        for sym in a.alphabet:
-            if sym not in f.alphabet:
-                raise InputError(f"automaton symbol {sym!r} is not in the filter alphabet")
-        grammar = f.filter_grammar().cnf()
-        plain = Nfa(
-            a.states, f.alphabet, a.initial, a.accepting, a.transitions
-        ).without_epsilon_moves()
-        stats = log2_check(grammar, plain)
-        if args.json:
-            _print_json({"method": "log2", "nonempty": stats.result, "stats": stats.to_dict()})
-        else:
-            print("nonempty" if stats.result else "empty")
-        return 0 if stats.result else 1
-    report = _decide_with_method(a, f, args.method)
+    report = nrr_decide(a, f, args.method)
     if args.json:
         _print_json(report.to_dict())
-    else:
+    elif args.command == "decide":
         print("nonempty" if report.nonempty else "empty")
-    return 0 if report.nonempty else 1
-
-
-def _cmd_witness(args) -> int:
-    f = parse_filter_name(args.filter)
-    a = _load_nfa(args.nfa)
-    report = _decide_with_method(a, f, args.method)
-    if args.json:
-        _print_json(report.to_dict())
     elif report.witness is None:
         print("none")
     else:
@@ -225,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("auto", "bar-hillel", "counter"), default="auto"
     )
     p.add_argument("--json", action="store_true", help="emit the decision report as JSON")
-    p.set_defaults(func=_cmd_witness)
+    p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("reduce", help="emit one of the constructions")
     p.add_argument(

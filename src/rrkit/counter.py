@@ -120,7 +120,7 @@ class CounterAutomaton:
                     queue.append(config)
         return False
 
-    def shortest_word(self, max_len: int, counter_cap: Optional[int] = None) -> Optional[tuple[str, ...]]:
+    def shortest_word(self, max_len: int, counter_cap: int) -> Optional[tuple[str, ...]]:
         """The least accepted word of length <= max_len whose run keeps the
         counter <= counter_cap, or None when there is none within those
         bounds.  Least means shortest, then lexicographically smallest in
@@ -133,9 +133,11 @@ class CounterAutomaton:
         epsilon closure, and each configuration is marked seen at that
         moment, so a configuration's least word u·s comes from expanding
         the group of u (itself u's least-word group) by s.  The first
-        accepting group created carries the least accepted word.
+        accepting group created carries the least accepted word.  There is
+        no default cap: the caller picks it, as nrr_decide picks |P|² for
+        the product machine P (to_nfa's default, which preserves
+        emptiness).
         """
-        cap = counter_cap if counter_cap is not None else max_len + len(self.states)
         seen: set[tuple[str, int]] = set()
 
         def claim(configs: Iterable[tuple[str, int]]) -> tuple[list[tuple[str, int]], bool]:
@@ -154,7 +156,7 @@ class CounterAutomaton:
                     if read != EPSILON or not self._guard_ok(guard, value):
                         continue
                     nxt = (dst, value + delta)
-                    if 0 <= nxt[1] <= cap and nxt not in seen:
+                    if 0 <= nxt[1] <= counter_cap and nxt not in seen:
                         seen.add(nxt)
                         group.append(nxt)
             return group, accepted
@@ -172,7 +174,7 @@ class CounterAutomaton:
                         if read == EPSILON or not self._guard_ok(guard, value):
                             continue
                         nval = value + delta
-                        if 0 <= nval <= cap:
+                        if 0 <= nval <= counter_cap:
                             successors.setdefault(read, []).append((dst, nval))
                 for symbol in self.alphabet:
                     if symbol in successors:
@@ -231,30 +233,31 @@ class CounterAutomaton:
         """
         if cap is None:
             cap = len(self.states) ** 2
-        pair = lambda q, c: f"({q},{c})"
+        # names[q][c] is the unfolded state (q, c), formatted once per call
+        names = {q: [f"({q},{c})" for c in range(cap + 1)] for q in self.states}
         reject = "reject"
         while reject in self.states:
             reject += "'"
         transitions: set[tuple[str, str, str]] = set()
-        for src, read, guard, delta, dst in sorted(self.transitions):
+        for src, read, guard, delta, dst in self.transitions:
             for value in range(cap + 1):
                 if not self._guard_ok(guard, value):
                     continue
                 nval = value + delta
                 if nval < 0:
                     continue
-                target = pair(dst, nval) if nval <= cap else reject
-                transitions.add((pair(src, value), read, target))
+                target = names[dst][nval] if nval <= cap else reject
+                transitions.add((names[src][value], read, target))
         if self.accept_mode == "final_state_and_zero":
-            accepting = {pair(q, 0) for q in sorted(self.accepting)}
+            accepting = {names[q][0] for q in self.accepting}
         else:
-            accepting = {pair(q, c) for q in sorted(self.accepting) for c in range(cap + 1)}
-        states = {pair(q, c) for q in self.states for c in range(cap + 1)}
+            accepting = {name for q in self.accepting for name in names[q]}
+        states = {name for row in names.values() for name in row}
         states.add(reject)
         return Nfa(
             frozenset(states),
             self.alphabet,
-            pair(self.initial, 0),
+            names[self.initial][0],
             frozenset(accepting),
             frozenset(transitions),
         )

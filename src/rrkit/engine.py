@@ -1,12 +1,14 @@
 """Top-level decision procedures for regular realizability.
 
-nrr_decide answers "does L(a) meet the filter" with a verified witness,
-dispatching per filter kind; substitution_collapse rewrites an automaton so
-an outer filter can be applied after a language substitution;
-rational_index measures worst-case shortest witnesses over n-state
-machines; log2_check re-decides grammar filters and measures the
-Lewis–Stearns–Hartmanis decomposition of the least witness's derivation
-tree, the certificate a log² n-space recognizer verifies.
+nrr_decide answers "does L(a) meet the filter" through the route its
+method argument selects (auto, bar-hillel, counter or log2), with a
+verified witness, or for log2 with log2_check's figures in its place;
+substitution_collapse rewrites an automaton so an outer filter can be
+applied after a language substitution; rational_index measures
+worst-case shortest witnesses over n-state machines; log2_check
+re-decides grammar filters and measures the Lewis–Stearns–Hartmanis
+decomposition of the least witness's derivation tree, the certificate
+a log² n-space recognizer verifies.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Mapping, Optional
 
 from .automata import EPSILON, Nfa
 from .errors import ContractError, InputError, UnsupportedFilterError
-from .filters import FilterSpec
+from .filters import FilterSpec, d1_counter
 from .grammars import Cfg
 from .reductions import Triple, _check_terminals, _derivable, intersection_shortest
 
@@ -35,6 +37,10 @@ class DecisionReport:
     (|P| + |P|·(|P|²+1) + 1: the states of the product counter machine P
     plus those of its unfolding at cap |P|², which the search walks
     without building), shortest_witness_length when a witness exists.
+
+    The log2 route certifies the verdict without returning a word: its
+    method is "log2", witness is None, stats is CheckerStats.to_dict(),
+    and to_dict leaves out the witness key.
     """
 
     nonempty: bool
@@ -43,12 +49,10 @@ class DecisionReport:
     stats: Mapping[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "nonempty": self.nonempty,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "method": self.method,
-            "stats": dict(self.stats),
-        }
+        out = {"nonempty": self.nonempty, "method": self.method, "stats": dict(self.stats)}
+        if self.method != "log2":
+            out["witness"] = list(self.witness) if self.witness is not None else None
+        return out
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,16 @@ def _with_alphabet(a: Nfa, alphabet: tuple[str, ...]) -> Nfa:
     return Nfa(a.states, alphabet, a.initial, a.accepting, a.transitions)
 
 
-def nrr_decide(a: Nfa, f: FilterSpec) -> DecisionReport:
+def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     """Decide L(a) ∩ F ≠ ∅ and report a shortest witness.
+
+    method "auto" takes the counter route for counter filters and the
+    grammar route otherwise; "bar-hillel" and "counter" ask for one route
+    ("counter" on the one-pair bracket filter decides against
+    d1_counter()); "log2" runs log2_check on f.cnf_grammar and the
+    epsilon-free automaton, and reports its verdict with no witness and
+    CheckerStats.to_dict() as stats.  A route the filter lacks, or an
+    unknown method, is an InputError.
 
     Grammar-backed filters go through intersection_shortest on the CNF
     filter grammar: the least word (shortest, then lexicographic over the
@@ -100,6 +112,14 @@ def nrr_decide(a: Nfa, f: FilterSpec) -> DecisionReport:
     states_created.  The witness is re-checked against the
     automaton and the filter oracle before return.
     """
+    if method == "counter" and f.kind != "counter":
+        if not (f.kind == "dyck" and f.n == 1):
+            raise InputError(f"no counter realization is registered for filter kind {f.kind!r}")
+        f = FilterSpec.from_counter(d1_counter())
+    elif method in ("bar-hillel", "log2") and f.kind == "counter":
+        raise InputError("a counter-backed filter has no grammar route")
+    elif method not in ("auto", "bar-hillel", "counter", "log2"):
+        raise InputError(f"unknown method {method!r}")
     for sym in a.alphabet:
         if sym not in f.alphabet:
             raise InputError(f"automaton symbol {sym!r} is not in the filter alphabet")
@@ -108,6 +128,9 @@ def nrr_decide(a: Nfa, f: FilterSpec) -> DecisionReport:
             "the s_sharp_up filter has no grammar; it is a reduction target only"
         )
     a_full = _with_alphabet(a, f.alphabet)
+    if method == "log2":
+        checked = log2_check(f.cnf_grammar, a_full.without_epsilon_moves())
+        return DecisionReport(checked.result, None, "log2", checked.to_dict())
     if f.kind == "counter":
         product = f.automaton.product(a_full)
         size = len(product.states)
@@ -120,7 +143,7 @@ def nrr_decide(a: Nfa, f: FilterSpec) -> DecisionReport:
             "states_created": size + size * (cap + 1) + 1,
         }
     else:
-        grammar = f.filter_grammar().cnf()
+        grammar = f.cnf_grammar
         witness = intersection_shortest(grammar, a_full)
         method = "bar_hillel"
         stats = {

@@ -328,7 +328,8 @@ class FilterSpec:
         return self.automaton.alphabet
 
     @cached_property
-    def _cnf(self) -> Cfg:
+    def cnf_grammar(self) -> Cfg:
+        """The CNF of filter_grammar(), built once per filter."""
         return self.filter_grammar().cnf()
 
     def filter_grammar(self) -> Cfg:
@@ -355,7 +356,7 @@ class FilterSpec:
         if self.kind == "counter":
             return self.automaton.accepts(word)
         _check_word(word, self.alphabet)
-        return self._cnf.cyk(word)
+        return self.cnf_grammar.cyk(word)
 
     def describe(self) -> str:
         if self.kind == "dyck":

@@ -74,9 +74,20 @@ def test_unknown_filter_is_exit_2(capsys):
     assert "unknown filter" in capsys.readouterr().err
 
 
-def test_reduction_only_filter_is_exit_2(in_tests_dir, capsys):
-    assert main(["decide", "--filter", "ssharpup", "--nfa", "data/pair.json"]) == 2
-    assert "rr: error:" in capsys.readouterr().err
+@pytest.mark.parametrize("method", ["auto", "bar-hillel", "counter", "log2"])
+def test_reduction_only_filter_is_exit_2(method, tmp_path, capsys):
+    # over the filter's own letters, so the alphabet check passes
+    nfa = tmp_path / "a.json"
+    nfa.write_text(rrkit.Nfa.build(("a", "abar"), "q0", {"q1"}, {("q0", "a", "q1")}).to_json())
+    err = assert_usage_error(
+        capsys, ["decide", "--filter", "ssharpup", "--nfa", str(nfa), "--method", method]
+    )
+    assert ("no counter realization" if method == "counter" else "reduction target only") in err
+
+
+def test_log2_method_foreign_symbol_is_exit_2(in_tests_dir, capsys):
+    argv = ["decide", "--filter", "dyck1", "--nfa", "data/sympair.json", "--method", "log2"]
+    assert_usage_error(capsys, argv)
 
 
 def test_counter_method_without_counter_filter(in_tests_dir, capsys):
@@ -105,12 +116,14 @@ def test_index_seed_env_default(monkeypatch, capsys):
 
 
 def assert_usage_error(capsys, argv):
-    """Exit 2 with exactly one `rr: error:` line on stderr, no traceback."""
+    """Exit 2 with exactly one `rr: error:` line on stderr, no traceback;
+    returns that line."""
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert err.startswith("rr: error: ")
     assert "Traceback" not in err
+    return err
 
 
 def test_index_bad_seed_env_is_exit_2(monkeypatch, capsys):

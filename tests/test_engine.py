@@ -129,6 +129,36 @@ def test_counter_route_matches_unfolding():
         assert report.witness == nrr_decide(a, grammar_filter).witness, a
 
 
+def test_decide_methods():
+    """nrr_decide selects the route: an explicit route agrees with auto,
+    log2 reports log2_check's figures, and a route the filter lacks is an
+    InputError."""
+    rng = random.Random(1317)  # draws empty and nonempty instances, witnesses of length 0 to 6
+    dyck1 = FilterSpec.dyck(1)
+    counter_filter = FilterSpec.from_counter(d1_counter())
+    g = d1_cnf()
+    for k in range(12):
+        a = random_nfa(rng, max_states=5, min_states=3, allow_epsilon=k % 2 == 0)
+        auto = nrr_decide(a, dyck1)
+        assert nrr_decide(a, dyck1, "bar-hillel") == auto, a
+        counter = nrr_decide(a, dyck1, "counter")
+        assert counter.method == "counter" and counter.witness == auto.witness, a
+        assert nrr_decide(a, counter_filter, "counter") == nrr_decide(a, counter_filter), a
+        log2 = nrr_decide(a, dyck1, "log2")
+        assert (log2.method, log2.nonempty, log2.witness) == ("log2", auto.nonempty, None), a
+        assert log2.stats == log2_check(g, a.without_epsilon_moves()).to_dict(), a
+        assert "witness" not in log2.to_dict()
+
+    sym = Nfa.build(("x1", "xbar1"), "q0", {"q0"}, set())
+    with pytest.raises(InputError, match="no counter realization"):
+        nrr_decide(sym, FilterSpec.symmetric(), "counter")
+    for method in ("bar-hillel", "log2"):
+        with pytest.raises(InputError, match="no grammar route"):
+            nrr_decide(pair_machine(), counter_filter, method)
+    with pytest.raises(InputError, match="unknown method"):
+        nrr_decide(pair_machine(), dyck1, "bogus")
+
+
 def test_decide_against_enumeration():
     rng = random.Random(1312)
     f = FilterSpec.dyck(1)
