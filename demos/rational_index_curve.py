@@ -2,7 +2,8 @@
 
 The rational index at n is the worst case, over n-state machines meeting
 the filter, of the shortest word in the intersection.  Exhaustive mode
-enumerates every machine shape up to renaming; sampled mode estimates
+sweeps every machine shape, deciding one per renaming and none that
+contains a smaller machine meeting the filter; sampled mode estimates
 the same quantity from random machines and is never above the true
 value.
 """

@@ -12,6 +12,7 @@ a log² n-space recognizer verifies.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -256,14 +257,35 @@ def rational_index(
 ) -> int:
     """Worst case over n-state machines of the shortest witness length.
 
-    Exhaustive mode enumerates epsilon-free machines with initial state 0
-    and a single accepting state, deduplicated up to permutations of the
-    non-initial states; machines whose language misses the filter are
-    skipped per the side condition.  Both restrictions preserve the value:
+    The machines are epsilon-free, with initial state 0 and a single
+    accepting state; machines whose language misses the filter are left
+    out per the side condition.  Both restrictions preserve the value:
     epsilon moves can be eliminated without adding states, and a machine
     with several accepting states realizes its shortest witness through
-    one of them.  Sample mode evaluates seeded random machines instead and
-    reports the max found (a lower bound).
+    one of them.
+
+    Exhaustive mode sweeps the (move set, accepting state) pairs with the
+    move sets as bit masks in numeric order (see _minimal_machine_lengths)
+    and decides only some of them: a machine is decided when its shortest
+    witness is actually computed.  Two kinds of machine are never
+    decided, and neither can change the value:
+
+    * dominated ones, which contain a one-move-smaller machine with the
+      same accepting state that meets the filter.  Adding a move only
+      adds words (also to the dyck1 fast path's (state, height) search,
+      whose height cap n*n is the same for every n-state machine), so
+      such a machine meets the filter with a shortest witness no longer
+      than its submachine's, and the maximum is reached on
+      inclusion-minimal machines that meet the filter, which are never
+      dominated;
+    * non-canonical ones, whose relabeling by some permutation of the
+      non-initial states is a numerically smaller pair; they have that
+      twin's language, which is decided instead.
+
+    Whether the filter is met at all is also settled from the decided
+    machines, so the "index is undefined" error is unchanged.  Sample
+    mode decides seeded random machines instead and reports the max
+    found (a lower bound).
     """
     if n < 1:
         raise InputError("machines need at least one state")
@@ -278,66 +300,95 @@ def rational_index(
             raise InputError(
                 "exhaustive enumeration over this alphabet/state count is too large"
             )
-        machines = _enumerate_machines(n, edges)
-    elif mode == "sample":
-        machines = _sample_machines(n, edges, sample_count, seed)
-    else:
+    elif mode != "sample":
         raise InputError(f"unknown mode {mode!r}; expected exhaustive or sample")
 
     fast_dyck1 = f.kind == "dyck" and f.n == 1
-    best: Optional[int] = None
-    for subset, accepting in machines:
+    states = {str(i) for i in range(n)}
+
+    def shortest(subset: tuple[tuple[int, str, int], ...], accepting: int) -> Optional[int]:
         if fast_dyck1:
-            shortest = _shortest_dyck1_word(n, subset, accepting)
-        else:
-            machine = Nfa.build(
-                alphabet,
-                "0",
-                {str(accepting)},
-                {(str(i), sym, str(j)) for i, sym, j in subset},
-                states={str(i) for i in range(n)},
-            )
-            witness = nrr_decide(machine, f).witness
-            shortest = None if witness is None else len(witness)
-        if shortest is not None and (best is None or shortest > best):
-            best = shortest
+            return _shortest_dyck1_word(n, subset, accepting)
+        machine = Nfa.build(
+            alphabet,
+            "0",
+            {str(accepting)},
+            {(str(i), sym, str(j)) for i, sym, j in subset},
+            states=states,
+        )
+        witness = nrr_decide(machine, f).witness
+        return None if witness is None else len(witness)
+
+    if mode == "exhaustive":
+        lengths = _minimal_machine_lengths(n, edges, shortest)
+    else:
+        machines = _sample_machines(n, edges, sample_count, seed)
+        lengths = (shortest(subset, accepting) for subset, accepting in machines)
+    best = max((length for length in lengths if length is not None), default=None)
     if best is None:
         raise InputError("no n-state machine meets the filter; the index is undefined")
     return best
 
 
-def _enumerate_machines(n: int, edges: tuple[tuple[int, str, int], ...]):
-    perms = _permutations_fixing_zero(n)
-    relabeled_index: list[list[int]] = []
-    for perm in perms:
-        table = []
-        edge_pos = {e: k for k, e in enumerate(edges)}
-        for i, sym, j in edges:
-            table.append(edge_pos[(perm[i], sym, perm[j])])
-        relabeled_index.append(table)
-    for mask in range(1 << len(edges)):
-        bits = [k for k in range(len(edges)) if mask >> k & 1]
-        for accepting in range(n):
-            signature = (mask, accepting)
-            canonical = signature
-            for perm, table in zip(perms, relabeled_index):
-                other_mask = 0
-                for k in bits:
-                    other_mask |= 1 << table[k]
-                other = (other_mask, perm[accepting])
-                if other < canonical:
-                    canonical = other
-            if canonical != signature:
+def _minimal_machine_lengths(n: int, edges: tuple[tuple[int, str, int], ...], shortest):
+    """Yield shortest(subset, accepting) for every decided machine.
+
+    One sweep over the move masks in numeric order, which visits every
+    subset of a mask before the mask.  marks[mask] has bit acc set when
+    (mask, acc) meets the filter: copied from a one-move-smaller mask
+    (dominated), from the canonical twin (numerically smaller, or the
+    same mask with a smaller acc, so settled already), or set by a
+    decision.  Only undominated canonical pairs are decided.  Masks are
+    read in three 8-bit chunks, so at most 24 moves.
+    """
+    full = (1 << n) - 1
+    marks = bytearray(1 << len(edges))
+    moves_lo, moves_mid, moves_hi = _chunk_tables(edges, lambda k: (edges[k],), ())
+    position = {e: k for k, e in enumerate(edges)}
+    twins = []
+    for rest in itertools.permutations(range(1, n)):
+        perm = (0, *rest)
+        if perm != tuple(range(n)):
+            moved = [1 << position[(perm[i], sym, perm[j])] for i, sym, j in edges]
+            twins.append((perm, *_chunk_tables(edges, moved.__getitem__, 0)))
+    for mask in range(len(marks)):
+        dom = 0
+        rest = mask
+        while rest and dom != full:
+            low = rest & -rest
+            dom |= marks[mask ^ low]
+            rest ^= low
+        marks[mask] = dom
+        if dom == full:
+            continue
+        lo, mid, hi = mask & 255, mask >> 8 & 255, mask >> 16
+        images = [(perm, t0[lo] | t1[mid] | t2[hi]) for perm, t0, t1, t2 in twins]
+        subset = None
+        for acc in range(n):
+            if dom >> acc & 1:
                 continue
-            yield tuple(edges[k] for k in bits), accepting
+            twin = min([(image, perm[acc]) for perm, image in images], default=(mask, acc))
+            if twin < (mask, acc):
+                marks[mask] |= (marks[twin[0]] >> twin[1] & 1) << acc
+                continue
+            if subset is None:
+                subset = moves_lo[lo] + moves_mid[mid] + moves_hi[hi]
+            length = shortest(subset, acc)
+            if length is not None:
+                marks[mask] |= 1 << acc
+            yield length
 
 
-def _permutations_fixing_zero(n: int) -> list[tuple[int, ...]]:
-    import itertools
-
-    return [
-        (0, *rest) for rest in itertools.permutations(range(1, n))
-    ]
+def _chunk_tables(edges: tuple[tuple[int, str, int], ...], item, zero):
+    """Three tables, one per 8-bit chunk of a move mask, from the chunk's
+    value to the sum of item(k) over the moves k it sets, in move order."""
+    tables = []
+    for shift in (0, 8, 16):
+        table = [zero]
+        for k in range(shift, min(shift + 8, len(edges))):
+            table += [entry + item(k) for entry in table]
+        tables.append(table)
+    return tables
 
 
 def _sample_machines(

@@ -311,8 +311,9 @@ class FilterSpec:
     def from_counter(cls, automaton: CounterAutomaton) -> "FilterSpec":
         return cls("counter", automaton=automaton)
 
-    @property
+    @cached_property
     def alphabet(self) -> tuple[str, ...]:
+        """The filter's letters, built once per filter."""
         if self.kind == "dyck":
             return dyck_alphabet(self.n)
         if self.kind == "symmetric":

@@ -77,7 +77,12 @@ class Cfg:
 
     def is_cnf(self) -> bool:
         """Chomsky normal form: every rule is A -> B C, A -> t, or axiom -> eps,
-        and the axiom never appears on a right-hand side."""
+        and the axiom never appears on a right-hand side.  Computed once
+        per grammar."""
+        return self._is_cnf
+
+    @cached_property
+    def _is_cnf(self) -> bool:
         for _, rhs in self.rules:
             if self.axiom in rhs:
                 return False

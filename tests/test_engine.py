@@ -24,6 +24,7 @@ from rrkit import (
     rational_index,
     substitution_collapse,
 )
+from rrkit import engine
 from rrkit.errors import ContractError, UnsupportedFilterError
 from rrkit.filters import d1_counter, dyck_grammar, parse_filter_name
 
@@ -287,6 +288,95 @@ def test_rational_index_sampling_is_seeded_and_bounded():
     two = rational_index(f, 2, mode="sample", sample_count=60, seed=5)
     assert one == two
     assert one <= rational_index(f, 2)
+
+
+def test_rational_index_two_pair_filters():
+    assert rational_index(FilterSpec.symmetric(), 2) == rational_index(FilterSpec.dyck(2), 2) == 4
+
+
+def _every_machine_max(f, n):
+    """Reference without pruning or symmetry: every move set and every
+    accepting state, each decided by nrr_decide."""
+    alphabet = f.alphabet
+    edges = [(str(i), sym, str(j)) for i in range(n) for sym in alphabet for j in range(n)]
+    states = {str(i) for i in range(n)}
+    best = None
+    for mask in range(1 << len(edges)):
+        subset = {e for k, e in enumerate(edges) if mask >> k & 1}
+        for acc in range(n):
+            machine = Nfa.build(alphabet, "0", {str(acc)}, subset, states=states)
+            witness = nrr_decide(machine, f).witness
+            if witness is not None and (best is None or len(witness) > best):
+                best = len(witness)
+    return best
+
+
+@pytest.mark.parametrize(
+    "terminals, n", [(("a",), 1), (("a",), 2), (("a",), 3), (("a1", "abar1"), 1), (("a1", "abar1"), 2)]
+)
+def test_rational_index_matches_every_machine(terminals, n):
+    # random grammars are often empty or trivial, so the "undefined" error
+    # is compared too; one letter at three states exercises the symmetry
+    rng = random.Random(f"{terminals}{n}")
+    for _ in range(6):
+        f = FilterSpec.from_grammar(random_cnf(rng, terminals=terminals))
+        expected = _every_machine_max(f, n)
+        if expected is None:
+            with pytest.raises(InputError, match="undefined"):
+                rational_index(f, n)
+        else:
+            assert rational_index(f, n) == expected, f.grammar
+
+
+def _decided_dyck1_machines(monkeypatch, n):
+    decided = []
+    real = engine._shortest_dyck1_word
+
+    def spy(states, edges, accepting):
+        decided.append((frozenset(edges), accepting))
+        return real(states, edges, accepting)
+
+    monkeypatch.setattr(engine, "_shortest_dyck1_word", spy)
+    assert rational_index(FilterSpec.dyck(1), n) == RHO_DYCK1[n]
+    return decided, real
+
+
+def test_rational_index_decides_only_undominated_machines(monkeypatch):
+    decided, real = _decided_dyck1_machines(monkeypatch, 2)
+    assert len(set(decided)) == len(decided)
+    # 2^8 move sets times 2 accepting states
+    assert len(decided) < 512 // 2
+    for edges, accepting in decided:
+        for move in edges:
+            smaller = tuple(sorted(edges - {move}))
+            assert real(2, smaller, accepting) is None, (edges, accepting, move)
+
+
+def test_rational_index_decides_one_machine_per_relabeling(monkeypatch):
+    decided, _ = _decided_dyck1_machines(monkeypatch, 3)
+    # 393,728 canonical (move set, accepting state) pairs without pruning
+    assert len(decided) < 100_000
+    seen = set(decided)
+    assert len(seen) == len(decided)
+    swap = (0, 2, 1)
+    for edges, accepting in decided:
+        twin = (frozenset((swap[i], sym, swap[j]) for i, sym, j in edges), swap[accepting])
+        assert twin == (edges, accepting) or twin not in seen, (edges, accepting)
+
+
+# Sample-mode values for fixed seeds; sample mode decides with the same
+# code as the exhaustive sweep, without its pruning.
+SAMPLED = {
+    ("dyck1", 2, 1): 4, ("dyck1", 2, 5): 2, ("dyck1", 3, 1): 6, ("dyck1", 3, 5): 4,
+    ("sym", 2, 1): 4, ("sym", 2, 5): 4, ("sym", 3, 1): 4, ("sym", 3, 5): 6,
+    ("dyck2", 2, 1): 4, ("dyck2", 2, 5): 4, ("dyck2", 3, 1): 8, ("dyck2", 3, 5): 6,
+}
+
+
+@pytest.mark.parametrize("name, n, seed", sorted(SAMPLED))
+def test_rational_index_sample_values(name, n, seed):
+    f = parse_filter_name(name)
+    assert rational_index(f, n, mode="sample", sample_count=60, seed=seed) == SAMPLED[name, n, seed]
 
 
 # -- recursive checker -------------------------------------------------------------

@@ -152,6 +152,11 @@ def test_filterspec_alphabets_are_ordered_tuples():
 
 def test_filterspec_is_hashable():
     assert {FilterSpec.dyck(1): "v"}[FilterSpec.dyck(1)] == "v"
+    # the cached alphabet and CNF are not fields
+    used = FilterSpec.dyck(2)
+    assert used.alphabet is used.alphabet
+    assert used.cnf_grammar.is_cnf()
+    assert used == FilterSpec.dyck(2) and hash(used) == hash(FilterSpec.dyck(2))
 
 
 def test_filter_grammar_unavailable_kinds():
