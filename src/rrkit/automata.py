@@ -43,6 +43,40 @@ def trim_states(
     return (closure({initial}, fwd) & closure(accepting, bwd)) | {initial}
 
 
+def synchronized_moves(
+    start: tuple[str, str], left_moves: Iterable[tuple], right_moves: Iterable[tuple]
+) -> Iterator[tuple]:
+    """Every move out of a state pair reachable from `start` in the
+    synchronized product of two machines.
+
+    Moves are (src, middle, payload, dst).  A move whose middle symbol is
+    EPSILON runs its machine alone; all other moves pair up on equal
+    middle symbols.  Yields ((s1, s2), middle, payload1, payload2,
+    (d1, d2)), with None as the payload of the machine that stays put.
+    """
+    left: dict[str, list[tuple]] = {}
+    for src, middle, payload, dst in left_moves:
+        left.setdefault(src, []).append((middle, payload, dst))
+    right: dict[tuple[str, str], list[tuple]] = {}
+    for src, middle, payload, dst in right_moves:
+        right.setdefault((src, middle), []).append((payload, dst))
+    seen = {start}
+    todo = [start]
+    while todo:
+        src = s1, s2 = todo.pop()
+        steps = [(EPSILON, None, p2, (s1, d2)) for p2, d2 in right.get((s2, EPSILON), ())]
+        for middle, p1, d1 in left.get(s1, ()):
+            if middle == EPSILON:
+                steps.append((EPSILON, p1, None, (d1, s2)))
+            else:
+                steps.extend((middle, p1, p2, (d1, d2)) for p2, d2 in right.get((s2, middle), ()))
+        for middle, p1, p2, dst in steps:
+            if dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+            yield src, middle, p1, p2, dst
+
+
 @dataclass(frozen=True)
 class Nfa:
     states: frozenset[str]

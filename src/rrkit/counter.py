@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .automata import EPSILON, Nfa
+from .automata import EPSILON, Nfa, synchronized_moves
 from .errors import ContractError, InputError
 
 GUARDS = ("any", "zero", "positive")
@@ -194,32 +194,29 @@ class CounterAutomaton:
         """Counter automaton for L(self) intersected with L(a).
 
         State set is the cartesian product; counter moves come from this
-        machine, the NFA component changes only on real symbols.
+        machine, the NFA component changes only on real symbols.  Only
+        moves out of pairs reachable from the initial pair are built.
         """
         if set(self.alphabet) != set(a.alphabet):
             raise ContractError("product requires identical alphabets")
-        pair = lambda q, p: f"({q},{p})"
-        transitions: set[tuple[str, str, str, int, str]] = set()
-        a_states = sorted(a.states)
-        for src, read, guard, delta, dst in sorted(self.transitions):
-            if read == EPSILON:
-                for p in a_states:
-                    transitions.add((pair(src, p), EPSILON, guard, delta, pair(dst, p)))
-            else:
-                for p, label, p2 in sorted(a.transitions):
-                    if label == read:
-                        transitions.add((pair(src, p), read, guard, delta, pair(dst, p2)))
-        for p, label, p2 in sorted(a.transitions):
-            if label == EPSILON:
-                for q in sorted(self.states):
-                    transitions.add((pair(q, p), EPSILON, "any", 0, pair(q, p2)))
+        name = lambda pair: f"({pair[0]},{pair[1]})"
+        start = (self.initial, a.initial)
+        moves = synchronized_moves(
+            start,
+            ((src, read, (guard, delta), dst) for src, read, guard, delta, dst in self.transitions),
+            ((src, label, None, dst) for src, label, dst in a.transitions),
+        )
         return CounterAutomaton.build(
             self.alphabet,
-            pair(self.initial, a.initial),
-            {pair(f, g) for f in self.accepting for g in a.accepting},
-            transitions,
+            name(start),
+            {name((f, g)) for f in self.accepting for g in a.accepting},
+            # an NFA move alone leaves the counter untouched
+            {
+                (name(src), read, *(counter or ("any", 0)), name(dst))
+                for src, read, counter, _, dst in moves
+            },
             accept_mode=self.accept_mode,
-            states={pair(q, p) for q in self.states for p in a.states},
+            states={name((q, p)) for q in self.states for p in a.states},
         )
 
     def to_nfa(self, cap: Optional[int] = None) -> Nfa:

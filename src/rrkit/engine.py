@@ -290,18 +290,16 @@ def rational_index(
     if n < 1:
         raise InputError("machines need at least one state")
     alphabet = f.alphabet
-    edges = tuple(
-        (i, sym, j) for i in range(n) for sym in alphabet for j in range(n)
-    )
     if mode == "exhaustive":
         if n > ceiling:
             raise InputError(f"exhaustive mode is limited to {ceiling} states")
-        if len(edges) > 20:
+        if n * n * len(alphabet) > 20:
             raise InputError(
                 "exhaustive enumeration over this alphabet/state count is too large"
             )
     elif mode != "sample":
         raise InputError(f"unknown mode {mode!r}; expected exhaustive or sample")
+    edges = tuple((i, sym, j) for i in range(n) for sym in alphabet for j in range(n))
 
     fast_dyck1 = f.kind == "dyck" and f.n == 1
     states = {str(i) for i in range(n)}

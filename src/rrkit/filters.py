@@ -365,19 +365,21 @@ class FilterSpec:
         return self.kind
 
 
+# one shared instance per fixed name, so each builds its alphabet and CNF
+# once per process
 _NAMES = {
-    "sym": FilterSpec.symmetric,
-    "symsharp": FilterSpec.symmetric_sharp,
-    "ssharpup": FilterSpec.s_sharp_up,
+    "dyck1": FilterSpec.dyck(1),
+    "dyck2": FilterSpec.dyck(2),
+    "sym": FilterSpec.symmetric(),
+    "symsharp": FilterSpec.symmetric_sharp(),
+    "ssharpup": FilterSpec.s_sharp_up(),
 }
 
 
 def parse_filter_name(name: str) -> FilterSpec:
     """CLI filter names: dyck1, dyck2, dyckN:k, sym, symsharp, ssharpup."""
     if name in _NAMES:
-        return _NAMES[name]()
-    if name in ("dyck1", "dyck2"):
-        return FilterSpec.dyck(int(name[4:]))
+        return _NAMES[name]
     if name.startswith("dyckN:"):
         try:
             n = int(name[6:])

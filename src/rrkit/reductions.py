@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 from .automata import EPSILON, Nfa
 from .errors import ContractError, InputError
-from .filters import ALPHABET_FULL, dyck_alphabet, dyck_encoder, dyck_grammar
+from .filters import ALPHABET_FULL, dyck_alphabet, dyck_encoder, parse_filter_name
 from .grammars import Cfg
 from .transducers import Transducer
 
@@ -33,10 +32,6 @@ class _Moves:
     def __init__(self, a: Nfa):
         self.states = sorted(a.states)
         self.closure = {q: tuple(sorted(a.eps_closure({q}))) for q in self.states}
-        self.closure_inv: dict[str, list[str]] = {q: [] for q in self.states}
-        for r in self.states:
-            for q in self.closure[r]:
-                self.closure_inv[q].append(r)
         self._step: dict[tuple[str, str], tuple[str, ...]] = {}
         by_src: dict[str, list[tuple[str, str]]] = {}
         for src, label, dst in a.transitions:
@@ -152,7 +147,10 @@ def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
     ordered by (length, ranks).  Knuth's generalization of Dijkstra over
     the CFL-reachability worklist: terminal rules seed the heap, and a
     settled triple joins, through each binary rule it can be a child of,
-    with the settled siblings across an epsilon path at its boundary.
+    with the settled siblings at its exact boundary state.  No epsilon
+    path needs crossing there: the terminal moves are epsilon-closed on
+    both sides, so a sibling across an epsilon path is also a sibling at
+    the exact state, with the same word.
     Concatenation is monotone and never shrinks a word in this order, so
     a triple's first pop carries its least word and triples come out in
     (length, ranks) order.  The axiom's epsilon rule is the caller's.
@@ -185,15 +183,13 @@ def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
         starts.setdefault((sym, q), []).append((p, word))
         ends.setdefault((sym, p), []).append((q, word))
         for lhs, c in left_rules.get(sym, ()):
-            for r in moves.closure[p]:
-                for p2, right in starts.get((c, r), ()):
-                    if (q, lhs, p2) not in settled:
-                        heapq.heappush(heap, (n + len(right), word + right, (q, lhs, p2)))
+            for p2, right in starts.get((c, p), ()):
+                if (q, lhs, p2) not in settled:
+                    heapq.heappush(heap, (n + len(right), word + right, (q, lhs, p2)))
         for lhs, b in right_rules.get(sym, ()):
-            for r in moves.closure_inv[q]:
-                for q0, left in ends.get((b, r), ()):
-                    if (q0, lhs, p) not in settled:
-                        heapq.heappush(heap, (len(left) + n, left + word, (q0, lhs, p)))
+            for q0, left in ends.get((b, q), ()):
+                if (q0, lhs, p) not in settled:
+                    heapq.heappush(heap, (len(left) + n, left + word, (q0, lhs, p)))
 
 
 def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
@@ -201,8 +197,8 @@ def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
 
     Least means shortest, ties broken lexicographically over the sorted
     terminal names: the word bar_hillel(g, a).shortest_word() returns,
-    found without materializing the product.  Epsilon moves of a are
-    crossed at every junction, as in bar_hillel.
+    found without materializing the product.  Epsilon moves of a may
+    occur anywhere in a run, as in bar_hillel.
     """
     _require_cnf(g)
     _check_terminals(g, a)
@@ -262,11 +258,6 @@ def cs_transducer(g: Cfg) -> Transducer:
     return dyck_encoder(len(g1.nonterminals)).inverted().compose(replay)
 
 
-@lru_cache(maxsize=1)
-def _cnf_d2() -> Cfg:
-    return dyck_grammar(2).cnf()
-
-
 def height_bound(a: Nfa) -> int:
     """Bound m such that a nonempty L(a) ∩ D₂ has a witness of height ≤ m.
 
@@ -276,7 +267,7 @@ def height_bound(a: Nfa) -> int:
     has a derivation tree with no repeated nonterminal on any root path,
     so its bracket height cannot exceed the nonterminal count.
     """
-    return len(_cnf_d2().nonterminals) * len(a.states) ** 2 + 2
+    return len(parse_filter_name("dyck2").cnf_grammar.nonterminals) * len(a.states) ** 2 + 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .automata import EPSILON, Nfa, trim_states
+from .automata import EPSILON, Nfa, synchronized_moves, trim_states
 from .errors import ContractError, InputError
 
 
@@ -113,34 +113,29 @@ class Transducer:
         """Relation composition: feed this machine's output tape to `other`.
 
         The product moves jointly on real symbols; an epsilon write here or
-        an epsilon read there advances one side alone.  The result is
-        trimmed of unreachable and dead states.
+        an epsilon read there advances one side alone.  Only state pairs
+        reachable from the initial pair are built, and the result is
+        trimmed of dead states.
         """
         if set(self.output_alphabet) != set(other.input_alphabet):
             raise ContractError("composition needs matching middle alphabets")
-        transitions: set[tuple[str, str, str, str]] = set()
-        pair = lambda a, b: f"({a},{b})"
-        states1 = sorted(self.states)
-        states2 = sorted(other.states)
-        for src1, read, write, dst1 in sorted(self.transitions):
-            if write == EPSILON:
-                for q2 in states2:
-                    transitions.add((pair(src1, q2), read, EPSILON, pair(dst1, q2)))
-            else:
-                for src2, read2, write2, dst2 in sorted(other.transitions):
-                    if read2 == write:
-                        transitions.add((pair(src1, src2), read, write2, pair(dst1, dst2)))
-        for src2, read2, write2, dst2 in sorted(other.transitions):
-            if read2 == EPSILON:
-                for q1 in states1:
-                    transitions.add((pair(q1, src2), EPSILON, write2, pair(q1, dst2)))
+        name = lambda pair: f"({pair[0]},{pair[1]})"
+        start = (self.initial, other.initial)
+        moves = synchronized_moves(
+            start,
+            ((src, write, read, dst) for src, read, write, dst in self.transitions),
+            other.transitions,
+        )
         composed = Transducer.build(
             self.input_alphabet,
             other.output_alphabet,
-            pair(self.initial, other.initial),
-            {pair(f1, f2) for f1 in self.accepting for f2 in other.accepting},
-            transitions,
-            states={pair(q1, q2) for q1 in states1 for q2 in states2},
+            name(start),
+            {name((f1, f2)) for f1 in self.accepting for f2 in other.accepting},
+            # a None payload is the side that stays put: nothing read or written
+            {
+                (name(src), read or EPSILON, write or EPSILON, name(dst))
+                for src, _, read, write, dst in moves
+            },
         )
         return composed.trimmed()
 
@@ -148,33 +143,14 @@ class Transducer:
         """NFA for {w : some output of this machine on w is accepted by a}.
 
         The automaton constrains the output tape; the result reads the
-        input tape.  Trimmed like the transducer composition.
+        input tape.  It is the domain of the composition with a read as a
+        transducer that writes nothing, so it is trimmed likewise.
         """
         if set(self.output_alphabet) != set(a.alphabet):
             raise ContractError("automaton alphabet must match the output alphabet")
-        pair = lambda q, p: f"({q},{p})"
-        transitions: set[tuple[str, str, str]] = set()
-        a_states = sorted(a.states)
-        for src, read, write, dst in sorted(self.transitions):
-            if write == EPSILON:
-                for p in a_states:
-                    transitions.add((pair(src, p), read, pair(dst, p)))
-            else:
-                for p, label, p2 in sorted(a.transitions):
-                    if label == write:
-                        transitions.add((pair(src, p), read, pair(dst, p2)))
-        for p, label, p2 in sorted(a.transitions):
-            if label == EPSILON:
-                for q in sorted(self.states):
-                    transitions.add((pair(q, p), EPSILON, pair(q, p2)))
-        result = Nfa.build(
-            self.input_alphabet,
-            pair(self.initial, a.initial),
-            {pair(f, g) for f in self.accepting for g in a.accepting},
-            transitions,
-            states={pair(q, p) for q in self.states for p in a.states},
-        )
-        return result.trimmed()
+        reads = frozenset((src, label, EPSILON, dst) for src, label, dst in a.transitions)
+        reader = Transducer(a.alphabet, (), a.states, a.initial, a.accepting, reads)
+        return self.compose(reader).domain_nfa()
 
     def domain_nfa(self) -> Nfa:
         """Project away the output tape, keeping states and acceptance."""

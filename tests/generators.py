@@ -3,7 +3,7 @@ tests.  All randomness flows through an explicit random.Random so failures
 reproduce from the seed alone."""
 import random
 
-from rrkit import Cfg, CounterAutomaton, Nfa
+from rrkit import Cfg, CounterAutomaton, Nfa, Transducer
 
 
 def random_nfa(rng, max_states=4, alphabet=("a1", "abar1"), allow_epsilon=False, min_states=1):
@@ -75,3 +75,21 @@ def random_counter(rng, max_states=3, alphabet=("a1", "abar1"), allow_epsilon=Tr
     return CounterAutomaton.build(
         alphabet, "q0", accepting, transitions, accept_mode=mode, states=states
     )
+
+
+def random_transducer(rng, max_states=3, inputs=("a", "b"), outputs=("x", "y")):
+    """A small transducer with epsilon reads and epsilon writes."""
+    n = rng.randint(1, max_states)
+    states = [f"t{i}" for i in range(n)]
+    reads = list(inputs) + [""]
+    writes = list(outputs) + [""]
+    transitions = {
+        (src, rng.choice(reads), rng.choice(writes), dst)
+        for src in states
+        for dst in states
+        for _ in range(rng.randint(0, 2))
+    }
+    accepting = {q for q in states if rng.random() < 0.4}
+    if not accepting:
+        accepting = {rng.choice(states)}
+    return Transducer.build(inputs, outputs, "t0", accepting, transitions, states=states)

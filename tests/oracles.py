@@ -47,6 +47,49 @@ def enumerate_accepted(transitions, initial, accepting, alphabet, max_len):
     return found
 
 
+def all_pairs_product(left_states, left_moves, right_states, right_moves):
+    """Every move of the synchronized product, over all state pairs.
+
+    Moves are (src, middle, payload, dst).  An empty middle moves its
+    machine alone, from every state of the other machine; any other middle
+    pairs each left move with each right move of the same middle.  Product
+    moves are ((s1, s2), middle, payload1, payload2, (d1, d2)), with None
+    as the payload of the machine that stays put.
+    """
+    moves = set()
+    for s1, middle, p1, d1 in left_moves:
+        if middle == "":
+            moves.update(((s1, s2), "", p1, None, (d1, s2)) for s2 in right_states)
+            continue
+        for s2, middle2, p2, d2 in right_moves:
+            if middle2 == middle:
+                moves.add(((s1, s2), middle, p1, p2, (d1, d2)))
+    for s2, middle, p2, d2 in right_moves:
+        if middle == "":
+            moves.update(((s1, s2), "", None, p2, (s1, d2)) for s1 in left_states)
+    return moves
+
+
+def reachable(seeds, edges):
+    """States reachable from `seeds` along (src, dst) edges."""
+    seen = set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for src, dst in edges:
+            if src in seen and dst not in seen:
+                seen.add(dst)
+                changed = True
+    return seen
+
+
+def trim(initial, accepting, edges):
+    """States on some path from `initial` to an accepting state, plus
+    `initial` itself."""
+    backward = reachable(accepting, [(dst, src) for src, dst in edges])
+    return (reachable({initial}, edges) & backward) | {initial}
+
+
 # -- grammars ------------------------------------------------------------------
 
 

@@ -15,7 +15,7 @@ from rrkit.errors import ContractError, InputError
 from rrkit.filters import d1_counter
 
 from generators import random_counter, random_nfa
-from oracles import dyck_oracle
+from oracles import all_pairs_product, dyck_oracle, reachable
 
 
 def all_words(alphabet, max_len):
@@ -88,6 +88,37 @@ def test_product_is_intersection():
         prod = c.product(a)
         for w in all_words(("a1", "abar1"), 5):
             assert prod.accepts(w) == (c.accepts(w) and a.accepts(w)), (c, a, w)
+
+
+def test_product_matches_all_pairs_reference():
+    """All state pairs are states; moves leave only reachable pairs."""
+    rng = random.Random(613)
+    pair = lambda states: f"({states[0]},{states[1]})"
+    pruned = 0
+    for _ in range(300):
+        c = random_counter(rng, max_states=3)
+        a = random_nfa(rng, max_states=4, allow_epsilon=True)
+        moves = all_pairs_product(
+            c.states,
+            [(src, read, (guard, delta), dst) for src, read, guard, delta, dst in c.transitions],
+            a.states,
+            [(src, label, None, dst) for src, label, dst in a.transitions],
+        )
+        # an NFA move alone leaves the counter untouched
+        transitions = {
+            (pair(src), read, *(counter or ("any", 0)), pair(dst))
+            for src, read, counter, _, dst in moves
+        }
+        start = pair((c.initial, a.initial))
+        live = reachable({start}, [(t[0], t[4]) for t in transitions])
+        prod = c.product(a)
+        assert prod.states == {pair((q, p)) for q in c.states for p in a.states}
+        assert prod.initial == start
+        assert prod.accepting == {pair((f, g)) for f in c.accepting for g in a.accepting}
+        assert prod.accept_mode == c.accept_mode
+        assert prod.transitions == {t for t in transitions if t[0] in live}, (c, a)
+        pruned += len(live) < len(prod.states)
+    assert pruned > 50
 
 
 def test_product_requires_same_alphabet():

@@ -9,6 +9,7 @@ are compared against plain enumeration.
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -274,6 +275,22 @@ def test_rational_index_limits():
     # four letters at three states is past the enumeration budget
     with pytest.raises(InputError):
         rational_index(FilterSpec.symmetric(), 3)
+
+
+def test_rational_index_rejects_large_machines_before_building_them():
+    # n=1000 has two million possible moves; building them just to refuse
+    # took 183 MB, so the limits must be checked first
+    f = FilterSpec.dyck(1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="limited to 3 states"):
+            rational_index(f, 1000)
+        with pytest.raises(InputError, match="too large"):
+            rational_index(f, 1000, ceiling=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rational_index_undefined_when_no_machine_qualifies():

@@ -166,6 +166,14 @@ def test_filter_grammar_unavailable_kinds():
         FilterSpec.from_counter(d1_counter()).filter_grammar()
 
 
+def test_fixed_filter_names_share_one_instance():
+    for name in ("dyck1", "dyck2", "sym", "symsharp", "ssharpup"):
+        assert parse_filter_name(name) is parse_filter_name(name)
+    # so each request after the first reuses the converted grammar
+    assert parse_filter_name("sym").cnf_grammar is parse_filter_name("sym").cnf_grammar
+    assert parse_filter_name("dyckN:2") == parse_filter_name("dyck2")
+
+
 def test_parse_filter_name():
     assert parse_filter_name("dyck1").n == 1
     assert parse_filter_name("dyck2").n == 2

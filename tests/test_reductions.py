@@ -229,6 +229,10 @@ def test_height_bound_formula():
     one = Nfa.build(D2_ALPHABET, "q0", {"q0"}, set())
     assert height_bound(one) == 10
     assert height_bound(two_state_loop()) == 34
+    nonterminals = len(dyck_grammar(2).cnf().nonterminals)
+    for k in range(1, 5):
+        a = Nfa.build(D2_ALPHABET, "q0", {"q0"}, set(), states=[f"q{i}" for i in range(k)])
+        assert height_bound(a) == nonterminals * k * k + 2
 
 
 def test_mark_automaton_state_count():

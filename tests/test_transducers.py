@@ -1,10 +1,36 @@
+import random
+
 import pytest
 
-from rrkit import Nfa, Transducer
+from rrkit import Nfa, Transducer, cs_transducer
 from rrkit.errors import InputError
-from rrkit.filters import dyck_encoder
+from rrkit.filters import dyck_encoder, symmetric_sharp_grammar
 
-from oracles import dyck_oracle
+from generators import random_nfa, random_transducer
+from oracles import all_pairs_product, dyck_oracle, trim
+
+
+def pair(states):
+    return f"({states[0]},{states[1]})"
+
+
+def reference_product(t, right_states, right_moves, initial, accepting):
+    """t's output tape fed to a right machine, built over all state pairs
+    and then trimmed: (states, accepting, moves (src, read, write, dst))."""
+    moves = all_pairs_product(
+        t.states,
+        [(src, write, read, dst) for src, read, write, dst in t.transitions],
+        right_states,
+        right_moves,
+    )
+    transitions = {
+        (pair(src), read or "", write or "", pair(dst)) for src, _, read, write, dst in moves
+    }
+    start = pair((t.initial, initial))
+    final = {pair((f1, f2)) for f1 in t.accepting for f2 in accepting}
+    keep = trim(start, final, [(m[0], m[3]) for m in transitions])
+    kept = frozenset(m for m in transitions if m[0] in keep and m[3] in keep)
+    return frozenset(keep), start, frozenset(final & keep), kept
 
 
 def renamer():
@@ -129,3 +155,47 @@ def test_validation():
         Transducer.build(("a",), ("x",), "s", {"s"}, {("s", "a", "q", "s")})
     with pytest.raises(InputError):
         Transducer.from_json("[]")
+
+
+def test_compose_matches_all_pairs_reference():
+    rng = random.Random(701)
+    nonempty = 0
+    for _ in range(300):
+        first = random_transducer(rng)
+        second = random_transducer(rng, inputs=("x", "y"), outputs=("c", "d"))
+        states, initial, accepting, moves = reference_product(
+            first, second.states, second.transitions, second.initial, second.accepting
+        )
+        expected = Transducer(
+            first.input_alphabet, second.output_alphabet, states, initial, accepting, moves
+        )
+        assert first.compose(second) == expected, (first, second)
+        nonempty += bool(accepting)
+    assert nonempty > 100
+
+
+def test_compose_automaton_matches_all_pairs_reference():
+    rng = random.Random(702)
+    nonempty = 0
+    for _ in range(300):
+        t = random_transducer(rng)
+        a = random_nfa(rng, max_states=3, alphabet=("x", "y"), allow_epsilon=True)
+        states, initial, accepting, moves = reference_product(
+            t, a.states, [(src, label, "", dst) for src, label, dst in a.transitions],
+            a.initial, a.accepting,
+        )
+        expected = Nfa(
+            states,
+            t.input_alphabet,
+            initial,
+            accepting,
+            frozenset((src, read, dst) for src, read, _, dst in moves),
+        )
+        assert t.compose_automaton(a) == expected, (t, a)
+        nonempty += bool(accepting)
+    assert nonempty > 100
+
+
+def test_cs_transducer_size_symsharp():
+    t = cs_transducer(symmetric_sharp_grammar())
+    assert (len(t.states), len(t.transitions)) == (953, 1006)
