@@ -2,10 +2,10 @@
 
 The rational index at n is the worst case, over n-state machines meeting
 the filter, of the shortest word in the intersection.  Exhaustive mode
-sweeps every machine shape, deciding one per renaming and none that
-contains a smaller machine meeting the filter; sampled mode estimates
-the same quantity from random machines and is never above the true
-value.
+decides every machine shape at once: one shortest-length closure over
+the filter's grammar carries each set of moves as one bit of an integer.
+Sampled mode estimates the same quantity from random machines, deciding
+them one by one, and is never above the true value.
 """
 
 from rrkit import rational_index

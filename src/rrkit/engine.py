@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -218,33 +217,12 @@ def decide_substituted(
 # -- rational index ------------------------------------------------------------
 
 
-def _shortest_dyck1_word(
-    n: int, edges: tuple[tuple[int, str, int], ...], accepting: int
-) -> Optional[int]:
-    """Shortest balanced-word length through an n-state machine over one
-    bracket pair, or None; counter values above n*n cannot be part of a
-    shortest such witness, so the search space is (state, 0..n*n)."""
-    cap = n * n
-    start = (0, 0)
-    if accepting == 0:
-        return 0
-    seen = {start}
-    frontier = deque([(0, 0, 0)])
-    by_state: dict[int, list[tuple[str, int]]] = {}
-    for src, label, dst in edges:
-        by_state.setdefault(src, []).append((label, dst))
-    while frontier:
-        state, height, dist = frontier.popleft()
-        for label, dst in by_state.get(state, ()):
-            nh = height + 1 if label == "a1" else height - 1
-            if nh < 0 or nh > cap:
-                continue
-            if dst == accepting and nh == 0:
-                return dist + 1
-            if (dst, nh) not in seen:
-                seen.add((dst, nh))
-                frontier.append((dst, nh, dist + 1))
-    return None
+# Exhaustive mode decides the move masks of a grammar filter in chunks of
+# 2**_LANE_BITS masks, one bit of a lane set per mask, so a lane set stays
+# within 2 KB.
+_LANE_BITS = 14
+# Sample mode refuses machines with more possible moves than this.
+_SAMPLE_MOVES = 10_000
 
 
 def rational_index(
@@ -264,28 +242,17 @@ def rational_index(
     with several accepting states realizes its shortest witness through
     one of them.
 
-    Exhaustive mode sweeps the (move set, accepting state) pairs with the
-    move sets as bit masks in numeric order (see _minimal_machine_lengths)
-    and decides only some of them: a machine is decided when its shortest
-    witness is actually computed.  Two kinds of machine are never
-    decided, and neither can change the value:
-
-    * dominated ones, which contain a one-move-smaller machine with the
-      same accepting state that meets the filter.  Adding a move only
-      adds words (also to the dyck1 fast path's (state, height) search,
-      whose height cap n*n is the same for every n-state machine), so
-      such a machine meets the filter with a shortest witness no longer
-      than its submachine's, and the maximum is reached on
-      inclusion-minimal machines that meet the filter, which are never
-      dominated;
-    * non-canonical ones, whose relabeling by some permutation of the
-      non-initial states is a numerically smaller pair; they have that
-      twin's language, which is decided instead.
-
-    Whether the filter is met at all is also settled from the decided
-    machines, so the "index is undefined" error is unchanged.  Sample
-    mode decides seeded random machines instead and reports the max
-    found (a lower bound).
+    Exhaustive mode on a grammar filter decides every machine at once:
+    one shortest-length closure over the filter's CNF carries every move
+    mask in parallel, one bit per mask (see _lane_index).  Counter
+    filters have no grammar, so their exhaustive mode sweeps the (move
+    set, accepting state) pairs one by one and decides only undominated
+    canonical ones (see _minimal_machine_lengths).  Either way the value
+    is the maximum over all machines, and the "index is undefined" error
+    is raised when no machine meets the filter.  Sample mode decides
+    seeded random machines with nrr_decide instead and reports the max
+    found (a lower bound); it refuses n*n*|alphabet| above 10,000
+    possible moves.
     """
     if n < 1:
         raise InputError("machines need at least one state")
@@ -297,16 +264,17 @@ def rational_index(
             raise InputError(
                 "exhaustive enumeration over this alphabet/state count is too large"
             )
-    elif mode != "sample":
+    elif mode == "sample":
+        if n * n * len(alphabet) > _SAMPLE_MOVES:
+            raise InputError(
+                f"sample mode is limited to {_SAMPLE_MOVES:,} possible moves (states^2 * letters)"
+            )
+    else:
         raise InputError(f"unknown mode {mode!r}; expected exhaustive or sample")
     edges = tuple((i, sym, j) for i in range(n) for sym in alphabet for j in range(n))
-
-    fast_dyck1 = f.kind == "dyck" and f.n == 1
     states = {str(i) for i in range(n)}
 
     def shortest(subset: tuple[tuple[int, str, int], ...], accepting: int) -> Optional[int]:
-        if fast_dyck1:
-            return _shortest_dyck1_word(n, subset, accepting)
         machine = Nfa.build(
             alphabet,
             "0",
@@ -317,19 +285,115 @@ def rational_index(
         witness = nrr_decide(machine, f).witness
         return None if witness is None else len(witness)
 
-    if mode == "exhaustive":
-        lengths = _minimal_machine_lengths(n, edges, shortest)
-    else:
+    if mode == "sample":
         machines = _sample_machines(n, edges, sample_count, seed)
         lengths = (shortest(subset, accepting) for subset, accepting in machines)
+    elif f.kind in ("counter", "s_sharp_up"):
+        lengths = _minimal_machine_lengths(n, edges, shortest)
+    else:
+        lengths = (_lane_index(f.cnf_grammar, edges),)
     best = max((length for length in lengths if length is not None), default=None)
     if best is None:
         raise InputError("no n-state machine meets the filter; the index is undefined")
     return best
 
 
+def _lane_index(g: Cfg, edges: tuple[tuple[int, str, int], ...]) -> Optional[int]:
+    """Greatest shortest-witness length over every machine with moves
+    drawn from edges (initial state 0, one accepting state), or None when
+    none meets L(g), for g in CNF.
+
+    Lane m of a lane set (an int) stands for the move mask whose low
+    W = min(len(edges), _LANE_BITS) bits are m; each chunk of masks
+    sharing their top len(edges) - W bits is closed separately.
+    fresh[l][(q, A, p)] holds the lanes in which the least word A derives
+    from q to p has length exactly l: terminal rules give l = 1, and for
+    l >= 2 it is the union over rules A -> B C, states r and splits i of
+    fresh[i][(q, B, r)] & fresh[l - i][(r, C, p)], minus the lanes settled
+    earlier (exact in CNF: a least length is the least sum of two least
+    lengths).  The longer half of a least word is itself least and lies
+    in [l/2, l), so nothing is first reached after a gap past twice the
+    last length at which some lane was fresh.  The axiom's epsilon rule
+    settles (0, axiom, 0) at length 0 in every lane; the axiom is on no
+    right-hand side, so no other triple uses it.
+    """
+    by_terminal: dict[str, list[str]] = {}
+    by_left: dict[str, list[tuple[str, str]]] = {}
+    for lhs, rhs in g.rules:
+        if len(rhs) == 1:
+            by_terminal.setdefault(rhs[0], []).append(lhs)
+        elif len(rhs) == 2:
+            by_left.setdefault(rhs[0], []).append((lhs, rhs[1]))
+    axiom_eps = (g.axiom, ()) in g.rules
+    best = 0 if axiom_eps else None
+    width = min(len(edges), _LANE_BITS)
+    full = (1 << (1 << width)) - 1
+    # lanes of move k < width: runs of 2**k clear then 2**k set lanes
+    periodic = [
+        ((1 << (1 << k)) - 1 << (1 << k)) * (full // ((1 << (2 << k)) - 1))
+        for k in range(width)
+    ]
+    for chunk in range(1 << (len(edges) - width)):
+        lanes = periodic + [full if chunk >> k & 1 else 0 for k in range(len(edges) - width)]
+        settled: dict[Triple, int] = {(0, g.axiom, 0): full} if axiom_eps else {}
+        found: dict[Triple, int] = {}
+        for (i, sym, j), bits in zip(edges, lanes):
+            if bits:
+                for a in by_terminal.get(sym, ()):
+                    found[(i, a, j)] = found.get((i, a, j), 0) | bits
+        # fresh[l], indexed for both sides of a join: left[l][B] lists
+        # (q, r, lanes) of the triples (q, B, r), right[l][(C, r)] lists (p, lanes)
+        left: list[dict] = [{}]
+        right: list[dict] = [{}]
+        length, last = 1, 0
+        while True:
+            by_b: dict[str, list] = {}
+            by_cr: dict[tuple[str, int], list] = {}
+            for t, bits in found.items():
+                old = settled.get(t, 0)
+                bits &= ~old
+                if bits:
+                    settled[t] = old | bits
+                    q, sym, p = t
+                    by_b.setdefault(sym, []).append((q, p, bits))
+                    by_cr.setdefault((sym, q), []).append((p, bits))
+                    last = length
+                    if q == 0 and sym == g.axiom and (best is None or length > best):
+                        best = length
+            left.append(by_b)
+            right.append(by_cr)
+            length += 1
+            if length > 2 * last:
+                break
+            found = {}
+            for i in range(1, length):
+                joins = right[length - i]
+                for b, entries in left[i].items():
+                    for a, c in by_left.get(b, ()):
+                        for q, r, x in entries:
+                            for p, y in joins.get((c, r), ()):
+                                z = x & y
+                                if z:
+                                    found[(q, a, p)] = found.get((q, a, p), 0) | z
+    return best
+
+
 def _minimal_machine_lengths(n: int, edges: tuple[tuple[int, str, int], ...], shortest):
     """Yield shortest(subset, accepting) for every decided machine.
+
+    A machine is decided when its shortest witness is actually computed.
+    Two kinds of machine are never decided, and neither can change the
+    maximum:
+
+    * dominated ones, which contain a one-move-smaller machine with the
+      same accepting state that meets the filter.  Adding a move only
+      adds words, so such a machine meets the filter with a shortest
+      witness no longer than its submachine's, and the maximum is
+      reached on inclusion-minimal machines that meet the filter, which
+      are never dominated;
+    * non-canonical ones, whose relabeling by some permutation of the
+      non-initial states is a numerically smaller pair; they have that
+      twin's language, which is decided instead.
 
     One sweep over the move masks in numeric order, which visits every
     subset of a mask before the mask.  marks[mask] has bit acc set when

@@ -178,6 +178,10 @@ def test_index_exhaustive_too_large_is_exit_2(capsys):
     assert "rr: error:" in capsys.readouterr().err
 
 
+def test_index_sample_too_large_is_exit_2(capsys):
+    assert_usage_error(capsys, ["index", "--filter", "dyck1", "--states", "3000", "--sample", "1"])
+
+
 def test_check_log2_verdict_exit(in_tests_dir, capsys):
     assert main(["check-log2", "--grammar", "data/d1.txt", "--nfa", "data/odd.json"]) == 1
     assert capsys.readouterr().out == "empty\n"

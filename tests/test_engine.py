@@ -35,6 +35,7 @@ from oracles import (
     RHO_DYCK1,
     rho_allwords,
     rho_dyck1,
+    shortest_dyck1_word,
     substituted_member,
 )
 
@@ -293,6 +294,21 @@ def test_rational_index_rejects_large_machines_before_building_them():
     assert peak < 1 << 20
 
 
+def test_rational_index_sample_mode_rejects_large_machines_before_building_them():
+    # n=3000 has 18 million possible moves, about 1.7 GB to build
+    f = FilterSpec.dyck(1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="sample mode is limited"):
+            rational_index(f, 3000, mode="sample", sample_count=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 70 states of two letters is 9,800 possible moves, inside the limit
+    assert rational_index(f, 70, mode="sample", sample_count=1) >= 0
+
+
 def test_rational_index_undefined_when_no_machine_qualifies():
     empty_language = FilterSpec.from_grammar(parse_grammar("T -> T a"))
     with pytest.raises(InputError):
@@ -309,6 +325,19 @@ def test_rational_index_sampling_is_seeded_and_bounded():
 
 def test_rational_index_two_pair_filters():
     assert rational_index(FilterSpec.symmetric(), 2) == rational_index(FilterSpec.dyck(2), 2) == 4
+
+
+def test_rational_index_symmetric_sharp():
+    # five letters at two states: 20 moves, so 64 chunks of lanes
+    assert rational_index(FilterSpec.symmetric_sharp(), 2) == 6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rational_index_counter_filter_matches_grammar_filter(n):
+    # the counter filter takes the one-machine-at-a-time sweep, the
+    # grammar filter the lane closure
+    counter = FilterSpec.from_counter(d1_counter())
+    assert rational_index(counter, n) == rational_index(FilterSpec.dyck(1), n) == RHO_DYCK1[n]
 
 
 def _every_machine_max(f, n):
@@ -328,9 +357,12 @@ def _every_machine_max(f, n):
     return best
 
 
-@pytest.mark.parametrize(
-    "terminals, n", [(("a",), 1), (("a",), 2), (("a",), 3), (("a1", "abar1"), 1), (("a1", "abar1"), 2)]
-)
+EVERY_MACHINE_CASES = [
+    (("a",), 1), (("a",), 2), (("a",), 3), (("a1", "abar1"), 1), (("a1", "abar1"), 2), (("a", "b"), 2),
+]
+
+
+@pytest.mark.parametrize("terminals, n", EVERY_MACHINE_CASES)
 def test_rational_index_matches_every_machine(terminals, n):
     # random grammars are often empty or trivial, so the "undefined" error
     # is compared too; one letter at three states exercises the symmetry
@@ -345,32 +377,56 @@ def test_rational_index_matches_every_machine(terminals, n):
             assert rational_index(f, n) == expected, f.grammar
 
 
-def _decided_dyck1_machines(monkeypatch, n):
+@pytest.mark.parametrize("terminals, n", EVERY_MACHINE_CASES)
+def test_rational_index_matches_every_machine_in_narrow_chunks(monkeypatch, terminals, n):
+    # four lanes per chunk, so up to 128 chunks, each closed on its own
+    monkeypatch.setattr(engine, "_LANE_BITS", 2)
+    test_rational_index_matches_every_machine(terminals, n)
+
+
+# Languages whose worst machine needs the last move (so the top move bit
+# of every chunk), or whose least lengths skip a value (1, 2, 4, 8 for
+# a^8), pinned at the default chunk width and at one lane bit.
+PINNED_GRAMMARS = ["S -> a b", "S -> b A | a\nA -> b | a A", "S -> A A\nA -> B B\nB -> C C\nC -> a"]
+
+
+@pytest.mark.parametrize("lane_bits", [14, 1])
+@pytest.mark.parametrize("text", PINNED_GRAMMARS)
+def test_rational_index_pinned_grammars(monkeypatch, text, lane_bits):
+    monkeypatch.setattr(engine, "_LANE_BITS", lane_bits)
+    f = FilterSpec.from_grammar(parse_grammar(text))
+    for n in (1, 2):
+        assert rational_index(f, n) == _every_machine_max(f, n), (text, n)
+
+
+def _decided_dyck1_machines(n):
+    """The machines the one-at-a-time sweep decides for dyck1, with the
+    reference decider standing in for nrr_decide."""
     decided = []
-    real = engine._shortest_dyck1_word
 
-    def spy(states, edges, accepting):
+    def spy(edges, accepting):
         decided.append((frozenset(edges), accepting))
-        return real(states, edges, accepting)
+        return shortest_dyck1_word(n, edges, accepting)
 
-    monkeypatch.setattr(engine, "_shortest_dyck1_word", spy)
-    assert rational_index(FilterSpec.dyck(1), n) == RHO_DYCK1[n]
-    return decided, real
+    edges = tuple((i, sym, j) for i in range(n) for sym in ("a1", "abar1") for j in range(n))
+    lengths = engine._minimal_machine_lengths(n, edges, spy)
+    assert max(length for length in lengths if length is not None) == RHO_DYCK1[n]
+    return decided
 
 
-def test_rational_index_decides_only_undominated_machines(monkeypatch):
-    decided, real = _decided_dyck1_machines(monkeypatch, 2)
+def test_rational_index_decides_only_undominated_machines():
+    decided = _decided_dyck1_machines(2)
     assert len(set(decided)) == len(decided)
     # 2^8 move sets times 2 accepting states
     assert len(decided) < 512 // 2
     for edges, accepting in decided:
         for move in edges:
             smaller = tuple(sorted(edges - {move}))
-            assert real(2, smaller, accepting) is None, (edges, accepting, move)
+            assert shortest_dyck1_word(2, smaller, accepting) is None, (edges, accepting, move)
 
 
-def test_rational_index_decides_one_machine_per_relabeling(monkeypatch):
-    decided, _ = _decided_dyck1_machines(monkeypatch, 3)
+def test_rational_index_decides_one_machine_per_relabeling():
+    decided = _decided_dyck1_machines(3)
     # 393,728 canonical (move set, accepting state) pairs without pruning
     assert len(decided) < 100_000
     seen = set(decided)
@@ -381,8 +437,8 @@ def test_rational_index_decides_one_machine_per_relabeling(monkeypatch):
         assert twin == (edges, accepting) or twin not in seen, (edges, accepting)
 
 
-# Sample-mode values for fixed seeds; sample mode decides with the same
-# code as the exhaustive sweep, without its pruning.
+# Sample-mode values for fixed seeds; sample mode decides each machine
+# with nrr_decide.
 SAMPLED = {
     ("dyck1", 2, 1): 4, ("dyck1", 2, 5): 2, ("dyck1", 3, 1): 6, ("dyck1", 3, 5): 4,
     ("sym", 2, 1): 4, ("sym", 2, 5): 4, ("sym", 3, 1): 4, ("sym", 3, 5): 6,
