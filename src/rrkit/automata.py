@@ -12,7 +12,8 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InputError
 
@@ -75,6 +76,45 @@ def synchronized_moves(
                 seen.add(dst)
                 todo.append(dst)
             yield src, middle, p1, p2, dst
+
+
+def machine_json(
+    fields: Mapping[str, Union[str, list[str]]],
+    transition_keys: tuple[str, ...],
+    transitions: Iterable[tuple[str, ...]],
+) -> str:
+    """The text of json.dumps(doc, indent=2, sort_keys=True) plus a newline,
+    byte for byte, for the document doc = {**fields, "transitions": [...]}
+    whose transitions are dict(zip(transition_keys, t)), in the order given.
+
+    Every value is a string or a list of strings.  The writer exists
+    because json.dumps with an indent skips the C encoder and runs the
+    pure-Python one, a generator step per token, and `rr reduce` outputs
+    run to thousands of transitions.  It fills fixed line templates
+    instead, passing each string once through json's C escaper, the one
+    json.dumps uses, and joins the lines once.
+    """
+    enc = encode_basestring_ascii
+    order = sorted(range(len(transition_keys)), key=transition_keys.__getitem__)
+    # a %-template with one slot per key, in sorted key order
+    record = "    {\n" + ",\n".join(
+        f"      {enc(transition_keys[k])}: %s" for k in order
+    ) + "\n    }"
+    # encode column by column, then zip the columns back into records
+    columns = list(zip(*transitions)) or [()] * len(transition_keys)
+    records = zip(*(map(enc, columns[k]) for k in order))
+    body = {
+        key: enc(value) if isinstance(value, str) else _json_list(f"    {enc(v)}" for v in value)
+        for key, value in fields.items()
+    }
+    body["transitions"] = _json_list(map(record.__mod__, records))
+    return "{\n" + ",\n".join(f"  {enc(key)}: {body[key]}" for key in sorted(body)) + "\n}\n"
+
+
+def _json_list(lines: Iterable[str]) -> str:
+    """A list value at the second level of indentation, from its item lines."""
+    text = ",\n".join(lines)
+    return f"[\n{text}\n  ]" if text else "[]"
 
 
 @dataclass(frozen=True)
@@ -317,7 +357,16 @@ class Nfa:
             raise InputError(f"malformed automaton object: {exc}") from exc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return machine_json(
+            {
+                "states": sorted(self.states),
+                "alphabet": list(self.alphabet),
+                "initial": self.initial,
+                "accepting": sorted(self.accepting),
+            },
+            ("from", "label", "to"),
+            sorted(self.transitions),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "Nfa":

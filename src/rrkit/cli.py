@@ -19,7 +19,7 @@ from .engine import log2_check, nrr_decide, rational_index
 from .errors import ContractError, InputError, UnsupportedFilterError
 from .filters import parse_filter_name
 from .grammars import format_grammar, parse_grammar
-from .reductions import bar_hillel, cs_transducer, height_bound, mark_automaton, reduce_d2_to_ssharpup
+from .reductions import bar_hillel, cs_transducer, mark_automaton, reduce_d2_to_ssharpup
 
 
 def _load_nfa(path: str) -> Nfa:
@@ -98,7 +98,7 @@ def _cmd_reduce(args) -> int:
         sys.stdout.write(marked.nfa.to_json())
         if args.emit_stats:
             _emit_stats(
-                {"height_bound": height_bound(a), "states": len(marked.nfa.states)}
+                {"height_bound": max(marked.height.values()), "states": len(marked.nfa.states)}
             )
     else:
         a = _load_nfa(args.nfa)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Mapping, Optional
 
 from .automata import EPSILON, Nfa
@@ -300,26 +301,23 @@ def mark_automaton(a: Nfa) -> MarkedNfa:
         raise InputError("the marking transformation expects the two-pair bracket alphabet")
     m = height_bound(a)
     reject = "r"
-    name = lambda q, i: f"({q},{i})"
+    # names[q][i] is the marked state (q, i), formatted once per call
+    names = {q: [f"({q},{i})" for i in range(m + 1)] for q in sorted(a.states)}
     transitions: set[tuple[str, str, str]] = set()
-    for src, label, dst in sorted(a.transitions):
-        for i in range(m + 1):
-            if label == EPSILON:
-                transitions.add((name(src, i), EPSILON, name(dst, i)))
-            elif label in ("a1", "a2"):
-                target = name(dst, i + 1) if i + 1 <= m else reject
-                transitions.add((name(src, i), label, target))
-            else:
-                target = name(dst, i - 1) if i - 1 >= 0 else reject
-                transitions.add((name(src, i), label, target))
-    states = {name(q, i) for q in a.states for i in range(m + 1)}
-    states.add(reject)
-    height = {name(q, i): i for q in sorted(a.states) for i in range(m + 1)}
+    for src, label, dst in a.transitions:
+        if label == EPSILON:
+            targets = names[dst]
+        elif label in ("a1", "a2"):
+            targets = names[dst][1:] + [reject]
+        else:
+            targets = [reject] + names[dst][:-1]
+        transitions.update(zip(names[src], repeat(label), targets))
+    height = {name: i for row in names.values() for i, name in enumerate(row)}
     nfa = Nfa(
-        frozenset(states),
+        frozenset(height) | {reject},
         D2_ALPHABET,
-        name(a.initial, 0),
-        frozenset(name(q, 0) for q in a.accepting),
+        names[a.initial][0],
+        frozenset(names[q][0] for q in a.accepting),
         frozenset(transitions),
     )
     return MarkedNfa(nfa, height, reject)
@@ -356,7 +354,7 @@ def reduce_d2_to_ssharpup(a: Nfa) -> Nfa:
     transitions.add(("pre0", "a", "pre1"))
     transitions.add(("pre1", "x1", "pre2"))
     transitions.add(("pre2", "x2", marked.initial))
-    for src, label, dst in sorted(marked.transitions):
+    for src, label, dst in marked.transitions:
         if label == EPSILON:
             transitions.add((src, EPSILON, dst))
             continue

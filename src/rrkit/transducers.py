@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .automata import EPSILON, Nfa, synchronized_moves, trim_states
+from .automata import EPSILON, Nfa, machine_json, synchronized_moves, trim_states
 from .errors import ContractError, InputError
 
 
@@ -218,7 +218,17 @@ class Transducer:
             raise InputError(f"malformed transducer object: {exc}") from exc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return machine_json(
+            {
+                "input_alphabet": list(self.input_alphabet),
+                "output_alphabet": list(self.output_alphabet),
+                "states": sorted(self.states),
+                "initial": self.initial,
+                "accepting": sorted(self.accepting),
+            },
+            ("from", "read", "write", "to"),
+            sorted(self.transitions),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "Transducer":

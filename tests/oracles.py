@@ -90,6 +90,34 @@ def trim(initial, accepting, edges):
     return (reachable({initial}, edges) & backward) | {initial}
 
 
+def mark_by_definition(states, transitions, initial, accepting, m):
+    """Height marking over the two-pair brackets, one transition and one
+    level at a time: states (q, i) for levels 0..m, opens a1/a2 go a level
+    up, the closes a level down, epsilon moves stay level, and a move past
+    the band goes to the sink "r".  Returns (states, initial, accepting,
+    transitions, height, reject)."""
+    name = lambda q, i: f"({q},{i})"
+    marked = set()
+    for src, label, dst in transitions:
+        for i in range(m + 1):
+            if label == "":
+                j = i
+            elif label in ("a1", "a2"):
+                j = i + 1
+            else:
+                j = i - 1
+            marked.add((name(src, i), label, name(dst, j) if 0 <= j <= m else "r"))
+    height = {name(q, i): i for q in states for i in range(m + 1)}
+    return (
+        set(height) | {"r"},
+        name(initial, 0),
+        {name(q, 0) for q in accepting},
+        marked,
+        height,
+        "r",
+    )
+
+
 # -- grammars ------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -114,6 +115,33 @@ def test_distances_to_accepting():
 def test_json_round_trip():
     a = simple()
     assert Nfa.from_json(a.to_json()) == a
+
+
+# names JSON escapes (a quote, a backslash, a tab, non-ASCII letters) and
+# names that read as template slots
+ODD_NAMES = ('q"0', "a\\1", "t\tab", "\u00e9", "\u0434", "{0}", "%s")
+
+
+def test_to_json_is_json_dumps_indent_2_sorted():
+    rng = random.Random(414)
+    cases = [
+        Nfa.build(("a1",), "q0", set(), set()),  # no accepting state, no transition
+        Nfa.build(ODD_NAMES[:3], ODD_NAMES[3], {ODD_NAMES[4]}, {(ODD_NAMES[3], "", ODD_NAMES[5])}),
+    ]
+    for _ in range(60):
+        a = random_nfa(rng, max_states=4, alphabet=("a1", "abar1", "\u00e9"),
+                       allow_epsilon=rng.random() < 0.5)
+        rename = dict(zip(sorted(a.states), rng.sample(ODD_NAMES, len(a.states))))
+        cases.append(Nfa.build(
+            a.alphabet,
+            rename[a.initial],
+            {rename[q] for q in a.accepting if rng.random() < 0.7},
+            {(rename[src], label, rename[dst]) for src, label, dst in a.transitions},
+            states=rename.values(),
+        ))
+    assert any(label == "" for a in cases for _, label, _ in a.transitions)
+    for a in cases:
+        assert a.to_json() == json.dumps(a.to_dict(), indent=2, sort_keys=True) + "\n", a
 
 
 def test_validation():

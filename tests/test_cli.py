@@ -105,6 +105,18 @@ def test_reduce_missing_required_input(capsys):
     assert "requires --grammar" in capsys.readouterr().err
 
 
+def test_reduce_ssharpup_without_accepting_state(tmp_path, capsys):
+    nfa = tmp_path / "a.json"
+    nfa.write_text(rrkit.Nfa.build(
+        ("a1", "a2", "abar1", "abar2"), "q0", set(), {("q0", "a1", "q1")}
+    ).to_json())
+    assert main(["reduce", "ssharpup", "--nfa", str(nfa)]) == 0
+    out = capsys.readouterr().out
+    assert '"accepting": []' in out
+    assert '"transitions": []' in out
+    assert json.loads(out)["states"] == ["pre0"]
+
+
 def test_index_seed_env_default(monkeypatch, capsys):
     argv = ["index", "--filter", "dyck1", "--states", "3", "--sample", "40"]
     monkeypatch.setenv("RR_SEED", "7")

@@ -31,7 +31,7 @@ from rrkit.filters import dyck_grammar, m_inf_member, m_plus_member, s_sharp_up_
 from rrkit.reductions import D2_ALPHABET
 
 from generators import random_cnf, random_nfa
-from oracles import dyck_words, grammar_words, naive_accepts
+from oracles import dyck_words, grammar_words, mark_by_definition, naive_accepts
 
 
 def product_words(g, a, max_len):
@@ -291,6 +291,21 @@ def test_marking_preserves_dyck_emptiness():
         before = intersection_nonempty(d2, a)
         after = intersection_nonempty(d2, mark_automaton(a).nfa)
         assert before == after, a
+
+
+def test_mark_automaton_matches_definition():
+    rng = random.Random(917)
+    for k in range(50):
+        a = random_nfa(rng, max_states=4, alphabet=D2_ALPHABET, allow_epsilon=k % 2 == 0)
+        marked = mark_automaton(a)
+        states, initial, accepting, transitions, height, reject = mark_by_definition(
+            a.states, a.transitions, a.initial, a.accepting, height_bound(a)
+        )
+        assert marked.nfa == Nfa(
+            frozenset(states), D2_ALPHABET, initial, frozenset(accepting), frozenset(transitions)
+        ), a
+        assert marked.height == height
+        assert marked.reject_state == reject
 
 
 # -- morphism reduction --------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -125,6 +126,31 @@ def test_trimmed_preserves_relation():
 def test_json_round_trip():
     t = renamer()
     assert Transducer.from_json(t.to_json()) == t
+
+
+def test_to_json_is_json_dumps_indent_2_sorted():
+    # transition keys sort as from, read, to, write: not the tuple order
+    odd = ('t"0', "t\\1", "t\t2", "\u00e9", "{0}", "%s")
+    rng = random.Random(415)
+    cases = [
+        Transducer.build(("a",), ("x",), "t0", set(), set()),  # no accepting state, no transition
+        Transducer.build(("a\tb",), ("\u00e9",), odd[0], set(), {(odd[0], "", "", odd[1])}),
+    ]
+    for _ in range(60):
+        t = random_transducer(rng, inputs=("a", '"b'), outputs=("x", "\\y", "\u00e9"))
+        rename = dict(zip(sorted(t.states), rng.sample(odd, len(t.states))))
+        cases.append(Transducer.build(
+            t.input_alphabet,
+            t.output_alphabet,
+            rename[t.initial],
+            {rename[q] for q in t.accepting if rng.random() < 0.7},
+            {(rename[src], read, write, rename[dst]) for src, read, write, dst in t.transitions},
+            states=rename.values(),
+        ))
+    assert any(read == "" for t in cases for _, read, _, _ in t.transitions)
+    assert any(write == "" for t in cases for _, _, write, _ in t.transitions)
+    for t in cases:
+        assert t.to_json() == json.dumps(t.to_dict(), indent=2, sort_keys=True) + "\n", t
 
 
 def test_dyck_encoder_images():
