@@ -4,8 +4,9 @@ The rational index at n is the worst case, over n-state machines meeting
 the filter, of the shortest word in the intersection.  Exhaustive mode
 decides every machine shape at once: one shortest-length closure over
 the filter's grammar carries each set of moves as one bit of an integer.
-Sampled mode estimates the same quantity from random machines, deciding
-them one by one, and is never above the true value.
+Sampled mode estimates the same quantity from random machines, decided
+at once in the same way, one bit per machine, and is never above the
+true value.
 """
 
 from rrkit import rational_index

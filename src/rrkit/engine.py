@@ -12,12 +12,12 @@ a log² n-space recognizer verifies.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .automata import EPSILON, Nfa
+from .counter import CounterAutomaton
 from .errors import ContractError, InputError, UnsupportedFilterError
 from .filters import FilterSpec, d1_counter
 from .grammars import Cfg
@@ -217,21 +217,22 @@ def decide_substituted(
 # -- rational index ------------------------------------------------------------
 
 
-# Exhaustive mode decides the move masks of a grammar filter in chunks of
-# 2**_LANE_BITS masks, one bit of a lane set per mask, so a lane set stays
-# within 2 KB.
-_LANE_BITS = 14
-# Sample mode refuses machines with more possible moves than this.
+# Exhaustive mode measures at most this many states and possible moves
+# (states^2 * letters), sample mode at most _SAMPLE_MOVES possible moves.
+_EXHAUSTIVE_STATES = 3
+_EXHAUSTIVE_MOVES = 20
 _SAMPLE_MOVES = 10_000
+# Machines are closed in chunks of 2**_LANE_BITS lanes, one bit of a lane
+# set (an int) per machine, so a lane set stays within 2 KB.
+_LANE_BITS = 14
+
+Edge = tuple[int, str, int]
+# lanes[k]: the machines with move k; goals[p]: those accepting in state p
+Chunk = tuple[list[int], list[int]]
 
 
 def rational_index(
-    f: FilterSpec,
-    n: int,
-    mode: str = "exhaustive",
-    sample_count: int = 200,
-    seed: int = 0,
-    ceiling: int = 3,
+    f: FilterSpec, n: int, mode: str = "exhaustive", sample_count: int = 200, seed: int = 0
 ) -> int:
     """Worst case over n-state machines of the shortest witness length.
 
@@ -242,79 +243,101 @@ def rational_index(
     with several accepting states realizes its shortest witness through
     one of them.
 
-    Exhaustive mode on a grammar filter decides every machine at once:
-    one shortest-length closure over the filter's CNF carries every move
-    mask in parallel, one bit per mask (see _lane_index).  Counter
-    filters have no grammar, so their exhaustive mode sweeps the (move
-    set, accepting state) pairs one by one and decides only undominated
-    canonical ones (see _minimal_machine_lengths).  Either way the value
-    is the maximum over all machines, and the "index is undefined" error
-    is raised when no machine meets the filter.  Sample mode decides
-    seeded random machines with nrr_decide instead and reports the max
-    found (a lower bound); it refuses n*n*|alphabet| above 10,000
-    possible moves.
+    All machines are decided at once, one lane each.  Exhaustive mode
+    takes every move mask with every accepting state (_mask_chunks);
+    sample mode takes seeded random machines (_sample_chunks) and reports
+    the max found, a lower bound.  Grammar filters close the lanes over
+    their CNF (_lane_index), counter filters over their configurations
+    (_counter_lane_index); each lane gets the length of the witness
+    nrr_decide returns for its machine.  The "index is undefined" error
+    is raised when no machine meets the filter.  Exhaustive mode refuses
+    more than 3 states or 20 possible moves, sample mode more than 10,000
+    possible moves, before building any.
     """
     if n < 1:
         raise InputError("machines need at least one state")
-    alphabet = f.alphabet
+    moves = n * n * len(f.alphabet)
     if mode == "exhaustive":
-        if n > ceiling:
-            raise InputError(f"exhaustive mode is limited to {ceiling} states")
-        if n * n * len(alphabet) > 20:
-            raise InputError(
-                "exhaustive enumeration over this alphabet/state count is too large"
-            )
+        if n > _EXHAUSTIVE_STATES:
+            raise InputError(f"exhaustive mode is limited to {_EXHAUSTIVE_STATES} states")
+        if moves > _EXHAUSTIVE_MOVES:
+            raise InputError("exhaustive enumeration over this alphabet/state count is too large")
     elif mode == "sample":
-        if n * n * len(alphabet) > _SAMPLE_MOVES:
+        if moves > _SAMPLE_MOVES:
             raise InputError(
                 f"sample mode is limited to {_SAMPLE_MOVES:,} possible moves (states^2 * letters)"
             )
     else:
         raise InputError(f"unknown mode {mode!r}; expected exhaustive or sample")
-    edges = tuple((i, sym, j) for i in range(n) for sym in alphabet for j in range(n))
-    states = {str(i) for i in range(n)}
-
-    def shortest(subset: tuple[tuple[int, str, int], ...], accepting: int) -> Optional[int]:
-        machine = Nfa.build(
-            alphabet,
-            "0",
-            {str(accepting)},
-            {(str(i), sym, str(j)) for i, sym, j in subset},
-            states=states,
+    if f.kind == "s_sharp_up":
+        raise UnsupportedFilterError(
+            "the s_sharp_up filter has no grammar; it is a reduction target only"
         )
-        witness = nrr_decide(machine, f).witness
-        return None if witness is None else len(witness)
-
+    edges = tuple((i, sym, j) for i in range(n) for sym in f.alphabet for j in range(n))
     if mode == "sample":
-        machines = _sample_machines(n, edges, sample_count, seed)
-        lengths = (shortest(subset, accepting) for subset, accepting in machines)
-    elif f.kind in ("counter", "s_sharp_up"):
-        lengths = _minimal_machine_lengths(n, edges, shortest)
+        chunks = _sample_chunks(n, moves, sample_count, seed)
     else:
-        lengths = (_lane_index(f.cnf_grammar, edges),)
-    best = max((length for length in lengths if length is not None), default=None)
+        chunks = _mask_chunks(n, moves)
+    if f.kind == "counter":
+        best = _counter_lane_index(f.automaton, n, edges, chunks)
+    else:
+        best = _lane_index(f.cnf_grammar, edges, chunks)
     if best is None:
         raise InputError("no n-state machine meets the filter; the index is undefined")
     return best
 
 
-def _lane_index(g: Cfg, edges: tuple[tuple[int, str, int], ...]) -> Optional[int]:
-    """Greatest shortest-witness length over every machine with moves
-    drawn from edges (initial state 0, one accepting state), or None when
-    none meets L(g), for g in CNF.
+def _mask_chunks(n: int, moves: int):
+    """Every move mask with every accepting state: lane m of a chunk is
+    the mask whose low W = min(moves, _LANE_BITS) bits are m, and each
+    chunk of masks sharing their top moves - W bits is closed separately.
+    Every state is a goal in every lane."""
+    width = min(moves, _LANE_BITS)
+    full = (1 << (1 << width)) - 1
+    # lanes of move k < width: runs of 2**k clear then 2**k set lanes
+    periodic = [
+        ((1 << (1 << k)) - 1 << (1 << k)) * (full // ((1 << (2 << k)) - 1))
+        for k in range(width)
+    ]
+    goals = [full] * n
+    for chunk in range(1 << (moves - width)):
+        yield periodic + [full if chunk >> k & 1 else 0 for k in range(moves - width)], goals
 
-    Lane m of a lane set (an int) stands for the move mask whose low
-    W = min(len(edges), _LANE_BITS) bits are m; each chunk of masks
-    sharing their top len(edges) - W bits is closed separately.
+
+def _sample_chunks(n: int, moves: int, count: int, seed: int):
+    """count seeded random machines, 2**_LANE_BITS per chunk: lane b of a
+    chunk has each move with probability 0.3, drawn in move order, then
+    a uniform accepting state."""
+    rng = random.Random(seed)
+    size = 1 << _LANE_BITS
+    for start in range(0, count, size):
+        lanes = [0] * moves
+        goals = [0] * n
+        for b in range(min(size, count - start)):
+            bit = 1 << b
+            for k in range(moves):
+                if rng.random() < 0.3:
+                    lanes[k] |= bit
+            goals[rng.randrange(n)] |= bit
+        yield lanes, goals
+
+
+def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Optional[int]:
+    """Greatest shortest-witness length over the machines of the chunks
+    (moves drawn from edges, initial state 0), or None when none meets
+    L(g), for g in CNF.
+
     fresh[l][(q, A, p)] holds the lanes in which the least word A derives
     from q to p has length exactly l: terminal rules give l = 1, and for
     l >= 2 it is the union over rules A -> B C, states r and splits i of
     fresh[i][(q, B, r)] & fresh[l - i][(r, C, p)], minus the lanes settled
     earlier (exact in CNF: a least length is the least sum of two least
-    lengths).  The longer half of a least word is itself least and lies
+    lengths).  A machine's witness is (0, axiom, p) in its lane of
+    goals[p].  The longer half of a least word is itself least and lies
     in [l/2, l), so nothing is first reached after a gap past twice the
-    last length at which some lane was fresh.  The axiom's epsilon rule
-    settles (0, axiom, 0) at length 0 in every lane; the axiom is on no
+    last length at which some lane was fresh; a chunk also stops once
+    every goal lane has its witness.  The axiom's epsilon rule settles
+    (0, axiom, 0) at length 0 in every lane; the axiom is on no
     right-hand side, so no other triple uses it.
     """
     by_terminal: dict[str, list[str]] = {}
@@ -325,17 +348,16 @@ def _lane_index(g: Cfg, edges: tuple[tuple[int, str, int], ...]) -> Optional[int
         elif len(rhs) == 2:
             by_left.setdefault(rhs[0], []).append((lhs, rhs[1]))
     axiom_eps = (g.axiom, ()) in g.rules
-    best = 0 if axiom_eps else None
-    width = min(len(edges), _LANE_BITS)
-    full = (1 << (1 << width)) - 1
-    # lanes of move k < width: runs of 2**k clear then 2**k set lanes
-    periodic = [
-        ((1 << (1 << k)) - 1 << (1 << k)) * (full // ((1 << (2 << k)) - 1))
-        for k in range(width)
-    ]
-    for chunk in range(1 << (len(edges) - width)):
-        lanes = periodic + [full if chunk >> k & 1 else 0 for k in range(len(edges) - width)]
-        settled: dict[Triple, int] = {(0, g.axiom, 0): full} if axiom_eps else {}
+    best = None
+    for lanes, goals in chunks:
+        # open_[p]: the lanes of goals[p] still without a witness
+        open_ = list(goals)
+        settled: dict[Triple, int] = {}
+        if axiom_eps:
+            settled[(0, g.axiom, 0)] = -1  # every lane
+            if open_[0]:
+                best = best or 0
+                open_[0] = 0
         found: dict[Triple, int] = {}
         for (i, sym, j), bits in zip(edges, lanes):
             if bits:
@@ -346,7 +368,7 @@ def _lane_index(g: Cfg, edges: tuple[tuple[int, str, int], ...]) -> Optional[int
         left: list[dict] = [{}]
         right: list[dict] = [{}]
         length, last = 1, 0
-        while True:
+        while any(open_):
             by_b: dict[str, list] = {}
             by_cr: dict[tuple[str, int], list] = {}
             for t, bits in found.items():
@@ -358,8 +380,9 @@ def _lane_index(g: Cfg, edges: tuple[tuple[int, str, int], ...]) -> Optional[int
                     by_b.setdefault(sym, []).append((q, p, bits))
                     by_cr.setdefault((sym, q), []).append((p, bits))
                     last = length
-                    if q == 0 and sym == g.axiom and (best is None or length > best):
-                        best = length
+                    if q == 0 and sym == g.axiom and bits & open_[p]:
+                        open_[p] &= ~bits
+                        best = max(best or 0, length)
             left.append(by_b)
             right.append(by_cr)
             length += 1
@@ -378,88 +401,59 @@ def _lane_index(g: Cfg, edges: tuple[tuple[int, str, int], ...]) -> Optional[int
     return best
 
 
-def _minimal_machine_lengths(n: int, edges: tuple[tuple[int, str, int], ...], shortest):
-    """Yield shortest(subset, accepting) for every decided machine.
+def _counter_lane_index(
+    c: CounterAutomaton, n: int, edges: tuple[Edge, ...], chunks: Iterable[Chunk]
+) -> Optional[int]:
+    """Greatest shortest-witness length over the machines of the chunks
+    (moves drawn from edges, initial state 0), or None when none meets
+    L(c).
 
-    A machine is decided when its shortest witness is actually computed.
-    Two kinds of machine are never decided, and neither can change the
-    maximum:
-
-    * dominated ones, which contain a one-move-smaller machine with the
-      same accepting state that meets the filter.  Adding a move only
-      adds words, so such a machine meets the filter with a shortest
-      witness no longer than its submachine's, and the maximum is
-      reached on inclusion-minimal machines that meet the filter, which
-      are never dominated;
-    * non-canonical ones, whose relabeling by some permutation of the
-      non-initial states is a numerically smaller pair; they have that
-      twin's language, which is decided instead.
-
-    One sweep over the move masks in numeric order, which visits every
-    subset of a mask before the mask.  marks[mask] has bit acc set when
-    (mask, acc) meets the filter: copied from a one-move-smaller mask
-    (dominated), from the canonical twin (numerically smaller, or the
-    same mask with a smaller acc, so settled already), or set by a
-    decision.  Only undominated canonical pairs are decided.  Masks are
-    read in three 8-bit chunks, so at most 24 moves.
+    A breadth-first search over the configurations (counter state,
+    machine state, value) of the product, with the counter capped at
+    (|C|·n)² as nrr_decide caps it, so each lane measures the witness
+    nrr_decide would return.  settled[config] holds the lanes that reach
+    config by a word of the current length or shorter; a length's new
+    lanes are closed under c's epsilon moves before the next letter.  A
+    machine's witness is the first accepting configuration (s, p, v) in
+    its lane of goals[p].  A chunk stops when no lane is new, or once
+    every goal lane has its witness.
     """
-    full = (1 << n) - 1
-    marks = bytearray(1 << len(edges))
-    moves_lo, moves_mid, moves_hi = _chunk_tables(edges, lambda k: (edges[k],), ())
-    position = {e: k for k, e in enumerate(edges)}
-    twins = []
-    for rest in itertools.permutations(range(1, n)):
-        perm = (0, *rest)
-        if perm != tuple(range(n)):
-            moved = [1 << position[(perm[i], sym, perm[j])] for i, sym, j in edges]
-            twins.append((perm, *_chunk_tables(edges, moved.__getitem__, 0)))
-    for mask in range(len(marks)):
-        dom = 0
-        rest = mask
-        while rest and dom != full:
-            low = rest & -rest
-            dom |= marks[mask ^ low]
-            rest ^= low
-        marks[mask] = dom
-        if dom == full:
-            continue
-        lo, mid, hi = mask & 255, mask >> 8 & 255, mask >> 16
-        images = [(perm, t0[lo] | t1[mid] | t2[hi]) for perm, t0, t1, t2 in twins]
-        subset = None
-        for acc in range(n):
-            if dom >> acc & 1:
-                continue
-            twin = min([(image, perm[acc]) for perm, image in images], default=(mask, acc))
-            if twin < (mask, acc):
-                marks[mask] |= (marks[twin[0]] >> twin[1] & 1) << acc
-                continue
-            if subset is None:
-                subset = moves_lo[lo] + moves_mid[mid] + moves_hi[hi]
-            length = shortest(subset, acc)
-            if length is not None:
-                marks[mask] |= 1 << acc
-            yield length
-
-
-def _chunk_tables(edges: tuple[tuple[int, str, int], ...], item, zero):
-    """Three tables, one per 8-bit chunk of a move mask, from the chunk's
-    value to the sum of item(k) over the moves k it sets, in move order."""
-    tables = []
-    for shift in (0, 8, 16):
-        table = [zero]
-        for k in range(shift, min(shift + 8, len(edges))):
-            table += [entry + item(k) for entry in table]
-        tables.append(table)
-    return tables
-
-
-def _sample_machines(
-    n: int, edges: tuple[tuple[int, str, int], ...], count: int, seed: int
-):
-    rng = random.Random(seed)
-    for _ in range(count):
-        subset = tuple(e for e in edges if rng.random() < 0.3)
-        yield subset, rng.randrange(n)
+    cap = (len(c.states) * n) ** 2
+    targets: dict[tuple[int, str], list[tuple[int, int]]] = {}
+    for k, (i, sym, j) in enumerate(edges):
+        targets.setdefault((i, sym), []).append((k, j))
+    best = None
+    for lanes, goals in chunks:
+        open_ = list(goals)
+        settled: dict[tuple[str, int, int], int] = {}
+        found = {(c.initial, 0, 0): -1}  # -1: every lane
+        length = 0
+        while found and any(open_):
+            work, found = list(found.items()), {}
+            while work:
+                config, bits = work.pop()
+                old = settled.get(config, 0)
+                bits &= ~old
+                if not bits:
+                    continue
+                settled[config] = old | bits
+                state, q, value = config
+                if c._is_accepting(state, value) and bits & open_[q]:
+                    open_[q] &= ~bits
+                    best = max(best or 0, length)
+                for read, guard, delta, dst in c._by_state.get(state, ()):
+                    if not c._guard_ok(guard, value) or not 0 <= value + delta <= cap:
+                        continue
+                    if read == EPSILON:
+                        work.append(((dst, q, value + delta), bits))
+                        continue
+                    for k, j in targets.get((q, read), ()):
+                        z = bits & lanes[k]
+                        if z:
+                            key = (dst, j, value + delta)
+                            found[key] = found.get(key, 0) | z
+            length += 1
+    return best
 
 
 # -- instrumented recursive checker ---------------------------------------------

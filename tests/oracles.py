@@ -348,33 +348,6 @@ def shortest_dyck1_in_machine(n, edges, accepting):
     return None
 
 
-def shortest_dyck1_word(n, edges, accepting):
-    """Shortest balanced-word length through the n-state machine with the
-    one accepting state accepting, or None: breadth-first search over
-    (state, height) with heights capped at n*n, moves indexed by source.
-    A per-machine decider for sweeps that decide many machines."""
-    if accepting == 0:
-        return 0
-    cap = n * n
-    seen = {(0, 0)}
-    frontier = deque([(0, 0, 0)])
-    by_state = {}
-    for src, label, dst in edges:
-        by_state.setdefault(src, []).append((label, dst))
-    while frontier:
-        state, height, dist = frontier.popleft()
-        for label, dst in by_state.get(state, ()):
-            nh = height + 1 if label == "a1" else height - 1
-            if nh < 0 or nh > cap:
-                continue
-            if dst == accepting and nh == 0:
-                return dist + 1
-            if (dst, nh) not in seen:
-                seen.add((dst, nh))
-                frontier.append((dst, nh, dist + 1))
-    return None
-
-
 def shortest_word_in_machine(n, edges, accepting):
     """Shortest accepted word length regardless of any filter (graph BFS)."""
     if 0 in accepting:

@@ -194,6 +194,12 @@ def test_index_sample_too_large_is_exit_2(capsys):
     assert_usage_error(capsys, ["index", "--filter", "dyck1", "--states", "3000", "--sample", "1"])
 
 
+@pytest.mark.parametrize("sample", [[], ["--sample", "6"]])
+def test_index_reduction_only_filter_is_exit_2(sample, capsys):
+    err = assert_usage_error(capsys, ["index", "--filter", "ssharpup", "--states", "1", *sample])
+    assert "reduction target only" in err
+
+
 def test_check_log2_verdict_exit(in_tests_dir, capsys):
     assert main(["check-log2", "--grammar", "data/d1.txt", "--nfa", "data/odd.json"]) == 1
     assert capsys.readouterr().out == "empty\n"

@@ -15,6 +15,7 @@ import pytest
 
 from rrkit import (
     CheckerStats,
+    CounterAutomaton,
     FilterSpec,
     InputError,
     Nfa,
@@ -26,6 +27,7 @@ from rrkit import (
     substitution_collapse,
 )
 from rrkit import engine
+from rrkit.counter import ACCEPT_MODES, GUARDS
 from rrkit.errors import ContractError, UnsupportedFilterError
 from rrkit.filters import d1_counter, dyck_grammar, parse_filter_name
 
@@ -35,7 +37,6 @@ from oracles import (
     RHO_DYCK1,
     rho_allwords,
     rho_dyck1,
-    shortest_dyck1_word,
     substituted_member,
 )
 
@@ -286,8 +287,6 @@ def test_rational_index_rejects_large_machines_before_building_them():
     try:
         with pytest.raises(InputError, match="limited to 3 states"):
             rational_index(f, 1000)
-        with pytest.raises(InputError, match="too large"):
-            rational_index(f, 1000, ceiling=10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -332,29 +331,93 @@ def test_rational_index_symmetric_sharp():
     assert rational_index(FilterSpec.symmetric_sharp(), 2) == 6
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_rational_index_counter_filter_matches_grammar_filter(n):
-    # the counter filter takes the one-machine-at-a-time sweep, the
-    # grammar filter the lane closure
+    # the counter filter closes its lanes over configurations, the
+    # grammar filter over triples
     counter = FilterSpec.from_counter(d1_counter())
     assert rational_index(counter, n) == rational_index(FilterSpec.dyck(1), n) == RHO_DYCK1[n]
 
 
-def _every_machine_max(f, n):
-    """Reference without pruning or symmetry: every move set and every
-    accepting state, each decided by nrr_decide."""
-    alphabet = f.alphabet
-    edges = [(str(i), sym, str(j)) for i in range(n) for sym in alphabet for j in range(n)]
+def _longest_witness(f, n, machines):
+    """Greatest shortest-witness length over machines, (move set,
+    accepting state) pairs with initial state 0, each decided by
+    nrr_decide; None when none meets the filter."""
     states = {str(i) for i in range(n)}
     best = None
-    for mask in range(1 << len(edges)):
-        subset = {e for k, e in enumerate(edges) if mask >> k & 1}
-        for acc in range(n):
-            machine = Nfa.build(alphabet, "0", {str(acc)}, subset, states=states)
-            witness = nrr_decide(machine, f).witness
-            if witness is not None and (best is None or len(witness) > best):
-                best = len(witness)
+    for subset, acc in machines:
+        moves = {(str(i), sym, str(j)) for i, sym, j in subset}
+        machine = Nfa.build(f.alphabet, "0", {str(acc)}, moves, states=states)
+        witness = nrr_decide(machine, f).witness
+        if witness is not None and (best is None or len(witness) > best):
+            best = len(witness)
     return best
+
+
+def _moves(f, n):
+    return [(i, sym, j) for i in range(n) for sym in f.alphabet for j in range(n)]
+
+
+def _every_machine_max(f, n):
+    """Reference without pruning or symmetry: every move set and every
+    accepting state."""
+    edges = _moves(f, n)
+    return _longest_witness(f, n, (
+        ({e for k, e in enumerate(edges) if mask >> k & 1}, acc)
+        for mask in range(1 << len(edges))
+        for acc in range(n)
+    ))
+
+
+def _every_draw_max(f, n, count, seed):
+    """Reference for sample mode: count seeded draws, each move kept with
+    probability 0.3 in move order, then a uniform accepting state."""
+    rng = random.Random(seed)
+    edges = _moves(f, n)
+
+    def draws():
+        for _ in range(count):
+            subset = {e for e in edges if rng.random() < 0.3}
+            yield subset, rng.randrange(n)
+
+    return _longest_witness(f, n, draws())
+
+
+def _assert_index(f, n, expected, **kwargs):
+    """rational_index equals expected, or reports the index undefined
+    when expected is None."""
+    if expected is None:
+        with pytest.raises(InputError, match="undefined"):
+            rational_index(f, n, **kwargs)
+    else:
+        assert rational_index(f, n, **kwargs) == expected, (f, n, kwargs)
+
+
+def _counter_filters(rng, count, alphabet):
+    """Seeded counter filters, most of two states, with one to three
+    moves per state pair.  A two-state filter accepts only in its second
+    state, so that its witnesses are rarely trivial."""
+    filters = []
+    for _ in range(count):
+        states = ("q0", "q1")[: 1 + (rng.random() < 0.75)]
+        moves = {
+            (src, rng.choice(alphabet + ("",)), rng.choice(GUARDS), rng.choice((-1, 0, 1)), dst)
+            for src in states
+            for dst in states
+            for _ in range(rng.randint(1, 3))
+        }
+        c = CounterAutomaton.build(
+            alphabet, "q0", {states[-1]}, moves, accept_mode=rng.choice(ACCEPT_MODES)
+        )
+        filters.append(FilterSpec.from_counter(c))
+    return filters
+
+
+def _assert_counter_coverage(filters):
+    moves = [move for f in filters for move in f.automaton.transitions]
+    assert {guard for _, _, guard, _, _ in moves} == {"any", "zero", "positive"}
+    assert any(read == "" for _, read, _, _, _ in moves)
+    assert {f.automaton.accept_mode for f in filters} == {"final_state", "final_state_and_zero"}
 
 
 EVERY_MACHINE_CASES = [
@@ -362,19 +425,25 @@ EVERY_MACHINE_CASES = [
 ]
 
 
+def _seeded_filters(terminals, n):
+    """Six grammar filters, then three counter filters, seeded by the case."""
+    rng = random.Random(f"{terminals}{n}")
+    grammars = [FilterSpec.from_grammar(random_cnf(rng, terminals=terminals)) for _ in range(6)]
+    return grammars + _counter_filters(rng, 3, terminals)
+
+
 @pytest.mark.parametrize("terminals, n", EVERY_MACHINE_CASES)
 def test_rational_index_matches_every_machine(terminals, n):
     # random grammars are often empty or trivial, so the "undefined" error
     # is compared too; one letter at three states exercises the symmetry
-    rng = random.Random(f"{terminals}{n}")
-    for _ in range(6):
-        f = FilterSpec.from_grammar(random_cnf(rng, terminals=terminals))
-        expected = _every_machine_max(f, n)
-        if expected is None:
-            with pytest.raises(InputError, match="undefined"):
-                rational_index(f, n)
-        else:
-            assert rational_index(f, n) == expected, f.grammar
+    for f in _seeded_filters(terminals, n):
+        _assert_index(f, n, _every_machine_max(f, n))
+
+
+def test_every_machine_cases_cover_counter_features():
+    _assert_counter_coverage(
+        [f for case in EVERY_MACHINE_CASES for f in _seeded_filters(*case) if f.kind == "counter"]
+    )
 
 
 @pytest.mark.parametrize("terminals, n", EVERY_MACHINE_CASES)
@@ -399,46 +468,25 @@ def test_rational_index_pinned_grammars(monkeypatch, text, lane_bits):
         assert rational_index(f, n) == _every_machine_max(f, n), (text, n)
 
 
-def _decided_dyck1_machines(n):
-    """The machines the one-at-a-time sweep decides for dyck1, with the
-    reference decider standing in for nrr_decide."""
-    decided = []
-
-    def spy(edges, accepting):
-        decided.append((frozenset(edges), accepting))
-        return shortest_dyck1_word(n, edges, accepting)
-
-    edges = tuple((i, sym, j) for i in range(n) for sym in ("a1", "abar1") for j in range(n))
-    lengths = engine._minimal_machine_lengths(n, edges, spy)
-    assert max(length for length in lengths if length is not None) == RHO_DYCK1[n]
-    return decided
-
-
-def test_rational_index_decides_only_undominated_machines():
-    decided = _decided_dyck1_machines(2)
-    assert len(set(decided)) == len(decided)
-    # 2^8 move sets times 2 accepting states
-    assert len(decided) < 512 // 2
-    for edges, accepting in decided:
-        for move in edges:
-            smaller = tuple(sorted(edges - {move}))
-            assert shortest_dyck1_word(2, smaller, accepting) is None, (edges, accepting, move)
+@pytest.mark.parametrize("lane_bits", [14, 1])
+def test_rational_index_sample_mode_matches_every_draw(monkeypatch, lane_bits):
+    # at one lane bit two draws share a chunk, and an odd count leaves the
+    # last chunk half full
+    monkeypatch.setattr(engine, "_LANE_BITS", lane_bits)
+    rng = random.Random(31)
+    filters = [parse_filter_name(name) for name in ("dyck1", "sym", "symsharp")]
+    filters.append(FilterSpec.from_counter(d1_counter()))
+    filters += [FilterSpec.from_grammar(random_cnf(rng)) for _ in range(4)]
+    counters = _counter_filters(rng, 6, ("a1", "abar1"))
+    _assert_counter_coverage(counters)
+    for k, f in enumerate(filters + counters):
+        n, count, seed = 2 + k % 3, 25 + k % 2, k
+        expected = _every_draw_max(f, n, count, seed)
+        _assert_index(f, n, expected, mode="sample", sample_count=count, seed=seed)
 
 
-def test_rational_index_decides_one_machine_per_relabeling():
-    decided = _decided_dyck1_machines(3)
-    # 393,728 canonical (move set, accepting state) pairs without pruning
-    assert len(decided) < 100_000
-    seen = set(decided)
-    assert len(seen) == len(decided)
-    swap = (0, 2, 1)
-    for edges, accepting in decided:
-        twin = (frozenset((swap[i], sym, swap[j]) for i, sym, j in edges), swap[accepting])
-        assert twin == (edges, accepting) or twin not in seen, (edges, accepting)
-
-
-# Sample-mode values for fixed seeds; sample mode decides each machine
-# with nrr_decide.
+# Sample-mode values for fixed seeds, which fix the draws (see
+# _every_draw_max).
 SAMPLED = {
     ("dyck1", 2, 1): 4, ("dyck1", 2, 5): 2, ("dyck1", 3, 1): 6, ("dyck1", 3, 5): 4,
     ("sym", 2, 1): 4, ("sym", 2, 5): 4, ("sym", 3, 1): 4, ("sym", 3, 5): 6,
