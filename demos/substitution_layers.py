@@ -3,9 +3,10 @@
 The outer language is the one-pair bracket language; its opening letter
 is substituted by bracket words again and its closing letter by mirror
 words.  The engine never constructs the substituted language: it
-collapses the machine by answering one small emptiness question per
-state pair and substituent, then decides the outer question on the
-collapsed machine.
+collapses the machine, finding in one closure per substituent every
+state pair some word of that substituent connects (one run of the
+triple closure for a grammar, one search per start state for a counter
+machine), then decides the outer question on the collapsed machine.
 """
 
 from rrkit import Nfa, decide_substituted, substitution_collapse

@@ -44,6 +44,14 @@ def trim_states(
     return (closure({initial}, fwd) & closure(accepting, bwd)) | {initial}
 
 
+def require_lists(data: Mapping, fields: Iterable[str]) -> None:
+    """Reject a machine object whose named fields are not JSON lists: a
+    string there would otherwise be read as its characters."""
+    for field in fields:
+        if not isinstance(data[field], list):
+            raise InputError(f"field {field!r} must be a list, got {type(data[field]).__name__}")
+
+
 def synchronized_moves(
     start: tuple[str, str], left_moves: Iterable[tuple], right_moves: Iterable[tuple]
 ) -> Iterator[tuple]:
@@ -339,6 +347,7 @@ class Nfa:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Nfa":
         try:
+            require_lists(data, ("states", "alphabet", "accepting", "transitions"))
             transitions = [
                 (t["from"], t["label"], t["to"]) for t in data["transitions"]
             ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .automata import EPSILON, Nfa, synchronized_moves
+from .automata import EPSILON, Nfa, require_lists, synchronized_moves
 from .errors import ContractError, InputError
 
 GUARDS = ("any", "zero", "positive")
@@ -277,6 +277,7 @@ class CounterAutomaton:
     @classmethod
     def from_dict(cls, data: Mapping) -> "CounterAutomaton":
         try:
+            require_lists(data, ("states", "alphabet", "accepting", "transitions"))
             transitions = [
                 (t["from"], t["read"], t["guard"], int(t["delta"]), t["to"])
                 for t in data["transitions"]

@@ -174,25 +174,114 @@ def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
     substituent language for x takes a from q to p.
 
     L(a) meets the substituted language sigma(L) exactly when the collapsed
-    automaton meets L itself.  Decisions are memoized per (filter, q, p),
-    so outer letters sharing one substituent cost a single decision.
+    automaton meets L itself.  Each distinct substituent is decided for
+    every state pair at once, over a restricted to its letters: a grammar
+    by one run of the triple closure (_grammar_edges), a counter machine
+    by one search per start state (_counter_edges); outer letters sharing
+    a substituent share that work.  Every edge's word is re-checked
+    against a and the filter oracle, as nrr_decide checks its witnesses.
     """
     outer = tuple(sorted(sub))
-    cache: dict[tuple[FilterSpec, str, str], bool] = {}
+    letters: dict[FilterSpec, list[str]] = {}
+    for x in outer:
+        if sub[x].kind == "s_sharp_up":
+            raise UnsupportedFilterError(
+                "the s_sharp_up filter has no grammar; it is a reduction target only"
+            )
+        letters.setdefault(sub[x], []).append(x)
     transitions: set[tuple[str, str, str]] = set()
-    for q in sorted(a.states):
-        for p in sorted(a.states):
-            segment = None
-            for x in outer:
-                f = sub[x]
-                key = (f, q, p)
-                if key not in cache:
-                    if segment is None:
-                        segment = a.sub_automaton(q, p)
-                    cache[key] = nrr_decide(_restrict(segment, f.alphabet), f).nonempty
-                if cache[key]:
-                    transitions.add((q, x, p))
+    for f, xs in letters.items():
+        r = _restrict(a, f.alphabet)
+        if f.kind == "counter":
+            edges = _counter_edges(f.automaton, r)
+        else:
+            edges = _grammar_edges(f.cnf_grammar, r)
+        for (q, p), word in edges.items():
+            if not r.sub_automaton(q, p).accepts(word):
+                raise RuntimeError("internal error: collapse word rejected by the input automaton")
+            if not f.contains(word):
+                raise RuntimeError("internal error: collapse word rejected by the filter oracle")
+            transitions.update((q, x, p) for x in xs)
     return Nfa(a.states, outer, a.initial, a.accepting, frozenset(transitions))
+
+
+def _grammar_edges(g: Cfg, a: Nfa) -> dict[tuple[str, str], tuple[str, ...]]:
+    """For CNF g, a word of L(g) taking a from q to p, for every pair
+    (q, p) that has one: the least word of the derivable triple
+    (q, axiom, p), or the empty word when the axiom has an epsilon rule
+    and p is in q's epsilon closure (the all-pairs reachability of Reps,
+    "Program analysis via graph reachability", 1998)."""
+    edges: dict[tuple[str, str], tuple[str, ...]] = {}
+    if (g.axiom, ()) in g.rules:
+        for q in a.states:
+            edges.update(((q, p), ()) for p in a.eps_closure({q}))
+    terminals = sorted(g.terminals)
+    for (q, sym, p), word in _derivable(g, a):
+        if sym == g.axiom and (q, p) not in edges:
+            edges[(q, p)] = tuple(terminals[k] for k in word)
+    return edges
+
+
+def _counter_edges(c: CounterAutomaton, a: Nfa) -> dict[tuple[str, str], tuple[str, ...]]:
+    """A word of L(c) taking a from q to p, for every pair (q, p) that has
+    one, for a over c's alphabet.
+
+    One breadth-first search per start state q over the configurations
+    (counter state, a-state, value) of the product, by word length, each
+    length closed under both machines' epsilon moves before the next
+    letter.  The counter is capped at (|C|·|Q|)², nrr_decide's cap for
+    the product of c with a.sub_automaton(q, p), so a pair gets an edge
+    exactly when nrr_decide finds that product nonempty.  The word of
+    (q, p) is a shortest one: the first to reach an accepting
+    configuration at p.
+    """
+    cap = (len(c.states) * len(a.states)) ** 2
+    edges: dict[tuple[str, str], tuple[str, ...]] = {}
+    for q in a.states:
+        start = (c.initial, q, 0)
+        # how each configuration was first reached: (previous, letter or None)
+        came_from: dict[tuple[str, str, int], Optional[tuple]] = {start: None}
+        layer = [start]
+        while layer:
+            for config in layer:  # grows while it is walked
+                state, r, value = config
+                if c._is_accepting(state, value) and (q, r) not in edges:
+                    edges[(q, r)] = _trace_word(came_from, config)
+                steps = [(state, r2, value) for r2 in a._eps_out.get(r, ())]
+                for read, guard, delta, dst in c._by_state.get(state, ()):
+                    nval = value + delta
+                    if read == EPSILON and c._guard_ok(guard, value) and 0 <= nval <= cap:
+                        steps.append((dst, r, nval))
+                for nxt in steps:
+                    if nxt not in came_from:
+                        came_from[nxt] = (config, None)
+                        layer.append(nxt)
+            # letters only once the layer is closed, so that each
+            # configuration is first reached by a shortest word
+            following = []
+            for config in layer:
+                state, r, value = config
+                for read, guard, delta, dst in c._by_state.get(state, ()):
+                    nval = value + delta
+                    if read == EPSILON or not c._guard_ok(guard, value) or not 0 <= nval <= cap:
+                        continue
+                    for r2 in a._sym_out.get((r, read), ()):
+                        nxt = (dst, r2, nval)
+                        if nxt not in came_from:
+                            came_from[nxt] = (config, read)
+                            following.append(nxt)
+            layer = following
+    return edges
+
+
+def _trace_word(came_from: Mapping, config) -> tuple[str, ...]:
+    """The letters along the recorded path from the start to config."""
+    word = []
+    while came_from[config] is not None:
+        config, letter = came_from[config]
+        if letter is not None:
+            word.append(letter)
+    return tuple(reversed(word))
 
 
 def decide_substituted(
@@ -201,12 +290,17 @@ def decide_substituted(
     """Decide L(a) ∩ sigma(L) ≠ ∅ where sigma substitutes sub[x] for each
     letter x of the outer filter's language L.
 
-    The witness in the report is a word of the outer language accepted by
-    the collapsed automaton.
+    Every letter of the outer filter needs a substituent, and every
+    substituted letter must be one of its letters; either mismatch is an
+    InputError, raised before collapsing.  The witness in the report is a
+    word of the outer language accepted by the collapsed automaton.
     """
     for sym in outer_filter.alphabet:
         if sym not in sub:
             raise InputError(f"no substituent language is given for outer symbol {sym!r}")
+    for sym in sorted(sub):
+        if sym not in outer_filter.alphabet:
+            raise InputError(f"substituted letter {sym!r} is not in the outer filter alphabet")
     collapsed = substitution_collapse(a, sub)
     inner = nrr_decide(collapsed, outer_filter)
     stats = dict(inner.stats)

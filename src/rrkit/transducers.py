@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .automata import EPSILON, Nfa, machine_json, synchronized_moves, trim_states
+from .automata import EPSILON, Nfa, machine_json, require_lists, synchronized_moves, trim_states
 from .errors import ContractError, InputError
 
 
@@ -202,6 +202,9 @@ class Transducer:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Transducer":
         try:
+            require_lists(
+                data, ("input_alphabet", "output_alphabet", "states", "accepting", "transitions")
+            )
             transitions = [
                 (t["from"], t["read"], t["write"], t["to"])
                 for t in data["transitions"]

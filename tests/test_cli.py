@@ -85,6 +85,30 @@ def test_reduction_only_filter_is_exit_2(method, tmp_path, capsys):
     assert ("no counter realization" if method == "counter" else "reduction target only") in err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("states", "q0"), ("alphabet", "a1"), ("accepting", "q2"), ("transitions", "q0")],
+)
+def test_string_for_list_field_is_exit_2(field, value, tmp_path, capsys):
+    # a string is not read as the list of its characters
+    a = json.loads((TESTS_DIR / "data" / "pair.json").read_text())
+    a[field] = value
+    nfa = tmp_path / "strings.json"
+    nfa.write_text(json.dumps(a))
+    err = assert_usage_error(capsys, ["decide", "--filter", "dyck1", "--nfa", str(nfa)])
+    assert str(nfa) in err and repr(field) in err
+
+
+def test_one_state_written_as_string_is_exit_2(tmp_path, capsys):
+    nfa = tmp_path / "q.json"
+    nfa.write_text(json.dumps(
+        {"states": "q", "alphabet": ["a1", "abar1"], "initial": "q", "accepting": "q",
+         "transitions": []}
+    ))
+    err = assert_usage_error(capsys, ["decide", "--filter", "dyck1", "--nfa", str(nfa)])
+    assert f"{nfa}: field 'states' must be a list, got str" in err
+
+
 def test_log2_method_foreign_symbol_is_exit_2(in_tests_dir, capsys):
     argv = ["decide", "--filter", "dyck1", "--nfa", "data/sympair.json", "--method", "log2"]
     assert_usage_error(capsys, argv)

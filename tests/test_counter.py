@@ -121,6 +121,14 @@ def test_product_matches_all_pairs_reference():
     assert pruned > 50
 
 
+@pytest.mark.parametrize("field", ["states", "alphabet", "accepting", "transitions"])
+def test_from_dict_rejects_string_for_list(field):
+    data = d1_counter().to_dict()
+    data[field] = "q0"
+    with pytest.raises(InputError, match=f"field '{field}' must be a list"):
+        CounterAutomaton.from_dict(data)
+
+
 def test_product_requires_same_alphabet():
     c = d1_counter()
     a = Nfa.build(("a1",), "q0", {"q0"}, set())

@@ -31,7 +31,7 @@ from rrkit.counter import ACCEPT_MODES, GUARDS
 from rrkit.errors import ContractError, UnsupportedFilterError
 from rrkit.filters import d1_counter, dyck_grammar, parse_filter_name
 
-from generators import random_cnf, random_nfa
+from generators import random_cnf, random_counter, random_nfa
 from oracles import (
     RHO_ALLWORDS,
     RHO_DYCK1,
@@ -220,6 +220,65 @@ def test_decide_substituted_missing_letter():
     a = Nfa.build(("x1",), "q0", {"q0"}, set())
     with pytest.raises(InputError):
         decide_substituted(a, FilterSpec.dyck(1), {"a1": runs_grammar("x1")})
+
+
+def test_decide_substituted_foreign_letter():
+    # "zz" is not an outer letter: rejected by name before any collapsing
+    a = Nfa.build(("x1", "x2"), "q0", {"q0"}, set())
+    sub = {"a1": FilterSpec.symmetric(), "abar1": FilterSpec.symmetric(),
+           "zz": FilterSpec.symmetric()}
+    with pytest.raises(InputError, match="substituted letter 'zz'"):
+        decide_substituted(a, FilterSpec.dyck(1), sub)
+
+
+def _per_pair_collapse(a, sub):
+    """The collapse decided one state pair and substituent at a time."""
+    outer = tuple(sorted(sub))
+    transitions = {
+        (q, x, p)
+        for q in a.states
+        for p in a.states
+        for x in outer
+        if nrr_decide(engine._restrict(a.sub_automaton(q, p), sub[x].alphabet), sub[x]).nonempty
+    }
+    return Nfa(a.states, outer, a.initial, a.accepting, frozenset(transitions))
+
+
+def test_substitution_collapse_matches_per_pair_decisions():
+    rng = random.Random(1212)
+    inner = ("a1", "abar1", "x1", "x2", "xbar1", "xbar2")
+    fixed = {
+        "c1": FilterSpec.dyck(1),
+        "c2": FilterSpec.symmetric(),
+        "c3": runs_grammar("x1"),
+        # the axiom's epsilon rule gives an edge for every epsilon path
+        "c4": FilterSpec.from_grammar(parse_grammar("S -> | x1 S xbar1 | x2")),
+        "c5": FilterSpec.from_counter(d1_counter()),
+        "c7": FilterSpec.dyck(1),  # shares c1's substituent
+    }
+    edges = 0
+    for i in range(60):
+        a = random_nfa(rng, max_states=4, alphabet=inner, allow_epsilon=i % 2 == 1)
+        counter = random_counter(rng, alphabet=("a1", "abar1", "x1"))
+        sub = {**fixed, "c6": FilterSpec.from_counter(counter)}
+        collapsed = substitution_collapse(a, sub)
+        assert collapsed == _per_pair_collapse(a, sub), (a, counter)
+        edges += len(collapsed.transitions)
+    assert edges > 1000
+
+
+def test_substitution_collapse_rejects_reduction_only_substituent():
+    a = Nfa.build(("a", "abar"), "q0", {"q0"}, {("q0", "a", "q0")})
+    sub = {"a1": FilterSpec.dyck(1), "abar1": FilterSpec.s_sharp_up()}
+    with pytest.raises(UnsupportedFilterError, match="reduction target only"):
+        substitution_collapse(a, sub)
+
+
+def test_substitution_collapse_rechecks_every_word(monkeypatch):
+    a = Nfa.build(("x1",), "q0", {"q1"}, {("q0", "x1", "q1")})
+    monkeypatch.setattr(FilterSpec, "contains", lambda self, w: False)
+    with pytest.raises(RuntimeError, match="filter oracle"):
+        substitution_collapse(a, {"a1": runs_grammar("x1")})
 
 
 def test_decide_substituted_against_enumeration():

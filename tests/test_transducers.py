@@ -123,6 +123,16 @@ def test_trimmed_preserves_relation():
     assert u.transduce(("a",), 5) == t.transduce(("a",), 5)
 
 
+@pytest.mark.parametrize(
+    "field", ["input_alphabet", "output_alphabet", "states", "accepting", "transitions"]
+)
+def test_from_dict_rejects_string_for_list(field):
+    data = renamer().to_dict()
+    data[field] = "t0"
+    with pytest.raises(InputError, match=f"field '{field}' must be a list"):
+        Transducer.from_dict(data)
+
+
 def test_json_round_trip():
     t = renamer()
     assert Transducer.from_json(t.to_json()) == t
