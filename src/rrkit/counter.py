@@ -10,13 +10,21 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .automata import EPSILON, Nfa, require_lists, synchronized_moves
 from .errors import ContractError, InputError
 
 GUARDS = ("any", "zero", "positive")
 ACCEPT_MODES = ("final_state", "final_state_and_zero")
+
+
+def pair_name(left: str, right: str) -> str:
+    """The name "(left,right)" of a product state, with backslash and
+    comma escaped in both parts, so that distinct pairs get distinct names.
+    Names free of those two characters are not changed."""
+    escape = lambda name: name.replace("\\", "\\\\").replace(",", "\\,")
+    return f"({escape(left)},{escape(right)})"
 
 
 @dataclass(frozen=True)
@@ -120,11 +128,12 @@ class CounterAutomaton:
                     queue.append(config)
         return False
 
-    def shortest_word(self, max_len: int, counter_cap: int) -> Optional[tuple[str, ...]]:
-        """The least accepted word of length <= max_len whose run keeps the
-        counter <= counter_cap, or None when there is none within those
-        bounds.  Least means shortest, then lexicographically smallest in
-        the declared alphabet order: the word to_nfa(counter_cap)
+    def least_words(self, counter_cap: int) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """Each accepting state once, with the least accepted word that
+        ends in it, in (length, lex) order of those words, over the runs
+        that keep the counter <= counter_cap.  Least means shortest, then
+        lexicographically smallest in the declared alphabet order: the
+        first word yielded is the one to_nfa(counter_cap)
         .shortest_witness() returns, found without building the unfolding.
 
         Configurations (state, value) are claimed in (length, lex) order of
@@ -132,26 +141,29 @@ class CounterAutomaton:
         whose least word is the group's word; a group is created with its
         epsilon closure, and each configuration is marked seen at that
         moment, so a configuration's least word u·s comes from expanding
-        the group of u (itself u's least-word group) by s.  The first
-        accepting group created carries the least accepted word.  There is
-        no default cap: the caller picks it, as nrr_decide picks |P|² for
-        the product machine P (to_nfa's default, which preserves
-        emptiness).
+        the group of u (itself u's least-word group) by s.  The first group
+        holding an accepting configuration of a state carries that state's
+        least word.  The search ends once every accepting state is yielded
+        or a level claims no new configuration.  There is no default cap:
+        the caller picks it, as nrr_decide picks |P|² for the product
+        machine P (to_nfa's default, which preserves emptiness).
         """
         seen: set[tuple[str, int]] = set()
+        pending = set(self.accepting)  # not yet yielded
 
-        def claim(configs: Iterable[tuple[str, int]]) -> tuple[list[tuple[str, int]], bool]:
+        def claim(configs: Iterable[tuple[str, int]]) -> tuple[list[tuple[str, int]], list[str]]:
             """The unseen configurations and their epsilon closure, marked
-            seen, and whether one of them accepts."""
+            seen, and the accepting states first reached among them."""
             group = []
             for config in configs:
                 if config not in seen:
                     seen.add(config)
                     group.append(config)
-            accepted = False
+            accepted = []
             for state, value in group:  # grows while it is walked
-                if self._is_accepting(state, value):
-                    accepted = True
+                if state in pending and self._is_accepting(state, value):
+                    pending.remove(state)
+                    accepted.append(state)
                 for read, guard, delta, dst in self._by_state.get(state, ()):
                     if read != EPSILON or not self._guard_ok(guard, value):
                         continue
@@ -162,10 +174,10 @@ class CounterAutomaton:
             return group, accepted
 
         start, accepted = claim([(self.initial, 0)])
-        if accepted:
-            return ()
+        for state in accepted:
+            yield state, ()
         level = [((), start)]
-        for _ in range(max_len):
+        while level and pending:
             created = []
             for word, group in level:
                 successors: dict[str, list[tuple[str, int]]] = {}
@@ -179,27 +191,26 @@ class CounterAutomaton:
                 for symbol in self.alphabet:
                     if symbol in successors:
                         fresh, accepted = claim(successors[symbol])
-                        if accepted:
-                            return word + (symbol,)
                         if fresh:
-                            created.append((word + (symbol,), fresh))
-            if not created:
-                return None
+                            longer = word + (symbol,)
+                            for state in accepted:
+                                yield state, longer
+                            created.append((longer, fresh))
             level = created
-        return None
 
     # -- constructions -------------------------------------------------------
 
     def product(self, a: Nfa) -> "CounterAutomaton":
         """Counter automaton for L(self) intersected with L(a).
 
-        State set is the cartesian product; counter moves come from this
-        machine, the NFA component changes only on real symbols.  Only
-        moves out of pairs reachable from the initial pair are built.
+        State set is the cartesian product, each pair named by pair_name;
+        counter moves come from this machine, the NFA component changes
+        only on real symbols.  Only moves out of pairs reachable from the
+        initial pair are built.
         """
         if set(self.alphabet) != set(a.alphabet):
             raise ContractError("product requires identical alphabets")
-        name = lambda pair: f"({pair[0]},{pair[1]})"
+        names = {(q, p): pair_name(q, p) for q in self.states for p in a.states}
         start = (self.initial, a.initial)
         moves = synchronized_moves(
             start,
@@ -208,15 +219,15 @@ class CounterAutomaton:
         )
         return CounterAutomaton.build(
             self.alphabet,
-            name(start),
-            {name((f, g)) for f in self.accepting for g in a.accepting},
+            names[start],
+            {names[(f, g)] for f in self.accepting for g in a.accepting},
             # an NFA move alone leaves the counter untouched
             {
-                (name(src), read, *(counter or ("any", 0)), name(dst))
+                (names[src], read, *(counter or ("any", 0)), names[dst])
                 for src, read, counter, _, dst in moves
             },
             accept_mode=self.accept_mode,
-            states={name((q, p)) for q in self.states for p in a.states},
+            states=names.values(),
         )
 
     def to_nfa(self, cap: Optional[int] = None) -> Nfa:
@@ -225,8 +236,8 @@ class CounterAutomaton:
         States are (state, value) pairs; moves that would push the counter
         past the cap fall into an absorbing reject state.  For a nonempty
         machine the default cap is large enough to keep some witness, so
-        emptiness is preserved.  shortest_word walks these configurations
-        on the fly and finds this automaton's shortest_witness.
+        emptiness is preserved.  least_words walks these configurations on
+        the fly; its first word is this automaton's shortest_witness.
         """
         if cap is None:
             cap = len(self.states) ** 2
@@ -279,9 +290,12 @@ class CounterAutomaton:
         try:
             require_lists(data, ("states", "alphabet", "accepting", "transitions"))
             transitions = [
-                (t["from"], t["read"], t["guard"], int(t["delta"]), t["to"])
+                (t["from"], t["read"], t["guard"], t["delta"], t["to"])
                 for t in data["transitions"]
             ]
+            for *_, delta, _ in transitions:
+                if isinstance(delta, bool) or not isinstance(delta, int):
+                    raise InputError(f"counter delta must be an integer, got {delta!r}")
             return cls(
                 frozenset(data["states"]),
                 tuple(data["alphabet"]),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .automata import EPSILON, Nfa
-from .counter import CounterAutomaton
+from .counter import CounterAutomaton, pair_name
 from .errors import ContractError, InputError, UnsupportedFilterError
 from .filters import FilterSpec, d1_counter
 from .grammars import Cfg
@@ -105,12 +105,12 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     filter grammar: the least word (shortest, then lexicographic over the
     sorted terminal names) of the implicit triple product, whose size
     |N|·|Q|²+1 is reported as nonterminals_created.  Counter filters go
-    through the product counter machine P: its shortest_word walks the
-    configurations of the unfolding at counter cap |P|² on the fly, in
-    the same (length, lex) order, so the witness is the shortest witness
-    of P's default unfolding, and the unfolding's size is reported as
-    states_created.  The witness is re-checked against the
-    automaton and the filter oracle before return.
+    through the product counter machine P: the witness is the first word
+    P.least_words(|P|²) yields, which walks the configurations of the
+    unfolding at counter cap |P|² on the fly, in the same (length, lex)
+    order, so it is the shortest witness of P's default unfolding, and the
+    unfolding's size is reported as states_created.  The witness is
+    re-checked against the automaton and the filter oracle before return.
     """
     if method == "counter" and f.kind != "counter":
         if not (f.kind == "dyck" and f.n == 1):
@@ -135,8 +135,7 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
         product = f.automaton.product(a_full)
         size = len(product.states)
         cap = size**2
-        # a least word repeats no configuration, so max_len cuts none off
-        witness = product.shortest_word(max_len=size * (cap + 1), counter_cap=cap)
+        witness = next((word for _, word in product.least_words(cap)), None)
         method = "counter"
         stats = {
             "nonterminals_created": 0,
@@ -175,11 +174,16 @@ def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
 
     L(a) meets the substituted language sigma(L) exactly when the collapsed
     automaton meets L itself.  Each distinct substituent is decided for
-    every state pair at once, over a restricted to its letters: a grammar
-    by one run of the triple closure (_grammar_edges), a counter machine
-    by one search per start state (_counter_edges); outer letters sharing
-    a substituent share that work.  Every edge's word is re-checked
-    against a and the filter oracle, as nrr_decide checks its witnesses.
+    every state pair at once, over r, a restricted to its letters; outer
+    letters sharing a substituent share that work.  A grammar takes one
+    run of the triple closure (_grammar_edges).  A counter machine c takes
+    one least_words search per start state q, on the product of c with r
+    run from q and accepting everywhere, at nrr_decide's cap (|C|·|Q|)²:
+    each accepting pair (f, p) it yields gives the edge (q, p), so a pair
+    gets an edge exactly when nrr_decide finds the product of c with
+    r.sub_automaton(q, p) nonempty.  Every edge's word is re-checked: the
+    states r reaches from q on it must hold p, and the filter oracle must
+    accept it, as nrr_decide checks its witnesses.
     """
     outer = tuple(sorted(sub))
     letters: dict[FilterSpec, list[str]] = {}
@@ -193,11 +197,21 @@ def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
     for f, xs in letters.items():
         r = _restrict(a, f.alphabet)
         if f.kind == "counter":
-            edges = _counter_edges(f.automaton, r)
+            c = f.automaton
+            edges = {}
+            # which state of r each product state is paired with
+            part = {pair_name(s, p): p for s in c.states for p in r.states}
+            for q in r.states:
+                product = c.product(Nfa(r.states, r.alphabet, q, r.states, r.transitions))
+                for state, word in product.least_words(len(product.states) ** 2):
+                    edges.setdefault((q, part[state]), word)
         else:
             edges = _grammar_edges(f.cnf_grammar, r)
         for (q, p), word in edges.items():
-            if not r.sub_automaton(q, p).accepts(word):
+            reached = r.eps_closure({q})
+            for symbol in word:
+                reached = r.step(reached, symbol)
+            if p not in reached:
                 raise RuntimeError("internal error: collapse word rejected by the input automaton")
             if not f.contains(word):
                 raise RuntimeError("internal error: collapse word rejected by the filter oracle")
@@ -220,68 +234,6 @@ def _grammar_edges(g: Cfg, a: Nfa) -> dict[tuple[str, str], tuple[str, ...]]:
         if sym == g.axiom and (q, p) not in edges:
             edges[(q, p)] = tuple(terminals[k] for k in word)
     return edges
-
-
-def _counter_edges(c: CounterAutomaton, a: Nfa) -> dict[tuple[str, str], tuple[str, ...]]:
-    """A word of L(c) taking a from q to p, for every pair (q, p) that has
-    one, for a over c's alphabet.
-
-    One breadth-first search per start state q over the configurations
-    (counter state, a-state, value) of the product, by word length, each
-    length closed under both machines' epsilon moves before the next
-    letter.  The counter is capped at (|C|·|Q|)², nrr_decide's cap for
-    the product of c with a.sub_automaton(q, p), so a pair gets an edge
-    exactly when nrr_decide finds that product nonempty.  The word of
-    (q, p) is a shortest one: the first to reach an accepting
-    configuration at p.
-    """
-    cap = (len(c.states) * len(a.states)) ** 2
-    edges: dict[tuple[str, str], tuple[str, ...]] = {}
-    for q in a.states:
-        start = (c.initial, q, 0)
-        # how each configuration was first reached: (previous, letter or None)
-        came_from: dict[tuple[str, str, int], Optional[tuple]] = {start: None}
-        layer = [start]
-        while layer:
-            for config in layer:  # grows while it is walked
-                state, r, value = config
-                if c._is_accepting(state, value) and (q, r) not in edges:
-                    edges[(q, r)] = _trace_word(came_from, config)
-                steps = [(state, r2, value) for r2 in a._eps_out.get(r, ())]
-                for read, guard, delta, dst in c._by_state.get(state, ()):
-                    nval = value + delta
-                    if read == EPSILON and c._guard_ok(guard, value) and 0 <= nval <= cap:
-                        steps.append((dst, r, nval))
-                for nxt in steps:
-                    if nxt not in came_from:
-                        came_from[nxt] = (config, None)
-                        layer.append(nxt)
-            # letters only once the layer is closed, so that each
-            # configuration is first reached by a shortest word
-            following = []
-            for config in layer:
-                state, r, value = config
-                for read, guard, delta, dst in c._by_state.get(state, ()):
-                    nval = value + delta
-                    if read == EPSILON or not c._guard_ok(guard, value) or not 0 <= nval <= cap:
-                        continue
-                    for r2 in a._sym_out.get((r, read), ()):
-                        nxt = (dst, r2, nval)
-                        if nxt not in came_from:
-                            came_from[nxt] = (config, read)
-                            following.append(nxt)
-            layer = following
-    return edges
-
-
-def _trace_word(came_from: Mapping, config) -> tuple[str, ...]:
-    """The letters along the recorded path from the start to config."""
-    word = []
-    while came_from[config] is not None:
-        config, letter = came_from[config]
-        if letter is not None:
-            word.append(letter)
-    return tuple(reversed(word))
 
 
 def decide_substituted(

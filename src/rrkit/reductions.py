@@ -348,8 +348,14 @@ def reduce_d2_to_ssharpup(a: Nfa) -> Nfa:
     image is one chained path, so ℬ accepts exactly the embedded words of
     the marked language; a marked witness embeds into the M-iteration
     language, while any embedded non-witness fails both membership routes.
+
+    ℬ is trim: every state of the trimmed marked automaton is live, so
+    every state of ℬ is too; when the marked automaton accepts nothing, ℬ
+    is the single state pre0.
     """
     marked = mark_automaton(a).nfa.trimmed()
+    if not marked.accepting:
+        return Nfa(frozenset({"pre0"}), ALPHABET_FULL, "pre0", frozenset(), frozenset())
     transitions: set[tuple[str, str, str]] = set()
     transitions.add(("pre0", "a", "pre1"))
     transitions.add(("pre1", "x1", "pre2"))
@@ -370,11 +376,10 @@ def reduce_d2_to_ssharpup(a: Nfa) -> Nfa:
     transitions.add(("sfx0", "xbar2", "sfx1"))
     transitions.add(("sfx1", "xbar1", "sfx2"))
     transitions.add(("sfx2", "abar", "sfx3"))
-    result = Nfa.build(
+    return Nfa.build(
         ALPHABET_FULL,
         "pre0",
         {"sfx3"},
         transitions,
         states=set(marked.states) | {"pre0", "pre1", "pre2", "sfx0", "sfx1", "sfx2", "sfx3"},
     )
-    return result.trimmed()

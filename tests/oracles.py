@@ -118,6 +118,44 @@ def mark_by_definition(states, transitions, initial, accepting, m):
     )
 
 
+def ssharpup_by_two_trims(states, initial, accepting, transitions):
+    """The embedding of a height-marked machine into the S_#^up alphabet,
+    trimmed before and after: the marked machine is trimmed; the prefix
+    a x1 x2 leads to its initial state; each bracket move becomes a chained
+    path through its letter image, with middle states m[src|label|dst]k;
+    every accepting state moves on epsilon into the suffix xbar2 xbar1
+    abar, ending at sfx3, the only accepting state; then the result is
+    trimmed.  Returns (states, initial, accepting, transitions)."""
+    images = {
+        "a1": ("a", "x1"),
+        "a2": ("a", "x2"),
+        "abar1": ("xbar1", "abar", "#", "#"),
+        "abar2": ("xbar2", "abar", "#", "#"),
+    }
+    keep = trim(initial, accepting, [(src, dst) for src, _, dst in transitions])
+    moves = {
+        ("pre0", "a", "pre1"), ("pre1", "x1", "pre2"), ("pre2", "x2", initial),
+        ("sfx0", "xbar2", "sfx1"), ("sfx1", "xbar1", "sfx2"), ("sfx2", "abar", "sfx3"),
+    }
+    for src, label, dst in transitions:
+        if src not in keep or dst not in keep:
+            continue
+        if label == "":
+            moves.add((src, label, dst))
+            continue
+        image = images[label]
+        path = [src] + [f"m[{src}|{label}|{dst}]{k}" for k in range(1, len(image))] + [dst]
+        moves.update(zip(path, image, path[1:]))
+    moves.update((f, "", "sfx0") for f in accepting if f in keep)
+    live = trim("pre0", {"sfx3"}, [(src, dst) for src, _, dst in moves])
+    return (
+        live,
+        "pre0",
+        {"sfx3"} & live,
+        {t for t in moves if t[0] in live and t[2] in live},
+    )
+
+
 # -- grammars ------------------------------------------------------------------
 
 

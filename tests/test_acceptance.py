@@ -228,9 +228,10 @@ def test_criterion_05_embedding_reduction():
 
 
 def _counter_bounds_hold(machine, n):
-    pinned = machine.shortest_word(max_len=n**3, counter_cap=n**2)
-    generous = machine.shortest_word(max_len=2 * n**3, counter_cap=2 * n**2 + 2)
+    pinned = next(machine.least_words(n**2), None)
+    generous = next(machine.least_words(2 * n**2 + 2), None)
     assert (pinned is None) == (generous is None), machine
+    assert pinned is None or len(pinned[1]) <= n**3, machine
     via_nfa = machine.to_nfa().shortest_witness()
     assert (via_nfa is None) == (pinned is None), machine
     return pinned is not None

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from rrkit import CounterAutomaton, Nfa
+from rrkit.counter import pair_name
 from rrkit.errors import ContractError, InputError
 from rrkit.filters import d1_counter
 
@@ -129,6 +130,15 @@ def test_from_dict_rejects_string_for_list(field):
         CounterAutomaton.from_dict(data)
 
 
+def test_pair_names_are_injective():
+    """Distinct pairs get distinct names, also when the parts hold the
+    separator or the escape character; plain names keep their old form."""
+    parts = ["", "a", "b", ",", "\\", "a,", ",b", "a\\", "\\,", ",\\", "a,\\", "a\\,b"]
+    names = {pair_name(left, right) for left in parts for right in parts}
+    assert len(names) == len(parts) ** 2
+    assert pair_name("q0", "p1") == "(q0,p1)"
+
+
 def test_product_requires_same_alphabet():
     c = d1_counter()
     a = Nfa.build(("a1",), "q0", {"q0"}, set())
@@ -149,7 +159,7 @@ def test_to_nfa_preserves_emptiness_on_random_instances():
     for _ in range(40):
         c = random_counter(rng, max_states=3)
         unfolded = c.to_nfa()
-        native = c.shortest_word(max_len=20, counter_cap=len(c.states) ** 2)
+        native = next(c.least_words(len(c.states) ** 2), None)
         assert (native is not None) == (unfolded.shortest_witness() is not None), c
 
 
@@ -171,18 +181,31 @@ def dense_counter(rng, alphabet):
     )
 
 
-def test_shortest_word_matches_unfolding():
+def test_least_words_matches_unfolding():
     """The configuration search returns the unfolding's witness word for
     word.  Ties break in the declared alphabet order: over ("b", "a")
-    that differs from the order of the label strings."""
+    that differs from the order of the label strings.  Every accepting
+    state comes once, with the unfolding's least word ending in it, and
+    the words come in (length, lex) order."""
     rng = random.Random(613)
     machines = [random_counter(rng, max_states=3) for _ in range(40)]
     machines += [dense_counter(rng, ("b", "a")) for _ in range(600)]
     for c in machines:
+        rank = {sym: k for k, sym in enumerate(c.alphabet)}
         for cap in (len(c.states) ** 2, 1):
-            witness = c.to_nfa(cap=cap).shortest_witness()
-            native = c.shortest_word(max_len=len(c.states) * (cap + 1), counter_cap=cap)
-            assert native == witness, (c, cap)
+            unfolded = c.to_nfa(cap=cap)
+            yielded = list(c.least_words(cap))
+            witness = unfolded.shortest_witness()
+            assert (yielded[0][1] if yielded else None) == witness, (c, cap)
+            keys = [(len(w), [rank[sym] for sym in w]) for _, w in yielded]
+            assert keys == sorted(keys), (c, cap)
+            least = dict(yielded)
+            assert len(least) == len(yielded), (c, cap)
+            for f in c.accepting:
+                # the unfolded states (f, value) are named "(f,value)"
+                ends = frozenset(q for q in unfolded.accepting if q[1:].rpartition(",")[0] == f)
+                alone = Nfa(unfolded.states, c.alphabet, unfolded.initial, ends, unfolded.transitions)
+                assert least.get(f) == alone.shortest_witness(), (c, cap, f)
 
 
 def test_json_round_trip():
@@ -199,3 +222,12 @@ def test_validation():
         CounterAutomaton.build(("a",), "s", {"s"}, {("s", "b", "any", 0, "s")})
     with pytest.raises(InputError):
         CounterAutomaton.from_json('{"states": []}')
+
+
+def test_from_dict_takes_only_integer_deltas():
+    data = d1_counter().to_dict()
+    for delta in ("x", "1", 1.9, 1.0, True, False, None, [1]):
+        bad = {**data, "transitions": [{**t, "delta": delta} for t in data["transitions"]]}
+        with pytest.raises(InputError, match="counter delta must be an integer"):
+            CounterAutomaton.from_dict(bad)
+    assert CounterAutomaton.from_dict(data) == d1_counter()

@@ -133,6 +133,21 @@ def test_counter_route_matches_unfolding():
         assert report.witness == nrr_decide(a, grammar_filter).witness, a
 
 
+def test_counter_route_names_pairs_injectively():
+    """Counter states "s" and "s,t" with automaton states "t,u" and "u"
+    would both name a pair "(s,t,u)": the initial pair and the accepting
+    pair would merge into a product that accepts the empty word.  The
+    collapse maps product states back to automaton states by name."""
+    c = CounterAutomaton.build(("a",), "s", {"s,t"}, {("s", "a", "any", 0, "s,t")})
+    a = Nfa.build(("a",), "t,u", {"u"}, {("t,u", "a", "t,u")})
+    product = c.product(a)
+    assert len(product.states) == len(c.states) * len(a.states) == 4
+    report = nrr_decide(a, FilterSpec.from_counter(c))
+    assert not report.nonempty and report.witness is None
+    collapsed = substitution_collapse(a, {"x": FilterSpec.from_counter(c)})
+    assert collapsed.transitions == {("t,u", "x", "t,u")}
+
+
 def test_decide_methods():
     """nrr_decide selects the route: an explicit route agrees with auto,
     log2 reports log2_check's figures, and a route the filter lacks is an
@@ -279,6 +294,16 @@ def test_substitution_collapse_rechecks_every_word(monkeypatch):
     monkeypatch.setattr(FilterSpec, "contains", lambda self, w: False)
     with pytest.raises(RuntimeError, match="filter oracle"):
         substitution_collapse(a, {"a1": runs_grammar("x1")})
+
+
+def test_substitution_collapse_rechecks_every_path(monkeypatch):
+    a = Nfa.build(("x1",), "q0", {"q1"}, {("q0", "x1", "q1")})
+    monkeypatch.setattr(Nfa, "step", lambda self, states, symbol: frozenset())
+    for substituent in (runs_grammar("x1"), FilterSpec.from_counter(
+        CounterAutomaton.build(("x1",), "s", {"t"}, {("s", "x1", "any", 0, "t")})
+    )):
+        with pytest.raises(RuntimeError, match="input automaton"):
+            substitution_collapse(a, {"a1": substituent})
 
 
 def test_decide_substituted_against_enumeration():

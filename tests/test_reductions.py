@@ -27,11 +27,17 @@ from rrkit import (
     ssharpup_embedding,
 )
 from rrkit.errors import ContractError
-from rrkit.filters import dyck_grammar, m_inf_member, m_plus_member, s_sharp_up_member
+from rrkit.filters import ALPHABET_FULL, dyck_grammar, m_inf_member, m_plus_member, s_sharp_up_member
 from rrkit.reductions import D2_ALPHABET
 
 from generators import random_cnf, random_nfa
-from oracles import dyck_words, grammar_words, mark_by_definition, naive_accepts
+from oracles import (
+    dyck_words,
+    grammar_words,
+    mark_by_definition,
+    naive_accepts,
+    ssharpup_by_two_trims,
+)
 
 
 def product_words(g, a, max_len):
@@ -356,6 +362,28 @@ def test_reduction_negative_balanced_mismatch():
     accepted = list(b.accepted_words(14))
     assert accepted != []
     assert all(not s_sharp_up_member(w) for w in accepted)
+
+
+def test_reduction_matches_two_trim_pipeline():
+    """One trim of the marked machine leaves the embedding trim: the
+    output equals the marked, trimmed, embedded and trimmed again one."""
+    rng = random.Random(919)
+    sizes = {"empty": 0, "nonempty": 0}
+    for k in range(60):
+        a = random_nfa(rng, max_states=2, alphabet=D2_ALPHABET, allow_epsilon=k % 2 == 0)
+        states, initial, accepting, transitions, _, _ = mark_by_definition(
+            a.states, a.transitions, a.initial, a.accepting, height_bound(a)
+        )
+        states, initial, accepting, transitions = ssharpup_by_two_trims(
+            states, initial, accepting, transitions
+        )
+        expected = Nfa(
+            frozenset(states), ALPHABET_FULL, initial, frozenset(accepting), frozenset(transitions)
+        )
+        b = reduce_d2_to_ssharpup(a)
+        assert b == expected, a
+        sizes["nonempty" if accepting else "empty"] += 1
+    assert min(sizes.values()) >= 1, sizes  # both branches ran
 
 
 def test_reduction_negative_empty():
