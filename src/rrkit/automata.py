@@ -52,6 +52,22 @@ def require_lists(data: Mapping, fields: Iterable[str]) -> None:
             raise InputError(f"field {field!r} must be a list, got {type(data[field]).__name__}")
 
 
+def require_strings(names: Iterable) -> None:
+    """Reject a machine object naming a state or symbol by anything but a
+    string: names are joined into product names and JSON text later."""
+    for name in names:
+        if not isinstance(name, str):
+            raise InputError(f"state and symbol names must be strings, got {name!r}")
+
+
+def pair_name(left: str, right: str) -> str:
+    """The name "(left,right)" of a product state, with backslash and
+    comma escaped in both parts, so that distinct pairs get distinct names.
+    Names free of those two characters are not changed."""
+    escape = lambda name: name.replace("\\", "\\\\").replace(",", "\\,")
+    return f"({escape(left)},{escape(right)})"
+
+
 def synchronized_moves(
     start: tuple[str, str], left_moves: Iterable[tuple], right_moves: Iterable[tuple]
 ) -> Iterator[tuple]:
@@ -351,10 +367,10 @@ class Nfa:
             transitions = [
                 (t["from"], t["label"], t["to"]) for t in data["transitions"]
             ]
-            names = [*data["states"], *data["alphabet"], data["initial"], *data["accepting"]]
-            for name in names + [x for t in transitions for x in t]:
-                if not isinstance(name, str):
-                    raise InputError(f"state and symbol names must be strings, got {name!r}")
+            require_strings(
+                [*data["states"], *data["alphabet"], data["initial"], *data["accepting"]]
+                + [x for t in transitions for x in t]
+            )
             return cls(
                 frozenset(data["states"]),
                 tuple(data["alphabet"]),

@@ -22,24 +22,16 @@ from .grammars import format_grammar, parse_grammar
 from .reductions import bar_hillel, cs_transducer, mark_automaton, reduce_d2_to_ssharpup
 
 
-def _load_nfa(path: str) -> Nfa:
+def _load(path: str, parse):
+    """parse applied to the text of the file at path, with every error
+    prefixed by the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return Nfa.from_json(fh.read())
+            return parse(fh.read())
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_grammar(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_grammar(fh.read())
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -63,7 +55,7 @@ def _cmd_member(args) -> int:
 def _cmd_decide(args) -> int:
     """Serves both decide and witness; they differ in the plain-text line."""
     f = parse_filter_name(args.filter)
-    a = _load_nfa(args.nfa)
+    a = _load(args.nfa, Nfa.from_json)
     report = nrr_decide(a, f, args.method)
     if args.json:
         _print_json(report.to_dict())
@@ -78,8 +70,8 @@ def _cmd_decide(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.target == "bar-hillel":
-        grammar = _load_grammar(args.grammar)
-        a = _load_nfa(args.nfa)
+        grammar = _load(args.grammar, parse_grammar)
+        a = _load(args.nfa, Nfa.from_json)
         product = bar_hillel(grammar, a)
         sys.stdout.write(format_grammar(product))
         if args.emit_stats:
@@ -87,13 +79,13 @@ def _cmd_reduce(args) -> int:
                 {"nonterminals": len(product.nonterminals), "rules": len(product.rules)}
             )
     elif args.target == "cs":
-        grammar = _load_grammar(args.grammar)
+        grammar = _load(args.grammar, parse_grammar)
         t = cs_transducer(grammar)
         sys.stdout.write(t.to_json())
         if args.emit_stats:
             _emit_stats({"states": len(t.states), "transitions": len(t.transitions)})
     elif args.target == "mark":
-        a = _load_nfa(args.nfa)
+        a = _load(args.nfa, Nfa.from_json)
         marked = mark_automaton(a)
         sys.stdout.write(marked.nfa.to_json())
         if args.emit_stats:
@@ -101,7 +93,7 @@ def _cmd_reduce(args) -> int:
                 {"height_bound": max(marked.height.values()), "states": len(marked.nfa.states)}
             )
     else:
-        a = _load_nfa(args.nfa)
+        a = _load(args.nfa, Nfa.from_json)
         reduced = reduce_d2_to_ssharpup(a)
         sys.stdout.write(reduced.to_json())
         if args.emit_stats:
@@ -136,9 +128,9 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_check_log2(args) -> int:
-    grammar = _load_grammar(args.grammar).cnf()
-    a = _load_nfa(args.nfa)
-    stats = log2_check(grammar, a.without_epsilon_moves())
+    grammar = _load(args.grammar, parse_grammar).cnf()
+    a = _load(args.nfa, Nfa.from_json)
+    stats = log2_check(grammar, a)
     if args.stats:
         _print_json(stats.to_dict())
     else:
@@ -216,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-log2", help="run the instrumented certificate search")
     p.add_argument("--grammar", required=True, help="grammar text file (converted to CNF)")
-    p.add_argument("--nfa", required=True, help="automaton JSON file (epsilon moves are eliminated)")
+    p.add_argument("--nfa", required=True, help="automaton JSON file (epsilon moves allowed)")
     p.add_argument("--stats", action="store_true", help="print the instrumentation JSON instead of the verdict")
     p.set_defaults(func=_cmd_check_log2)
 

@@ -12,19 +12,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .automata import EPSILON, Nfa, require_lists, synchronized_moves
+from .automata import EPSILON, Nfa, pair_name, require_lists, require_strings, synchronized_moves
 from .errors import ContractError, InputError
 
 GUARDS = ("any", "zero", "positive")
 ACCEPT_MODES = ("final_state", "final_state_and_zero")
-
-
-def pair_name(left: str, right: str) -> str:
-    """The name "(left,right)" of a product state, with backslash and
-    comma escaped in both parts, so that distinct pairs get distinct names.
-    Names free of those two characters are not changed."""
-    escape = lambda name: name.replace("\\", "\\\\").replace(",", "\\,")
-    return f"({escape(left)},{escape(right)})"
 
 
 @dataclass(frozen=True)
@@ -293,6 +285,10 @@ class CounterAutomaton:
                 (t["from"], t["read"], t["guard"], t["delta"], t["to"])
                 for t in data["transitions"]
             ]
+            require_strings(
+                [*data["states"], *data["alphabet"], data["initial"], *data["accepting"]]
+                + [x for src, read, _, _, dst in transitions for x in (src, read, dst)]
+            )
             for *_, delta, _ in transitions:
                 if isinstance(delta, bool) or not isinstance(delta, int):
                     raise InputError(f"counter delta must be an integer, got {delta!r}")

@@ -16,12 +16,12 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .automata import EPSILON, Nfa
-from .counter import CounterAutomaton, pair_name
-from .errors import ContractError, InputError, UnsupportedFilterError
+from .automata import EPSILON, Nfa, pair_name
+from .counter import CounterAutomaton
+from .errors import InputError
 from .filters import FilterSpec, d1_counter
 from .grammars import Cfg
-from .reductions import Triple, _check_terminals, _derivable, intersection_shortest
+from .reductions import Triple, _derivable, intersection_shortest
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,17 @@ class CheckerStats:
         }
 
 
-def _with_alphabet(a: Nfa, alphabet: tuple[str, ...]) -> Nfa:
+def _restrict(a: Nfa, alphabet: tuple[str, ...]) -> Nfa:
+    """a over `alphabet`, dropping the moves on other letters."""
     if a.alphabet == alphabet:
         return a
-    return Nfa(a.states, alphabet, a.initial, a.accepting, a.transitions)
+    allowed = set(alphabet)
+    transitions = frozenset(
+        (src, label, dst)
+        for src, label, dst in a.transitions
+        if label == EPSILON or label in allowed
+    )
+    return Nfa(a.states, alphabet, a.initial, a.accepting, transitions)
 
 
 def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
@@ -97,9 +104,10 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     grammar route otherwise; "bar-hillel" and "counter" ask for one route
     ("counter" on the one-pair bracket filter decides against
     d1_counter()); "log2" runs log2_check on f.cnf_grammar and the
-    epsilon-free automaton, and reports its verdict with no witness and
+    automaton as given, and reports its verdict with no witness and
     CheckerStats.to_dict() as stats.  A route the filter lacks, or an
-    unknown method, is an InputError.
+    unknown method, is an InputError; the s_sharp_up filter, which has
+    no grammar, gets FilterSpec.filter_grammar's UnsupportedFilterError.
 
     Grammar-backed filters go through intersection_shortest on the CNF
     filter grammar: the least word (shortest, then lexicographic over the
@@ -123,13 +131,9 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     for sym in a.alphabet:
         if sym not in f.alphabet:
             raise InputError(f"automaton symbol {sym!r} is not in the filter alphabet")
-    if f.kind == "s_sharp_up":
-        raise UnsupportedFilterError(
-            "the s_sharp_up filter has no grammar; it is a reduction target only"
-        )
-    a_full = _with_alphabet(a, f.alphabet)
+    a_full = _restrict(a, f.alphabet)
     if method == "log2":
-        checked = log2_check(f.cnf_grammar, a_full.without_epsilon_moves())
+        checked = log2_check(f.cnf_grammar, a_full)
         return DecisionReport(checked.result, None, "log2", checked.to_dict())
     if f.kind == "counter":
         product = f.automaton.product(a_full)
@@ -158,16 +162,6 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     return DecisionReport(witness is not None, witness, method, stats)
 
 
-def _restrict(a: Nfa, alphabet: tuple[str, ...]) -> Nfa:
-    allowed = set(alphabet)
-    transitions = frozenset(
-        (src, label, dst)
-        for src, label, dst in a.transitions
-        if label == EPSILON or label in allowed
-    )
-    return Nfa(a.states, alphabet, a.initial, a.accepting, transitions)
-
-
 def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
     """Collapse substituted letters: edge (q, x, p) iff some word of the
     substituent language for x takes a from q to p.
@@ -188,10 +182,6 @@ def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
     outer = tuple(sorted(sub))
     letters: dict[FilterSpec, list[str]] = {}
     for x in outer:
-        if sub[x].kind == "s_sharp_up":
-            raise UnsupportedFilterError(
-                "the s_sharp_up filter has no grammar; it is a reduction target only"
-            )
         letters.setdefault(sub[x], []).append(x)
     transitions: set[tuple[str, str, str]] = set()
     for f, xs in letters.items():
@@ -222,18 +212,14 @@ def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
 def _grammar_edges(g: Cfg, a: Nfa) -> dict[tuple[str, str], tuple[str, ...]]:
     """For CNF g, a word of L(g) taking a from q to p, for every pair
     (q, p) that has one: the least word of the derivable triple
-    (q, axiom, p), or the empty word when the axiom has an epsilon rule
-    and p is in q's epsilon closure (the all-pairs reachability of Reps,
-    "Program analysis via graph reachability", 1998)."""
-    edges: dict[tuple[str, str], tuple[str, ...]] = {}
-    if (g.axiom, ()) in g.rules:
-        for q in a.states:
-            edges.update(((q, p), ()) for p in a.eps_closure({q}))
+    (q, axiom, p), the empty word included (the all-pairs reachability
+    of Reps, "Program analysis via graph reachability", 1998)."""
     terminals = sorted(g.terminals)
-    for (q, sym, p), word in _derivable(g, a):
-        if sym == g.axiom and (q, p) not in edges:
-            edges[(q, p)] = tuple(terminals[k] for k in word)
-    return edges
+    return {
+        (q, p): tuple(terminals[k] for k in word)
+        for (q, sym, p), word in _derivable(g, a)
+        if sym == g.axiom
+    }
 
 
 def decide_substituted(
@@ -315,10 +301,6 @@ def rational_index(
             )
     else:
         raise InputError(f"unknown mode {mode!r}; expected exhaustive or sample")
-    if f.kind == "s_sharp_up":
-        raise UnsupportedFilterError(
-            "the s_sharp_up filter has no grammar; it is a reduction target only"
-        )
     edges = tuple((i, sym, j) for i in range(n) for sym in f.alphabet for j in range(n))
     if mode == "sample":
         chunks = _sample_chunks(n, moves, sample_count, seed)
@@ -521,18 +503,11 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
     its frame verifies the central subtree and every light sibling passed
     on the way down, each in a frame one level deeper.  Every frame
     shrinks the yield by a factor of at least 2/3, so the depth is at
-    most log_{3/2} of the witness length plus a constant.
+    most log_{3/2} of the witness length plus a constant.  The empty
+    word, accepted through the axiom's epsilon rule, needs no tree and
+    gives depth 0.  Epsilon moves of a are absorbed by _derivable, which
+    also checks that f_grammar is in CNF.
     """
-    if not f_grammar.is_cnf():
-        raise ContractError("the checker expects a grammar in Chomsky normal form")
-    if a.has_epsilon_moves():
-        raise InputError("the checker expects an automaton without epsilon moves")
-    _check_terminals(f_grammar, a)
-
-    axiom_eps = (f_grammar.axiom, ()) in set(f_grammar.rules)
-    if axiom_eps and a.initial in a.accepting:
-        return CheckerStats(0, 0, True)
-
     # least words of the triples settled up to the least goal; a tree
     # node's children have shorter words, so they are all settled by then
     goals = {(a.initial, f_grammar.axiom, p) for p in a.accepting}
@@ -561,8 +536,8 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
 
     def depth(t: Triple) -> int:
         n = len(least[t])
-        if n == 1:
-            return 1
+        if n <= 1:
+            return n
         light = []
         while 3 * len(least[t]) > 2 * n:
             heavy, other = children(t)

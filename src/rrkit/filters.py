@@ -342,7 +342,8 @@ class FilterSpec:
             return symmetric_sharp_grammar()
         if self.kind == "user_grammar":
             return self.grammar
-        raise UnsupportedFilterError(f"no grammar is available for the {self.kind} filter")
+        reason = "; it is a reduction target only" if self.kind == "s_sharp_up" else ""
+        raise UnsupportedFilterError(f"the {self.kind} filter has no grammar{reason}")
 
     def contains(self, w: Iterable[str]) -> bool:
         word = tuple(w)

@@ -143,10 +143,14 @@ Triple = tuple[str, str, str]
 def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
     """Every derivable triple (q, A, p) of CNF g over a, with its least word.
 
-    A triple is derivable when some nonempty word derived from A takes a
-    from q to p; words are tuples of ranks in the sorted terminal names,
-    ordered by (length, ranks).  Knuth's generalization of Dijkstra over
-    the CFL-reachability worklist: terminal rules seed the heap, and a
+    The one entry for CFG∩NFA questions: it checks that g is CNF and that
+    a reads its terminals.  A triple is derivable when some word derived
+    from A takes a from q to p, epsilon moves included; words are tuples
+    of ranks in the sorted terminal names, ordered by (length, ranks).
+    Knuth's generalization of Dijkstra over the CFL-reachability worklist:
+    the axiom's epsilon rule seeds the heap with (q, axiom, p) for each p
+    in q's epsilon closure (the axiom is on no right-hand side, so these
+    join nothing), terminal rules seed it with their letters, and a
     settled triple joins, through each binary rule it can be a child of,
     with the settled siblings at its exact boundary state.  No epsilon
     path needs crossing there: the terminal moves are epsilon-closed on
@@ -154,15 +158,20 @@ def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
     the exact state, with the same word.
     Concatenation is monotone and never shrinks a word in this order, so
     a triple's first pop carries its least word and triples come out in
-    (length, ranks) order.  The axiom's epsilon rule is the caller's.
+    (length, ranks) order.
     """
+    _require_cnf(g)
+    _check_terminals(g, a)
     rank = {t: i for i, t in enumerate(sorted(g.terminals))}
     moves = _Moves(a)
     left_rules: dict[str, list[tuple[str, str]]] = {}
     right_rules: dict[str, list[tuple[str, str]]] = {}
     heap: list[tuple[int, tuple[int, ...], Triple]] = []
     for lhs, rhs in g.rules:
-        if len(rhs) == 1:
+        if not rhs:
+            for q in moves.states:
+                heap.extend((0, (), (q, lhs, p)) for p in moves.closure[q])
+        elif len(rhs) == 1:
             for q in moves.states:
                 for p in moves.targets(q, rhs[0]):
                     heap.append((1, (rank[rhs[0]],), (q, lhs, p)))
@@ -198,13 +207,9 @@ def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
 
     Least means shortest, ties broken lexicographically over the sorted
     terminal names: the word bar_hillel(g, a).shortest_word() returns,
-    found without materializing the product.  Epsilon moves of a may
-    occur anywhere in a run, as in bar_hillel.
+    found without materializing the product, the empty word included.
+    Epsilon moves of a may occur anywhere in a run, as in bar_hillel.
     """
-    _require_cnf(g)
-    _check_terminals(g, a)
-    if (g.axiom, ()) in g.rules and a.eps_closure({a.initial}) & a.accepting:
-        return ()
     goals = {(a.initial, g.axiom, p) for p in a.accepting}
     terminals = sorted(g.terminals)
     for t, word in _derivable(g, a):

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .automata import EPSILON, Nfa, machine_json, require_lists, synchronized_moves, trim_states
+from .automata import (
+    EPSILON, Nfa, machine_json, pair_name, require_lists, require_strings, synchronized_moves,
+    trim_states,
+)
 from .errors import ContractError, InputError
 
 
@@ -114,12 +117,11 @@ class Transducer:
 
         The product moves jointly on real symbols; an epsilon write here or
         an epsilon read there advances one side alone.  Only state pairs
-        reachable from the initial pair are built, and the result is
-        trimmed of dead states.
+        reachable from the initial pair are built, each named by
+        pair_name, and the result is trimmed of dead states.
         """
         if set(self.output_alphabet) != set(other.input_alphabet):
             raise ContractError("composition needs matching middle alphabets")
-        name = lambda pair: f"({pair[0]},{pair[1]})"
         start = (self.initial, other.initial)
         moves = synchronized_moves(
             start,
@@ -129,11 +131,11 @@ class Transducer:
         composed = Transducer.build(
             self.input_alphabet,
             other.output_alphabet,
-            name(start),
-            {name((f1, f2)) for f1 in self.accepting for f2 in other.accepting},
+            pair_name(*start),
+            {pair_name(f1, f2) for f1 in self.accepting for f2 in other.accepting},
             # a None payload is the side that stays put: nothing read or written
             {
-                (name(src), read or EPSILON, write or EPSILON, name(dst))
+                (pair_name(*src), read or EPSILON, write or EPSILON, pair_name(*dst))
                 for src, _, read, write, dst in moves
             },
         )
@@ -209,6 +211,10 @@ class Transducer:
                 (t["from"], t["read"], t["write"], t["to"])
                 for t in data["transitions"]
             ]
+            require_strings(
+                [*data["input_alphabet"], *data["output_alphabet"], *data["states"]]
+                + [data["initial"], *data["accepting"], *(x for t in transitions for x in t)]
+            )
             return cls(
                 tuple(data["input_alphabet"]),
                 tuple(data["output_alphabet"]),

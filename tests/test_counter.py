@@ -11,7 +11,7 @@ import random
 import pytest
 
 from rrkit import CounterAutomaton, Nfa
-from rrkit.counter import pair_name
+from rrkit.automata import pair_name
 from rrkit.errors import ContractError, InputError
 from rrkit.filters import d1_counter
 
@@ -127,6 +127,20 @@ def test_from_dict_rejects_string_for_list(field):
     data = d1_counter().to_dict()
     data[field] = "q0"
     with pytest.raises(InputError, match=f"field '{field}' must be a list"):
+        CounterAutomaton.from_dict(data)
+
+
+@pytest.mark.parametrize("where", ["states", "alphabet", "initial", "transition"])
+def test_from_dict_rejects_non_string_names(where):
+    # an integer name would otherwise fail later, inside pair_name
+    data = d1_counter().to_dict()
+    if where == "transition":
+        data["transitions"][0]["to"] = 0
+    elif where == "initial":
+        data["initial"] = 0
+    else:
+        data[where].append(0)
+    with pytest.raises(InputError, match="must be strings"):
         CounterAutomaton.from_dict(data)
 
 

@@ -20,6 +20,7 @@ from rrkit import (
     InputError,
     Nfa,
     decide_substituted,
+    intersection_shortest,
     log2_check,
     nrr_decide,
     parse_grammar,
@@ -621,12 +622,41 @@ def test_log2_check_input_validation():
     with pytest.raises(ContractError):
         log2_check(parse_grammar("S -> a1 S abar1 |"), path_nfa(()))
     with pytest.raises(InputError):
-        log2_check(
-            d1_cnf(),
-            Nfa.build(("a1", "abar1"), "q0", {"q1"}, {("q0", "", "q1")}),
-        )
-    with pytest.raises(InputError):
         log2_check(d1_cnf(), Nfa.build(("a1",), "q0", {"q0"}, set()))
+
+
+def test_log2_check_absorbs_epsilon_moves():
+    """Epsilon moves change neither the verdict nor the figures: the
+    checker gives the same stats on an automaton and on its epsilon-free
+    equivalent, over grammar filters and random CNF grammars."""
+    rng = random.Random(1414)
+    grammars = [(parse_filter_name(name).cnf_grammar, parse_filter_name(name).alphabet)
+                for name in ("dyck1", "dyck2", "sym")]
+    depths = set()
+    for k in range(800):
+        g, alphabet = grammars[k % 4] if k % 4 < 3 else (random_cnf(rng), ("a1", "abar1"))
+        a = random_nfa(rng, max_states=5, alphabet=alphabet, allow_epsilon=True)
+        if not a.has_epsilon_moves():
+            continue
+        stats = log2_check(g, a)
+        assert stats == log2_check(g, a.without_epsilon_moves()), (g, a)
+        depths.add(stats.max_recursion_depth)
+    # no tree (depth 0), one letter (1) and composite certificates all occur
+    assert {0, 1, 2, 3} <= depths
+
+
+def test_empty_word_through_an_epsilon_path():
+    # q0 reaches the accepting q2 only through two epsilon moves, and no
+    # nonempty bracket word leads anywhere (there is no closing move)
+    a = Nfa.build(
+        ("a1", "abar1"), "q0", {"q2"},
+        {("q0", "", "q1"), ("q1", "", "q2"), ("q2", "a1", "q0")},
+    )
+    g = d1_cnf()
+    assert intersection_shortest(g, a) == ()
+    assert log2_check(g, a) == CheckerStats(0, 0, True)
+    closure = {("q0", "q0"), ("q0", "q1"), ("q0", "q2"), ("q1", "q1"), ("q1", "q2"), ("q2", "q2")}
+    assert engine._grammar_edges(g, a) == {pair: () for pair in closure}
 
 
 def test_log2_check_agrees_with_engine():

@@ -89,6 +89,17 @@ def test_compose_feeds_output_forward():
     assert chained.transduce(("a", "a"), 10) == {("c", "c")}
 
 
+def test_compose_names_pairs_injectively():
+    # the pairs (s, "t,u") and ("s,t", "u") would both be "(s,t,u)" without
+    # escaping, making the initial pair accepting: the empty input would
+    # then be related to the empty output, though no pair accepts
+    first = Transducer.build(("a",), ("b",), "s", {"s,t"}, set())
+    second = Transducer.build(("b",), ("c",), "t,u", {"u"}, set())
+    composed = first.compose(second)
+    assert len(composed.states) == 1 and not composed.accepting
+    assert composed.transduce((), 0) == set()
+
+
 def test_compose_automaton_restricts_by_output():
     t = doubler()
     exactly_two = Nfa.build(
@@ -130,6 +141,19 @@ def test_from_dict_rejects_string_for_list(field):
     data = renamer().to_dict()
     data[field] = "t0"
     with pytest.raises(InputError, match=f"field '{field}' must be a list"):
+        Transducer.from_dict(data)
+
+
+@pytest.mark.parametrize("where", ["input_alphabet", "states", "initial", "transition"])
+def test_from_dict_rejects_non_string_names(where):
+    data = renamer().to_dict()
+    if where == "transition":
+        data["transitions"][0]["write"] = 0
+    elif where == "initial":
+        data["initial"] = 0
+    else:
+        data[where].append(0)
+    with pytest.raises(InputError, match="must be strings"):
         Transducer.from_dict(data)
 
 
