@@ -12,6 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -53,8 +54,10 @@ def require_lists(data: Mapping, fields: Iterable[str]) -> None:
 
 
 def require_strings(names: Iterable) -> None:
-    """Reject a machine object naming a state or symbol by anything but a
-    string: names are joined into product names and JSON text later."""
+    """Reject a machine naming a state or symbol by anything but a string:
+    names are joined into product names and JSON text later.  The machine
+    constructors check their states and alphabets, and every other name
+    when it fails the check against those."""
     for name in names:
         if not isinstance(name, str):
             raise InputError(f"state and symbol names must be strings, got {name!r}")
@@ -150,20 +153,25 @@ class Nfa:
     transitions: frozenset[tuple[str, str, str]]
 
     def __post_init__(self) -> None:
+        require_strings(chain(self.states, self.alphabet))
         if len(set(self.alphabet)) != len(self.alphabet):
             raise InputError("alphabet contains duplicate symbols")
         if EPSILON in self.alphabet:
             raise InputError("the empty string is reserved for epsilon labels")
         if self.initial not in self.states:
+            require_strings((self.initial,))
             raise InputError(f"initial state {self.initial!r} is not a state")
         bad = self.accepting - self.states
         if bad:
+            require_strings(bad)
             raise InputError(f"accepting states {sorted(bad)} are not states")
         symbols = set(self.alphabet)
         for src, label, dst in self.transitions:
             if src not in self.states or dst not in self.states:
+                require_strings((src, label, dst))
                 raise InputError(f"transition ({src!r},{label!r},{dst!r}) uses unknown states")
             if label != EPSILON and label not in symbols:
+                require_strings((label,))
                 raise InputError(f"transition label {label!r} is not in the alphabet")
 
     @classmethod
@@ -364,19 +372,12 @@ class Nfa:
     def from_dict(cls, data: Mapping) -> "Nfa":
         try:
             require_lists(data, ("states", "alphabet", "accepting", "transitions"))
-            transitions = [
-                (t["from"], t["label"], t["to"]) for t in data["transitions"]
-            ]
-            require_strings(
-                [*data["states"], *data["alphabet"], data["initial"], *data["accepting"]]
-                + [x for t in transitions for x in t]
-            )
             return cls(
                 frozenset(data["states"]),
                 tuple(data["alphabet"]),
                 data["initial"],
                 frozenset(data["accepting"]),
-                frozenset(transitions),
+                frozenset((t["from"], t["label"], t["to"]) for t in data["transitions"]),
             )
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed automaton object: {exc}") from exc

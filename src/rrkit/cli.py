@@ -32,6 +32,8 @@ def _load(path: str, parse):
         raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: nested too deeply") from None
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -10,6 +10,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .automata import EPSILON, Nfa, pair_name, require_lists, require_strings, synchronized_moves
@@ -30,17 +31,23 @@ class CounterAutomaton:
     accept_mode: str = "final_state"
 
     def __post_init__(self) -> None:
+        require_strings(chain(self.states, self.alphabet))
         if self.initial not in self.states:
+            require_strings((self.initial,))
             raise InputError(f"initial state {self.initial!r} is not a state")
-        if self.accepting - self.states:
+        bad = self.accepting - self.states
+        if bad:
+            require_strings(bad)
             raise InputError("accepting states must be states")
         if self.accept_mode not in ACCEPT_MODES:
             raise InputError(f"unknown accept mode {self.accept_mode!r}")
         symbols = set(self.alphabet)
         for src, read, guard, delta, dst in self.transitions:
             if src not in self.states or dst not in self.states:
+                require_strings((src, read, dst))
                 raise InputError("transition endpoints must be states")
             if read != EPSILON and read not in symbols:
+                require_strings((read,))
                 raise InputError(f"read symbol {read!r} is not in the alphabet")
             if guard not in GUARDS:
                 raise InputError(f"unknown guard {guard!r}")
@@ -135,7 +142,10 @@ class CounterAutomaton:
         moment, so a configuration's least word u·s comes from expanding
         the group of u (itself u's least-word group) by s.  The first group
         holding an accepting configuration of a state carries that state's
-        least word.  The search ends once every accepting state is yielded
+        least word.  A group holds its word as a back-pointer, the pair
+        (parent group's pointer, last symbol), and the word is spelled only
+        when it is yielded, so extending a group costs one pair, not a copy
+        of the word.  The search ends once every accepting state is yielded
         or a level claims no new configuration.  There is no default cap:
         the caller picks it, as nrr_decide picks |P|² for the product
         machine P (to_nfa's default, which preserves emptiness).
@@ -165,13 +175,23 @@ class CounterAutomaton:
                         group.append(nxt)
             return group, accepted
 
+        def spell(node: Optional[tuple]) -> tuple[str, ...]:
+            """The word of a group, read back along its parent pointers."""
+            symbols = []
+            while node is not None:
+                node, symbol = node
+                symbols.append(symbol)
+            return tuple(reversed(symbols))
+
         start, accepted = claim([(self.initial, 0)])
         for state in accepted:
             yield state, ()
-        level = [((), start)]
+        # a group's word is its node: None for the empty word, else the
+        # pair (parent's node, last symbol)
+        level: list[tuple[Optional[tuple], list[tuple[str, int]]]] = [(None, start)]
         while level and pending:
             created = []
-            for word, group in level:
+            for node, group in level:
                 successors: dict[str, list[tuple[str, int]]] = {}
                 for state, value in group:
                     for read, guard, delta, dst in self._by_state.get(state, ()):
@@ -184,10 +204,12 @@ class CounterAutomaton:
                     if symbol in successors:
                         fresh, accepted = claim(successors[symbol])
                         if fresh:
-                            longer = word + (symbol,)
-                            for state in accepted:
-                                yield state, longer
-                            created.append((longer, fresh))
+                            child = (node, symbol)
+                            if accepted:
+                                word = spell(child)
+                                for state in accepted:
+                                    yield state, word
+                            created.append((child, fresh))
             level = created
 
     # -- constructions -------------------------------------------------------
@@ -285,10 +307,6 @@ class CounterAutomaton:
                 (t["from"], t["read"], t["guard"], t["delta"], t["to"])
                 for t in data["transitions"]
             ]
-            require_strings(
-                [*data["states"], *data["alphabet"], data["initial"], *data["accepting"]]
-                + [x for src, read, _, _, dst in transitions for x in (src, read, dst)]
-            )
             for *_, delta, _ in transitions:
                 if isinstance(delta, bool) or not isinstance(delta, int):
                     raise InputError(f"counter delta must be an integer, got {delta!r}")

@@ -293,6 +293,11 @@ class MarkedNfa:
     reject_state: str
 
 
+def _require_d2(a: Nfa) -> None:
+    if set(a.alphabet) != set(D2_ALPHABET):
+        raise InputError("the marking transformation expects the two-pair bracket alphabet")
+
+
 def mark_automaton(a: Nfa) -> MarkedNfa:
     """Height-marking transformation over the two-pair bracket alphabet.
 
@@ -302,8 +307,7 @@ def mark_automaton(a: Nfa) -> MarkedNfa:
     two-pair Dyck language is empty before iff empty after, and every
     accepted word has nonnegative prefix heights ending at zero.
     """
-    if set(a.alphabet) != set(D2_ALPHABET):
-        raise InputError("the marking transformation expects the two-pair bracket alphabet")
+    _require_d2(a)
     m = height_bound(a)
     reject = "r"
     # names[q][i] is the marked state (q, i), formatted once per call
@@ -344,6 +348,48 @@ def ssharpup_embedding(u: tuple[str, ...]) -> tuple[str, ...]:
     return ("a", "x1", "x2", *body, "xbar2", "xbar1", "abar")
 
 
+# the level change of each two-pair bracket move in the height marking
+_SHIFT = {EPSILON: 0, "a1": 1, "a2": 1, "abar1": -1, "abar2": -1}
+
+
+def _live_band(a: Nfa, m: int) -> dict[str, int]:
+    """The live levels of each state of a's height marking, as bit masks.
+
+    Bit i of the mask of q is set when the marked state (q, i) lies on a
+    run from (initial, 0) to some (accepting, 0) that keeps every level
+    inside [0, m]: one closure forward from the initial pair and one
+    backward from the accepting pairs, over a's own moves, each shifting a
+    whole mask of levels at once (opens up, closes down, epsilon moves
+    level).  Levels pushed out of the band are dropped, as the marking
+    sends those moves to its reject state.
+    """
+    band = (1 << (m + 1)) - 1
+
+    def closure(seeds: Mapping[str, int], moves: list[tuple[str, int, str]]) -> dict[str, int]:
+        out: dict[str, list[tuple[int, str]]] = {}
+        for src, shift, dst in moves:
+            out.setdefault(src, []).append((shift, dst))
+        levels = dict(seeds)
+        todo = list(levels)
+        while todo:
+            q = todo.pop()
+            mask = levels[q]
+            for shift, dst in out.get(q, ()):
+                moved = (mask << shift if shift >= 0 else mask >> -shift) & band
+                old = levels.get(dst, 0)
+                if moved | old != old:
+                    levels[dst] = moved | old
+                    todo.append(dst)
+        return levels
+
+    moves = [(src, _SHIFT[label], dst) for src, label, dst in a.transitions]
+    forward = closure({a.initial: 1}, moves)
+    backward = closure(
+        {f: 1 for f in a.accepting}, [(dst, -shift, src) for src, shift, dst in moves]
+    )
+    return {q: forward.get(q, 0) & backward.get(q, 0) for q in a.states}
+
+
 def reduce_d2_to_ssharpup(a: Nfa) -> Nfa:
     """NFA ℬ with L(a) ∩ D₂ ≠ ∅ iff L(ℬ) ∩ S_#^up ≠ ∅.
 
@@ -354,37 +400,62 @@ def reduce_d2_to_ssharpup(a: Nfa) -> Nfa:
     the marked language; a marked witness embeds into the M-iteration
     language, while any embedded non-witness fails both membership routes.
 
-    ℬ is trim: every state of the trimmed marked automaton is live, so
-    every state of ℬ is too; when the marked automaton accepts nothing, ℬ
-    is the single state pre0.
+    Only the live band is built: the marked states (q, i), 0 <= i <= m
+    with m = height_bound(a), that lie on an accepting run of the marking
+    (_live_band), found on a and the levels without building the marking.
+    The marked moves between live states are embedded, and ℬ is the
+    embedding of mark_automaton(a) trimmed, with no state dropped after:
+    every state of ℬ is live.  When no accepting state is live, ℬ is the
+    single state pre0.
     """
-    marked = mark_automaton(a).nfa.trimmed()
-    if not marked.accepting:
+    _require_d2(a)
+    live = _live_band(a, height_bound(a))
+    if not any(live[f] & 1 for f in a.accepting):
         return Nfa(frozenset({"pre0"}), ALPHABET_FULL, "pre0", frozenset(), frozenset())
-    transitions: set[tuple[str, str, str]] = set()
-    transitions.add(("pre0", "a", "pre1"))
-    transitions.add(("pre1", "x1", "pre2"))
-    transitions.add(("pre2", "x2", marked.initial))
-    for src, label, dst in marked.transitions:
+    # names[q][i] is the marked state (q, i), formatted once per live pair
+    names = {
+        q: {i: f"({q},{i})" for i in range(mask.bit_length()) if mask >> i & 1}
+        for q, mask in live.items()
+    }
+    transitions = [
+        ("pre0", "a", "pre1"),
+        ("pre1", "x1", "pre2"),
+        ("pre2", "x2", names[a.initial][0]),
+        ("sfx0", "xbar2", "sfx1"),
+        ("sfx1", "xbar1", "sfx2"),
+        ("sfx2", "abar", "sfx3"),
+    ]
+    transitions.extend((names[f][0], EPSILON, "sfx0") for f in a.accepting if live[f] & 1)
+    add = transitions.append
+    for q, label, p in a.transitions:
+        shift = _SHIFT[label]
+        # levels i with (q, i) and (p, i + shift) both live
+        mask = live[q] & (live[p] >> shift if shift >= 0 else live[p] << -shift)
+        pairs = [
+            (names[q][i], names[p][i + shift]) for i in range(mask.bit_length()) if mask >> i & 1
+        ]
+        # one chained path per marked move, through middle states
+        # m[src|label|dst]k; the two image shapes are spelled out for speed
         if label == EPSILON:
-            transitions.add((src, EPSILON, dst))
-            continue
-        image = _EMBED[label]
-        prev = src
-        for k, sym in enumerate(image[:-1], start=1):
-            mid = f"m[{src}|{label}|{dst}]{k}"
-            transitions.add((prev, sym, mid))
-            prev = mid
-        transitions.add((prev, image[-1], dst))
-    for f in sorted(marked.accepting):
-        transitions.add((f, EPSILON, "sfx0"))
-    transitions.add(("sfx0", "xbar2", "sfx1"))
-    transitions.add(("sfx1", "xbar1", "sfx2"))
-    transitions.add(("sfx2", "abar", "sfx3"))
-    return Nfa.build(
-        ALPHABET_FULL,
-        "pre0",
-        {"sfx3"},
-        transitions,
-        states=set(marked.states) | {"pre0", "pre1", "pre2", "sfx0", "sfx1", "sfx2", "sfx3"},
+            transitions.extend((src, EPSILON, dst) for src, dst in pairs)
+        elif shift > 0:
+            s1, s2 = _EMBED[label]
+            for src, dst in pairs:
+                m1 = f"m[{src}|{label}|{dst}]1"
+                add((src, s1, m1))
+                add((m1, s2, dst))
+        else:
+            s1, s2, s3, s4 = _EMBED[label]
+            for src, dst in pairs:
+                head = f"m[{src}|{label}|{dst}]"
+                m1, m2, m3 = head + "1", head + "2", head + "3"
+                add((src, s1, m1))
+                add((m1, s2, m2))
+                add((m2, s3, m3))
+                add((m3, s4, dst))
+    states = {name for row in names.values() for name in row.values()}
+    states.update(t[2] for t in transitions)
+    states.add("pre0")
+    return Nfa(
+        frozenset(states), ALPHABET_FULL, "pre0", frozenset({"sfx3"}), frozenset(transitions)
     )

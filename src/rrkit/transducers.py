@@ -10,6 +10,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .automata import (
@@ -29,18 +30,25 @@ class Transducer:
     transitions: frozenset[tuple[str, str, str, str]]  # (src, read, write, dst)
 
     def __post_init__(self) -> None:
+        require_strings(chain(self.states, self.input_alphabet, self.output_alphabet))
         if self.initial not in self.states:
+            require_strings((self.initial,))
             raise InputError(f"initial state {self.initial!r} is not a state")
-        if self.accepting - self.states:
+        bad = self.accepting - self.states
+        if bad:
+            require_strings(bad)
             raise InputError("accepting states must be states")
         ins = set(self.input_alphabet)
         outs = set(self.output_alphabet)
         for src, read, write, dst in self.transitions:
             if src not in self.states or dst not in self.states:
+                require_strings((src, read, write, dst))
                 raise InputError("transition endpoints must be states")
             if read != EPSILON and read not in ins:
+                require_strings((read,))
                 raise InputError(f"read symbol {read!r} is not in the input alphabet")
             if write != EPSILON and write not in outs:
+                require_strings((write,))
                 raise InputError(f"write symbol {write!r} is not in the output alphabet")
 
     @classmethod
@@ -207,21 +215,15 @@ class Transducer:
             require_lists(
                 data, ("input_alphabet", "output_alphabet", "states", "accepting", "transitions")
             )
-            transitions = [
-                (t["from"], t["read"], t["write"], t["to"])
-                for t in data["transitions"]
-            ]
-            require_strings(
-                [*data["input_alphabet"], *data["output_alphabet"], *data["states"]]
-                + [data["initial"], *data["accepting"], *(x for t in transitions for x in t)]
-            )
             return cls(
                 tuple(data["input_alphabet"]),
                 tuple(data["output_alphabet"]),
                 frozenset(data["states"]),
                 data["initial"],
                 frozenset(data["accepting"]),
-                frozenset(transitions),
+                frozenset(
+                    (t["from"], t["read"], t["write"], t["to"]) for t in data["transitions"]
+                ),
             )
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed transducer object: {exc}") from exc

@@ -71,15 +71,18 @@ def all_pairs_product(left_states, left_moves, right_states, right_moves):
 
 
 def reachable(seeds, edges):
-    """States reachable from `seeds` along (src, dst) edges."""
+    """States reachable from `seeds` along (src, dst) edges, by a plain
+    worklist over an adjacency list."""
+    succ = {}
+    for src, dst in edges:
+        succ.setdefault(src, []).append(dst)
     seen = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for src, dst in edges:
-            if src in seen and dst not in seen:
+    todo = list(seen)
+    while todo:
+        for dst in succ.get(todo.pop(), ()):
+            if dst not in seen:
                 seen.add(dst)
-                changed = True
+                todo.append(dst)
     return seen
 
 

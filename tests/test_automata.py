@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -155,3 +156,8 @@ def test_validation():
             "transitions": [{"from": "q", "label": "a", "to": 1}]}
     with pytest.raises(InputError, match="must be strings"):
         Nfa.from_dict(mixed)
+    # the constructor checks names itself, not only the loader
+    for bad in ({"states": frozenset({"q", 1})}, {"alphabet": ("a", 1)}, {"initial": 1},
+                {"transitions": frozenset({("q", "a", 1)})}):
+        with pytest.raises(InputError, match="must be strings"):
+            dataclasses.replace(Nfa.build(("a",), "q", {"q"}, set()), **bad)

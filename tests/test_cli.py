@@ -109,6 +109,14 @@ def test_one_state_written_as_string_is_exit_2(tmp_path, capsys):
     assert f"{nfa}: field 'states' must be a list, got str" in err
 
 
+def test_deeply_nested_json_is_exit_2(tmp_path, capsys):
+    # json.loads recurses once per bracket and gives up with RecursionError
+    nfa = tmp_path / "deep.json"
+    nfa.write_text("[" * 100000 + "]" * 100000)
+    err = assert_usage_error(capsys, ["decide", "--filter", "dyck1", "--nfa", str(nfa)])
+    assert err == f"rr: error: {nfa}: nested too deeply\n"
+
+
 def test_log2_method_foreign_symbol_is_exit_2(in_tests_dir, capsys):
     argv = ["decide", "--filter", "dyck1", "--nfa", "data/sympair.json", "--method", "log2"]
     assert_usage_error(capsys, argv)

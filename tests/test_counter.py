@@ -5,12 +5,13 @@ configurations directly, `to_nfa` flattens them into plain states, and
 the two must agree on every word whose runs stay under the cap.
 """
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from rrkit import CounterAutomaton, Nfa
+from rrkit import CounterAutomaton, FilterSpec, Nfa, nrr_decide
 from rrkit.automata import pair_name
 from rrkit.errors import ContractError, InputError
 from rrkit.filters import d1_counter
@@ -130,6 +131,36 @@ def test_from_dict_rejects_string_for_list(field):
         CounterAutomaton.from_dict(data)
 
 
+def test_counter_filter_with_integer_names_is_input_error():
+    # an integer name used to pass the constructor and fail in pair_name,
+    # with an AttributeError, once nrr_decide built the product
+    with pytest.raises(InputError, match="must be strings"):
+        nrr_decide(
+            Nfa.build(("a1", "abar1"), "q", {"q"}, set()),
+            FilterSpec.from_counter(CounterAutomaton(
+                frozenset({0}), ("a1", "abar1"), 0, frozenset({0}),
+                frozenset({(0, "a1", "any", 0, 0)}),
+            )),
+        )
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"states": frozenset({"q0", 0})},
+        {"alphabet": ("a1", "abar1", 0)},
+        {"initial": 0},
+        {"accepting": frozenset({"q0", 0})},
+        {"transitions": frozenset({("q0", "a1", "any", 0, 0)})},
+        {"transitions": frozenset({("q0", 0, "any", 0, "q0")})},
+    ],
+    ids=["states", "alphabet", "initial", "accepting", "endpoint", "read"],
+)
+def test_constructor_rejects_non_string_names(fields):
+    with pytest.raises(InputError, match="must be strings"):
+        dataclasses.replace(d1_counter(), **fields)
+
+
 @pytest.mark.parametrize("where", ["states", "alphabet", "initial", "transition"])
 def test_from_dict_rejects_non_string_names(where):
     # an integer name would otherwise fail later, inside pair_name
@@ -220,6 +251,37 @@ def test_least_words_matches_unfolding():
                 ends = frozenset(q for q in unfolded.accepting if q[1:].rpartition(",")[0] == f)
                 alone = Nfa(unfolded.states, c.alphabet, unfolded.initial, ends, unfolded.transitions)
                 assert least.get(f) == alone.shortest_witness(), (c, cap, f)
+
+
+def test_least_words_deep_shared_prefix():
+    """Least words hundreds of letters long, climbing to the cap: a chain
+    of K states reads a^K, pushing the counter to K, and then f1 needs it
+    back at zero (a^K b^K c) while f2 takes c at once (a^K b c).  The two
+    words share the prefix a^K b, so both are spelled from one chain of
+    back-pointers; each must be the unfolding's least word ending in its
+    state, and nothing is accepted when the cap is below K."""
+    k = 120
+    chain = [f"c{i}" for i in range(k)]
+    moves = {(src, "a", "any", 1, dst) for src, dst in zip(chain, chain[1:] + ["top"])}
+    moves |= {
+        ("top", "b", "positive", -1, "down"),
+        ("down", "b", "positive", -1, "down"),
+        ("down", "c", "zero", 0, "f1"),
+        ("down", "c", "positive", 0, "f2"),
+    }
+    c = CounterAutomaton.build(("a", "b", "c"), "c0", {"f1", "f2"}, moves)
+    for cap in (k, k + 3):
+        yielded = list(c.least_words(cap))
+        assert yielded == [
+            ("f2", ("a",) * k + ("b", "c")),
+            ("f1", ("a",) * k + ("b",) * k + ("c",)),
+        ]
+        unfolded = c.to_nfa(cap=cap)
+        for f, word in yielded:
+            ends = frozenset(q for q in unfolded.accepting if q.startswith(f"({f},"))
+            alone = Nfa(unfolded.states, c.alphabet, unfolded.initial, ends, unfolded.transitions)
+            assert word == alone.shortest_witness(), (cap, f)
+    assert list(c.least_words(k - 1)) == []
 
 
 def test_json_round_trip():

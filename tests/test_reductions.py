@@ -364,26 +364,49 @@ def test_reduction_negative_balanced_mismatch():
     assert all(not s_sharp_up_member(w) for w in accepted)
 
 
+def by_two_trims(a):
+    """The reduction of a by the oracle pipeline: marked by definition,
+    trimmed, embedded and trimmed again."""
+    states, initial, accepting, transitions, _, _ = mark_by_definition(
+        a.states, a.transitions, a.initial, a.accepting, height_bound(a)
+    )
+    states, initial, accepting, transitions = ssharpup_by_two_trims(
+        states, initial, accepting, transitions
+    )
+    return Nfa(
+        frozenset(states), ALPHABET_FULL, initial, frozenset(accepting), frozenset(transitions)
+    )
+
+
 def test_reduction_matches_two_trim_pipeline():
-    """One trim of the marked machine leaves the embedding trim: the
-    output equals the marked, trimmed, embedded and trimmed again one."""
+    """Building only the live band leaves nothing to trim: the output
+    equals the marked, trimmed, embedded and trimmed again one, on machines
+    of 1 to 4 states, the sizes `rr reduce ssharpup` is benchmarked at."""
     rng = random.Random(919)
     sizes = {"empty": 0, "nonempty": 0}
     for k in range(60):
-        a = random_nfa(rng, max_states=2, alphabet=D2_ALPHABET, allow_epsilon=k % 2 == 0)
-        states, initial, accepting, transitions, _, _ = mark_by_definition(
-            a.states, a.transitions, a.initial, a.accepting, height_bound(a)
-        )
-        states, initial, accepting, transitions = ssharpup_by_two_trims(
-            states, initial, accepting, transitions
-        )
-        expected = Nfa(
-            frozenset(states), ALPHABET_FULL, initial, frozenset(accepting), frozenset(transitions)
-        )
+        a = random_nfa(rng, max_states=4, alphabet=D2_ALPHABET, allow_epsilon=k % 2 == 0)
+        expected = by_two_trims(a)
         b = reduce_d2_to_ssharpup(a)
         assert b == expected, a
-        sizes["nonempty" if accepting else "empty"] += 1
+        sizes["nonempty" if expected.accepting else "empty"] += 1
     assert min(sizes.values()) >= 1, sizes  # both branches ran
+
+
+def test_reduction_reaches_the_top_of_the_band():
+    """An a1 loop then an abar1 loop climbs to every level: (q0, m) is
+    live, and (q1, m) is not, since reaching it takes m + 1 opens."""
+    a = Nfa.build(
+        D2_ALPHABET, "q0", {"q1"},
+        {("q0", "a1", "q0"), ("q0", "abar1", "q1"), ("q1", "abar1", "q1")},
+    )
+    m = height_bound(a)
+    b = reduce_d2_to_ssharpup(a)
+    assert b == by_two_trims(a)
+    assert f"(q0,{m})" in b.states and f"(q1,{m - 1})" in b.states
+    assert f"(q1,{m})" not in b.states and f"(q0,{m + 1})" not in b.states
+    assert ("(q0,0)", "abar1", "(q1,-1)") not in b.transitions
+    assert not any(src == f"(q0,{m})" and label == "a" for src, label, _ in b.transitions)
 
 
 def test_reduction_negative_empty():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -142,6 +143,21 @@ def test_from_dict_rejects_string_for_list(field):
     data[field] = "t0"
     with pytest.raises(InputError, match=f"field '{field}' must be a list"):
         Transducer.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"states": renamer().states | {0}},
+        {"output_alphabet": (*renamer().output_alphabet, 0)},
+        {"initial": 0},
+        {"transitions": renamer().transitions | {("s", "a", 0, "s")}},
+    ],
+    ids=["states", "output_alphabet", "initial", "write"],
+)
+def test_constructor_rejects_non_string_names(fields):
+    with pytest.raises(InputError, match="must be strings"):
+        dataclasses.replace(renamer(), **fields)
 
 
 @pytest.mark.parametrize("where", ["input_alphabet", "states", "initial", "transition"])
