@@ -4,6 +4,12 @@ Each case is (name, argv).  Paths are relative to the tests/ directory;
 runners chdir there so recorded output never contains machine-specific
 paths.  Regenerate the golden files with `python3 tests/make_goldens.py`
 after an intentional output change, and eyeball the diff.
+
+CASES are the answers, one transcript each in tests/data/golden/.
+FRONT_END_CASES are the parser's own output, every help screen and the
+usage-error lines, recorded together in tests/data/front_end.json at a
+terminal width of FRONT_END_COLUMNS, since argparse wraps help text to
+the width in $COLUMNS.
 """
 
 CASES = [
@@ -21,9 +27,33 @@ CASES = [
     ("check-log2-stats", ["check-log2", "--grammar", "data/d1.txt", "--nfa", "data/pair.json", "--stats"]),
 ]
 
+COMMANDS = ["member", "decide", "witness", "reduce", "index", "check-log2"]
 
-def run_case(argv):
-    """Run one scenario in-process; returns (exit, stdout, stderr)."""
+FRONT_END_COLUMNS = "80"
+
+FRONT_END_CASES = [
+    ("help", ["--help"]),
+    ("help-short", ["-h"]),
+    *((f"{cmd}-help", [cmd, "--help"]) for cmd in COMMANDS),
+    ("unknown-command", ["frobnicate"]),
+    ("missing-command", []),
+    ("option-before-command", ["--json", "decide"]),
+    *((f"{cmd}-no-options", [cmd]) for cmd in COMMANDS),
+    ("decide-bad-method", ["decide", "--filter", "dyck1", "--nfa", "data/pair.json", "--method", "nope"]),
+    ("witness-bad-method", ["witness", "--filter", "dyck1", "--nfa", "data/pair.json", "--method", "log2"]),
+    ("reduce-bad-target", ["reduce", "nope", "--nfa", "data/pair.json"]),
+    ("reduce-mark-no-nfa", ["reduce", "mark"]),
+    ("reduce-bar-hillel-no-nfa", ["reduce", "bar-hillel", "--grammar", "data/d1.txt"]),
+    ("decide-unknown-flag", ["decide", "--filter", "dyck1", "--nfa", "data/pair.json", "--bogus"]),
+    ("index-bad-states", ["index", "--filter", "dyck1", "--states", "two"]),
+]
+
+
+def run_case(argv, allow_exit=False):
+    """Run one scenario in-process; returns (exit, stdout, stderr).
+
+    A help screen ends in SystemExit; with allow_exit its code is the
+    exit, otherwise it propagates."""
     import contextlib
     import io
 
@@ -31,5 +61,10 @@ def run_case(argv):
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            if not allow_exit:
+                raise
+            code = exc.code
     return code, out.getvalue(), err.getvalue()

@@ -1,4 +1,5 @@
-"""Regenerate the golden CLI transcripts in tests/data/golden/.
+"""Regenerate the golden CLI transcripts in tests/data/golden/ and the
+front-end transcript tests/data/front_end.json.
 
 Run from anywhere: `python3 tests/make_goldens.py`.  Review the diff
 before committing; the CLI tests compare byte for byte.
@@ -11,7 +12,7 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
-from cli_cases import CASES, run_case
+from cli_cases import CASES, FRONT_END_CASES, FRONT_END_COLUMNS, run_case
 
 
 def main():
@@ -24,6 +25,14 @@ def main():
         path = golden / f"{name}.json"
         path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"{name}: exit {code}, {len(out)}b stdout, {len(err)}b stderr")
+    os.environ["COLUMNS"] = FRONT_END_COLUMNS
+    front_end = {}
+    for name, argv in FRONT_END_CASES:
+        code, out, err = run_case(argv, allow_exit=True)
+        front_end[name] = {"argv": argv, "exit": code, "stdout": out, "stderr": err}
+    path = HERE / "data" / "front_end.json"
+    path.write_text(json.dumps(front_end, indent=2, sort_keys=True) + "\n")
+    print(f"front_end: {len(front_end)} cases")
 
 
 if __name__ == "__main__":

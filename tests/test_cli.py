@@ -2,7 +2,9 @@
 
 The heart is the golden corpus: every scenario in cli_cases.CASES is
 replayed in-process and compared byte for byte against the transcript in
-tests/data/golden/.  The remaining tests cover exit-code conventions and
+tests/data/golden/, and every help screen and usage-error line in
+cli_cases.FRONT_END_CASES against tests/data/front_end.json.  The
+remaining tests cover exit-code conventions and
 error paths that do not belong in frozen transcripts (their messages may
 embed absolute paths or evolve with Python's own error strings).
 """
@@ -18,7 +20,7 @@ import pytest
 import rrkit
 from rrkit.cli import main
 
-from cli_cases import CASES, run_case
+from cli_cases import CASES, FRONT_END_CASES, FRONT_END_COLUMNS, run_case
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
 
@@ -41,6 +43,27 @@ def test_golden_corpus_is_complete():
     recorded = {p.stem for p in (TESTS_DIR / "data" / "golden").glob("*.json")}
     assert recorded == {name for name, _ in CASES}
     assert len(CASES) == 12
+
+
+FRONT_END = json.loads((TESTS_DIR / "data" / "front_end.json").read_text())
+
+
+@pytest.mark.parametrize("name,argv", FRONT_END_CASES, ids=[c[0] for c in FRONT_END_CASES])
+def test_front_end_bytes(name, argv, in_tests_dir, monkeypatch):
+    # argparse wraps help to $COLUMNS; pin it so the terminal cannot matter
+    monkeypatch.setenv("COLUMNS", FRONT_END_COLUMNS)
+    expected = FRONT_END[name]
+    assert expected["argv"] == argv
+    code, out, err = run_case(argv, allow_exit=True)
+    assert code == expected["exit"]
+    assert out == expected["stdout"]
+    assert err == expected["stderr"]
+
+
+def test_front_end_corpus_is_complete():
+    assert set(FRONT_END) == {name for name, _ in FRONT_END_CASES}
+    help_screens = [name for name, _ in FRONT_END_CASES if FRONT_END[name]["exit"] == 0]
+    assert len(help_screens) == 8  # rr -h, rr --help and one per command
 
 
 def test_member_false_exit(capsys):
@@ -246,24 +269,45 @@ def test_check_log2_terminal_outside_nfa_alphabet_is_exit_2(in_tests_dir, tmp_pa
     assert_usage_error(capsys, ["check-log2", "--grammar", "data/d1.txt", "--nfa", str(nfa)])
 
 
-def test_console_entry_point_parity(in_tests_dir):
-    """`python -m rrkit.cli` (the `__main__` guard, not the installed `rr`
-    script) gives the same exit code and stdout as in-process `main`.
+def run_module(argv):
+    """`python -m rrkit.cli *argv` in a child process.
 
-    The fixture changes the cwd, so a relative PYTHONPATH such as `src`
-    would no longer resolve in the child; its env leads with the absolute
-    source root of the `rrkit` imported here.
+    Callers change the cwd, so a relative PYTHONPATH such as `src` would
+    no longer resolve in the child; its env leads with the absolute source
+    root of the `rrkit` imported here.
     """
     src_root = str(pathlib.Path(rrkit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "rrkit.cli", "decide", "--filter", "dyck1",
-         "--nfa", "data/pair.json"],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "rrkit.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_console_entry_point_parity(in_tests_dir):
+    """`python -m rrkit.cli` (the `__main__` guard, not the installed `rr`
+    script) gives the same exit code and stdout as in-process `main`."""
+    proc = run_module(["decide", "--filter", "dyck1", "--nfa", "data/pair.json"])
     code, out, _ = run_case(["decide", "--filter", "dyck1", "--nfa", "data/pair.json"])
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--json", "--filter", "dyck1", "--nfa", "data/pair.json"],
+        ["--help"],
+        [],  # exit 2, one `rr: error:` line
+    ],
+    ids=["witness", "help", "no-arguments"],
+)
+def test_module_run_reads_sys_argv(argv, in_tests_dir, monkeypatch):
+    """`python -m rrkit.cli` calls main() with no argv, so main reads
+    sys.argv itself; stdout, stderr and the exit code match main(argv)."""
+    monkeypatch.setenv("COLUMNS", FRONT_END_COLUMNS)
+    proc = run_module(argv)
+    code, out, err = run_case(argv, allow_exit=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    if not argv:
+        assert code == 2 and len(err.splitlines()) == 1 and err.startswith("rr: error: ")
