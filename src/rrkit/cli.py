@@ -71,6 +71,15 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    needs = {
+        "bar-hillel": ("grammar", "nfa"),
+        "cs": ("grammar",),
+        "mark": ("nfa",),
+        "ssharpup": ("nfa",),
+    }[args.target]
+    for name in needs:
+        if getattr(args, name) is None:
+            raise InputError(f"reduce {args.target} requires --{name}")
     if args.target == "bar-hillel":
         grammar = _load(args.grammar, parse_grammar)
         a = _load(args.nfa, Nfa.from_json)
@@ -148,22 +157,16 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="rr",
-        description="Decide regular realizability against fixed context-free filters.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_FILTERS_HELP = "filter name: dyck1, dyck2, dyckN:k, sym, symsharp, ssharpup"
 
-    filters_help = "filter name: dyck1, dyck2, dyckN:k, sym, symsharp, ssharpup"
 
-    p = sub.add_parser("member", help="test one word against a filter")
-    p.add_argument("--filter", required=True, help=filters_help)
+def _member_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--filter", required=True, help=_FILTERS_HELP)
     p.add_argument("--word", required=True, help="space-separated symbol tokens ('' is the empty word)")
-    p.set_defaults(func=_cmd_member)
 
-    p = sub.add_parser("decide", help="decide whether the automaton meets the filter")
-    p.add_argument("--filter", required=True, help=filters_help)
+
+def _decide_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--filter", required=True, help=_FILTERS_HELP)
     p.add_argument("--nfa", required=True, help="automaton JSON file")
     p.add_argument(
         "--method",
@@ -172,18 +175,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="decision route; log2 runs the instrumented certificate search",
     )
     p.add_argument("--json", action="store_true", help="emit the decision report as JSON")
-    p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("witness", help="print a shortest witness word")
-    p.add_argument("--filter", required=True, help=filters_help)
+
+def _witness_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--filter", required=True, help=_FILTERS_HELP)
     p.add_argument("--nfa", required=True, help="automaton JSON file")
     p.add_argument(
         "--method", choices=("auto", "bar-hillel", "counter"), default="auto"
     )
     p.add_argument("--json", action="store_true", help="emit the decision report as JSON")
-    p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("reduce", help="emit one of the constructions")
+
+def _reduce_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "target",
         choices=("bar-hillel", "cs", "mark", "ssharpup"),
@@ -193,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grammar", help="grammar text file (bar-hillel, cs)")
     p.add_argument("--nfa", help="automaton JSON file (bar-hillel, mark, ssharpup)")
     p.add_argument("--emit-stats", action="store_true", help="print a stats JSON line to stderr")
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("index", help="measure the rational index at one state count")
-    p.add_argument("--filter", required=True, help=filters_help)
+
+def _index_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--filter", required=True, help=_FILTERS_HELP)
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--sample", type=int, default=None, help="sample this many machines instead of enumerating")
     p.add_argument(
@@ -206,34 +209,63 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling seed (default: RR_SEED env var, else 0)",
     )
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_index)
 
-    p = sub.add_parser("check-log2", help="run the instrumented certificate search")
+
+def _check_log2_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grammar", required=True, help="grammar text file (converted to CNF)")
     p.add_argument("--nfa", required=True, help="automaton JSON file (epsilon moves allowed)")
     p.add_argument("--stats", action="store_true", help="print the instrumentation JSON instead of the verdict")
-    p.set_defaults(func=_cmd_check_log2)
 
+
+# (name, help line, adds the command's arguments, handler), in the order
+# `rr --help` lists them
+_COMMANDS = (
+    ("member", "test one word against a filter", _member_args, _cmd_member),
+    ("decide", "decide whether the automaton meets the filter", _decide_args, _cmd_decide),
+    ("witness", "print a shortest witness word", _witness_args, _cmd_decide),
+    ("reduce", "emit one of the constructions", _reduce_args, _cmd_reduce),
+    ("index", "measure the rational index at one state count", _index_args, _cmd_index),
+    ("check-log2", "run the instrumented certificate search", _check_log2_args, _cmd_check_log2),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `rr` parser: with every subcommand when command is None, else
+    with only the named one.
+
+    A command's subparser is the same either way, so `rr <command> ...`
+    parses, and words its errors and help, alike on both.  Only the
+    top-level choice list differs, and that shows only on `rr --help` and
+    on a missing or unknown command, which main parses with every
+    subcommand.
+    """
+    parser = _Parser(
+        prog="rr",
+        description="Decide regular realizability against fixed context-free filters.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, add_arguments, handler in _COMMANDS:
+        if command is None or command == name:
+            p = sub.add_parser(name, help=help_line)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
-def _check_reduce_args(args) -> None:
-    needs = {
-        "bar-hillel": ("grammar", "nfa"),
-        "cs": ("grammar",),
-        "mark": ("nfa",),
-        "ssharpup": ("nfa",),
-    }[args.target]
-    for name in needs:
-        if getattr(args, name) is None:
-            raise InputError(f"reduce {args.target} requires --{name}")
-
-
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one `rr` command (argv defaults to sys.argv[1:]); returns the
+    exit code.
+
+    Only the invoked command's parser is built when argv starts with a
+    command name; help on rr itself and a missing or unknown command get
+    the full parser.  A usage error or a bad input prints one
+    `rr: error:` line and returns 2.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and any(argv[0] == entry[0] for entry in _COMMANDS) else None
     try:
-        args = build_parser().parse_args(argv)
-        if args.command == "reduce":
-            _check_reduce_args(args)
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except (InputError, ContractError, UnsupportedFilterError, OSError) as exc:
         print(f"rr: error: {exc}", file=sys.stderr)

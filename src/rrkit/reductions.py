@@ -52,8 +52,9 @@ class _Moves:
 
 
 def _check_terminals(g: Cfg, a: Nfa) -> None:
+    alphabet = frozenset(a.alphabet)
     for t in g.terminals:
-        if t not in a.alphabet:
+        if t not in alphabet:
             raise InputError(f"grammar terminal {t!r} is missing from the automaton alphabet")
 
 

@@ -93,3 +93,36 @@ def random_transducer(rng, max_states=3, inputs=("a", "b"), outputs=("x", "y")):
     if not accepting:
         accepting = {rng.choice(states)}
     return Transducer.build(inputs, outputs, "t0", accepting, transitions, states=states)
+
+
+def coprime_cycle_moves(p, q, epsilon=True):
+    """The coprime-cycle family, whose least dyck1 word needs a counter
+    quadratic in the machine's size.  Returns (moves, accepting state)
+    over the states 0..p+q, initial state 0.
+
+    State 0 reads a1 into a p-cycle of a1 moves.  Where that cycle closes
+    a bridge leads into a q-cycle of abar1 moves, which accepts where it
+    closes.  The bridge is an epsilon move, or with epsilon=False it reads
+    the first abar1.  The machine's words are a1^(kp) abar1^(lq), k >= 1,
+    so for coprime p and q its least balanced word is a1^(pq) abar1^(pq):
+    the lcm of coprime cycle lengths is the classic unary argument of
+    Chrobak, "Finite automata and unary languages" (TCS, 1986).  The
+    counter climbs to pq, while the machine has 1 + p + q states, so a
+    cap linear in the size of its product with d1_counter() (one state)
+    cuts the witness off.
+    """
+    c = [1 + i % p for i in range(p + 1)]  # c[i]: i a1s read in the cycle, mod p
+    d = [1 + p + j % q for j in range(q + 1)]  # d[j]: j abar1s read, mod q
+    moves = [(0, "a1", c[1])]
+    moves += [(c[i], "a1", c[i + 1]) for i in range(p)]
+    moves.append((c[0], "", d[0]) if epsilon else (c[0], "abar1", d[1]))
+    moves += [(d[j], "abar1", d[j + 1]) for j in range(q)]
+    return moves, d[0]
+
+
+def coprime_cycle_nfa(p, q, epsilon=True):
+    """coprime_cycle_moves as an Nfa over a1/abar1, state i named qi."""
+    moves, accepting = coprime_cycle_moves(p, q, epsilon)
+    return Nfa.build(
+        ("a1", "abar1"), "q0", {f"q{accepting}"}, {(f"q{i}", s, f"q{j}") for i, s, j in moves}
+    )

@@ -16,7 +16,7 @@ from rrkit.automata import pair_name
 from rrkit.errors import ContractError, InputError
 from rrkit.filters import d1_counter
 
-from generators import random_counter, random_nfa
+from generators import coprime_cycle_nfa, random_counter, random_nfa
 from oracles import all_pairs_product, dyck_oracle, reachable
 
 
@@ -282,6 +282,23 @@ def test_least_words_deep_shared_prefix():
             alone = Nfa(unfolded.states, c.alphabet, unfolded.initial, ends, unfolded.transitions)
             assert word == alone.shortest_witness(), (cap, f)
     assert list(c.least_words(k - 1)) == []
+
+
+@pytest.mark.parametrize("epsilon", [True, False])
+def test_least_words_needs_a_quadratic_cap(epsilon):
+    """The coprime-cycle family (generators.coprime_cycle_moves, after
+    Chrobak, TCS 1986) at p=3, q=4: the product P with d1_counter() has
+    8 states and its least word a1^12 abar1^12 climbs the counter to 12.
+    At cap |P| the search finds nothing, a wrong "empty"; at cap |P|² it
+    finds the word, as does the unfolding at its default cap."""
+    product = d1_counter().product(coprime_cycle_nfa(3, 4, epsilon))
+    size = len(product.states)
+    assert size == 8
+    assert list(product.least_words(size)) == []
+    assert product.to_nfa(size).shortest_witness() is None
+    word = ("a1",) * 12 + ("abar1",) * 12
+    assert list(product.least_words(size**2)) == [(pair_name("q0", "q4"), word)]
+    assert product.to_nfa().shortest_witness() == word
 
 
 def test_json_round_trip():

@@ -32,7 +32,13 @@ from rrkit.counter import ACCEPT_MODES, GUARDS
 from rrkit.errors import ContractError, UnsupportedFilterError
 from rrkit.filters import d1_counter, dyck_grammar, parse_filter_name
 
-from generators import random_cnf, random_counter, random_nfa
+from generators import (
+    coprime_cycle_moves,
+    coprime_cycle_nfa,
+    random_cnf,
+    random_counter,
+    random_nfa,
+)
 from oracles import (
     RHO_ALLWORDS,
     RHO_DYCK1,
@@ -147,6 +153,38 @@ def test_counter_route_names_pairs_injectively():
     assert not report.nonempty and report.witness is None
     collapsed = substitution_collapse(a, {"x": FilterSpec.from_counter(c)})
     assert collapsed.transitions == {("t,u", "x", "t,u")}
+
+
+# The coprime-cycle family (generators.coprime_cycle_moves, after Chrobak,
+# TCS 1986): the least witness a1^(pq) abar1^(pq) climbs the counter to
+# pq, past any cap linear in the 1 + p + q states.
+
+
+@pytest.mark.parametrize("epsilon", [True, False])
+@pytest.mark.parametrize("p, q", [(3, 4), (11, 12)])
+def test_counter_route_reaches_a_quadratic_counter(p, q, epsilon):
+    a = coprime_cycle_nfa(p, q, epsilon)
+    word = ("a1",) * (p * q) + ("abar1",) * (p * q)
+    assert nrr_decide(a, FilterSpec.dyck(1), "counter").witness == word
+    assert nrr_decide(a, FilterSpec.dyck(1), "bar-hillel").witness == word
+
+
+@pytest.mark.parametrize("epsilon", [True, False])
+def test_counter_substituent_reaches_a_quadratic_counter(epsilon):
+    # only a1^12 abar1^12 (or a longer word) takes q0 to the accepting q4
+    a = coprime_cycle_nfa(3, 4, epsilon)
+    by_counter = substitution_collapse(a, {"x": FilterSpec.from_counter(d1_counter())})
+    assert ("q0", "x", "q4") in by_counter.transitions
+    assert by_counter == substitution_collapse(a, {"x": FilterSpec.dyck(1)})
+
+
+@pytest.mark.parametrize("p, q", [(3, 4), (4, 5), (5, 6)])
+def test_counter_lane_index_reaches_a_quadratic_counter(p, q):
+    # one lane holding the epsilon-free machine, accepting in one state
+    moves, accepting = coprime_cycle_moves(p, q, epsilon=False)
+    n = 1 + p + q
+    chunk = ([1] * len(moves), [int(state == accepting) for state in range(n)])
+    assert engine._counter_lane_index(d1_counter(), n, tuple(moves), [chunk]) == 2 * p * q
 
 
 def test_decide_methods():

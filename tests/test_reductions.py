@@ -99,6 +99,19 @@ def test_bar_hillel_fresh_axiom_and_terminal_check():
         bar_hillel(g, Nfa.build(("b",), "q0", {"q0"}, set()))
 
 
+def test_missing_terminal_message():
+    # one terminal of 400 is missing from an alphabet of 399 letters;
+    # every grammar question reports it in the same words
+    g = dyck_grammar(200).cnf()
+    letters = tuple(sorted(g.terminals - {"abar7"}))
+    a = Nfa.build(letters, "q0", {"q0"}, set())
+    message = "grammar terminal 'abar7' is missing from the automaton alphabet"
+    for question in (bar_hillel, intersection_nonempty, intersection_shortest):
+        with pytest.raises(InputError) as exc:
+            question(g, a)
+        assert str(exc.value) == message, question
+
+
 def test_bar_hillel_handles_long_mixed_bodies():
     g = parse_grammar("S -> a1 S abar1 |")
     a = Nfa.build(
