@@ -1,6 +1,7 @@
 """Seeded random instance generators shared by the property and acceptance
-tests.  All randomness flows through an explicit random.Random so failures
-reproduce from the seed alone."""
+tests, and one fixed family (coprime_cycle_moves).  All randomness flows
+through an explicit random.Random so failures reproduce from the seed
+alone."""
 import random
 
 from rrkit import Cfg, CounterAutomaton, Nfa, Transducer

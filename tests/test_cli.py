@@ -4,9 +4,9 @@ The heart is the golden corpus: every scenario in cli_cases.CASES is
 replayed in-process and compared byte for byte against the transcript in
 tests/data/golden/, and every help screen and usage-error line in
 cli_cases.FRONT_END_CASES against tests/data/front_end.json.  The
-remaining tests cover exit-code conventions and
-error paths that do not belong in frozen transcripts (their messages may
-embed absolute paths or evolve with Python's own error strings).
+remaining tests cover exit-code conventions and error paths that do not
+belong in frozen transcripts (their messages may embed absolute paths or
+evolve with Python's own error strings).
 """
 
 import json
