@@ -290,70 +290,6 @@ class Nfa:
                 raise AssertionError("witness extraction lost the target distance")
         return tuple(word)
 
-    def sub_automaton(self, start: str, end: str) -> "Nfa":
-        """Same transition structure, but run from `start` and accept at `end`."""
-        if start not in self.states or end not in self.states:
-            raise InputError("sub-automaton endpoints must be existing states")
-        return Nfa(self.states, self.alphabet, start, frozenset({end}), self.transitions)
-
-    def accepted_words(self, max_len: int) -> Iterator[tuple[str, ...]]:
-        """Yield every accepted word of length <= max_len, shortest first.
-
-        The search walks the prefix trie of live state sets, so it only
-        touches prefixes that can still reach some state.
-        """
-        start = self.eps_closure({self.initial})
-        queue: deque[tuple[tuple[str, ...], frozenset[str]]] = deque([((), start)])
-        while queue:
-            word, current = queue.popleft()
-            if current & self.accepting:
-                yield word
-            if len(word) < max_len:
-                for symbol in self.alphabet:
-                    after = self.step(current, symbol)
-                    if after:
-                        queue.append((word + (symbol,), after))
-
-    def has_epsilon_moves(self) -> bool:
-        return any(label == EPSILON for _, label, _ in self.transitions)
-
-    def without_epsilon_moves(self) -> "Nfa":
-        """Equivalent NFA with no epsilon transitions, on the same state set.
-
-        Reads go through closures on both ends; a state becomes accepting
-        when its closure meets an accepting state.
-        """
-        transitions: set[tuple[str, str, str]] = set()
-        accepting: set[str] = set()
-        for q in self.states:
-            closure = self.eps_closure({q})
-            if closure & self.accepting:
-                accepting.add(q)
-            for symbol in self.alphabet:
-                for p in self.step(closure, symbol):
-                    transitions.add((q, symbol, p))
-        return Nfa(
-            self.states,
-            self.alphabet,
-            self.initial,
-            frozenset(accepting),
-            frozenset(transitions),
-        )
-
-    def trimmed(self) -> "Nfa":
-        """Drop states that are unreachable or cannot reach acceptance.
-
-        The initial state is always kept so the result is a valid automaton.
-        """
-        keep = trim_states(self.initial, self.accepting, ((t[0], t[2]) for t in self.transitions))
-        return Nfa(
-            frozenset(keep),
-            self.alphabet,
-            self.initial,
-            self.accepting & keep,
-            frozenset(t for t in self.transitions if t[0] in keep and t[2] in keep),
-        )
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -93,15 +93,19 @@ class CounterAutomaton:
     def accepts(self, word: Iterable[str]) -> bool:
         """True when some run over the word ends accepting.
 
-        For termination the counter is capped at |w| * |Q| + |Q|; epsilon
-        moves are explored under configuration-visited pruning within that
-        cap.  Runs that need larger counter values are out of scope.
+        A breadth-first search over configurations (state, position,
+        value), with the counter capped at (|Q|·(|w|+1))².  That is |P|²
+        for the product P of this machine with the path of w, the cap at
+        which to_nfa and nrr_decide's counter route keep every nonempty
+        machine nonempty, so epsilon moves may pump the counter
+        quadratically high and the run is still found.  A linear cap
+        misses such runs.
         """
         w = tuple(word)
         for sym in w:
             if sym not in self.alphabet:
                 raise InputError(f"symbol {sym!r} is not in the alphabet")
-        cap = len(w) * len(self.states) + len(self.states)
+        cap = (len(self.states) * (len(w) + 1)) ** 2
         start = (self.initial, 0, 0)
         seen = {start}
         queue = deque([start])

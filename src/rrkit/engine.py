@@ -128,8 +128,9 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
         raise InputError("a counter-backed filter has no grammar route")
     elif method not in ("auto", "bar-hillel", "counter", "log2"):
         raise InputError(f"unknown method {method!r}")
+    letters = set(f.alphabet)
     for sym in a.alphabet:
-        if sym not in f.alphabet:
+        if sym not in letters:
             raise InputError(f"automaton symbol {sym!r} is not in the filter alphabet")
     a_full = _restrict(a, f.alphabet)
     if method == "log2":
@@ -174,10 +175,10 @@ def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
     one least_words search per start state q, on the product of c with r
     run from q and accepting everywhere, at nrr_decide's cap (|C|·|Q|)²:
     each accepting pair (f, p) it yields gives the edge (q, p), so a pair
-    gets an edge exactly when nrr_decide finds the product of c with
-    r.sub_automaton(q, p) nonempty.  Every edge's word is re-checked: the
-    states r reaches from q on it must hold p, and the filter oracle must
-    accept it, as nrr_decide checks its witnesses.
+    gets an edge exactly when nrr_decide finds the product of c with r,
+    run from q and accepting only at p, nonempty.  Every edge's word is
+    re-checked: the states r reaches from q on it must hold p, and the
+    filter oracle must accept it, as nrr_decide checks its witnesses.
     """
     outer = tuple(sorted(sub))
     letters: dict[FilterSpec, list[str]] = {}
@@ -236,8 +237,9 @@ def decide_substituted(
     for sym in outer_filter.alphabet:
         if sym not in sub:
             raise InputError(f"no substituent language is given for outer symbol {sym!r}")
+    letters = set(outer_filter.alphabet)
     for sym in sorted(sub):
-        if sym not in outer_filter.alphabet:
+        if sym not in letters:
             raise InputError(f"substituted letter {sym!r} is not in the outer filter alphabet")
     collapsed = substitution_collapse(a, sub)
     inner = nrr_decide(collapsed, outer_filter)

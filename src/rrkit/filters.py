@@ -93,14 +93,6 @@ def _m_span(word: tuple[str, ...], i: int, j: int) -> bool:
     return _s_sharp(word[i + 1 : j - 1])
 
 
-def m_member(w: Iterable[str]) -> bool:
-    word = tuple(w)
-    _check_word(word, ALPHABET_FULL)
-    if any(sym in ALPHABET_A for sym in word[1:-1]):
-        return False
-    return _m_span(word, 0, len(word))
-
-
 def m_inf_member(w: Iterable[str]) -> bool:
     """Recursive bracket decomposition for the M-iteration language.
 
@@ -359,11 +351,6 @@ class FilterSpec:
             return self.automaton.accepts(word)
         _check_word(word, self.alphabet)
         return self.cnf_grammar.cyk(word)
-
-    def describe(self) -> str:
-        if self.kind == "dyck":
-            return f"dyck{self.n}"
-        return self.kind
 
 
 # one shared instance per fixed name, so each builds its alphabet and CNF

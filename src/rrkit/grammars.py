@@ -229,23 +229,6 @@ class Cfg:
 
     # -- language queries ---------------------------------------------------
 
-    def productive(self) -> frozenset[str]:
-        """Nonterminals that derive at least one terminal word."""
-        good: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in self.rules:
-                if lhs not in good and all(
-                    s in self.terminals or s in good for s in rhs
-                ):
-                    good.add(lhs)
-                    changed = True
-        return frozenset(good)
-
-    def nonempty(self) -> bool:
-        return self.axiom in self.productive()
-
     def cyk(self, word: Iterable[str]) -> bool:
         """CYK membership for CNF grammars."""
         if not self.is_cnf():

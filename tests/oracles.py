@@ -9,7 +9,6 @@ recomputing them).
 """
 from collections import deque
 from functools import lru_cache
-from itertools import product
 
 
 # -- automata ------------------------------------------------------------------
@@ -38,13 +37,52 @@ def naive_accepts(transitions, initial, accepting, word):
 
 
 def enumerate_accepted(transitions, initial, accepting, alphabet, max_len):
-    """Every accepted word up to max_len, by testing all tuples."""
+    """Every accepted word up to max_len, by length, then in alphabet order.
+
+    A breadth-first walk over prefixes, each carried with the states it
+    reaches, epsilon moves included, kept to the trimmed states; a prefix
+    is extended only while some of those states remain, so dead prefixes
+    are never grown.
+    """
+    accepting = set(accepting)
+    keep = trim(initial, accepting, [(src, dst) for src, _, dst in transitions])
+    moves = [(src, label, dst) for src, label, dst in transitions if src in keep and dst in keep]
+    eps = [(src, dst) for src, label, dst in moves if label == ""]
+    closure = {q: reachable({q}, eps) for q in keep}
+    succ = {}
+    for src, label, dst in moves:
+        succ.setdefault((src, label), set()).update(closure[dst])
+
     found = []
-    for length in range(max_len + 1):
-        for word in product(alphabet, repeat=length):
-            if naive_accepts(transitions, initial, accepting, word):
-                found.append(word)
+    queue = deque([((), closure[initial])])
+    while queue:
+        word, current = queue.popleft()
+        if current & accepting:
+            found.append(word)
+        if len(word) < max_len:
+            for sym in alphabet:
+                after = {p for q in current for p in succ.get((q, sym), ())}
+                if after:
+                    queue.append((word + (sym,), after))
     return found
+
+
+def without_epsilon(states, transitions, initial, accepting):
+    """The epsilon-free equivalent on the same states, from the definition:
+    q reads s into p when a path of epsilon moves, one s move and epsilon
+    moves again leads from q to p, and q accepts when epsilon moves alone
+    lead from q to an accepting state.  Returns (states, initial,
+    accepting, transitions)."""
+    eps = [(src, dst) for src, label, dst in transitions if label == ""]
+    closure = {q: reachable({q}, eps) for q in states}
+    moves = {
+        (q, label, p)
+        for q in states
+        for src, label, mid in transitions
+        if label != "" and src in closure[q]
+        for p in closure[mid]
+    }
+    return set(states), initial, {q for q in states if closure[q] & set(accepting)}, moves
 
 
 def all_pairs_product(left_states, left_moves, right_states, right_moves):

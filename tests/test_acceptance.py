@@ -49,6 +49,7 @@ from oracles import (
     RHO_ALLWORDS,
     RHO_DYCK1,
     dyck_words,
+    enumerate_accepted,
     grammar_words,
     naive_accepts,
     rho_allwords,
@@ -93,7 +94,7 @@ def test_criterion_01_product_language_exact():
             g = random_cnf(rng, 4)
             a = random_nfa(rng, 4, allow_epsilon=(i % 2 == 1))
             if i % 2 == 1:
-                while not a.has_epsilon_moves():
+                while not any(label == "" for _, label, _ in a.transitions):
                     a = random_nfa(rng, 4, allow_epsilon=True)
             product = bar_hillel(g, a)
             left = set(grammar_words(product.rules, product.axiom, 8, product.nonterminals))
@@ -189,7 +190,9 @@ def test_criterion_04_marking_correctness():
             a = random_nfa(rng, 3, alphabet=D2_LETTERS, allow_epsilon=(i % 2 == 1))
             marked = mark_automaton(a).nfa
             assert intersection_nonempty(d2, a) == intersection_nonempty(d2, marked)
-            for w in marked.trimmed().accepted_words(8):
+            for w in enumerate_accepted(
+                marked.transitions, marked.initial, marked.accepting, marked.alphabet, 8
+            ):
                 height = 0
                 for sym in w:
                     height += 1 if sym in ("a1", "a2") else -1
@@ -218,7 +221,8 @@ def test_criterion_05_embedding_reduction():
                 assert b.accepts(w)
                 positives += 1
             else:
-                hits = [w for w in b.accepted_words(20) if s_sharp_up_member(w)]
+                accepted = enumerate_accepted(b.transitions, b.initial, b.accepting, b.alphabet, 20)
+                hits = [w for w in accepted if s_sharp_up_member(w)]
                 assert not hits, f"instance {i}: stray witness {hits[0]}"
                 negatives += 1
         detail.append(f"30 seeded instances: {positives} witnesses pass, {negatives} stay empty")

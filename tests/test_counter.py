@@ -301,6 +301,37 @@ def test_least_words_needs_a_quadratic_cap(epsilon):
     assert product.to_nfa().shortest_witness() == word
 
 
+def epsilon_pump():
+    """13 states that accept the empty word only with the counter at 21.
+    s moves on epsilon, +1, into a 5-cycle c0..c4 of epsilon +1 moves;
+    c4 also moves on epsilon, +1, to d0, which starts a 7-cycle d0..d6 of
+    epsilon moves guarded positive, -1, and accepts at zero.  The counter
+    reaches d0 at 6 + 5k, and 6 + 5k is first a multiple of 7 at k = 3."""
+    moves = {("s", "", "any", 1, "c0"), ("c4", "", "any", 1, "d0")}
+    moves |= {(f"c{i}", "", "any", 1, f"c{(i + 1) % 5}") for i in range(5)}
+    moves |= {(f"d{i}", "", "positive", -1, f"d{(i + 1) % 7}") for i in range(7)}
+    return CounterAutomaton.build(
+        ("a1", "abar1"), "s", {"d0"}, moves, accept_mode="final_state_and_zero"
+    )
+
+
+def test_accepts_follows_epsilon_runs_past_a_linear_cap():
+    """The membership oracle of a counter filter caps the counter at
+    (|Q|·(|w|+1))², the |P|² of the machine's product P with the word's
+    path.  A linear cap |w|·|Q| + |Q| = 13 cuts off the run at 21: accepts
+    then said no, while least_words found the empty word, so nrr_decide
+    rejected its own witness."""
+    c = epsilon_pump()
+    assert len(c.states) == 13
+    assert c.accepts(())
+    assert not c.accepts(("a1",))
+    assert list(c.least_words(13)) == []
+    assert list(c.least_words(len(c.states) ** 2)) == [("d0", ())]
+    one_state = Nfa.build(("a1", "abar1"), "q", {"q"}, set())
+    report = nrr_decide(one_state, FilterSpec.from_counter(c))
+    assert report.nonempty and report.witness == ()
+
+
 def test_json_round_trip():
     c = d1_counter()
     assert CounterAutomaton.from_json(c.to_json()) == c

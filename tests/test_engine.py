@@ -42,9 +42,11 @@ from generators import (
 from oracles import (
     RHO_ALLWORDS,
     RHO_DYCK1,
+    enumerate_accepted,
     rho_allwords,
     rho_dyck1,
     substituted_member,
+    without_epsilon,
 )
 
 
@@ -55,6 +57,14 @@ def pair_machine():
         {"q2"},
         {("q0", "a1", "q1"), ("q1", "abar1", "q2")},
     )
+
+
+def epsilon_free(a):
+    """a's epsilon-free equivalent on the same states, by the oracle."""
+    states, initial, accepting, transitions = without_epsilon(
+        a.states, a.transitions, a.initial, a.accepting
+    )
+    return Nfa(frozenset(states), a.alphabet, initial, frozenset(accepting), frozenset(transitions))
 
 
 def test_decide_grammar_route():
@@ -92,6 +102,13 @@ def test_decide_rejects_foreign_letters():
     a = Nfa.build(("z",), "q0", {"q0"}, set())
     with pytest.raises(InputError):
         nrr_decide(a, FilterSpec.dyck(1))
+    # the message names the first foreign letter in the automaton's order,
+    # against a small filter alphabet and a large one alike
+    a = Nfa.build(("a1", "zz", "abar1", "yy"), "q0", {"q0"}, set())
+    for f in (FilterSpec.dyck(1), parse_filter_name("dyckN:3000")):
+        with pytest.raises(InputError) as err:
+            nrr_decide(a, f)
+        assert str(err.value) == "automaton symbol 'zz' is not in the filter alphabet"
 
 
 def test_decide_rejects_reduction_only_filter():
@@ -204,7 +221,7 @@ def test_decide_methods():
         assert nrr_decide(a, counter_filter, "counter") == nrr_decide(a, counter_filter), a
         log2 = nrr_decide(a, dyck1, "log2")
         assert (log2.method, log2.nonempty, log2.witness) == ("log2", auto.nonempty, None), a
-        assert log2.stats == log2_check(g, a.without_epsilon_moves()).to_dict(), a
+        assert log2.stats == log2_check(g, epsilon_free(a)).to_dict(), a
         assert "witness" not in log2.to_dict()
 
     sym = Nfa.build(("x1", "xbar1"), "q0", {"q0"}, set())
@@ -223,7 +240,8 @@ def test_decide_against_enumeration():
     for _ in range(30):
         a = random_nfa(rng, max_states=3, allow_epsilon=rng.random() < 0.5)
         report = nrr_decide(a, f)
-        brute = [w for w in a.accepted_words(8) if f.contains(w)]
+        accepted = enumerate_accepted(a.transitions, a.initial, a.accepting, a.alphabet, 8)
+        brute = [w for w in accepted if f.contains(w)]
         if report.nonempty:
             assert brute == [] or len(brute[0]) == len(report.witness)
         else:
@@ -283,17 +301,24 @@ def test_decide_substituted_foreign_letter():
            "zz": FilterSpec.symmetric()}
     with pytest.raises(InputError, match="substituted letter 'zz'"):
         decide_substituted(a, FilterSpec.dyck(1), sub)
+    # with two foreign letters, the first in sorted order is named
+    sub["yy"] = FilterSpec.symmetric()
+    with pytest.raises(InputError) as err:
+        decide_substituted(a, FilterSpec.dyck(1), sub)
+    assert str(err.value) == "substituted letter 'yy' is not in the outer filter alphabet"
 
 
 def _per_pair_collapse(a, sub):
-    """The collapse decided one state pair and substituent at a time."""
+    """The collapse decided one state pair and substituent at a time, on a
+    run from q that accepts only at p."""
     outer = tuple(sorted(sub))
+    between = lambda q, p: Nfa(a.states, a.alphabet, q, frozenset({p}), a.transitions)
     transitions = {
         (q, x, p)
         for q in a.states
         for p in a.states
         for x in outer
-        if nrr_decide(engine._restrict(a.sub_automaton(q, p), sub[x].alphabet), sub[x]).nonempty
+        if nrr_decide(engine._restrict(between(q, p), sub[x].alphabet), sub[x]).nonempty
     }
     return Nfa(a.states, outer, a.initial, a.accepting, frozenset(transitions))
 
@@ -368,7 +393,7 @@ def test_decide_substituted_against_enumeration():
         report = decide_substituted(a, outer, sub)
         brute = any(
             substituted_member(w, outer_words, seg)
-            for w in a.accepted_words(8)
+            for w in enumerate_accepted(a.transitions, a.initial, a.accepting, a.alphabet, 8)
         )
         assert report.nonempty == brute, a
 
@@ -674,10 +699,10 @@ def test_log2_check_absorbs_epsilon_moves():
     for k in range(800):
         g, alphabet = grammars[k % 4] if k % 4 < 3 else (random_cnf(rng), ("a1", "abar1"))
         a = random_nfa(rng, max_states=5, alphabet=alphabet, allow_epsilon=True)
-        if not a.has_epsilon_moves():
+        if not any(label == "" for _, label, _ in a.transitions):
             continue
         stats = log2_check(g, a)
-        assert stats == log2_check(g, a.without_epsilon_moves()), (g, a)
+        assert stats == log2_check(g, epsilon_free(a)), (g, a)
         depths.add(stats.max_recursion_depth)
     # no tree (depth 0), one letter (1) and composite certificates all occur
     assert {0, 1, 2, 3} <= depths

@@ -20,7 +20,6 @@ from rrkit.filters import (
     dyck_grammar,
     dyck_member,
     m_inf_member,
-    m_member,
     m_plus_member,
     s_sharp_member,
     s_sharp_up_member,
@@ -70,7 +69,6 @@ def test_s_sharp_rejects_trailing_run():
 
 def test_m_family_sweep():
     for w in all_words(ALPHABET_FULL, 5):
-        assert m_member(w) == oracles.m_oracle(w), w
         assert m_inf_member(w) == oracles.m_inf_oracle(w), w
         assert m_plus_member(w) == oracles.m_plus_oracle(w), w
         assert s_sharp_up_member(w) == oracles.s_sharp_up_oracle(w), w
@@ -104,8 +102,6 @@ def test_membership_rejects_foreign_symbols():
         dyck_member(1, ("a2",))
     with pytest.raises(InputError):
         sym_member(("a",))
-    with pytest.raises(InputError):
-        m_member(("z",))
 
 
 def test_dyck_grammar_matches_oracle():
@@ -185,8 +181,3 @@ def test_parse_filter_name():
         parse_filter_name("dyckN:x")
     with pytest.raises(InputError):
         parse_filter_name("unknown")
-
-
-def test_describe():
-    assert FilterSpec.dyck(2).describe() == "dyck2"
-    assert FilterSpec.symmetric().describe() == "symmetric"

@@ -3,7 +3,14 @@
 import random
 from itertools import product
 
-from oracles import balanced_brackets, dyck_words, grammar_words
+from oracles import (
+    balanced_brackets,
+    dyck_words,
+    enumerate_accepted,
+    grammar_words,
+    naive_accepts,
+    without_epsilon,
+)
 
 
 def test_dyck_words_matches_filtering_every_tuple():
@@ -52,3 +59,50 @@ def test_grammar_words_matches_naive_fixpoint():
         for max_len in (0, 3, 6):
             expected = naive_grammar_words(rules, "N0", max_len, set(nonterminals))
             assert grammar_words(rules, "N0", max_len, set(nonterminals)) == expected, rules
+
+
+def random_machine(rng, alphabet):
+    """Up to 4 states and 8 moves, epsilon moves among them; 0 is initial."""
+    states = range(rng.randint(1, 4))
+    transitions = {
+        (rng.choice(states), rng.choice(alphabet + ("",)), rng.choice(states))
+        for _ in range(rng.randint(0, 8))
+    }
+    return set(states), transitions, 0, {q for q in states if rng.random() < 0.4}
+
+
+def every_accepted(transitions, initial, accepting, alphabet, max_len):
+    """Every tuple up to max_len that naive_accepts takes, by length, then
+    in alphabet order."""
+    return [
+        w
+        for length in range(max_len + 1)
+        for w in product(alphabet, repeat=length)
+        if naive_accepts(transitions, initial, accepting, w)
+    ]
+
+
+def test_enumerate_accepted_matches_testing_every_tuple():
+    # "b" before "a": the order is the alphabet's, not the strings'
+    rng = random.Random(4343)
+    alphabet = ("b", "a")
+    with_epsilon = 0
+    for _ in range(300):
+        states, transitions, initial, accepting = random_machine(rng, alphabet)
+        with_epsilon += any(label == "" for _, label, _ in transitions)
+        expected = every_accepted(transitions, initial, accepting, alphabet, 5)
+        assert enumerate_accepted(transitions, initial, accepting, alphabet, 5) == expected
+    assert with_epsilon > 100
+
+
+def test_without_epsilon_keeps_the_language():
+    rng = random.Random(4444)
+    alphabet = ("a", "b")
+    for _ in range(300):
+        states, transitions, initial, accepting = random_machine(rng, alphabet)
+        free = without_epsilon(states, transitions, initial, accepting)
+        assert free[0] == states and free[1] == initial
+        assert all(label != "" for _, label, _ in free[3])
+        assert every_accepted(free[3], initial, free[2], alphabet, 5) == every_accepted(
+            transitions, initial, accepting, alphabet, 5
+        )

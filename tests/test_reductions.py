@@ -33,6 +33,7 @@ from rrkit.reductions import D2_ALPHABET
 from generators import random_cnf, random_nfa
 from oracles import (
     dyck_words,
+    enumerate_accepted,
     grammar_words,
     mark_by_definition,
     naive_accepts,
@@ -131,7 +132,7 @@ def test_intersection_helpers_agree_with_product():
         a = random_nfa(rng, max_states=3, allow_epsilon=rng.random() < 0.5)
         prod = bar_hillel(g, a)
         nonempty = intersection_nonempty(g, a)
-        assert nonempty == prod.nonempty(), (g, a)
+        assert nonempty == (prod.shortest_word() is not None), (g, a)
         w = intersection_shortest(g, a)
         assert w == prod.shortest_word(), (g, a)
         assert (w is not None) == nonempty
@@ -289,9 +290,11 @@ def test_marking_respects_heights():
 
 
 def test_marked_words_have_balanced_heights():
-    marked = mark_automaton(two_state_loop()).nfa.trimmed()
+    marked = mark_automaton(two_state_loop()).nfa
     count = 0
-    for w in marked.accepted_words(6):
+    for w in enumerate_accepted(
+        marked.transitions, marked.initial, marked.accepting, marked.alphabet, 6
+    ):
         level = 0
         for sym in w:
             level += 1 if sym in ("a1", "a2") else -1
@@ -360,7 +363,7 @@ def test_reduction_positive():
     )
     b = reduce_d2_to_ssharpup(a)
     expected = ssharpup_embedding(("a1", "abar1"))
-    accepted = list(b.accepted_words(len(expected)))
+    accepted = enumerate_accepted(b.transitions, b.initial, b.accepting, b.alphabet, len(expected))
     assert accepted == [expected]
     assert s_sharp_up_member(expected)
 
@@ -372,7 +375,7 @@ def test_reduction_negative_balanced_mismatch():
         D2_ALPHABET, "q0", {"q2"}, {("q0", "a1", "q1"), ("q1", "abar2", "q2")}
     )
     b = reduce_d2_to_ssharpup(a)
-    accepted = list(b.accepted_words(14))
+    accepted = enumerate_accepted(b.transitions, b.initial, b.accepting, b.alphabet, 14)
     assert accepted != []
     assert all(not s_sharp_up_member(w) for w in accepted)
 
