@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InputError
+from .values import Frozen, set_field
 
 EPSILON = ""
 
@@ -144,35 +144,56 @@ def _json_list(lines: Iterable[str]) -> str:
     return f"[\n{text}\n  ]" if text else "[]"
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Frozen):
     states: frozenset[str]
     alphabet: tuple[str, ...]
     initial: str
     accepting: frozenset[str]
     transitions: frozenset[tuple[str, str, str]]
 
-    def __post_init__(self) -> None:
-        require_strings(chain(self.states, self.alphabet))
-        if len(set(self.alphabet)) != len(self.alphabet):
+    def __init__(
+        self,
+        states: frozenset[str],
+        alphabet: tuple[str, ...],
+        initial: str,
+        accepting: frozenset[str],
+        transitions: frozenset[tuple[str, str, str]],
+    ) -> None:
+        set_field(self, "states", states)
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "initial", initial)
+        set_field(self, "accepting", accepting)
+        set_field(self, "transitions", transitions)
+        require_strings(chain(states, alphabet))
+        if len(set(alphabet)) != len(alphabet):
             raise InputError("alphabet contains duplicate symbols")
-        if EPSILON in self.alphabet:
+        if EPSILON in alphabet:
             raise InputError("the empty string is reserved for epsilon labels")
-        if self.initial not in self.states:
-            require_strings((self.initial,))
-            raise InputError(f"initial state {self.initial!r} is not a state")
-        bad = self.accepting - self.states
+        if initial not in states:
+            require_strings((initial,))
+            raise InputError(f"initial state {initial!r} is not a state")
+        bad = accepting - states
         if bad:
             require_strings(bad)
             raise InputError(f"accepting states {sorted(bad)} are not states")
-        symbols = set(self.alphabet)
-        for src, label, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
+        symbols = set(alphabet)
+        for src, label, dst in transitions:
+            if src not in states or dst not in states:
                 require_strings((src, label, dst))
                 raise InputError(f"transition ({src!r},{label!r},{dst!r}) uses unknown states")
             if label != EPSILON and label not in symbols:
                 require_strings((label,))
                 raise InputError(f"transition label {label!r} is not in the alphabet")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.states, self.alphabet, self.initial, self.accepting, self.transitions) == (
+            other.states, other.alphabet, other.initial, other.accepting, other.transitions
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.states, self.alphabet, self.initial, self.accepting, self.transitions))
 
     @classmethod
     def build(

@@ -8,42 +8,57 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .automata import EPSILON, Nfa, pair_name, require_lists, require_strings, synchronized_moves
+from .automata import (
+    EPSILON, Nfa, pair_name, require_lists, require_strings, synchronized_moves, trim_states,
+)
 from .errors import ContractError, InputError
+from .values import Frozen, set_field
 
 GUARDS = ("any", "zero", "positive")
 ACCEPT_MODES = ("final_state", "final_state_and_zero")
 
 
-@dataclass(frozen=True)
-class CounterAutomaton:
+class CounterAutomaton(Frozen):
     states: frozenset[str]
     alphabet: tuple[str, ...]
     initial: str
     accepting: frozenset[str]
     # (src, read, guard, delta, dst); read == "" is an epsilon move
     transitions: frozenset[tuple[str, str, str, int, str]]
-    accept_mode: str = "final_state"
+    accept_mode: str
 
-    def __post_init__(self) -> None:
-        require_strings(chain(self.states, self.alphabet))
-        if self.initial not in self.states:
-            require_strings((self.initial,))
-            raise InputError(f"initial state {self.initial!r} is not a state")
-        bad = self.accepting - self.states
+    def __init__(
+        self,
+        states: frozenset[str],
+        alphabet: tuple[str, ...],
+        initial: str,
+        accepting: frozenset[str],
+        transitions: frozenset[tuple[str, str, str, int, str]],
+        accept_mode: str = "final_state",
+    ) -> None:
+        set_field(self, "states", states)
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "initial", initial)
+        set_field(self, "accepting", accepting)
+        set_field(self, "transitions", transitions)
+        set_field(self, "accept_mode", accept_mode)
+        require_strings(chain(states, alphabet))
+        if initial not in states:
+            require_strings((initial,))
+            raise InputError(f"initial state {initial!r} is not a state")
+        bad = accepting - states
         if bad:
             require_strings(bad)
             raise InputError("accepting states must be states")
-        if self.accept_mode not in ACCEPT_MODES:
-            raise InputError(f"unknown accept mode {self.accept_mode!r}")
-        symbols = set(self.alphabet)
-        for src, read, guard, delta, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
+        if accept_mode not in ACCEPT_MODES:
+            raise InputError(f"unknown accept mode {accept_mode!r}")
+        symbols = set(alphabet)
+        for src, read, guard, delta, dst in transitions:
+            if src not in states or dst not in states:
                 require_strings((src, read, dst))
                 raise InputError("transition endpoints must be states")
             if read != EPSILON and read not in symbols:
@@ -53,6 +68,23 @@ class CounterAutomaton:
                 raise InputError(f"unknown guard {guard!r}")
             if delta not in (-1, 0, 1):
                 raise InputError(f"counter delta must be -1, 0 or +1, got {delta!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.states, self.alphabet, self.initial,
+            self.accepting, self.transitions, self.accept_mode,
+        ) == (
+            other.states, other.alphabet, other.initial,
+            other.accepting, other.transitions, other.accept_mode,
+        )
+
+    def __hash__(self) -> int:
+        return hash((
+            self.states, self.alphabet, self.initial,
+            self.accepting, self.transitions, self.accept_mode,
+        ))
 
     @classmethod
     def build(
@@ -153,7 +185,14 @@ class CounterAutomaton:
         or a level claims no new configuration.  There is no default cap:
         the caller picks it, as nrr_decide picks |P|² for the product
         machine P (to_nfa's default, which preserves emptiness).
+
+        Moves into states that reach no accepting state are dropped
+        (automata.trim_states): every configuration on an accepting run
+        sits in a state that reaches one, so the yields stay the same,
+        and a dead branch that pumps the counter is never walked.
         """
+        live = trim_states(self.initial, self.accepting, ((t[0], t[4]) for t in self.transitions))
+        moves = {q: [move for move in self._by_state.get(q, ()) if move[3] in live] for q in live}
         seen: set[tuple[str, int]] = set()
         pending = set(self.accepting)  # not yet yielded
 
@@ -170,7 +209,7 @@ class CounterAutomaton:
                 if state in pending and self._is_accepting(state, value):
                     pending.remove(state)
                     accepted.append(state)
-                for read, guard, delta, dst in self._by_state.get(state, ()):
+                for read, guard, delta, dst in moves[state]:
                     if read != EPSILON or not self._guard_ok(guard, value):
                         continue
                     nxt = (dst, value + delta)
@@ -198,7 +237,7 @@ class CounterAutomaton:
             for node, group in level:
                 successors: dict[str, list[tuple[str, int]]] = {}
                 for state, value in group:
-                    for read, guard, delta, dst in self._by_state.get(state, ()):
+                    for read, guard, delta, dst in moves[state]:
                         if read == EPSILON or not self._guard_ok(guard, value):
                             continue
                         nval = value + delta

@@ -13,7 +13,6 @@ a log² n-space recognizer verifies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .automata import EPSILON, Nfa, pair_name
@@ -22,10 +21,10 @@ from .errors import InputError
 from .filters import FilterSpec, d1_counter
 from .grammars import Cfg
 from .reductions import Triple, _derivable, intersection_shortest
+from .values import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(Frozen):
     """Outcome of one realizability decision.
 
     A present witness is always accepted by the input automaton and passes
@@ -48,6 +47,28 @@ class DecisionReport:
     method: str
     stats: Mapping[str, int]
 
+    def __init__(
+        self,
+        nonempty: bool,
+        witness: Optional[tuple[str, ...]],
+        method: str,
+        stats: Mapping[str, int],
+    ) -> None:
+        set_field(self, "nonempty", nonempty)
+        set_field(self, "witness", witness)
+        set_field(self, "method", method)
+        set_field(self, "stats", stats)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nonempty, self.witness, self.method, self.stats) == (
+            other.nonempty, other.witness, other.method, other.stats
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.nonempty, self.witness, self.method, self.stats))
+
     def to_dict(self) -> dict:
         out = {"nonempty": self.nonempty, "method": self.method, "stats": dict(self.stats)}
         if self.method != "log2":
@@ -55,8 +76,7 @@ class DecisionReport:
         return out
 
 
-@dataclass(frozen=True)
-class CheckerStats:
+class CheckerStats(Frozen):
     """Space figures of the recursive verification of one certificate.
 
     max_recursion_depth is the number of nested frames the 1/3–2/3
@@ -75,6 +95,21 @@ class CheckerStats:
     max_recursion_depth: int
     max_live_triples: int
     result: bool
+
+    def __init__(self, max_recursion_depth: int, max_live_triples: int, result: bool) -> None:
+        set_field(self, "max_recursion_depth", max_recursion_depth)
+        set_field(self, "max_live_triples", max_live_triples)
+        set_field(self, "result", result)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_recursion_depth, self.max_live_triples, self.result) == (
+            other.max_recursion_depth, other.max_live_triples, other.result
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.max_recursion_depth, self.max_live_triples, self.result))
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,6 @@ M-family languages get oracles only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -16,6 +15,7 @@ from .counter import CounterAutomaton
 from .errors import InputError, UnsupportedFilterError
 from .grammars import Cfg
 from .transducers import Transducer
+from .values import Frozen, set_field
 
 ALPHABET_A = ("a", "abar")
 ALPHABET_X = ("x1", "x2", "xbar1", "xbar2")
@@ -260,24 +260,43 @@ def dyck_encoder(n: int) -> Transducer:
 FILTER_KINDS = ("dyck", "symmetric", "symmetric_sharp", "s_sharp_up", "user_grammar", "counter")
 
 
-@dataclass(frozen=True)
-class FilterSpec:
+class FilterSpec(Frozen):
     """A filter language: a built-in oracle, a user grammar, or a counter machine."""
 
     kind: str
-    n: int = 0
-    grammar: Optional[Cfg] = None
-    automaton: Optional[CounterAutomaton] = None
+    n: int
+    grammar: Optional[Cfg]
+    automaton: Optional[CounterAutomaton]
 
-    def __post_init__(self) -> None:
-        if self.kind not in FILTER_KINDS:
-            raise InputError(f"unknown filter kind {self.kind!r}")
-        if self.kind == "dyck" and self.n < 1:
+    def __init__(
+        self,
+        kind: str,
+        n: int = 0,
+        grammar: Optional[Cfg] = None,
+        automaton: Optional[CounterAutomaton] = None,
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "n", n)
+        set_field(self, "grammar", grammar)
+        set_field(self, "automaton", automaton)
+        if kind not in FILTER_KINDS:
+            raise InputError(f"unknown filter kind {kind!r}")
+        if kind == "dyck" and n < 1:
             raise InputError("dyck filters need n >= 1")
-        if self.kind == "user_grammar" and self.grammar is None:
+        if kind == "user_grammar" and grammar is None:
             raise InputError("user_grammar filters need a grammar")
-        if self.kind == "counter" and self.automaton is None:
+        if kind == "counter" and automaton is None:
             raise InputError("counter filters need a counter automaton")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.n, self.grammar, self.automaton) == (
+            other.kind, other.n, other.grammar, other.automaton
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.n, self.grammar, self.automaton))
 
     @classmethod
     def dyck(cls, n: int) -> "FilterSpec":

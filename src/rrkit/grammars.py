@@ -6,33 +6,52 @@ axiom in the text format), and all derived maps are computed lazily.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import ContractError, InputError
+from .values import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class Cfg:
+class Cfg(Frozen):
     nonterminals: frozenset[str]
     terminals: frozenset[str]
     rules: tuple[tuple[str, tuple[str, ...]], ...]
     axiom: str
 
-    def __post_init__(self) -> None:
-        if self.axiom not in self.nonterminals:
-            raise InputError(f"axiom {self.axiom!r} is not a nonterminal")
-        overlap = self.nonterminals & self.terminals
+    def __init__(
+        self,
+        nonterminals: frozenset[str],
+        terminals: frozenset[str],
+        rules: tuple[tuple[str, tuple[str, ...]], ...],
+        axiom: str,
+    ) -> None:
+        set_field(self, "nonterminals", nonterminals)
+        set_field(self, "terminals", terminals)
+        set_field(self, "rules", rules)
+        set_field(self, "axiom", axiom)
+        if axiom not in nonterminals:
+            raise InputError(f"axiom {axiom!r} is not a nonterminal")
+        overlap = nonterminals & terminals
         if overlap:
             raise InputError(f"symbols {sorted(overlap)} are both terminal and nonterminal")
-        symbols = self.nonterminals | self.terminals
-        for lhs, rhs in self.rules:
-            if lhs not in self.nonterminals:
+        symbols = nonterminals | terminals
+        for lhs, rhs in rules:
+            if lhs not in nonterminals:
                 raise InputError(f"rule lhs {lhs!r} is not a nonterminal")
             for sym in rhs:
                 if sym not in symbols:
                     raise InputError(f"rule symbol {sym!r} is not declared")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nonterminals, self.terminals, self.rules, self.axiom) == (
+            other.nonterminals, other.terminals, other.rules, other.axiom
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.nonterminals, self.terminals, self.rules, self.axiom))
 
     @classmethod
     def build(

@@ -10,7 +10,6 @@ two-pair bracket realizability into S_#^up.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Mapping, Optional
 
@@ -19,6 +18,7 @@ from .errors import ContractError, InputError
 from .filters import ALPHABET_FULL, dyck_alphabet, dyck_encoder, parse_filter_name
 from .grammars import Cfg
 from .transducers import Transducer
+from .values import Frozen, set_field
 
 D2_ALPHABET = dyck_alphabet(2)
 
@@ -277,8 +277,7 @@ def height_bound(a: Nfa) -> int:
     return len(parse_filter_name("dyck2").cnf_grammar.nonterminals) * len(a.states) ** 2 + 2
 
 
-@dataclass(frozen=True, eq=False)
-class MarkedNfa:
+class MarkedNfa(Frozen):
     """An NFA over the two-pair bracket alphabet carrying a height marking.
 
     Every transition of `nfa` between height-carrying states respects the
@@ -286,12 +285,17 @@ class MarkedNfa:
     stay level.  The marking is zero at the initial state and at every
     accepting state.  Moves that would leave the tracked band fall into
     `reject_state`, which carries no height, accepts nothing, and has no
-    way out.
+    way out.  Two markings compare equal only when they are the same object.
     """
 
     nfa: Nfa
     height: Mapping[str, int]
     reject_state: str
+
+    def __init__(self, nfa: Nfa, height: Mapping[str, int], reject_state: str) -> None:
+        set_field(self, "nfa", nfa)
+        set_field(self, "height", height)
+        set_field(self, "reject_state", reject_state)
 
 
 def _require_d2(a: Nfa) -> None:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping
@@ -18,10 +17,10 @@ from .automata import (
     trim_states,
 )
 from .errors import ContractError, InputError
+from .values import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class Transducer:
+class Transducer(Frozen):
     input_alphabet: tuple[str, ...]
     output_alphabet: tuple[str, ...]
     states: frozenset[str]
@@ -29,19 +28,33 @@ class Transducer:
     accepting: frozenset[str]
     transitions: frozenset[tuple[str, str, str, str]]  # (src, read, write, dst)
 
-    def __post_init__(self) -> None:
-        require_strings(chain(self.states, self.input_alphabet, self.output_alphabet))
-        if self.initial not in self.states:
-            require_strings((self.initial,))
-            raise InputError(f"initial state {self.initial!r} is not a state")
-        bad = self.accepting - self.states
+    def __init__(
+        self,
+        input_alphabet: tuple[str, ...],
+        output_alphabet: tuple[str, ...],
+        states: frozenset[str],
+        initial: str,
+        accepting: frozenset[str],
+        transitions: frozenset[tuple[str, str, str, str]],
+    ) -> None:
+        set_field(self, "input_alphabet", input_alphabet)
+        set_field(self, "output_alphabet", output_alphabet)
+        set_field(self, "states", states)
+        set_field(self, "initial", initial)
+        set_field(self, "accepting", accepting)
+        set_field(self, "transitions", transitions)
+        require_strings(chain(states, input_alphabet, output_alphabet))
+        if initial not in states:
+            require_strings((initial,))
+            raise InputError(f"initial state {initial!r} is not a state")
+        bad = accepting - states
         if bad:
             require_strings(bad)
             raise InputError("accepting states must be states")
-        ins = set(self.input_alphabet)
-        outs = set(self.output_alphabet)
-        for src, read, write, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
+        ins = set(input_alphabet)
+        outs = set(output_alphabet)
+        for src, read, write, dst in transitions:
+            if src not in states or dst not in states:
                 require_strings((src, read, write, dst))
                 raise InputError("transition endpoints must be states")
             if read != EPSILON and read not in ins:
@@ -50,6 +63,23 @@ class Transducer:
             if write != EPSILON and write not in outs:
                 require_strings((write,))
                 raise InputError(f"write symbol {write!r} is not in the output alphabet")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.input_alphabet, self.output_alphabet, self.states,
+            self.initial, self.accepting, self.transitions,
+        ) == (
+            other.input_alphabet, other.output_alphabet, other.states,
+            other.initial, other.accepting, other.transitions,
+        )
+
+    def __hash__(self) -> int:
+        return hash((
+            self.input_alphabet, self.output_alphabet, self.states,
+            self.initial, self.accepting, self.transitions,
+        ))
 
     @classmethod
     def build(

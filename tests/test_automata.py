@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -128,7 +127,9 @@ def test_validation():
     with pytest.raises(InputError, match="must be strings"):
         Nfa.from_dict(mixed)
     # the constructor checks names itself, not only the loader
+    good = {"states": frozenset({"q"}), "alphabet": ("a",), "initial": "q",
+            "accepting": frozenset({"q"}), "transitions": frozenset()}
     for bad in ({"states": frozenset({"q", 1})}, {"alphabet": ("a", 1)}, {"initial": 1},
                 {"transitions": frozenset({("q", "a", 1)})}):
         with pytest.raises(InputError, match="must be strings"):
-            dataclasses.replace(Nfa.build(("a",), "q", {"q"}, set()), **bad)
+            Nfa(**{**good, **bad})

@@ -5,7 +5,6 @@ configurations directly, `to_nfa` flattens them into plain states, and
 the two must agree on every word whose runs stay under the cap.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -157,8 +156,11 @@ def test_counter_filter_with_integer_names_is_input_error():
     ids=["states", "alphabet", "initial", "accepting", "endpoint", "read"],
 )
 def test_constructor_rejects_non_string_names(fields):
+    c = d1_counter()
     with pytest.raises(InputError, match="must be strings"):
-        dataclasses.replace(d1_counter(), **fields)
+        CounterAutomaton(**{"states": c.states, "alphabet": c.alphabet, "initial": c.initial,
+                            "accepting": c.accepting, "transitions": c.transitions,
+                            "accept_mode": c.accept_mode, **fields})
 
 
 @pytest.mark.parametrize("where", ["states", "alphabet", "initial", "transition"])
@@ -299,6 +301,42 @@ def test_least_words_needs_a_quadratic_cap(epsilon):
     word = ("a1",) * 12 + ("abar1",) * 12
     assert list(product.least_words(size**2)) == [(pair_name("q0", "q4"), word)]
     assert product.to_nfa().shortest_witness() == word
+
+
+@pytest.mark.parametrize("mode", ["final_state", "final_state_and_zero"])
+def test_least_words_skips_a_dead_pumping_branch(mode):
+    """A branch that pumps the counter and reaches no accepting state
+    changes no yield: the machine with it yields what the machine
+    without it yields, and its first word is the unfolding's witness.
+    The branch reads "a", the first letter, from the initial state, and
+    its epsilon loop climbs to the cap; the search drops its moves."""
+    live = {
+        ("q0", "a", "any", 1, "q0"),
+        ("q0", "b", "positive", -1, "q1"),
+        ("q1", "b", "positive", -1, "q1"),
+        ("q1", "", "zero", 0, "f"),
+        ("q1", "a", "any", 0, "g"),
+    }
+    dead = {
+        ("q0", "a", "any", 1, "d0"),
+        ("d0", "", "any", 1, "d0"),
+        ("d0", "b", "any", 0, "d1"),
+        ("d1", "a", "positive", -1, "d0"),
+    }
+    alphabet = ("a", "b")
+    without = CounterAutomaton.build(alphabet, "q0", {"f", "g"}, live, accept_mode=mode)
+    with_branch = CounterAutomaton.build(alphabet, "q0", {"f", "g"}, live | dead, accept_mode=mode)
+    assert {"d0", "d1"} <= with_branch.states
+    for cap in (1, 3, len(with_branch.states) ** 2):
+        yielded = list(with_branch.least_words(cap))
+        assert yielded == list(without.least_words(cap)), cap
+        witness = with_branch.to_nfa(cap).shortest_witness()
+        assert (yielded[0][1] if yielded else None) == witness, cap
+    assert list(with_branch.least_words(3)) == [("f", ("a", "b")), ("g", ("a", "b", "a"))]
+    # with every accepting state dead, only the initial state is searched
+    stuck = CounterAutomaton.build(alphabet, "q0", {"f"}, dead, states={"f"}, accept_mode=mode)
+    assert list(stuck.least_words(len(stuck.states) ** 2)) == []
+    assert stuck.to_nfa().shortest_witness() is None
 
 
 def epsilon_pump():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -156,8 +155,11 @@ def test_from_dict_rejects_string_for_list(field):
     ids=["states", "output_alphabet", "initial", "write"],
 )
 def test_constructor_rejects_non_string_names(fields):
+    t = renamer()
     with pytest.raises(InputError, match="must be strings"):
-        dataclasses.replace(renamer(), **fields)
+        Transducer(**{"input_alphabet": t.input_alphabet, "output_alphabet": t.output_alphabet,
+                      "states": t.states, "initial": t.initial, "accepting": t.accepting,
+                      "transitions": t.transitions, **fields})
 
 
 @pytest.mark.parametrize("where", ["input_alphabet", "states", "initial", "transition"])

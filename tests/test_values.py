@@ -1,0 +1,182 @@
+"""Value semantics of the immutable classes, and what a launch imports.
+
+The eight value classes compare by class and fields, hash their field
+tuple, refuse assignment and deletion, and print as
+`Name(field=value, ...)`; MarkedNfa compares by identity.  Launching
+`rr` imports none of the stdlib's introspection modules.
+"""
+
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import rrkit
+from rrkit import Cfg, CounterAutomaton, FilterSpec, Nfa, Transducer
+from rrkit.engine import CheckerStats, DecisionReport
+from rrkit.reductions import MarkedNfa
+
+
+def nfa_fields():
+    return {
+        "states": frozenset({"q", "p"}),
+        "alphabet": ("a", "b"),
+        "initial": "q",
+        "accepting": frozenset({"p"}),
+        "transitions": frozenset({("q", "a", "p"), ("p", "", "q")}),
+    }
+
+
+def counter_fields():
+    return {
+        "states": frozenset({"q"}),
+        "alphabet": ("a1", "abar1"),
+        "initial": "q",
+        "accepting": frozenset({"q"}),
+        "transitions": frozenset({("q", "a1", "any", 1, "q"), ("q", "abar1", "positive", -1, "q")}),
+        "accept_mode": "final_state_and_zero",
+    }
+
+
+def transducer_fields():
+    return {
+        "input_alphabet": ("a",),
+        "output_alphabet": ("x", "y"),
+        "states": frozenset({"s"}),
+        "initial": "s",
+        "accepting": frozenset({"s"}),
+        "transitions": frozenset({("s", "a", "x", "s")}),
+    }
+
+
+def cfg_fields():
+    return {
+        "nonterminals": frozenset({"S"}),
+        "terminals": frozenset({"a", "b"}),
+        "rules": (("S", ("a", "S", "b")), ("S", ())),
+        "axiom": "S",
+    }
+
+
+# (class, keyword arguments of one instance, one field changed)
+CASES = [
+    (Nfa, nfa_fields, {"initial": "p"}),
+    (CounterAutomaton, counter_fields, {"accept_mode": "final_state"}),
+    (Transducer, transducer_fields, {"output_alphabet": ("y", "x")}),
+    (Cfg, cfg_fields, {"rules": (("S", ()),)}),
+    (FilterSpec, lambda: {"kind": "dyck", "n": 2, "grammar": None, "automaton": None}, {"n": 3}),
+    (CheckerStats, lambda: {"max_recursion_depth": 2, "max_live_triples": 2, "result": True},
+     {"result": False}),
+    (DecisionReport, lambda: {"nonempty": True, "witness": ("a1", "abar1"), "method": "bar_hillel",
+                              "stats": {"states_created": 0}}, {"witness": ("a1", "a1")}),
+]
+IDS = [cls.__name__ for cls, _, _ in CASES]
+
+
+@pytest.mark.parametrize("cls, fields, changed", CASES, ids=IDS)
+def test_equal_fields_make_equal_values(cls, fields, changed):
+    by_keyword = cls(**fields())
+    by_position = cls(*fields().values())
+    assert by_keyword == by_position and not by_keyword != by_position
+    assert by_keyword != cls(**{**fields(), **changed})
+    # the class is part of the value: a subclass with the same fields differs
+    subclass = type("Sub", (cls,), {})
+    assert by_keyword != subclass(**fields()) and subclass(**fields()) != by_keyword
+    assert by_keyword != object()
+    assert by_keyword.__eq__(object()) is NotImplemented
+    values = tuple(fields().values())
+    if cls is DecisionReport:
+        # stats is a dict, so the field tuple has no hash
+        with pytest.raises(TypeError):
+            hash(by_keyword)
+    else:
+        assert hash(by_keyword) == hash(by_position) == hash(values)
+    for name, value in fields().items():
+        assert getattr(by_keyword, name) == value
+
+
+@pytest.mark.parametrize("cls, fields, changed", CASES, ids=IDS)
+def test_values_are_frozen(cls, fields, changed):
+    value = cls(**fields())
+    for name in [*fields(), "extra"]:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert value == cls(**fields())
+
+
+@pytest.mark.parametrize("cls, fields, changed", CASES, ids=IDS)
+def test_repr_lists_the_fields(cls, fields, changed):
+    value = cls(**fields())
+    inner = ", ".join(f"{name}={v!r}" for name, v in fields().items())
+    assert repr(value) == f"{cls.__name__}({inner})"
+
+
+def test_one_state_nfa_repr():
+    nfa = Nfa.build(("a",), "q", {"q"}, set())
+    assert repr(nfa) == (
+        "Nfa(states=frozenset({'q'}), alphabet=('a',), initial='q', "
+        "accepting=frozenset({'q'}), transitions=frozenset())"
+    )
+
+
+def test_keyword_defaults():
+    spec = FilterSpec("symmetric")
+    assert (spec.n, spec.grammar, spec.automaton) == (0, None, None)
+    assert spec == FilterSpec(kind="symmetric", n=0, grammar=None, automaton=None)
+    grammar = Cfg(**cfg_fields())
+    assert FilterSpec("user_grammar", grammar=grammar).grammar is grammar
+    fields = counter_fields()
+    del fields["accept_mode"]
+    assert CounterAutomaton(**fields).accept_mode == "final_state"
+    with pytest.raises(TypeError):
+        Nfa(**{**nfa_fields(), "extra": 1})
+    with pytest.raises(TypeError):
+        FilterSpec()
+
+
+def test_checks_run_on_every_construction():
+    with pytest.raises(rrkit.InputError, match="dyck filters need n >= 1"):
+        FilterSpec(kind="dyck")
+    with pytest.raises(rrkit.InputError, match="unknown accept mode"):
+        CounterAutomaton(**{**counter_fields(), "accept_mode": "never"})
+    with pytest.raises(rrkit.InputError, match="axiom 'T' is not a nonterminal"):
+        Cfg(**{**cfg_fields(), "axiom": "T"})
+
+
+def test_cached_properties_still_cache():
+    spec = FilterSpec("dyck", 1)
+    assert spec.alphabet is spec.alphabet
+    assert vars(spec)["alphabet"] == ("a1", "abar1")
+    nfa = Nfa(**nfa_fields())
+    assert nfa.eps_closure({"p"}) == {"p", "q"}
+    assert "_eps_out" in vars(nfa)
+    # cached values are no fields: they change neither equality nor hash
+    assert nfa == Nfa(**nfa_fields()) and hash(nfa) == hash(Nfa(**nfa_fields()))
+
+
+def test_marked_nfa_compares_by_identity():
+    nfa = Nfa(**nfa_fields())
+    first = MarkedNfa(nfa, {"q": 0, "p": 0}, "r")
+    second = MarkedNfa(nfa=nfa, height={"q": 0, "p": 0}, reject_state="r")
+    assert first == first and first != second
+    assert hash(first) == object.__hash__(first)
+    assert len({first, second}) == 2
+    with pytest.raises(AttributeError, match="cannot assign to field 'nfa'"):
+        first.nfa = nfa
+    assert repr(first) == f"MarkedNfa(nfa={nfa!r}, height={{'q': 0, 'p': 0}}, reject_state='r')"
+
+
+def test_launch_imports_no_introspection_modules():
+    """`import rrkit` and `import rrkit.cli`, as every `rr` launch does,
+    load none of dataclasses, inspect, ast, dis or tokenize: together
+    they cost about a third of the launch."""
+    src_root = str(pathlib.Path(rrkit.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src_root!r}); import rrkit; import rrkit.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
