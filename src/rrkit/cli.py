@@ -5,14 +5,20 @@ Exit codes follow one convention across commands: 0 means true/nonempty,
 contract violation).  Words on the command line are space-separated
 symbol tokens, e.g. --word "a1 a2 abar2 abar1".  JSON output is emitted
 with sorted keys so golden files stay byte-stable.
+
+Each command's options are declared once, as rows of _COMMANDS.  A
+command line in the canonical spelling is read from those rows directly;
+argparse, built from the same rows, handles every other spelling and
+alone prints help screens and usage errors.  So a launch that runs a
+well-formed command imports neither argparse nor gettext.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from typing import NoReturn, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn, Optional
 
 from .automata import Nfa
 from .engine import log2_check, nrr_decide, rational_index
@@ -20,6 +26,9 @@ from .errors import ContractError, InputError, UnsupportedFilterError
 from .filters import parse_filter_name
 from .grammars import format_grammar, parse_grammar
 from .reductions import bar_hillel, cs_transducer, mark_automaton, reduce_d2_to_ssharpup
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _load(path: str, parse):
@@ -34,7 +43,9 @@ def _load(path: str, parse):
         raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
         raise InputError(f"{path}: nested too deeply") from None
-    except InputError as exc:
+    except ValueError as exc:
+        # the parser's InputError, or one of json's own, such as an
+        # integer over the interpreter's digit limit
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -149,105 +160,170 @@ def _cmd_check_log2(args) -> int:
     return 0 if stats.result else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as an InputError, so main prints them as one
-    `rr: error:` line; subcommand parsers inherit the class."""
+_FILTER = (
+    "--filter",
+    {"required": True, "help": "filter name: dyck1, dyck2, dyckN:k, sym, symsharp, ssharpup"},
+)
+_NFA = ("--nfa", {"required": True, "help": "automaton JSON file"})
+_JSON_REPORT = ("--json", {"action": "store_true", "help": "emit the decision report as JSON"})
 
-    def error(self, message: str) -> NoReturn:
-        raise InputError(message)
-
-
-_FILTERS_HELP = "filter name: dyck1, dyck2, dyckN:k, sym, symsharp, ssharpup"
-
-
-def _member_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--filter", required=True, help=_FILTERS_HELP)
-    p.add_argument("--word", required=True, help="space-separated symbol tokens ('' is the empty word)")
-
-
-def _decide_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--filter", required=True, help=_FILTERS_HELP)
-    p.add_argument("--nfa", required=True, help="automaton JSON file")
-    p.add_argument(
-        "--method",
-        choices=("auto", "bar-hillel", "counter", "log2"),
-        default="auto",
-        help="decision route; log2 runs the instrumented certificate search",
-    )
-    p.add_argument("--json", action="store_true", help="emit the decision report as JSON")
-
-
-def _witness_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--filter", required=True, help=_FILTERS_HELP)
-    p.add_argument("--nfa", required=True, help="automaton JSON file")
-    p.add_argument(
-        "--method", choices=("auto", "bar-hillel", "counter"), default="auto"
-    )
-    p.add_argument("--json", action="store_true", help="emit the decision report as JSON")
-
-
-def _reduce_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "target",
-        choices=("bar-hillel", "cs", "mark", "ssharpup"),
-        help="bar-hillel: product grammar; cs: shape transducer; "
-        "mark: height-marked automaton; ssharpup: one-filter embedding",
-    )
-    p.add_argument("--grammar", help="grammar text file (bar-hillel, cs)")
-    p.add_argument("--nfa", help="automaton JSON file (bar-hillel, mark, ssharpup)")
-    p.add_argument("--emit-stats", action="store_true", help="print a stats JSON line to stderr")
-
-
-def _index_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--filter", required=True, help=_FILTERS_HELP)
-    p.add_argument("--states", type=int, required=True)
-    p.add_argument("--sample", type=int, default=None, help="sample this many machines instead of enumerating")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="sampling seed (default: RR_SEED env var, else 0)",
-    )
-    p.add_argument("--json", action="store_true")
-
-
-def _check_log2_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grammar", required=True, help="grammar text file (converted to CNF)")
-    p.add_argument("--nfa", required=True, help="automaton JSON file (epsilon moves allowed)")
-    p.add_argument("--stats", action="store_true", help="print the instrumentation JSON instead of the verdict")
-
-
-# (name, help line, adds the command's arguments, handler), in the order
-# `rr --help` lists them
+# One row per command, in the order `rr --help` lists them: (name, help
+# line, options, handler).  Each option is (flag or positional name,
+# add_argument keywords), in the order the command's help lists them.
+# build_parser hands the rows to argparse and _parse_plain reads them, so
+# the keywords stay within what _parse_plain knows: required, default,
+# choices, type, action="store_true" and help.
 _COMMANDS = (
-    ("member", "test one word against a filter", _member_args, _cmd_member),
-    ("decide", "decide whether the automaton meets the filter", _decide_args, _cmd_decide),
-    ("witness", "print a shortest witness word", _witness_args, _cmd_decide),
-    ("reduce", "emit one of the constructions", _reduce_args, _cmd_reduce),
-    ("index", "measure the rational index at one state count", _index_args, _cmd_index),
-    ("check-log2", "run the instrumented certificate search", _check_log2_args, _cmd_check_log2),
+    ("member", "test one word against a filter", (
+        _FILTER,
+        ("--word", {"required": True, "help": "space-separated symbol tokens ('' is the empty word)"}),
+    ), _cmd_member),
+    ("decide", "decide whether the automaton meets the filter", (
+        _FILTER,
+        _NFA,
+        ("--method", {
+            "choices": ("auto", "bar-hillel", "counter", "log2"),
+            "default": "auto",
+            "help": "decision route; log2 runs the instrumented certificate search",
+        }),
+        _JSON_REPORT,
+    ), _cmd_decide),
+    ("witness", "print a shortest witness word", (
+        _FILTER,
+        _NFA,
+        ("--method", {"choices": ("auto", "bar-hillel", "counter"), "default": "auto"}),
+        _JSON_REPORT,
+    ), _cmd_decide),
+    ("reduce", "emit one of the constructions", (
+        ("target", {
+            "choices": ("bar-hillel", "cs", "mark", "ssharpup"),
+            "help": "bar-hillel: product grammar; cs: shape transducer; "
+            "mark: height-marked automaton; ssharpup: one-filter embedding",
+        }),
+        ("--grammar", {"help": "grammar text file (bar-hillel, cs)"}),
+        ("--nfa", {"help": "automaton JSON file (bar-hillel, mark, ssharpup)"}),
+        ("--emit-stats", {"action": "store_true", "help": "print a stats JSON line to stderr"}),
+    ), _cmd_reduce),
+    ("index", "measure the rational index at one state count", (
+        _FILTER,
+        ("--states", {"type": int, "required": True}),
+        ("--sample", {
+            "type": int,
+            "default": None,
+            "help": "sample this many machines instead of enumerating",
+        }),
+        ("--seed", {
+            "type": int,
+            "default": None,
+            "help": "sampling seed (default: RR_SEED env var, else 0)",
+        }),
+        ("--json", {"action": "store_true"}),
+    ), _cmd_index),
+    ("check-log2", "run the instrumented certificate search", (
+        ("--grammar", {"required": True, "help": "grammar text file (converted to CNF)"}),
+        ("--nfa", {"required": True, "help": "automaton JSON file (epsilon moves allowed)"}),
+        ("--stats", {
+            "action": "store_true",
+            "help": "print the instrumentation JSON instead of the verdict",
+        }),
+    ), _cmd_check_log2),
 )
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The `rr` parser: with every subcommand when command is None, else
-    with only the named one.
+def _command(name: str):
+    """The _COMMANDS row of the named command, or None."""
+    return next((entry for entry in _COMMANDS if entry[0] == name), None)
 
-    A command's subparser is the same either way, so `rr <command> ...`
-    parses, and words its errors and help, alike on both.  Only the
-    top-level choice list differs, and that shows only on `rr --help` and
-    on a missing or unknown command, which main parses with every
-    subcommand.
+
+def _dest(name: str) -> str:
+    """The attribute argparse stores an option or positional under."""
+    return name.lstrip("-").replace("-", "_")
+
+
+def _parse_plain(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace that build_parser(argv[0]).parse_args(argv) returns,
+    read from _COMMANDS without argparse; None unless argv is spelled the
+    canonical way, and main then hands it to argparse.
+
+    Canonical means that argv[0] is a command name and each later token is
+    one of that command's flags exactly (no `--flag=value`, no
+    abbreviation), the value after a valued flag, which must not start
+    with `-`, or the command's positional, given once.  A value goes
+    through type, then choices, as in argparse; a ValueError from type, a
+    value outside the choices, or a missing required option or positional
+    declines.  The last occurrence of an option wins, and unset options
+    get argparse's defaults.
     """
+    entry = _command(argv[0]) if argv else None
+    if entry is None:
+        return None
+    command, _, options, handler = entry
+    flags = {name: keywords for name, keywords in options if name.startswith("-")}
+    positionals = [row for row in options if not row[0].startswith("-")]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in flags:
+            name, keywords = token, flags[token]
+            if keywords.get("action") == "store_true":
+                values[_dest(name)] = True
+                continue
+            token = next(tokens, None)
+            if token is None:
+                return None
+        elif positionals:
+            name, keywords = positionals.pop(0)
+        else:
+            return None
+        if token.startswith("-"):
+            return None
+        try:
+            value = keywords["type"](token) if "type" in keywords else token
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[_dest(name)] = value
+    for name, keywords in options:
+        if _dest(name) not in values:
+            if keywords.get("required") or not name.startswith("-"):
+                return None
+            store_true = keywords.get("action") == "store_true"
+            values[_dest(name)] = False if store_true else keywords.get("default")
+    return SimpleNamespace(command=command, func=handler, **values)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `rr` argparse parser, built from _COMMANDS: with every
+    subcommand when command is None, else with only the named one.
+
+    main reaches it only for what _parse_plain declines: help screens,
+    usage errors and the spellings it does not read.  So argparse is
+    imported here, not on every launch.  A command's subparser is the
+    same either way, so `rr <command> ...` parses, and words its errors
+    and help, alike on both.  Only the top-level choice list differs, and
+    that shows only on `rr --help` and on a missing or unknown command,
+    which main parses with every subcommand.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports usage errors as an InputError, so main prints them as
+        one `rr: error:` line; subcommand parsers inherit the class."""
+
+        def error(self, message: str) -> NoReturn:
+            raise InputError(message)
+
     parser = _Parser(
         prog="rr",
         description="Decide regular realizability against fixed context-free filters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_line, add_arguments, handler in _COMMANDS:
+    for name, help_line, options, handler in _COMMANDS:
         if command is None or command == name:
             p = sub.add_parser(name, help=help_line)
-            add_arguments(p)
+            for flag, keywords in options:
+                p.add_argument(flag, **keywords)
             p.set_defaults(func=handler)
     return parser
 
@@ -256,16 +332,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     """Run one `rr` command (argv defaults to sys.argv[1:]); returns the
     exit code.
 
-    Only the invoked command's parser is built when argv starts with a
-    command name; help on rr itself and a missing or unknown command get
-    the full parser.  A usage error or a bad input prints one
+    A command line in the canonical spelling (see _parse_plain) is read
+    straight from the command table, without argparse.  Anything else
+    goes to argparse, which alone prints help screens and usage errors:
+    with only the invoked command's parser when argv starts with a
+    command name, and with the full parser for help on rr itself and a
+    missing or unknown command.  A usage error or a bad input prints one
     `rr: error:` line and returns 2.
     """
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and any(argv[0] == entry[0] for entry in _COMMANDS) else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _parse_plain(argv)
+        if args is None:
+            command = argv[0] if argv and _command(argv[0]) else None
+            args = build_parser(command).parse_args(argv)
         return args.func(args)
     except (InputError, ContractError, UnsupportedFilterError, OSError) as exc:
         print(f"rr: error: {exc}", file=sys.stderr)

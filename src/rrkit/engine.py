@@ -40,6 +40,9 @@ class DecisionReport(Frozen):
     The log2 route certifies the verdict without returning a word: its
     method is "log2", witness is None, stats is CheckerStats.to_dict(),
     and to_dict leaves out the witness key.
+
+    Reports compare by their fields but have no hash, since stats is a
+    dict.
     """
 
     nonempty: bool
@@ -65,9 +68,6 @@ class DecisionReport(Frozen):
         return (self.nonempty, self.witness, self.method, self.stats) == (
             other.nonempty, other.witness, other.method, other.stats
         )
-
-    def __hash__(self) -> int:
-        return hash((self.nonempty, self.witness, self.method, self.stats))
 
     def to_dict(self) -> dict:
         out = {"nonempty": self.nonempty, "method": self.method, "stats": dict(self.stats)}

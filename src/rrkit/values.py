@@ -3,7 +3,9 @@
 A value class annotates its fields in order and writes its own __init__,
 which stores each field with set_field and then checks the values.  It
 writes __eq__ (same class, equal field tuples) and __hash__ (the hash of
-the field tuple) out as well, or leaves both out to compare by identity.
+the field tuple) out as well; or writes __eq__ alone, which leaves its
+instances unhashable, when a field such as a dict has no hash; or leaves
+both out to compare by identity.
 Written-out methods construct, compare and hash as fast as the ones the
 dataclasses module generates, and this module imports nothing, where
 dataclasses pulls in inspect, ast, dis and tokenize and compiles each

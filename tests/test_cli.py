@@ -6,18 +6,21 @@ tests/data/golden/, and every help screen and usage-error line in
 cli_cases.FRONT_END_CASES against tests/data/front_end.json.  The
 remaining tests cover exit-code conventions and error paths that do not
 belong in frozen transcripts (their messages may embed absolute paths or
-evolve with Python's own error strings).
+evolve with Python's own error strings), and hold the plain command-line
+reader to argparse on a seeded corpus.
 """
 
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import rrkit
+from rrkit import cli
 from rrkit.cli import main
 
 from cli_cases import CASES, FRONT_END_CASES, FRONT_END_COLUMNS, run_case
@@ -311,3 +314,167 @@ def test_module_run_reads_sys_argv(argv, in_tests_dir, monkeypatch):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
     if not argv:
         assert code == 2 and len(err.splitlines()) == 1 and err.startswith("rr: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--filter", "dyck1"],
+        ["witness", "--filter", "dyck1"],
+        ["reduce", "mark"],
+        ["reduce", "ssharpup"],
+        ["check-log2", "--grammar", "data/d1.txt"],
+    ],
+    ids=["decide", "witness", "reduce-mark", "reduce-ssharpup", "check-log2"],
+)
+def test_integer_over_digit_limit_is_exit_2(argv, in_tests_dir, tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer past
+    # sys.get_int_max_str_digits(), not a JSONDecodeError
+    nfa = tmp_path / "big.json"
+    nfa.write_text('{"states": [' + "7" * 5000 + "]}")
+    err = assert_usage_error(capsys, [*argv, "--nfa", str(nfa)])
+    assert err.startswith(f"rr: error: {nfa}: ")
+
+
+# The plain reader (cli._parse_plain) against argparse.  Values drawn for
+# each option of a valid command line, by the option's dest; choices
+# options draw from their choices.
+PLAIN_VALUES = {
+    "filter": ["dyck1", "dyck2", "sym", "x=y", ""],
+    "word": ["a1 abar1", "", "a1"],
+    "nfa": ["data/pair.json", "m.json", "x y"],
+    "grammar": ["data/d1.txt", "g"],
+    "states": ["0", "2", "12", " 3", "+3", "3_0", "\u0663"],
+    "sample": ["1", "40"],
+    "seed": ["0", "7"],
+}
+# Tokens a mutation inserts: help, the `--` separator, `-` alone, a
+# negative number, `=` and abbreviated spellings, flags of another
+# command, empty and odd strings, bad choices and non-integers.
+PLAIN_INSERTIONS = [
+    "-h", "--help", "--", "-", "-1", "--filter=dyck1", "--fil", "--emit", "", "-a b",
+    " 3", "+3", "3_0", "\u0663", "nope", "log2", "mark", "cs", "two", "1.5", "0x3",
+    "--json", "--stats", "--emit-stats", "--nfa", "--word", "--states", "--method",
+]
+
+
+def plain_corpus(rng, count):
+    """count command lines: valid ones from cli._COMMANDS, options in
+    shuffled order, optional ones sometimes left out and valued ones
+    sometimes given twice; and the same with one token deleted, inserted,
+    repeated or replaced."""
+    corpus = []
+    for _ in range(count):
+        command, _, options, _ = rng.choice(cli._COMMANDS)
+        chunks = []
+        for name, keywords in options:
+            positional = not name.startswith("-")
+            if not (positional or keywords.get("required")) and rng.random() < 0.4:
+                continue
+            if keywords.get("action") == "store_true":
+                chunks.append([name])
+                continue
+            pool = keywords.get("choices") or PLAIN_VALUES[cli._dest(name)]
+            if positional:
+                chunks.append([rng.choice(pool)])
+                continue
+            for _ in range(2 if rng.random() < 0.2 else 1):
+                chunks.append([name, rng.choice(pool)])
+        rng.shuffle(chunks)
+        argv = [command, *(token for chunk in chunks for token in chunk)]
+        mutation = rng.randrange(5)
+        if mutation == 1:
+            del argv[rng.randrange(len(argv))]
+        elif mutation == 2:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(PLAIN_INSERTIONS))
+        elif mutation == 3:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(argv))
+        elif mutation == 4:
+            argv[rng.randrange(len(argv))] = rng.choice(PLAIN_INSERTIONS)
+        corpus.append((mutation == 0, argv))
+    return corpus
+
+
+def test_plain_reader_agrees_with_argparse():
+    """Whenever the plain reader accepts a command line, argparse accepts
+    it too, with equal attributes; and it accepts every valid line whose
+    values do not start with `-`."""
+    parsers = {name: cli.build_parser(name) for name, *_ in cli._COMMANDS}
+    accepted = 0
+    for valid, argv in plain_corpus(random.Random(19), 10000):
+        plain = cli._parse_plain(argv)
+        if plain is None:
+            assert not valid, argv
+            continue
+        accepted += 1
+        assert vars(plain) == vars(parsers[argv[0]].parse_args(argv)), argv
+    assert accepted > 1000
+
+
+def test_plain_reader_rows_use_known_keywords():
+    """_parse_plain reads these add_argument keywords and no others."""
+    known = {"required", "default", "choices", "type", "action", "help"}
+    for _, _, options, _ in cli._COMMANDS:
+        for _, keywords in options:
+            assert set(keywords) <= known
+            assert keywords.get("action", "store_true") == "store_true"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--help"],
+        ["witness", "-h", "--filter", "dyck1", "--nfa", "data/pair.json"],
+        ["witness", "--filter=dyck1", "--nfa", "data/pair.json"],
+        ["witness", "--fil", "dyck1", "--nfa", "data/pair.json"],
+        ["witness", "--filter", "dyck1", "--nfa", "data/pair.json", "--js"],
+        ["member", "--filter", "-y", "--word", ""],
+        ["member", "--filter", "dyck1", "--word", "-a1"],
+        ["index", "--filter", "dyck1", "--states", "-1"],
+        ["reduce", "mark", "mark", "--nfa", "data/d2loop.json"],
+        ["reduce", "--nfa", "data/d2loop.json"],
+        ["decide", "--filter", "dyck1"],
+        ["decide", "--filter", "dyck1", "--nfa"],
+        ["decide", "--", "--filter", "dyck1", "--nfa", "data/pair.json"],
+        ["check-log2", "--grammar", "data/d1.txt", "--nfa", "data/odd.json", "extra"],
+    ],
+)
+def test_plain_reader_declines_to_argparse(argv, in_tests_dir, monkeypatch):
+    """What the plain reader declines prints what argparse alone printed:
+    help, `=` and abbreviated spellings, values that start with `-`, a
+    repeated or missing positional, a missing option or value, `--` and a
+    stray word."""
+    monkeypatch.setenv("COLUMNS", FRONT_END_COLUMNS)
+    assert cli._parse_plain(argv) is None
+    through_main = run_case(argv, allow_exit=True)
+    monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
+    assert through_main == run_case(argv, allow_exit=True)
+
+
+def test_command_launch_loads_no_argparse(in_tests_dir):
+    """A launch that runs a well-formed command imports neither argparse
+    nor gettext; `rr witness --help` still prints the pinned screen."""
+    src_root = str(pathlib.Path(rrkit.__file__).resolve().parent.parent)
+    code = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {src_root!r})
+from rrkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    exit_code = main(["witness", "--json", "--filter", "dyck1", "--nfa", "data/pair.json"])
+loaded = sorted({{"argparse", "gettext"}} & set(sys.modules))
+screen = io.StringIO()
+with contextlib.redirect_stdout(screen):
+    try:
+        main(["witness", "--help"])
+    except SystemExit as exc:
+        help_exit = exc.code
+print(json.dumps([exit_code, loaded, help_exit, screen.getvalue()]))
+"""
+    env = {**os.environ, "COLUMNS": FRONT_END_COLUMNS}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    exit_code, loaded, help_exit, screen = json.loads(proc.stdout)
+    assert exit_code == 0
+    assert loaded == []
+    assert (help_exit, screen) == (0, FRONT_END["witness-help"]["stdout"])

@@ -1,8 +1,9 @@
 """Value semantics of the immutable classes, and what a launch imports.
 
 The eight value classes compare by class and fields, hash their field
-tuple, refuse assignment and deletion, and print as
-`Name(field=value, ...)`; MarkedNfa compares by identity.  Launching
+tuple (all but DecisionReport, which has a dict field and no hash),
+refuse assignment and deletion, and print as `Name(field=value, ...)`;
+MarkedNfa compares by identity.  Launching
 `rr` imports none of the stdlib's introspection modules.
 """
 
@@ -87,8 +88,8 @@ def test_equal_fields_make_equal_values(cls, fields, changed):
     assert by_keyword.__eq__(object()) is NotImplemented
     values = tuple(fields().values())
     if cls is DecisionReport:
-        # stats is a dict, so the field tuple has no hash
-        with pytest.raises(TypeError):
+        # stats is a dict, so the class declares no hash at all
+        with pytest.raises(TypeError, match="unhashable type: 'DecisionReport'"):
             hash(by_keyword)
     else:
         assert hash(by_keyword) == hash(by_position) == hash(values)
