@@ -45,6 +45,18 @@ def trim_states(
     return (closure({initial}, fwd) & closure(accepting, bwd)) | {initial}
 
 
+def machine_states(
+    initial: str, accepting: Iterable[str], states: Iterable[str], transitions: Iterable[tuple]
+) -> frozenset[str]:
+    """The state set a machine's `build` infers: `initial`, `accepting`,
+    `states`, and the source t[0] and target t[-1] of every transition t."""
+    found = {initial, *accepting, *states}
+    for t in transitions:
+        found.add(t[0])
+        found.add(t[-1])
+    return frozenset(found)
+
+
 def require_lists(data: Mapping, fields: Iterable[str]) -> None:
     """Reject a machine object whose named fields are not JSON lists: a
     string there would otherwise be read as its characters."""
@@ -185,16 +197,6 @@ class Nfa(Frozen):
                 require_strings((label,))
                 raise InputError(f"transition label {label!r} is not in the alphabet")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.states, self.alphabet, self.initial, self.accepting, self.transitions) == (
-            other.states, other.alphabet, other.initial, other.accepting, other.transitions
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.states, self.alphabet, self.initial, self.accepting, self.transitions))
-
     @classmethod
     def build(
         cls,
@@ -206,11 +208,8 @@ class Nfa(Frozen):
     ) -> "Nfa":
         """Construct an NFA, inferring the state set from the pieces given."""
         trans = frozenset((src, label, dst) for src, label, dst in transitions)
-        sts = {initial, *accepting, *states}
-        for src, _, dst in trans:
-            sts.add(src)
-            sts.add(dst)
-        return cls(frozenset(sts), tuple(alphabet), initial, frozenset(accepting), trans)
+        sts = machine_states(initial, accepting, states, trans)
+        return cls(sts, tuple(alphabet), initial, frozenset(accepting), trans)
 
     # -- adjacency caches ------------------------------------------------
 

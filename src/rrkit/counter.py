@@ -13,7 +13,8 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .automata import (
-    EPSILON, Nfa, pair_name, require_lists, require_strings, synchronized_moves, trim_states,
+    EPSILON, Nfa, machine_states, pair_name, require_lists, require_strings, synchronized_moves,
+    trim_states,
 )
 from .errors import ContractError, InputError
 from .values import Frozen, set_field
@@ -69,23 +70,6 @@ class CounterAutomaton(Frozen):
             if delta not in (-1, 0, 1):
                 raise InputError(f"counter delta must be -1, 0 or +1, got {delta!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.states, self.alphabet, self.initial,
-            self.accepting, self.transitions, self.accept_mode,
-        ) == (
-            other.states, other.alphabet, other.initial,
-            other.accepting, other.transitions, other.accept_mode,
-        )
-
-    def __hash__(self) -> int:
-        return hash((
-            self.states, self.alphabet, self.initial,
-            self.accepting, self.transitions, self.accept_mode,
-        ))
-
     @classmethod
     def build(
         cls,
@@ -97,11 +81,8 @@ class CounterAutomaton(Frozen):
         states: Iterable[str] = (),
     ) -> "CounterAutomaton":
         trans = frozenset(transitions)
-        sts = {initial, *accepting, *states}
-        for src, _, _, _, dst in trans:
-            sts.add(src)
-            sts.add(dst)
-        return cls(frozenset(sts), tuple(alphabet), initial, frozenset(accepting), trans, accept_mode)
+        sts = machine_states(initial, accepting, states, trans)
+        return cls(sts, tuple(alphabet), initial, frozenset(accepting), trans, accept_mode)
 
     @cached_property
     def _by_state(self) -> Mapping[str, tuple[tuple[str, str, int, str], ...]]:

@@ -49,6 +49,7 @@ class DecisionReport(Frozen):
     witness: Optional[tuple[str, ...]]
     method: str
     stats: Mapping[str, int]
+    __hash__ = None
 
     def __init__(
         self,
@@ -61,13 +62,6 @@ class DecisionReport(Frozen):
         set_field(self, "witness", witness)
         set_field(self, "method", method)
         set_field(self, "stats", stats)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nonempty, self.witness, self.method, self.stats) == (
-            other.nonempty, other.witness, other.method, other.stats
-        )
 
     def to_dict(self) -> dict:
         out = {"nonempty": self.nonempty, "method": self.method, "stats": dict(self.stats)}
@@ -100,16 +94,6 @@ class CheckerStats(Frozen):
         set_field(self, "max_recursion_depth", max_recursion_depth)
         set_field(self, "max_live_triples", max_live_triples)
         set_field(self, "result", result)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_recursion_depth, self.max_live_triples, self.result) == (
-            other.max_recursion_depth, other.max_live_triples, other.result
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.max_recursion_depth, self.max_live_triples, self.result))
 
     def to_dict(self) -> dict:
         return {

@@ -288,16 +288,6 @@ class FilterSpec(Frozen):
         if kind == "counter" and automaton is None:
             raise InputError("counter filters need a counter automaton")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.n, self.grammar, self.automaton) == (
-            other.kind, other.n, other.grammar, other.automaton
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.n, self.grammar, self.automaton))
-
     @classmethod
     def dyck(cls, n: int) -> "FilterSpec":
         return cls("dyck", n=n)
@@ -381,6 +371,9 @@ _NAMES = {
     "symsharp": FilterSpec.symmetric_sharp(),
     "ssharpup": FilterSpec.s_sharp_up(),
 }
+# dyckN:k names at most this many bracket pairs: the filter's 2k letters
+# are built at once, so an unbounded k would hang any command
+_MAX_PAIRS = 10_000
 
 
 def parse_filter_name(name: str) -> FilterSpec:
@@ -392,6 +385,8 @@ def parse_filter_name(name: str) -> FilterSpec:
             n = int(name[6:])
         except ValueError:
             raise InputError(f"bad bracket-pair count in {name!r}") from None
+        if n > _MAX_PAIRS:
+            raise InputError(f"dyckN:k is limited to k <= {_MAX_PAIRS} bracket pairs, got {name!r}")
         return FilterSpec.dyck(n)
     raise InputError(
         f"unknown filter {name!r}; expected dyck1, dyck2, dyckN:k, sym, symsharp or ssharpup"

@@ -43,16 +43,6 @@ class Cfg(Frozen):
                 if sym not in symbols:
                     raise InputError(f"rule symbol {sym!r} is not declared")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nonterminals, self.terminals, self.rules, self.axiom) == (
-            other.nonterminals, other.terminals, other.rules, other.axiom
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nonterminals, self.terminals, self.rules, self.axiom))
-
     @classmethod
     def build(
         cls,

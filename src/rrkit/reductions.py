@@ -291,6 +291,8 @@ class MarkedNfa(Frozen):
     nfa: Nfa
     height: Mapping[str, int]
     reject_state: str
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, nfa: Nfa, height: Mapping[str, int], reject_state: str) -> None:
         set_field(self, "nfa", nfa)

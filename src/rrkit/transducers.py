@@ -13,8 +13,8 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from .automata import (
-    EPSILON, Nfa, machine_json, pair_name, require_lists, require_strings, synchronized_moves,
-    trim_states,
+    EPSILON, Nfa, machine_json, machine_states, pair_name, require_lists, require_strings,
+    synchronized_moves, trim_states,
 )
 from .errors import ContractError, InputError
 from .values import Frozen, set_field
@@ -64,23 +64,6 @@ class Transducer(Frozen):
                 require_strings((write,))
                 raise InputError(f"write symbol {write!r} is not in the output alphabet")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.input_alphabet, self.output_alphabet, self.states,
-            self.initial, self.accepting, self.transitions,
-        ) == (
-            other.input_alphabet, other.output_alphabet, other.states,
-            other.initial, other.accepting, other.transitions,
-        )
-
-    def __hash__(self) -> int:
-        return hash((
-            self.input_alphabet, self.output_alphabet, self.states,
-            self.initial, self.accepting, self.transitions,
-        ))
-
     @classmethod
     def build(
         cls,
@@ -92,14 +75,10 @@ class Transducer(Frozen):
         states: Iterable[str] = (),
     ) -> "Transducer":
         trans = frozenset(transitions)
-        sts = {initial, *accepting, *states}
-        for src, _, _, dst in trans:
-            sts.add(src)
-            sts.add(dst)
         return cls(
             tuple(input_alphabet),
             tuple(output_alphabet),
-            frozenset(sts),
+            machine_states(initial, accepting, states, trans),
             initial,
             frozenset(accepting),
             trans,

@@ -252,6 +252,11 @@ def test_index_sample_too_large_is_exit_2(capsys):
     assert_usage_error(capsys, ["index", "--filter", "dyck1", "--states", "3000", "--sample", "1"])
 
 
+def test_huge_bracket_pair_count_is_exit_2(capsys):
+    argv = ["member", "--filter", "dyckN:99999999999999999999", "--word", "a1"]
+    assert "limited to k <= 10000" in assert_usage_error(capsys, argv)
+
+
 @pytest.mark.parametrize("sample", [[], ["--sample", "6"]])
 def test_index_reduction_only_filter_is_exit_2(sample, capsys):
     err = assert_usage_error(capsys, ["index", "--filter", "ssharpup", "--states", "1", *sample])

@@ -181,3 +181,9 @@ def test_parse_filter_name():
         parse_filter_name("dyckN:x")
     with pytest.raises(InputError):
         parse_filter_name("unknown")
+
+
+def test_parse_filter_name_limits_bracket_pairs():
+    assert parse_filter_name("dyckN:10000").n == 10_000
+    with pytest.raises(InputError, match="limited to k <= 10000"):
+        parse_filter_name("dyckN:10001")

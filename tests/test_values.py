@@ -1,13 +1,18 @@
 """Value semantics of the immutable classes, and what a launch imports.
 
-The eight value classes compare by class and fields, hash their field
-tuple (all but DecisionReport, which has a dict field and no hash),
+values.Frozen derives each value class's equality, hash and repr from
+its annotated fields.  The seven classes in CASES compare by class and
+fields, each field changed in turn giving an unequal value, hash their
+field tuple (all but DecisionReport, which has a dict field and no hash),
 refuse assignment and deletion, and print as `Name(field=value, ...)`;
-MarkedNfa compares by identity.  Launching
-`rr` imports none of the stdlib's introspection modules.
+a subclass keeps its parent's fields.  MarkedNfa compares by identity,
+and no other value class escapes these checks.  Launching `rr` imports
+none of the stdlib's introspection modules.
 """
 
+import importlib
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -17,6 +22,7 @@ import rrkit
 from rrkit import Cfg, CounterAutomaton, FilterSpec, Nfa, Transducer
 from rrkit.engine import CheckerStats, DecisionReport
 from rrkit.reductions import MarkedNfa
+from rrkit.values import Frozen
 
 
 def nfa_fields():
@@ -31,7 +37,7 @@ def nfa_fields():
 
 def counter_fields():
     return {
-        "states": frozenset({"q"}),
+        "states": frozenset({"q", "r"}),
         "alphabet": ("a1", "abar1"),
         "initial": "q",
         "accepting": frozenset({"q"}),
@@ -44,7 +50,7 @@ def transducer_fields():
     return {
         "input_alphabet": ("a",),
         "output_alphabet": ("x", "y"),
-        "states": frozenset({"s"}),
+        "states": frozenset({"s", "t"}),
         "initial": "s",
         "accepting": frozenset({"s"}),
         "transitions": frozenset({("s", "a", "x", "s")}),
@@ -53,37 +59,65 @@ def transducer_fields():
 
 def cfg_fields():
     return {
-        "nonterminals": frozenset({"S"}),
+        "nonterminals": frozenset({"S", "U"}),
         "terminals": frozenset({"a", "b"}),
         "rules": (("S", ("a", "S", "b")), ("S", ())),
         "axiom": "S",
     }
 
 
-# (class, keyword arguments of one instance, one field changed)
+# (class, keyword arguments of one instance, each field changed in turn
+# to another valid value)
 CASES = [
-    (Nfa, nfa_fields, {"initial": "p"}),
-    (CounterAutomaton, counter_fields, {"accept_mode": "final_state"}),
-    (Transducer, transducer_fields, {"output_alphabet": ("y", "x")}),
-    (Cfg, cfg_fields, {"rules": (("S", ()),)}),
-    (FilterSpec, lambda: {"kind": "dyck", "n": 2, "grammar": None, "automaton": None}, {"n": 3}),
-    (CheckerStats, lambda: {"max_recursion_depth": 2, "max_live_triples": 2, "result": True},
-     {"result": False}),
+    (Nfa, nfa_fields, [
+        {"states": frozenset({"q", "p", "r"})}, {"alphabet": ("b", "a")}, {"initial": "p"},
+        {"accepting": frozenset({"q"})}, {"transitions": frozenset()},
+    ]),
+    (CounterAutomaton, counter_fields, [
+        {"states": frozenset({"q"})}, {"alphabet": ("abar1", "a1")}, {"initial": "r"},
+        {"accepting": frozenset({"r"})}, {"transitions": frozenset()},
+        {"accept_mode": "final_state"},
+    ]),
+    (Transducer, transducer_fields, [
+        {"input_alphabet": ("a", "b")}, {"output_alphabet": ("y", "x")},
+        {"states": frozenset({"s"})}, {"initial": "t"}, {"accepting": frozenset()},
+        {"transitions": frozenset()},
+    ]),
+    (Cfg, cfg_fields, [
+        {"nonterminals": frozenset({"S"})}, {"terminals": frozenset({"a", "b", "c"})},
+        {"rules": (("S", ()),)}, {"axiom": "U"},
+    ]),
+    (FilterSpec, lambda: {"kind": "dyck", "n": 2, "grammar": None, "automaton": None}, [
+        {"kind": "symmetric"}, {"n": 3}, {"grammar": Cfg(**cfg_fields())},
+        {"automaton": CounterAutomaton(**counter_fields())},
+    ]),
+    (CheckerStats, lambda: {"max_recursion_depth": 2, "max_live_triples": 2, "result": True}, [
+        {"max_recursion_depth": 3}, {"max_live_triples": 3}, {"result": False},
+    ]),
     (DecisionReport, lambda: {"nonempty": True, "witness": ("a1", "abar1"), "method": "bar_hillel",
-                              "stats": {"states_created": 0}}, {"witness": ("a1", "a1")}),
+                              "stats": {"states_created": 0}}, [
+        {"nonempty": False}, {"witness": ("a1", "a1")}, {"method": "counter"},
+        {"stats": {"states_created": 1}},
+    ]),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
 
-@pytest.mark.parametrize("cls, fields, changed", CASES, ids=IDS)
-def test_equal_fields_make_equal_values(cls, fields, changed):
+@pytest.mark.parametrize("cls, fields, changes", CASES, ids=IDS)
+def test_equal_fields_make_equal_values(cls, fields, changes):
+    assert [name for changed in changes for name in changed] == list(fields())
     by_keyword = cls(**fields())
     by_position = cls(*fields().values())
     assert by_keyword == by_position and not by_keyword != by_position
-    assert by_keyword != cls(**{**fields(), **changed})
+    for changed in changes:
+        assert by_keyword != cls(**{**fields(), **changed})
     # the class is part of the value: a subclass with the same fields differs
     subclass = type("Sub", (cls,), {})
     assert by_keyword != subclass(**fields()) and subclass(**fields()) != by_keyword
+    # and the subclass keeps its parent's fields
+    assert repr(subclass(**fields())) == "Sub" + repr(by_keyword)[len(cls.__name__):]
+    for changed in changes:
+        assert subclass(**fields()) != subclass(**{**fields(), **changed})
     assert by_keyword != object()
     assert by_keyword.__eq__(object()) is NotImplemented
     values = tuple(fields().values())
@@ -97,8 +131,8 @@ def test_equal_fields_make_equal_values(cls, fields, changed):
         assert getattr(by_keyword, name) == value
 
 
-@pytest.mark.parametrize("cls, fields, changed", CASES, ids=IDS)
-def test_values_are_frozen(cls, fields, changed):
+@pytest.mark.parametrize("cls, fields, changes", CASES, ids=IDS)
+def test_values_are_frozen(cls, fields, changes):
     value = cls(**fields())
     for name in [*fields(), "extra"]:
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
@@ -108,8 +142,8 @@ def test_values_are_frozen(cls, fields, changed):
     assert value == cls(**fields())
 
 
-@pytest.mark.parametrize("cls, fields, changed", CASES, ids=IDS)
-def test_repr_lists_the_fields(cls, fields, changed):
+@pytest.mark.parametrize("cls, fields, changes", CASES, ids=IDS)
+def test_repr_lists_the_fields(cls, fields, changes):
     value = cls(**fields())
     inner = ", ".join(f"{name}={v!r}" for name, v in fields().items())
     assert repr(value) == f"{cls.__name__}({inner})"
@@ -168,6 +202,19 @@ def test_marked_nfa_compares_by_identity():
     with pytest.raises(AttributeError, match="cannot assign to field 'nfa'"):
         first.nfa = nfa
     assert repr(first) == f"MarkedNfa(nfa={nfa!r}, height={{'q': 0, 'p': 0}}, reject_state='r')"
+
+
+def test_every_value_class_is_covered():
+    """A value class added later gets the checks above, or is MarkedNfa."""
+    for module in pkgutil.iter_modules(rrkit.__path__):
+        importlib.import_module(f"rrkit.{module.name}")
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("rrkit."):
+                found.add(sub)
+            todo.append(sub)
+    assert found == {cls for cls, _, _ in CASES} | {MarkedNfa}
 
 
 def test_launch_imports_no_introspection_modules():
