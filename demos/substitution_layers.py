@@ -3,10 +3,10 @@
 The outer language is the one-pair bracket language; its opening letter
 is substituted by bracket words again and its closing letter by mirror
 words.  The engine never constructs the substituted language: it
-collapses the machine, finding in one closure per substituent every
-state pair some word of that substituent connects (one run of the
-triple closure for a grammar, one search per start state for a counter
-machine), then decides the outer question on the collapsed machine.
+collapses the machine, finding in one run of the triple closure over
+each substituent's grammar every state pair some word of that
+substituent connects (a counter machine's grammar is its triple
+construction), then decides the outer question on the collapsed machine.
 """
 
 from rrkit import Nfa, decide_substituted, substitution_collapse

@@ -6,17 +6,14 @@ by final state, optionally also requiring counter value 0.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .automata import (
-    EPSILON, Nfa, machine_states, pair_name, require_lists, require_strings, synchronized_moves,
-    trim_states,
-)
+from .automata import EPSILON, Nfa, machine_states, pair_name, require_strings, synchronized_moves
 from .errors import ContractError, InputError
+from .grammars import Cfg
 from .values import Frozen, set_field
 
 GUARDS = ("any", "zero", "positive")
@@ -90,6 +87,23 @@ class CounterAutomaton(Frozen):
         for src, read, guard, delta, dst in self.transitions:
             out.setdefault(src, []).append((read, guard, delta, dst))
         return {q: tuple(sorted(es)) for q, es in out.items()}
+
+    @cached_property
+    def _live_moves(self) -> Mapping[str, tuple[tuple[str, str, int, str], ...]]:
+        """_by_state without the moves into states that reach no accepting
+        state, for every state: the backward closure of the accepting
+        states, built once per machine."""
+        back: dict[str, list[str]] = {}
+        for src, *_, dst in self.transitions:
+            back.setdefault(dst, []).append(src)
+        live = set(self.accepting)
+        todo = list(live)
+        while todo:
+            for src in back.get(todo.pop(), ()):
+                if src not in live:
+                    live.add(src)
+                    todo.append(src)
+        return {q: tuple(m for m in self._by_state.get(q, ()) if m[3] in live) for q in self.states}
 
     def _guard_ok(self, guard: str, value: int) -> bool:
         if guard == "zero":
@@ -168,12 +182,11 @@ class CounterAutomaton(Frozen):
         machine P (to_nfa's default, which preserves emptiness).
 
         Moves into states that reach no accepting state are dropped
-        (automata.trim_states): every configuration on an accepting run
-        sits in a state that reaches one, so the yields stay the same,
-        and a dead branch that pumps the counter is never walked.
+        (_live_moves): every configuration on an accepting run sits in a
+        state that reaches one, so the yields stay the same, and a dead
+        branch that pumps the counter is never walked.
         """
-        live = trim_states(self.initial, self.accepting, ((t[0], t[4]) for t in self.transitions))
-        moves = {q: [move for move in self._by_state.get(q, ()) if move[3] in live] for q in live}
+        moves = self._live_moves
         seen: set[tuple[str, int]] = set()
         pending = set(self.accepting)  # not yet yielded
 
@@ -308,46 +321,52 @@ class CounterAutomaton(Frozen):
             frozenset(transitions),
         )
 
-    # -- serialization ---------------------------------------------------------
+    def to_cfg(self) -> Cfg:
+        """A grammar for L(self), with no cap on the counter: the triple
+        construction of Hopcroft & Ullman (1979, ch. 5) on the stack that
+        holds value v as a bottom marker ⊥ under v copies of Z.  Guards
+        read the top (zero needs ⊥, positive needs Z); a -1 move needs Z.
 
-    def to_dict(self) -> dict:
-        return {
-            "states": sorted(self.states),
-            "alphabet": list(self.alphabet),
-            "initial": self.initial,
-            "accepting": sorted(self.accepting),
-            "accept_mode": self.accept_mode,
-            "transitions": [
-                {"from": src, "read": read, "guard": guard, "delta": delta, "to": dst}
-                for src, read, guard, delta, dst in sorted(self.transitions)
-            ],
-        }
+        L[p,X,q] derives the words that take the machine from p, with X on
+        top, to q at the same height without going below it: the empty
+        word when p = q, a move a into r that keeps the value then
+        L[r,X,q], or a +1 move a into r, L[r,Z,s], a -1 move b from s into
+        t, then L[t,X,q].  The axiom U[initial,⊥] and every U[p,X] derive
+        L[p,X,f] for accepting f; in final_state mode also L[p,X,q] a
+        U[r,Z] for a +1 move a from q into r that is never undone.
+        Nonterminals are numbered after a prefix that starts no letter,
+        so no name is a letter or another's, whatever the machine's names.
+        """
+        prefix = "N"
+        while any(sym.startswith(prefix) for sym in self.alphabet):
+            prefix += "'"
+        names: dict[tuple, str] = {}
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CounterAutomaton":
-        try:
-            require_lists(data, ("states", "alphabet", "accepting", "transitions"))
-            transitions = [
-                (t["from"], t["read"], t["guard"], t["delta"], t["to"])
-                for t in data["transitions"]
-            ]
-            for *_, delta, _ in transitions:
-                if isinstance(delta, bool) or not isinstance(delta, int):
-                    raise InputError(f"counter delta must be an integer, got {delta!r}")
-            return cls(
-                frozenset(data["states"]),
-                tuple(data["alphabet"]),
-                data["initial"],
-                frozenset(data["accepting"]),
-                frozenset(transitions),
-                data.get("accept_mode", "final_state"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed counter automaton object: {exc}") from exc
+        def nt(*key) -> str:
+            return names.setdefault(key, f"{prefix}{len(names)}")
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "CounterAutomaton":
-        return cls.from_dict(json.loads(text))
+        states, accepting = sorted(self.states), sorted(self.accepting)
+        # (src, letter, guard, delta, dst), the letter () on an epsilon move
+        moves = [(s, (read,) if read else (), *rest) for s, read, *rest in sorted(self.transitions)]
+        pops = [(s, b, t) for s, b, guard, delta, t in moves if delta < 0 and guard != "zero"]
+        rules: list[tuple[str, tuple[str, ...]]] = []
+        for top in (False, True):  # the top is ⊥, or Z
+            rules += [(nt("L", p, top, p), ()) for p in states]
+            rules += [(nt("U", p, top), (nt("L", p, top, f),)) for p in states for f in accepting]
+            for src, a, guard, delta, dst in moves:
+                # a -1 move only closes the rule of its +1 move
+                if delta < 0 or guard != "any" and (guard == "positive") != top:
+                    continue
+                for q in states:
+                    lhs = nt("L", src, top, q)
+                    if delta == 0:
+                        rules.append((lhs, (*a, nt("L", dst, top, q))))
+                    else:
+                        rules += [
+                            (lhs, (*a, nt("L", dst, True, s), *b, nt("L", t, top, q)))
+                            for s, b, t in pops
+                        ]
+                        if self.accept_mode == "final_state":  # the move a is never undone
+                            escape = (nt("L", q, top, src), *a, nt("U", dst, True))
+                            rules.append((nt("U", q, top), escape))
+        return Cfg.build(rules, nt("U", self.initial, False), names.values(), self.alphabet)

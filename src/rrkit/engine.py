@@ -5,7 +5,9 @@ method argument selects (auto, bar-hillel, counter or log2), with a
 verified witness, or for log2 with log2_check's figures in its place;
 substitution_collapse rewrites an automaton so an outer filter can be
 applied after a language substitution; rational_index measures
-worst-case shortest witnesses over n-state machines; log2_check
+worst-case shortest witnesses over n-state machines.  Both close the
+triples of the filter's CNF, a counter filter's included (its grammar is
+CounterAutomaton.to_cfg); only nrr_decide has a counter route.  log2_check
 re-decides grammar filters and measures the Lewis–Stearns–Hartmanis
 decomposition of the least witness's derivation tree, the certificate
 a log² n-space recognizer verifies.
@@ -15,8 +17,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping, Optional
 
-from .automata import EPSILON, Nfa, pair_name
-from .counter import CounterAutomaton
+from .automata import EPSILON, Nfa
 from .errors import InputError
 from .filters import FilterSpec, d1_counter
 from .grammars import Cfg
@@ -189,15 +190,12 @@ def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
     L(a) meets the substituted language sigma(L) exactly when the collapsed
     automaton meets L itself.  Each distinct substituent is decided for
     every state pair at once, over r, a restricted to its letters; outer
-    letters sharing a substituent share that work.  A grammar takes one
-    run of the triple closure (_grammar_edges).  A counter machine c takes
-    one least_words search per start state q, on the product of c with r
-    run from q and accepting everywhere, at nrr_decide's cap (|C|·|Q|)²:
-    each accepting pair (f, p) it yields gives the edge (q, p), so a pair
-    gets an edge exactly when nrr_decide finds the product of c with r,
-    run from q and accepting only at p, nonempty.  Every edge's word is
-    re-checked: the states r reaches from q on it must hold p, and the
-    filter oracle must accept it, as nrr_decide checks its witnesses.
+    letters sharing a substituent share that work.  Each substituent
+    takes one run of the triple closure over its CNF (_grammar_edges); a
+    counter machine's is that of its grammar (CounterAutomaton.to_cfg),
+    which caps no counter.  Every edge's word is re-checked: the states r
+    reaches from q on it must hold p, and the filter oracle must accept
+    it, as nrr_decide checks its witnesses.
     """
     outer = tuple(sorted(sub))
     letters: dict[FilterSpec, list[str]] = {}
@@ -206,17 +204,7 @@ def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
     transitions: set[tuple[str, str, str]] = set()
     for f, xs in letters.items():
         r = _restrict(a, f.alphabet)
-        if f.kind == "counter":
-            c = f.automaton
-            edges = {}
-            # which state of r each product state is paired with
-            part = {pair_name(s, p): p for s in c.states for p in r.states}
-            for q in r.states:
-                product = c.product(Nfa(r.states, r.alphabet, q, r.states, r.transitions))
-                for state, word in product.least_words(len(product.states) ** 2):
-                    edges.setdefault((q, part[state]), word)
-        else:
-            edges = _grammar_edges(f.cnf_grammar, r)
+        edges = _grammar_edges(f.cnf_grammar, r)
         for (q, p), word in edges.items():
             reached = r.eps_closure({q})
             for symbol in word:
@@ -299,13 +287,16 @@ def rational_index(
     All machines are decided at once, one lane each.  Exhaustive mode
     takes every move mask with every accepting state (_mask_chunks);
     sample mode takes seeded random machines (_sample_chunks) and reports
-    the max found, a lower bound.  Grammar filters close the lanes over
-    their CNF (_lane_index), counter filters over their configurations
-    (_counter_lane_index); each lane gets the length of the witness
-    nrr_decide returns for its machine.  The "index is undefined" error
-    is raised when no machine meets the filter.  Exhaustive mode refuses
-    more than 3 states or 20 possible moves, sample mode more than 10,000
-    possible moves, before building any.
+    the max found, a lower bound.  The lanes close over the filter's CNF
+    (_lane_index); each lane gets the length of its machine's shortest
+    witness.  For a counter filter that is the CNF of its grammar
+    (CounterAutomaton.to_cfg), so a lane measures the shortest witness
+    with no cap on the counter; the tests check it against the witness of
+    nrr_decide's counter route, capped at |P|², on every machine.  The
+    "index is undefined" error is raised when no machine meets the
+    filter.  Exhaustive mode refuses more than 3 states or 20 possible
+    moves, sample mode more than 10,000 possible moves, before building
+    any.
     """
     if n < 1:
         raise InputError("machines need at least one state")
@@ -327,10 +318,7 @@ def rational_index(
         chunks = _sample_chunks(n, moves, sample_count, seed)
     else:
         chunks = _mask_chunks(n, moves)
-    if f.kind == "counter":
-        best = _counter_lane_index(f.automaton, n, edges, chunks)
-    else:
-        best = _lane_index(f.cnf_grammar, edges, chunks)
+    best = _lane_index(f.cnf_grammar, edges, chunks)
     if best is None:
         raise InputError("no n-state machine meets the filter; the index is undefined")
     return best
@@ -447,61 +435,6 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
                                 z = x & y
                                 if z:
                                     found[(q, a, p)] = found.get((q, a, p), 0) | z
-    return best
-
-
-def _counter_lane_index(
-    c: CounterAutomaton, n: int, edges: tuple[Edge, ...], chunks: Iterable[Chunk]
-) -> Optional[int]:
-    """Greatest shortest-witness length over the machines of the chunks
-    (moves drawn from edges, initial state 0), or None when none meets
-    L(c).
-
-    A breadth-first search over the configurations (counter state,
-    machine state, value) of the product, with the counter capped at
-    (|C|·n)² as nrr_decide caps it, so each lane measures the witness
-    nrr_decide would return.  settled[config] holds the lanes that reach
-    config by a word of the current length or shorter; a length's new
-    lanes are closed under c's epsilon moves before the next letter.  A
-    machine's witness is the first accepting configuration (s, p, v) in
-    its lane of goals[p].  A chunk stops when no lane is new, or once
-    every goal lane has its witness.
-    """
-    cap = (len(c.states) * n) ** 2
-    targets: dict[tuple[int, str], list[tuple[int, int]]] = {}
-    for k, (i, sym, j) in enumerate(edges):
-        targets.setdefault((i, sym), []).append((k, j))
-    best = None
-    for lanes, goals in chunks:
-        open_ = list(goals)
-        settled: dict[tuple[str, int, int], int] = {}
-        found = {(c.initial, 0, 0): -1}  # -1: every lane
-        length = 0
-        while found and any(open_):
-            work, found = list(found.items()), {}
-            while work:
-                config, bits = work.pop()
-                old = settled.get(config, 0)
-                bits &= ~old
-                if not bits:
-                    continue
-                settled[config] = old | bits
-                state, q, value = config
-                if c._is_accepting(state, value) and bits & open_[q]:
-                    open_[q] &= ~bits
-                    best = max(best or 0, length)
-                for read, guard, delta, dst in c._by_state.get(state, ()):
-                    if not c._guard_ok(guard, value) or not 0 <= value + delta <= cap:
-                        continue
-                    if read == EPSILON:
-                        work.append(((dst, q, value + delta), bits))
-                        continue
-                    for k, j in targets.get((q, read), ()):
-                        z = bits & lanes[k]
-                        if z:
-                            key = (dst, j, value + delta)
-                            found[key] = found.get(key, 0) | z
-            length += 1
     return best
 
 

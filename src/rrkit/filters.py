@@ -335,6 +335,9 @@ class FilterSpec(Frozen):
         return self.filter_grammar().cnf()
 
     def filter_grammar(self) -> Cfg:
+        """A grammar for the filter: the built-in one, the user's, or a
+        counter machine's CounterAutomaton.to_cfg(); the s_sharp_up filter
+        has none and raises UnsupportedFilterError."""
         if self.kind == "dyck":
             return dyck_grammar(self.n)
         if self.kind == "symmetric":
@@ -343,8 +346,11 @@ class FilterSpec(Frozen):
             return symmetric_sharp_grammar()
         if self.kind == "user_grammar":
             return self.grammar
-        reason = "; it is a reduction target only" if self.kind == "s_sharp_up" else ""
-        raise UnsupportedFilterError(f"the {self.kind} filter has no grammar{reason}")
+        if self.kind == "counter":
+            return self.automaton.to_cfg()
+        raise UnsupportedFilterError(
+            "the s_sharp_up filter has no grammar; it is a reduction target only"
+        )
 
     def contains(self, w: Iterable[str]) -> bool:
         word = tuple(w)

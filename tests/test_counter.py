@@ -122,14 +122,6 @@ def test_product_matches_all_pairs_reference():
     assert pruned > 50
 
 
-@pytest.mark.parametrize("field", ["states", "alphabet", "accepting", "transitions"])
-def test_from_dict_rejects_string_for_list(field):
-    data = d1_counter().to_dict()
-    data[field] = "q0"
-    with pytest.raises(InputError, match=f"field '{field}' must be a list"):
-        CounterAutomaton.from_dict(data)
-
-
 def test_counter_filter_with_integer_names_is_input_error():
     # an integer name used to pass the constructor and fail in pair_name,
     # with an AttributeError, once nrr_decide built the product
@@ -161,20 +153,6 @@ def test_constructor_rejects_non_string_names(fields):
         CounterAutomaton(**{"states": c.states, "alphabet": c.alphabet, "initial": c.initial,
                             "accepting": c.accepting, "transitions": c.transitions,
                             "accept_mode": c.accept_mode, **fields})
-
-
-@pytest.mark.parametrize("where", ["states", "alphabet", "initial", "transition"])
-def test_from_dict_rejects_non_string_names(where):
-    # an integer name would otherwise fail later, inside pair_name
-    data = d1_counter().to_dict()
-    if where == "transition":
-        data["transitions"][0]["to"] = 0
-    elif where == "initial":
-        data["initial"] = 0
-    else:
-        data[where].append(0)
-    with pytest.raises(InputError, match="must be strings"):
-        CounterAutomaton.from_dict(data)
 
 
 def test_pair_names_are_injective():
@@ -370,11 +348,6 @@ def test_accepts_follows_epsilon_runs_past_a_linear_cap():
     assert report.nonempty and report.witness == ()
 
 
-def test_json_round_trip():
-    c = d1_counter()
-    assert CounterAutomaton.from_json(c.to_json()) == c
-
-
 def test_validation():
     with pytest.raises(InputError):
         CounterAutomaton.build(("a",), "s", {"s"}, {("s", "a", "wat", 0, "s")})
@@ -382,14 +355,3 @@ def test_validation():
         CounterAutomaton.build(("a",), "s", {"s"}, {("s", "a", "any", 2, "s")})
     with pytest.raises(InputError):
         CounterAutomaton.build(("a",), "s", {"s"}, {("s", "b", "any", 0, "s")})
-    with pytest.raises(InputError):
-        CounterAutomaton.from_json('{"states": []}')
-
-
-def test_from_dict_takes_only_integer_deltas():
-    data = d1_counter().to_dict()
-    for delta in ("x", "1", 1.9, 1.0, True, False, None, [1]):
-        bad = {**data, "transitions": [{**t, "delta": delta} for t in data["transitions"]]}
-        with pytest.raises(InputError, match="counter delta must be an integer"):
-            CounterAutomaton.from_dict(bad)
-    assert CounterAutomaton.from_dict(data) == d1_counter()

@@ -201,7 +201,8 @@ def test_counter_lane_index_reaches_a_quadratic_counter(p, q):
     moves, accepting = coprime_cycle_moves(p, q, epsilon=False)
     n = 1 + p + q
     chunk = ([1] * len(moves), [int(state == accepting) for state in range(n)])
-    assert engine._counter_lane_index(d1_counter(), n, tuple(moves), [chunk]) == 2 * p * q
+    g = FilterSpec.from_counter(d1_counter()).cnf_grammar
+    assert engine._lane_index(g, tuple(moves), [chunk]) == 2 * p * q
 
 
 def test_decide_methods():
@@ -481,8 +482,9 @@ def test_rational_index_symmetric_sharp():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rational_index_counter_filter_matches_grammar_filter(n):
-    # the counter filter closes its lanes over configurations, the
-    # grammar filter over triples
+    # the counter filter closes its lanes over the triples of its
+    # machine's grammar (CounterAutomaton.to_cfg), the grammar filter over
+    # those of the bracket grammar
     counter = FilterSpec.from_counter(d1_counter())
     assert rational_index(counter, n) == rational_index(FilterSpec.dyck(1), n) == RHO_DYCK1[n]
 

@@ -7,10 +7,11 @@ grammar-backed filters additionally get grammar-versus-oracle sweeps.
 """
 
 import itertools
+import random
 
 import pytest
 
-from rrkit import FilterSpec, InputError, parse_filter_name
+from rrkit import CounterAutomaton, FilterSpec, InputError, parse_filter_name
 from rrkit.errors import UnsupportedFilterError
 from rrkit.filters import (
     ALPHABET_FULL,
@@ -29,6 +30,7 @@ from rrkit.filters import (
 )
 
 import oracles
+from generators import random_counter
 
 
 def all_words(alphabet, max_len):
@@ -127,6 +129,37 @@ def test_d1_counter_matches_grammar():
     g = dyck_grammar(1).cnf()
     for w in all_words(("a1", "abar1"), 8):
         assert c.accepts(w) == g.cyk(w), w
+    # a counter filter's own grammar (CounterAutomaton.to_cfg) against
+    # the configuration search of accepts, on seeded random machines
+    rng = random.Random(2121)
+    machines = [random_counter(rng) for _ in range(200)]
+    moves = [move for c in machines for move in c.transitions]
+    assert {guard for _, _, guard, _, _ in moves} == {"any", "zero", "positive"}
+    assert {delta for _, _, _, delta, _ in moves} == {-1, 0, 1}
+    assert any(read == "" for _, read, _, _, _ in moves)
+    assert {c.accept_mode for c in machines} == {"final_state", "final_state_and_zero"}
+    # and on letters named like nonterminals, S and the numbered N0, and
+    # state names holding the separators of a structured name
+    named = CounterAutomaton.build(
+        ("S", "N0", "N'1"),
+        "q,0",
+        {"q]1"},
+        {
+            ("q,0", "S", "any", 1, "q,0"),
+            ("q,0", "N0", "positive", -1, "q]1"),
+            ("q]1", "N0", "positive", -1, "q]1"),
+            ("q]1", "N'1", "zero", 0, "q,0"),
+            ("q,0", "", "zero", 0, "q,0]"),
+            ("q,0]", "S", "any", 0, "q]1"),
+        },
+        accept_mode="final_state_and_zero",
+    )
+    assert named.accepts(("S", "S", "N0", "N0")) and named.accepts(("S", "N0", "N'1", "S"))
+    for c in machines + [d1_counter(), named]:
+        g = FilterSpec.from_counter(c).cnf_grammar
+        assert g.is_cnf()
+        for w in all_words(c.alphabet, 5):
+            assert g.cyk(w) == c.accepts(w), (c, w)
 
 
 def test_filterspec_contains_dispatch():
@@ -158,8 +191,8 @@ def test_filterspec_is_hashable():
 def test_filter_grammar_unavailable_kinds():
     with pytest.raises(UnsupportedFilterError):
         FilterSpec.s_sharp_up().filter_grammar()
-    with pytest.raises(UnsupportedFilterError):
-        FilterSpec.from_counter(d1_counter()).filter_grammar()
+    # a counter filter has its machine's grammar
+    assert FilterSpec.from_counter(d1_counter()).filter_grammar() == d1_counter().to_cfg()
 
 
 def test_fixed_filter_names_share_one_instance():
