@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InputError
-from .values import Frozen, set_field
+from .values import Frozen
 
 EPSILON = ""
 
@@ -55,14 +55,6 @@ def machine_states(
         found.add(t[0])
         found.add(t[-1])
     return frozenset(found)
-
-
-def require_lists(data: Mapping, fields: Iterable[str]) -> None:
-    """Reject a machine object whose named fields are not JSON lists: a
-    string there would otherwise be read as its characters."""
-    for field in fields:
-        if not isinstance(data[field], list):
-            raise InputError(f"field {field!r} must be a list, got {type(data[field]).__name__}")
 
 
 def require_strings(names: Iterable) -> None:
@@ -163,33 +155,22 @@ class Nfa(Frozen):
     accepting: frozenset[str]
     transitions: frozenset[tuple[str, str, str]]
 
-    def __init__(
-        self,
-        states: frozenset[str],
-        alphabet: tuple[str, ...],
-        initial: str,
-        accepting: frozenset[str],
-        transitions: frozenset[tuple[str, str, str]],
-    ) -> None:
-        set_field(self, "states", states)
-        set_field(self, "alphabet", alphabet)
-        set_field(self, "initial", initial)
-        set_field(self, "accepting", accepting)
-        set_field(self, "transitions", transitions)
-        require_strings(chain(states, alphabet))
-        if len(set(alphabet)) != len(alphabet):
+    def _check(self) -> None:
+        require_strings(chain(self.states, self.alphabet))
+        if len(set(self.alphabet)) != len(self.alphabet):
             raise InputError("alphabet contains duplicate symbols")
-        if EPSILON in alphabet:
+        if EPSILON in self.alphabet:
             raise InputError("the empty string is reserved for epsilon labels")
-        if initial not in states:
-            require_strings((initial,))
-            raise InputError(f"initial state {initial!r} is not a state")
-        bad = accepting - states
+        if self.initial not in self.states:
+            require_strings((self.initial,))
+            raise InputError(f"initial state {self.initial!r} is not a state")
+        bad = self.accepting - self.states
         if bad:
             require_strings(bad)
             raise InputError(f"accepting states {sorted(bad)} are not states")
-        symbols = set(alphabet)
-        for src, label, dst in transitions:
+        symbols = set(self.alphabet)
+        states = self.states
+        for src, label, dst in self.transitions:
             if src not in states or dst not in states:
                 require_strings((src, label, dst))
                 raise InputError(f"transition ({src!r},{label!r},{dst!r}) uses unknown states")
@@ -312,22 +293,14 @@ class Nfa(Frozen):
 
     # -- serialization ----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "states": sorted(self.states),
-            "alphabet": list(self.alphabet),
-            "initial": self.initial,
-            "accepting": sorted(self.accepting),
-            "transitions": [
-                {"from": src, "label": label, "to": dst}
-                for src, label, dst in sorted(self.transitions)
-            ],
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "Nfa":
         try:
-            require_lists(data, ("states", "alphabet", "accepting", "transitions"))
+            # a string in a list field would otherwise be read as its characters
+            for field in ("states", "alphabet", "accepting", "transitions"):
+                if not isinstance(data[field], list):
+                    kind = type(data[field]).__name__
+                    raise InputError(f"field {field!r} must be a list, got {kind}")
             return cls(
                 frozenset(data["states"]),
                 tuple(data["alphabet"]),

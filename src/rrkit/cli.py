@@ -129,8 +129,6 @@ def _cmd_index(args) -> int:
         value = rational_index(f, args.states, mode="exhaustive")
         mode = "exhaustive"
     else:
-        if args.sample < 1:
-            raise InputError(f"--sample must be at least 1, got {args.sample}")
         seed = args.seed
         if seed is None:
             raw = os.environ.get("RR_SEED", "0")

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .automata import EPSILON, Nfa, machine_states, pair_name, require_strings, synchronized_moves
 from .errors import ContractError, InputError
 from .grammars import Cfg
-from .values import Frozen, set_field
+from .values import Frozen
 
 GUARDS = ("any", "zero", "positive")
 ACCEPT_MODES = ("final_state", "final_state_and_zero")
@@ -27,35 +27,22 @@ class CounterAutomaton(Frozen):
     accepting: frozenset[str]
     # (src, read, guard, delta, dst); read == "" is an epsilon move
     transitions: frozenset[tuple[str, str, str, int, str]]
-    accept_mode: str
+    accept_mode: str = "final_state"
 
-    def __init__(
-        self,
-        states: frozenset[str],
-        alphabet: tuple[str, ...],
-        initial: str,
-        accepting: frozenset[str],
-        transitions: frozenset[tuple[str, str, str, int, str]],
-        accept_mode: str = "final_state",
-    ) -> None:
-        set_field(self, "states", states)
-        set_field(self, "alphabet", alphabet)
-        set_field(self, "initial", initial)
-        set_field(self, "accepting", accepting)
-        set_field(self, "transitions", transitions)
-        set_field(self, "accept_mode", accept_mode)
-        require_strings(chain(states, alphabet))
-        if initial not in states:
-            require_strings((initial,))
-            raise InputError(f"initial state {initial!r} is not a state")
-        bad = accepting - states
+    def _check(self) -> None:
+        require_strings(chain(self.states, self.alphabet))
+        if self.initial not in self.states:
+            require_strings((self.initial,))
+            raise InputError(f"initial state {self.initial!r} is not a state")
+        bad = self.accepting - self.states
         if bad:
             require_strings(bad)
             raise InputError("accepting states must be states")
-        if accept_mode not in ACCEPT_MODES:
-            raise InputError(f"unknown accept mode {accept_mode!r}")
-        symbols = set(alphabet)
-        for src, read, guard, delta, dst in transitions:
+        if self.accept_mode not in ACCEPT_MODES:
+            raise InputError(f"unknown accept mode {self.accept_mode!r}")
+        symbols = set(self.alphabet)
+        states = self.states
+        for src, read, guard, delta, dst in self.transitions:
             if src not in states or dst not in states:
                 require_strings((src, read, dst))
                 raise InputError("transition endpoints must be states")

@@ -22,7 +22,7 @@ from .errors import InputError
 from .filters import FilterSpec, d1_counter
 from .grammars import Cfg
 from .reductions import Triple, _derivable, intersection_shortest
-from .values import Frozen, set_field
+from .values import Frozen
 
 
 class DecisionReport(Frozen):
@@ -52,18 +52,6 @@ class DecisionReport(Frozen):
     stats: Mapping[str, int]
     __hash__ = None
 
-    def __init__(
-        self,
-        nonempty: bool,
-        witness: Optional[tuple[str, ...]],
-        method: str,
-        stats: Mapping[str, int],
-    ) -> None:
-        set_field(self, "nonempty", nonempty)
-        set_field(self, "witness", witness)
-        set_field(self, "method", method)
-        set_field(self, "stats", stats)
-
     def to_dict(self) -> dict:
         out = {"nonempty": self.nonempty, "method": self.method, "stats": dict(self.stats)}
         if self.method != "log2":
@@ -91,17 +79,8 @@ class CheckerStats(Frozen):
     max_live_triples: int
     result: bool
 
-    def __init__(self, max_recursion_depth: int, max_live_triples: int, result: bool) -> None:
-        set_field(self, "max_recursion_depth", max_recursion_depth)
-        set_field(self, "max_live_triples", max_live_triples)
-        set_field(self, "result", result)
-
     def to_dict(self) -> dict:
-        return {
-            "max_recursion_depth": self.max_recursion_depth,
-            "max_live_triples": self.max_live_triples,
-            "result": self.result,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def _restrict(a: Nfa, alphabet: tuple[str, ...]) -> Nfa:
@@ -295,8 +274,8 @@ def rational_index(
     nrr_decide's counter route, capped at |P|², on every machine.  The
     "index is undefined" error is raised when no machine meets the
     filter.  Exhaustive mode refuses more than 3 states or 20 possible
-    moves, sample mode more than 10,000 possible moves, before building
-    any.
+    moves, sample mode a sample count below 1 or more than 10,000
+    possible moves, before building any.
     """
     if n < 1:
         raise InputError("machines need at least one state")
@@ -307,6 +286,8 @@ def rational_index(
         if moves > _EXHAUSTIVE_MOVES:
             raise InputError("exhaustive enumeration over this alphabet/state count is too large")
     elif mode == "sample":
+        if sample_count < 1:
+            raise InputError(f"sample mode needs a sample count of at least 1, got {sample_count}")
         if moves > _SAMPLE_MOVES:
             raise InputError(
                 f"sample mode is limited to {_SAMPLE_MOVES:,} possible moves (states^2 * letters)"

@@ -15,7 +15,7 @@ from .counter import CounterAutomaton
 from .errors import InputError, UnsupportedFilterError
 from .grammars import Cfg
 from .transducers import Transducer
-from .values import Frozen, set_field
+from .values import Frozen
 
 ALPHABET_A = ("a", "abar")
 ALPHABET_X = ("x1", "x2", "xbar1", "xbar2")
@@ -264,28 +264,18 @@ class FilterSpec(Frozen):
     """A filter language: a built-in oracle, a user grammar, or a counter machine."""
 
     kind: str
-    n: int
-    grammar: Optional[Cfg]
-    automaton: Optional[CounterAutomaton]
+    n: int = 0
+    grammar: Optional[Cfg] = None
+    automaton: Optional[CounterAutomaton] = None
 
-    def __init__(
-        self,
-        kind: str,
-        n: int = 0,
-        grammar: Optional[Cfg] = None,
-        automaton: Optional[CounterAutomaton] = None,
-    ) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "n", n)
-        set_field(self, "grammar", grammar)
-        set_field(self, "automaton", automaton)
-        if kind not in FILTER_KINDS:
-            raise InputError(f"unknown filter kind {kind!r}")
-        if kind == "dyck" and n < 1:
+    def _check(self) -> None:
+        if self.kind not in FILTER_KINDS:
+            raise InputError(f"unknown filter kind {self.kind!r}")
+        if self.kind == "dyck" and self.n < 1:
             raise InputError("dyck filters need n >= 1")
-        if kind == "user_grammar" and grammar is None:
+        if self.kind == "user_grammar" and self.grammar is None:
             raise InputError("user_grammar filters need a grammar")
-        if kind == "counter" and automaton is None:
+        if self.kind == "counter" and self.automaton is None:
             raise InputError("counter filters need a counter automaton")
 
     @classmethod

@@ -10,7 +10,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import ContractError, InputError
-from .values import Frozen, set_field
+from .values import Frozen
 
 
 class Cfg(Frozen):
@@ -19,24 +19,15 @@ class Cfg(Frozen):
     rules: tuple[tuple[str, tuple[str, ...]], ...]
     axiom: str
 
-    def __init__(
-        self,
-        nonterminals: frozenset[str],
-        terminals: frozenset[str],
-        rules: tuple[tuple[str, tuple[str, ...]], ...],
-        axiom: str,
-    ) -> None:
-        set_field(self, "nonterminals", nonterminals)
-        set_field(self, "terminals", terminals)
-        set_field(self, "rules", rules)
-        set_field(self, "axiom", axiom)
-        if axiom not in nonterminals:
-            raise InputError(f"axiom {axiom!r} is not a nonterminal")
-        overlap = nonterminals & terminals
+    def _check(self) -> None:
+        if self.axiom not in self.nonterminals:
+            raise InputError(f"axiom {self.axiom!r} is not a nonterminal")
+        overlap = self.nonterminals & self.terminals
         if overlap:
             raise InputError(f"symbols {sorted(overlap)} are both terminal and nonterminal")
-        symbols = nonterminals | terminals
-        for lhs, rhs in rules:
+        nonterminals = self.nonterminals
+        symbols = nonterminals | self.terminals
+        for lhs, rhs in self.rules:
             if lhs not in nonterminals:
                 raise InputError(f"rule lhs {lhs!r} is not a nonterminal")
             for sym in rhs:
@@ -168,25 +159,27 @@ class Cfg(Frozen):
 
         # unit rule elimination
         nts = {lhs for lhs, _ in rules} | {axiom} | set(self.nonterminals)
-        unit_reach: dict[str, set[str]] = {a: {a} for a in nts}
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in rules:
-                if len(rhs) == 1 and rhs[0] in nts:
-                    for a in nts:
-                        if lhs in unit_reach[a] and rhs[0] not in unit_reach[a]:
-                            unit_reach[a].add(rhs[0])
-                            changed = True
-        non_unit = [
-            (lhs, rhs) for lhs, rhs in rules if not (len(rhs) == 1 and rhs[0] in nts)
-        ]
+        # unit edges, and the non-unit bodies of each nonterminal in rule order
+        unit_out: dict[str, list[str]] = {}
+        bodies: dict[str, list[tuple[str, ...]]] = {}
+        for lhs, rhs in rules:
+            if len(rhs) == 1 and rhs[0] in nts:
+                unit_out.setdefault(lhs, []).append(rhs[0])
+            else:
+                bodies.setdefault(lhs, []).append(rhs)
         merged: list[tuple[str, tuple[str, ...]]] = []
         seen = set()
         for a in sorted(nts, key=lambda x: (x != axiom, x)):
-            for b in sorted(unit_reach[a], key=lambda x: (x != a, x)):
-                for lhs, rhs in non_unit:
-                    if lhs == b and (a, rhs) not in seen:
+            reach = {a}
+            todo = [a]
+            while todo:
+                for b in unit_out.get(todo.pop(), ()):
+                    if b not in reach:
+                        reach.add(b)
+                        todo.append(b)
+            for b in sorted(reach, key=lambda x: (x != a, x)):
+                for rhs in bodies.get(b, ()):
+                    if (a, rhs) not in seen:
                         seen.add((a, rhs))
                         merged.append((a, rhs))
         rules = merged

@@ -18,7 +18,7 @@ from .errors import ContractError, InputError
 from .filters import ALPHABET_FULL, dyck_alphabet, dyck_encoder, parse_filter_name
 from .grammars import Cfg
 from .transducers import Transducer
-from .values import Frozen, set_field
+from .values import Frozen
 
 D2_ALPHABET = dyck_alphabet(2)
 
@@ -293,11 +293,6 @@ class MarkedNfa(Frozen):
     reject_state: str
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, nfa: Nfa, height: Mapping[str, int], reject_state: str) -> None:
-        set_field(self, "nfa", nfa)
-        set_field(self, "height", height)
-        set_field(self, "reject_state", reject_state)
 
 
 def _require_d2(a: Nfa) -> None:

@@ -6,18 +6,17 @@ time.  The empty string stands for epsilon on either tape.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping
 
 from .automata import (
-    EPSILON, Nfa, machine_json, machine_states, pair_name, require_lists, require_strings,
+    EPSILON, Nfa, machine_json, machine_states, pair_name, require_strings,
     synchronized_moves, trim_states,
 )
 from .errors import ContractError, InputError
-from .values import Frozen, set_field
+from .values import Frozen
 
 
 class Transducer(Frozen):
@@ -28,32 +27,19 @@ class Transducer(Frozen):
     accepting: frozenset[str]
     transitions: frozenset[tuple[str, str, str, str]]  # (src, read, write, dst)
 
-    def __init__(
-        self,
-        input_alphabet: tuple[str, ...],
-        output_alphabet: tuple[str, ...],
-        states: frozenset[str],
-        initial: str,
-        accepting: frozenset[str],
-        transitions: frozenset[tuple[str, str, str, str]],
-    ) -> None:
-        set_field(self, "input_alphabet", input_alphabet)
-        set_field(self, "output_alphabet", output_alphabet)
-        set_field(self, "states", states)
-        set_field(self, "initial", initial)
-        set_field(self, "accepting", accepting)
-        set_field(self, "transitions", transitions)
-        require_strings(chain(states, input_alphabet, output_alphabet))
-        if initial not in states:
-            require_strings((initial,))
-            raise InputError(f"initial state {initial!r} is not a state")
-        bad = accepting - states
+    def _check(self) -> None:
+        require_strings(chain(self.states, self.input_alphabet, self.output_alphabet))
+        if self.initial not in self.states:
+            require_strings((self.initial,))
+            raise InputError(f"initial state {self.initial!r} is not a state")
+        bad = self.accepting - self.states
         if bad:
             require_strings(bad)
             raise InputError("accepting states must be states")
-        ins = set(input_alphabet)
-        outs = set(output_alphabet)
-        for src, read, write, dst in transitions:
+        ins = set(self.input_alphabet)
+        outs = set(self.output_alphabet)
+        states = self.states
+        for src, read, write, dst in self.transitions:
             if src not in states or dst not in states:
                 require_strings((src, read, write, dst))
                 raise InputError("transition endpoints must be states")
@@ -205,38 +191,6 @@ class Transducer(Frozen):
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "input_alphabet": list(self.input_alphabet),
-            "output_alphabet": list(self.output_alphabet),
-            "states": sorted(self.states),
-            "initial": self.initial,
-            "accepting": sorted(self.accepting),
-            "transitions": [
-                {"from": src, "read": read, "write": write, "to": dst}
-                for src, read, write, dst in sorted(self.transitions)
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Transducer":
-        try:
-            require_lists(
-                data, ("input_alphabet", "output_alphabet", "states", "accepting", "transitions")
-            )
-            return cls(
-                tuple(data["input_alphabet"]),
-                tuple(data["output_alphabet"]),
-                frozenset(data["states"]),
-                data["initial"],
-                frozenset(data["accepting"]),
-                frozenset(
-                    (t["from"], t["read"], t["write"], t["to"]) for t in data["transitions"]
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed transducer object: {exc}") from exc
-
     def to_json(self) -> str:
         return machine_json(
             {
@@ -249,7 +203,3 @@ class Transducer(Frozen):
             ("from", "read", "write", "to"),
             sorted(self.transitions),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Transducer":
-        return cls.from_dict(json.loads(text))

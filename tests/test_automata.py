@@ -112,7 +112,16 @@ def test_to_json_is_json_dumps_indent_2_sorted():
         ))
     assert any(label == "" for a in cases for _, label, _ in a.transitions)
     for a in cases:
-        assert a.to_json() == json.dumps(a.to_dict(), indent=2, sort_keys=True) + "\n", a
+        reference = {
+            "states": sorted(a.states),
+            "alphabet": list(a.alphabet),
+            "initial": a.initial,
+            "accepting": sorted(a.accepting),
+            "transitions": [
+                {"from": src, "label": label, "to": dst} for src, label, dst in sorted(a.transitions)
+            ],
+        }
+        assert a.to_json() == json.dumps(reference, indent=2, sort_keys=True) + "\n", a
 
 
 def test_validation():

@@ -457,6 +457,13 @@ def test_rational_index_sample_mode_rejects_large_machines_before_building_them(
     assert rational_index(f, 70, mode="sample", sample_count=1) >= 0
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_rational_index_refuses_an_empty_sample(count):
+    # an empty sample says nothing of the index, which is defined for dyck1
+    with pytest.raises(InputError, match=f"sample count of at least 1, got {count}$"):
+        rational_index(FilterSpec.dyck(1), 2, mode="sample", sample_count=count)
+
+
 def test_rational_index_undefined_when_no_machine_qualifies():
     empty_language = FilterSpec.from_grammar(parse_grammar("T -> T a"))
     with pytest.raises(InputError):

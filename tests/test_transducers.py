@@ -135,16 +135,6 @@ def test_trimmed_preserves_relation():
 
 
 @pytest.mark.parametrize(
-    "field", ["input_alphabet", "output_alphabet", "states", "accepting", "transitions"]
-)
-def test_from_dict_rejects_string_for_list(field):
-    data = renamer().to_dict()
-    data[field] = "t0"
-    with pytest.raises(InputError, match=f"field '{field}' must be a list"):
-        Transducer.from_dict(data)
-
-
-@pytest.mark.parametrize(
     "fields",
     [
         {"states": renamer().states | {0}},
@@ -160,24 +150,6 @@ def test_constructor_rejects_non_string_names(fields):
         Transducer(**{"input_alphabet": t.input_alphabet, "output_alphabet": t.output_alphabet,
                       "states": t.states, "initial": t.initial, "accepting": t.accepting,
                       "transitions": t.transitions, **fields})
-
-
-@pytest.mark.parametrize("where", ["input_alphabet", "states", "initial", "transition"])
-def test_from_dict_rejects_non_string_names(where):
-    data = renamer().to_dict()
-    if where == "transition":
-        data["transitions"][0]["write"] = 0
-    elif where == "initial":
-        data["initial"] = 0
-    else:
-        data[where].append(0)
-    with pytest.raises(InputError, match="must be strings"):
-        Transducer.from_dict(data)
-
-
-def test_json_round_trip():
-    t = renamer()
-    assert Transducer.from_json(t.to_json()) == t
 
 
 def test_to_json_is_json_dumps_indent_2_sorted():
@@ -202,7 +174,18 @@ def test_to_json_is_json_dumps_indent_2_sorted():
     assert any(read == "" for t in cases for _, read, _, _ in t.transitions)
     assert any(write == "" for t in cases for _, _, write, _ in t.transitions)
     for t in cases:
-        assert t.to_json() == json.dumps(t.to_dict(), indent=2, sort_keys=True) + "\n", t
+        reference = {
+            "input_alphabet": list(t.input_alphabet),
+            "output_alphabet": list(t.output_alphabet),
+            "states": sorted(t.states),
+            "initial": t.initial,
+            "accepting": sorted(t.accepting),
+            "transitions": [
+                {"from": src, "read": read, "write": write, "to": dst}
+                for src, read, write, dst in sorted(t.transitions)
+            ],
+        }
+        assert t.to_json() == json.dumps(reference, indent=2, sort_keys=True) + "\n", t
 
 
 def test_dyck_encoder_images():
@@ -231,8 +214,6 @@ def test_validation():
         Transducer.build(("a",), ("x",), "s", {"s"}, {("s", "q", "x", "s")})
     with pytest.raises(InputError):
         Transducer.build(("a",), ("x",), "s", {"s"}, {("s", "a", "q", "s")})
-    with pytest.raises(InputError):
-        Transducer.from_json("[]")
 
 
 def test_compose_matches_all_pairs_reference():

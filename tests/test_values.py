@@ -1,11 +1,13 @@
 """Value semantics of the immutable classes, and what a launch imports.
 
-values.Frozen derives each value class's equality, hash and repr from
-its annotated fields.  The seven classes in CASES compare by class and
-fields, each field changed in turn giving an unequal value, hash their
-field tuple (all but DecisionReport, which has a dict field and no hash),
-refuse assignment and deletion, and print as `Name(field=value, ...)`;
-a subclass keeps its parent's fields.  MarkedNfa compares by identity,
+values.Frozen builds each value and derives its class's equality, hash
+and repr from its annotated fields.  The seven classes in CASES take
+each field once, by position or keyword, refuse a missing, extra or
+doubled argument with TypeError and run their checks either way; they
+compare by class and fields, each field changed in turn giving an
+unequal value, hash their field tuple (all but DecisionReport, which has
+a dict field and no hash), refuse assignment and deletion, and print as
+`Name(field=value, ...)`; a subclass keeps its parent's fields.  MarkedNfa compares by identity,
 and no other value class escapes these checks.  Launching `rr` imports
 none of the stdlib's introspection modules.
 """
@@ -13,6 +15,7 @@ none of the stdlib's introspection modules.
 import importlib
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -147,6 +150,56 @@ def test_repr_lists_the_fields(cls, fields, changes):
     value = cls(**fields())
     inner = ", ".join(f"{name}={v!r}" for name, v in fields().items())
     assert repr(value) == f"{cls.__name__}({inner})"
+
+
+# the fields that have defaults, and for each class with rules one field
+# change that breaks them, with the message its check raises
+DEFAULTS = {CounterAutomaton: {"accept_mode"}, FilterSpec: {"n", "grammar", "automaton"}}
+BROKEN = {
+    Nfa: ({"initial": "r"}, "initial state 'r' is not a state"),
+    CounterAutomaton: ({"accept_mode": "never"}, "unknown accept mode 'never'"),
+    Transducer: ({"transitions": frozenset({("s", "b", "x", "s")})},
+                 "read symbol 'b' is not in the input alphabet"),
+    Cfg: ({"axiom": "T"}, "axiom 'T' is not a nonterminal"),
+    FilterSpec: ({"kind": "dyck", "n": 0}, "dyck filters need n >= 1"),
+}
+
+
+@pytest.mark.parametrize("cls, fields, changes", CASES, ids=IDS)
+def test_construction_binds_each_field_once(cls, fields, changes):
+    items = list(fields().items())
+    values = [value for _, value in items]
+    with pytest.raises(TypeError, match="positional arguments"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*values, extra=None)
+    for i, (name, _) in enumerate(items):
+        # field i by position and again by keyword, each later one by keyword
+        with pytest.raises(TypeError, match=f"multiple values for argument '{name}'"):
+            cls(*values[:i + 1], **dict(items[i:]))
+        # test_keyword_defaults leaves out the fields that have defaults
+        if name not in DEFAULTS.get(cls, ()):
+            with pytest.raises(TypeError, match=f"missing required arguments: {name}$"):
+                cls(**{key: v for key, v in items if key != name})
+        # the positional prefix up to field i plus the rest by keyword is
+        # the same value
+        assert cls(*values[:i], **dict(items[i:])) == cls(*values)
+
+
+@pytest.mark.parametrize("cls, fields, changes", CASES, ids=IDS)
+def test_checks_run_by_keyword_and_by_position(cls, fields, changes):
+    if cls not in BROKEN:
+        assert cls in (CheckerStats, DecisionReport)
+        return
+    change, message = BROKEN[cls]
+    broken = {**fields(), **change}
+    with pytest.raises(rrkit.InputError, match=re.escape(message)):
+        cls(**broken)
+    with pytest.raises(rrkit.InputError, match=re.escape(message)):
+        cls(*broken.values())
+    # a subclass keeps the checks
+    with pytest.raises(rrkit.InputError, match=re.escape(message)):
+        type("Sub", (cls,), {})(*broken.values())
 
 
 def test_one_state_nfa_repr():
