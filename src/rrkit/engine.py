@@ -268,14 +268,14 @@ def rational_index(
     sample mode takes seeded random machines (_sample_chunks) and reports
     the max found, a lower bound.  The lanes close over the filter's CNF
     (_lane_index); each lane gets the length of its machine's shortest
-    witness.  For a counter filter that is the CNF of its grammar
-    (CounterAutomaton.to_cfg), so a lane measures the shortest witness
-    with no cap on the counter; the tests check it against the witness of
-    nrr_decide's counter route, capped at |P|², on every machine.  The
-    "index is undefined" error is raised when no machine meets the
-    filter.  Exhaustive mode refuses more than 3 states or 20 possible
-    moves, sample mode a sample count below 1 or more than 10,000
-    possible moves, before building any.
+    witness, and stops there while the others go on.  For a counter
+    filter that is the CNF of its grammar (CounterAutomaton.to_cfg), so a
+    lane measures the shortest witness with no cap on the counter; the
+    tests check it against the witness of nrr_decide's counter route,
+    capped at |P|², on every machine.  The "index is undefined" error is
+    raised when no machine meets the filter.  Exhaustive mode refuses
+    more than 3 states or 20 possible moves, sample mode a sample count
+    below 1 or more than 10,000 possible moves, before building any.
     """
     if n < 1:
         raise InputError("machines need at least one state")
@@ -351,13 +351,17 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
     fresh[i][(q, B, r)] & fresh[l - i][(r, C, p)], minus the lanes settled
     earlier (exact in CNF: a least length is the least sum of two least
     lengths).  A machine's witness is (0, axiom, p) in its lane of
-    goals[p].  The longer half of a least word is itself least and lies
-    in [l/2, l), so nothing is first reached after a gap past twice the
-    last length at which some lane was fresh; a chunk also stops once
-    every goal lane has its witness.  The axiom's epsilon rule settles
-    (0, axiom, 0) at length 0 in every lane; the axiom is on no
-    right-hand side, so no other triple uses it.
+    goals[p].  A lane is alive while one of its goals lacks its witness;
+    an answered lane can no longer change the result, so from each length
+    on only the alive lanes are settled and joined.  The longer half of a
+    least word is itself least and lies in [l/2, l), so no lane first
+    reaches a triple after a gap past twice the last length at which it
+    had a fresh one; a chunk stops there, or once no lane is alive.  The
+    axiom is on no right-hand side, so its triples join nothing and only
+    those from state 0 are built; its epsilon rule settles (0, axiom, 0)
+    at length 0 in every lane.
     """
+    axiom = g.axiom
     by_terminal: dict[str, list[str]] = {}
     by_left: dict[str, list[tuple[str, str]]] = {}
     for lhs, rhs in g.rules:
@@ -365,14 +369,14 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
             by_terminal.setdefault(rhs[0], []).append(lhs)
         elif len(rhs) == 2:
             by_left.setdefault(rhs[0], []).append((lhs, rhs[1]))
-    axiom_eps = (g.axiom, ()) in g.rules
+    axiom_eps = (axiom, ()) in g.rules
     best = None
     for lanes, goals in chunks:
         # open_[p]: the lanes of goals[p] still without a witness
         open_ = list(goals)
         settled: dict[Triple, int] = {}
         if axiom_eps:
-            settled[(0, g.axiom, 0)] = -1  # every lane
+            settled[(0, axiom, 0)] = -1  # every lane
             if open_[0]:
                 best = best or 0
                 open_[0] = 0
@@ -380,25 +384,32 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
         for (i, sym, j), bits in zip(edges, lanes):
             if bits:
                 for a in by_terminal.get(sym, ()):
-                    found[(i, a, j)] = found.get((i, a, j), 0) | bits
+                    if i == 0 or a != axiom:
+                        found[(i, a, j)] = found.get((i, a, j), 0) | bits
         # fresh[l], indexed for both sides of a join: left[l][B] lists
         # (q, r, lanes) of the triples (q, B, r), right[l][(C, r)] lists (p, lanes)
         left: list[dict] = [{}]
         right: list[dict] = [{}]
         length, last = 1, 0
-        while any(open_):
+        while True:
+            alive = 0
+            for waiting in open_:
+                alive |= waiting
+            if not alive:
+                break
             by_b: dict[str, list] = {}
             by_cr: dict[tuple[str, int], list] = {}
             for t, bits in found.items():
                 old = settled.get(t, 0)
-                bits &= ~old
+                bits &= alive & ~old
                 if bits:
                     settled[t] = old | bits
-                    q, sym, p = t
-                    by_b.setdefault(sym, []).append((q, p, bits))
-                    by_cr.setdefault((sym, q), []).append((p, bits))
                     last = length
-                    if q == 0 and sym == g.axiom and bits & open_[p]:
+                    q, sym, p = t
+                    if sym != axiom:
+                        by_b.setdefault(sym, []).append((q, p, bits))
+                        by_cr.setdefault((sym, q), []).append((p, bits))
+                    elif bits & open_[p]:
                         open_[p] &= ~bits
                         best = max(best or 0, length)
             left.append(by_b)
@@ -412,6 +423,8 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
                 for b, entries in left[i].items():
                     for a, c in by_left.get(b, ()):
                         for q, r, x in entries:
+                            if q and a == axiom:
+                                continue
                             for p, y in joins.get((c, r), ()):
                                 z = x & y
                                 if z:

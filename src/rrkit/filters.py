@@ -8,7 +8,7 @@ M-family languages get oracles only.
 """
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .counter import CounterAutomaton
@@ -29,8 +29,18 @@ def dyck_alphabet(n: int) -> tuple[str, ...]:
     return tuple(f"a{k}" for k in range(1, n + 1)) + tuple(f"abar{k}" for k in range(1, n + 1))
 
 
-def _check_word(w: tuple[str, ...], alphabet: Iterable[str]) -> None:
-    allowed = set(alphabet)
+@lru_cache(maxsize=8)
+def _dyck_letters(n: int) -> frozenset[str]:
+    # built once per bracket-pair count, not on every membership check
+    return frozenset(dyck_alphabet(n))
+
+
+_X_LETTERS = frozenset(ALPHABET_X)
+_X_SHARP_LETTERS = frozenset(ALPHABET_X + (SHARP,))
+_FULL_LETTERS = frozenset(ALPHABET_FULL)
+
+
+def _check_word(w: tuple[str, ...], allowed: frozenset[str]) -> None:
     for sym in w:
         if sym not in allowed:
             raise InputError(f"symbol {sym!r} is not in the filter alphabet")
@@ -39,7 +49,7 @@ def _check_word(w: tuple[str, ...], alphabet: Iterable[str]) -> None:
 def dyck_member(n: int, w: Iterable[str]) -> bool:
     """True iff w is a balanced bracket word over n typed pairs."""
     word = tuple(w)
-    _check_word(word, dyck_alphabet(n))
+    _check_word(word, _dyck_letters(n))
     stack: list[str] = []
     for sym in word:
         if sym.startswith("abar"):
@@ -54,7 +64,7 @@ def dyck_member(n: int, w: Iterable[str]) -> bool:
 def sym_member(w: Iterable[str]) -> bool:
     """True iff w is a nest of matched x-pairs: x_i ... x_j x̄_j ... x̄_i."""
     word = tuple(w)
-    _check_word(word, ALPHABET_X)
+    _check_word(word, _X_LETTERS)
     if len(word) % 2:
         return False
     half = len(word) // 2
@@ -80,7 +90,7 @@ def s_sharp_member(w: Iterable[str]) -> bool:
     """True iff w becomes a symmetric word after deleting #, with every
     #-run sitting in front of some letter (no trailing run)."""
     word = tuple(w)
-    _check_word(word, ALPHABET_X + (SHARP,))
+    _check_word(word, _X_SHARP_LETTERS)
     return _s_sharp(word)
 
 
@@ -103,7 +113,7 @@ def m_inf_member(w: Iterable[str]) -> bool:
     Spans are memoized so the recursion stays quadratic.
     """
     word = tuple(w)
-    _check_word(word, ALPHABET_FULL)
+    _check_word(word, _FULL_LETTERS)
     memo: dict[tuple[int, int], bool] = {}
 
     def span(i: int, j: int) -> bool:
@@ -155,7 +165,7 @@ def m_inf_member(w: Iterable[str]) -> bool:
 def m_plus_member(w: Iterable[str]) -> bool:
     """True iff erasing the x-symbols and # leaves an unbalanced a/abar word."""
     word = tuple(w)
-    _check_word(word, ALPHABET_FULL)
+    _check_word(word, _FULL_LETTERS)
     depth = 0
     for sym in word:
         if sym == "a":
@@ -354,7 +364,7 @@ class FilterSpec(Frozen):
             return s_sharp_up_member(word)
         if self.kind == "counter":
             return self.automaton.accepts(word)
-        _check_word(word, self.alphabet)
+        _check_word(word, self.grammar.terminals)
         return self.cnf_grammar.cyk(word)
 
 

@@ -2,7 +2,8 @@
 
 A value is its class plus its fields.  A value class annotates its fields
 in order, gives a field a default by assigning it in the class body, and
-states its rules in _check; Frozen builds every value from the
+states its rules in _check; a subclass's fields are its parent's followed
+by those it annotates anew.  Frozen builds every value from the
 annotations (positional arguments, then keywords, then defaults, then
 _check), and derives equality (same class, equal field tuples), the hash
 (of the field tuple) and the repr from them.  DecisionReport, whose
@@ -22,15 +23,19 @@ class Frozen:
     directly, still caches on them."""
 
     def __init_subclass__(cls) -> None:
-        # the annotated field names, a getter of their values as a tuple
-        # (every value class has two fields or more), and the defaults
-        # assigned in the class body; a subclass that annotates nothing
-        # keeps its parent's
-        fields = cls.__dict__.get("__annotations__")
-        if fields:
-            cls._fields = tuple(fields)
+        # the field names, the parent's first and then the newly annotated
+        # ones, a getter of their values as a tuple (every value class has
+        # two fields or more), and the defaults assigned in the class
+        # bodies; a subclass that annotates nothing keeps its parent's
+        own = cls.__dict__.get("__annotations__")
+        if own:
+            fields = getattr(cls, "_fields", ())
+            cls._fields = fields = fields + tuple(name for name in own if name not in fields)
             cls._key = attrgetter(*fields)
-            cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+            cls._defaults = {
+                **getattr(cls, "_defaults", {}),
+                **{name: cls.__dict__[name] for name in own if name in cls.__dict__},
+            }
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields

@@ -205,6 +205,24 @@ def test_counter_lane_index_reaches_a_quadratic_counter(p, q):
     assert engine._lane_index(g, tuple(moves), [chunk]) == 2 * p * q
 
 
+@pytest.mark.parametrize("f", [FilterSpec.dyck(1), FilterSpec.from_counter(d1_counter())])
+@pytest.mark.parametrize("p, q", [(3, 4), (4, 5)])
+def test_lane_index_keeps_a_long_lane_after_its_neighbours_close(f, p, q):
+    # lane 0 holds the coprime-cycle machine; lanes 1 and 2 add a short
+    # cut from the first cycle state into the second cycle, lane 1 to the
+    # first a1 move alone, lane 2 to the whole machine.  Both accept where
+    # the cut ends, close with a1 abar1 at length 2, and stop there while
+    # lane 0 climbs on
+    moves, accepting = coprime_cycle_moves(p, q, epsilon=False)
+    edges = (*moves, (2, "abar1", p + 2))
+    lanes = [0b101 | (0b010 if k == 0 else 0) for k in range(len(moves))] + [0b110]
+    goals = [0] * (1 + p + q)
+    goals[accepting] = 0b001
+    goals[p + 2] = 0b110
+    assert engine._lane_index(f.cnf_grammar, edges, [(lanes, goals)]) == 2 * p * q
+    assert engine._lane_index(f.cnf_grammar, edges, [(lanes, [g & 0b110 for g in goals])]) == 2
+
+
 def test_decide_methods():
     """nrr_decide selects the route: an explicit route agrees with auto,
     log2 reports log2_check's figures, and a route the filter lacks is an
@@ -623,6 +641,13 @@ def test_rational_index_pinned_grammars(monkeypatch, text, lane_bits):
     f = FilterSpec.from_grammar(parse_grammar(text))
     for n in (1, 2):
         assert rational_index(f, n) == _every_machine_max(f, n), (text, n)
+
+
+def test_rational_index_builds_axiom_triples_from_state_0_only():
+    # S -> a | b: in many machines (1, S, p) is derivable at length 1,
+    # before any (0, S, p); the lanes build and count only the latter
+    f = FilterSpec.from_grammar(parse_grammar("S -> a | b | A A\nA -> b A | a"))
+    assert rational_index(f, 2) == _every_machine_max(f, 2) == 4
 
 
 @pytest.mark.parametrize("lane_bits", [14, 1])

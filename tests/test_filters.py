@@ -106,6 +106,28 @@ def test_membership_rejects_foreign_symbols():
         sym_member(("a",))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_dyck_member_accepts_exactly_the_bracket_letters(n):
+    for k in range(1, n + 1):
+        assert dyck_member(n, (f"a{k}", f"abar{k}"))
+        assert FilterSpec.dyck(n).contains((f"a{k}", f"a{k}", f"abar{k}", f"abar{k}"))
+    for sym in (f"a{n + 1}", f"abar{n + 1}", "a0", "abar0", "a01", "abar01", "a", "abar", "A1", "a1 "):
+        with pytest.raises(InputError, match=f"^symbol {sym!r} is not in the filter alphabet$"):
+            dyck_member(n, ("a1", sym))
+        with pytest.raises(InputError, match=f"^symbol {sym!r} is not in the filter alphabet$"):
+            FilterSpec.dyck(n).contains((sym,))
+    with pytest.raises(InputError, match="^Dyck languages need at least one bracket pair$"):
+        dyck_member(0, ())
+
+
+def test_dyck_member_at_the_largest_named_filter():
+    f = parse_filter_name("dyckN:10000")
+    assert f.contains(("a10000", "a1", "abar1", "abar10000"))
+    assert not f.contains(("a10000", "abar9999"))
+    with pytest.raises(InputError, match="^symbol 'a10001' is not in the filter alphabet$"):
+        f.contains(("a10001",))
+
+
 def test_dyck_grammar_matches_oracle():
     g = dyck_grammar(1).cnf()
     for w in all_words(("a1", "abar1"), 8):

@@ -7,7 +7,8 @@ doubled argument with TypeError and run their checks either way; they
 compare by class and fields, each field changed in turn giving an
 unequal value, hash their field tuple (all but DecisionReport, which has
 a dict field and no hash), refuse assignment and deletion, and print as
-`Name(field=value, ...)`; a subclass keeps its parent's fields.  MarkedNfa compares by identity,
+`Name(field=value, ...)`; a subclass keeps its parent's fields, and
+appends the fields it annotates.  MarkedNfa compares by identity,
 and no other value class escapes these checks.  Launching `rr` imports
 none of the stdlib's introspection modules.
 """
@@ -132,6 +133,32 @@ def test_equal_fields_make_equal_values(cls, fields, changes):
         assert hash(by_keyword) == hash(by_position) == hash(values)
     for name, value in fields().items():
         assert getattr(by_keyword, name) == value
+
+
+def test_a_subclass_appends_the_fields_it_annotates():
+    # defined here, outside rrkit, so test_every_value_class_is_covered
+    # does not count them
+    class Tagged(Nfa):
+        tag: str = ""
+
+    class Counted(CounterAutomaton):
+        count: int
+
+    assert Tagged._fields == (*nfa_fields(), "tag")
+    plain = Tagged(**nfa_fields())
+    assert plain.tag == "" and plain != Nfa(**nfa_fields())
+    tagged = Tagged(*nfa_fields().values(), "x")
+    assert tagged == Tagged(**nfa_fields(), tag="x") and tagged != plain
+    assert hash(tagged) == hash((*nfa_fields().values(), "x"))
+    assert repr(tagged).endswith("Tagged" + repr(Nfa(**nfa_fields()))[3:-1] + ", tag='x')")
+    with pytest.raises(rrkit.InputError, match="initial state 'r' is not a state"):
+        Tagged(**{**nfa_fields(), "initial": "r"})
+    # the parent's defaults are kept, and the new field without one is required
+    fields = counter_fields()
+    del fields["accept_mode"]
+    assert Counted(**fields, count=3).accept_mode == "final_state"
+    with pytest.raises(TypeError, match="missing required arguments: count$"):
+        Counted(**fields)
 
 
 @pytest.mark.parametrize("cls, fields, changes", CASES, ids=IDS)
