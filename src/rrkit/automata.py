@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -89,19 +89,21 @@ def synchronized_moves(
     left: dict[str, list[tuple]] = {}
     for src, middle, payload, dst in left_moves:
         left.setdefault(src, []).append((middle, payload, dst))
-    right: dict[tuple[str, str], list[tuple]] = {}
+    right: dict[str, dict[str, list[tuple]]] = {}
     for src, middle, payload, dst in right_moves:
-        right.setdefault((src, middle), []).append((payload, dst))
+        right.setdefault(src, {}).setdefault(middle, []).append((payload, dst))
     seen = {start}
     todo = [start]
     while todo:
         src = s1, s2 = todo.pop()
-        steps = [(EPSILON, None, p2, (s1, d2)) for p2, d2 in right.get((s2, EPSILON), ())]
+        partners = right.get(s2, {})
+        steps = [(EPSILON, None, p2, (s1, d2)) for p2, d2 in partners.get(EPSILON, ())]
         for middle, p1, d1 in left.get(s1, ()):
             if middle == EPSILON:
                 steps.append((EPSILON, p1, None, (d1, s2)))
             else:
-                steps.extend((middle, p1, p2, (d1, d2)) for p2, d2 in right.get((s2, middle), ()))
+                for p2, d2 in partners.get(middle, ()):
+                    steps.append((middle, p1, p2, (d1, d2)))
         for middle, p1, p2, dst in steps:
             if dst not in seen:
                 seen.add(dst)
@@ -121,31 +123,53 @@ def machine_json(
     Every value is a string or a list of strings.  The writer exists
     because json.dumps with an indent skips the C encoder and runs the
     pure-Python one, a generator step per token, and `rr reduce` outputs
-    run to thousands of transitions.  It fills fixed line templates
-    instead, passing each string once through json's C escaper, the one
-    json.dumps uses, and joins the lines once.
+    run to thousands of transitions.  It passes each string once through
+    json's C escaper, the one json.dumps uses, and copies the text once:
+    each transition record is joined into one string from its fixed key
+    text and its escaped values, and the records, the list fields and the
+    lines between them go into a single join for the document.  Joining
+    each nesting level on its own copied the whole text at every level;
+    joining every escaped value into the document directly kept all of
+    them alive to the end, a larger peak than the records they make up.
     """
     enc = encode_basestring_ascii
-    order = sorted(range(len(transition_keys)), key=transition_keys.__getitem__)
-    # a %-template with one slot per key, in sorted key order
-    record = "    {\n" + ",\n".join(
-        f"      {enc(transition_keys[k])}: %s" for k in order
-    ) + "\n    }"
-    # encode column by column, then zip the columns back into records
-    columns = list(zip(*transitions)) or [()] * len(transition_keys)
-    records = zip(*(map(enc, columns[k]) for k in order))
-    body = {
-        key: enc(value) if isinstance(value, str) else _json_list(f"    {enc(v)}" for v in value)
+    values: dict[str, Iterable[str]] = {
+        key: (enc(value),) if isinstance(value, str) else _json_list(value)
         for key, value in fields.items()
     }
-    body["transitions"] = _json_list(map(record.__mod__, records))
-    return "{\n" + ",\n".join(f"  {enc(key)}: {body[key]}" for key in sorted(body)) + "\n}\n"
+    values["transitions"] = _json_records(transition_keys, list(zip(*transitions)))
+    text = []
+    separator = "{\n  "
+    for key in sorted(values):
+        text.append(f"{separator}{enc(key)}: ")
+        text += values[key]
+        separator = ",\n  "
+    text.append("\n}\n")
+    return "".join(text)
 
 
-def _json_list(lines: Iterable[str]) -> str:
-    """A list value at the second level of indentation, from its item lines."""
-    text = ",\n".join(lines)
-    return f"[\n{text}\n  ]" if text else "[]"
+def _json_list(items: Iterable[str]) -> tuple[str, ...]:
+    """The pieces of a list of strings at the second level of indentation."""
+    text = ",\n    ".join(map(encode_basestring_ascii, items))
+    return ("[\n    ", text, "\n  ]") if text else ("[]",)
+
+
+def _json_records(keys: tuple[str, ...], columns: list[tuple[str, ...]]) -> Iterable[str]:
+    """The pieces of the transitions list, one string per record, from the
+    columns of the records' values."""
+    if not columns:
+        return ("[]",)
+    enc = encode_basestring_ascii
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    # per record: the fixed text before each value in sorted key order,
+    # the escaped value, and the closing brace; a record opens the list
+    # or follows the comma after the one before
+    head = f"    {{\n      {enc(keys[order[0]])}: "
+    row = [chain((f"[\n{head}",), repeat(f",\n{head}")), map(enc, columns[order[0]])]
+    for k in order[1:]:
+        row += repeat(f",\n      {enc(keys[k])}: "), map(enc, columns[k])
+    row.append(repeat("\n    }"))
+    return chain(map("".join, zip(*row)), ("\n  ]",))
 
 
 class Nfa(Frozen):

@@ -120,25 +120,27 @@ class Transducer(Frozen):
 
         The product moves jointly on real symbols; an epsilon write here or
         an epsilon read there advances one side alone.  Only state pairs
-        reachable from the initial pair are built, each named by
+        reachable from the initial pair are built, each named once by
         pair_name, and the result is trimmed of dead states.
         """
         if set(self.output_alphabet) != set(other.input_alphabet):
             raise ContractError("composition needs matching middle alphabets")
         start = (self.initial, other.initial)
-        moves = synchronized_moves(
+        moves = list(synchronized_moves(
             start,
             ((src, write, read, dst) for src, read, write, dst in self.transitions),
             other.transitions,
-        )
+        ))
+        # every reachable pair is the start or the target of some move
+        names = {pair: pair_name(*pair) for pair in {start, *(move[-1] for move in moves)}}
         composed = Transducer.build(
             self.input_alphabet,
             other.output_alphabet,
-            pair_name(*start),
-            {pair_name(f1, f2) for f1 in self.accepting for f2 in other.accepting},
+            names[start],
+            {name for (f1, f2), name in names.items() if f1 in self.accepting and f2 in other.accepting},
             # a None payload is the side that stays put: nothing read or written
             {
-                (pair_name(*src), read or EPSILON, write or EPSILON, pair_name(*dst))
+                (names[src], read or EPSILON, write or EPSILON, names[dst])
                 for src, _, read, write, dst in moves
             },
         )

@@ -1,9 +1,12 @@
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from rrkit import InputError, Nfa
+from rrkit.reductions import D2_ALPHABET, mark_automaton, reduce_d2_to_ssharpup
 
 from generators import random_nfa, random_word
 from oracles import enumerate_accepted, naive_accepts
@@ -97,6 +100,7 @@ def test_to_json_is_json_dumps_indent_2_sorted():
     rng = random.Random(414)
     cases = [
         Nfa.build(("a1",), "q0", set(), set()),  # no accepting state, no transition
+        Nfa.build(("a1",), "q0", {"q0"}, {("q0", "a1", "q0")}),  # one item in every list
         Nfa.build(ODD_NAMES[:3], ODD_NAMES[3], {ODD_NAMES[4]}, {(ODD_NAMES[3], "", ODD_NAMES[5])}),
     ]
     for _ in range(60):
@@ -110,6 +114,12 @@ def test_to_json_is_json_dumps_indent_2_sorted():
             {(rename[src], label, rename[dst]) for src, label, dst in a.transitions},
             states=rename.values(),
         ))
+    # the reductions' outputs run to thousands of transitions
+    big = random.Random(424)
+    for _ in range(2):
+        a = random_nfa(big, max_states=4, min_states=3, alphabet=D2_ALPHABET, allow_epsilon=True)
+        cases += [mark_automaton(a).nfa, reduce_d2_to_ssharpup(a)]
+    assert min(len(a.transitions) for a in cases[-4:]) > 1000
     assert any(label == "" for a in cases for _, label, _ in a.transitions)
     for a in cases:
         reference = {
@@ -122,6 +132,24 @@ def test_to_json_is_json_dumps_indent_2_sorted():
             ],
         }
         assert a.to_json() == json.dumps(reference, indent=2, sort_keys=True) + "\n", a
+
+
+def test_to_json_peak_memory_stays_near_the_output_length():
+    # one string per record and one join for the document measured 2.56
+    # times the output; a join per nesting level measured 3.30, and every
+    # escaped value kept alive for one flat join 3.27
+    a = random_nfa(random.Random(5), max_states=4, min_states=4, alphabet=D2_ALPHABET,
+                   allow_epsilon=True)
+    b = reduce_d2_to_ssharpup(a)
+    assert len(a.states) == 4 and len(b.transitions) > 10000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = b.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * len(text), peak / len(text)
 
 
 def test_validation():

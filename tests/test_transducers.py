@@ -5,7 +5,7 @@ import pytest
 
 from rrkit import Nfa, Transducer, cs_transducer
 from rrkit.errors import InputError
-from rrkit.filters import dyck_encoder, symmetric_sharp_grammar
+from rrkit.filters import dyck_encoder, dyck_grammar, symmetric_sharp_grammar
 
 from generators import random_nfa, random_transducer
 from oracles import all_pairs_product, dyck_oracle, trim
@@ -158,6 +158,7 @@ def test_to_json_is_json_dumps_indent_2_sorted():
     rng = random.Random(415)
     cases = [
         Transducer.build(("a",), ("x",), "t0", set(), set()),  # no accepting state, no transition
+        Transducer.build(("a",), ("x",), "t0", {"t0"}, {("t0", "a", "x", "t0")}),  # one of each
         Transducer.build(("a\tb",), ("\u00e9",), odd[0], set(), {(odd[0], "", "", odd[1])}),
     ]
     for _ in range(60):
@@ -171,6 +172,8 @@ def test_to_json_is_json_dumps_indent_2_sorted():
             {(rename[src], read, write, rename[dst]) for src, read, write, dst in t.transitions},
             states=rename.values(),
         ))
+    # the grammar reduction's outputs: hundreds of states and moves
+    cases += [cs_transducer(dyck_grammar(2)), cs_transducer(symmetric_sharp_grammar())]
     assert any(read == "" for t in cases for _, read, _, _ in t.transitions)
     assert any(write == "" for t in cases for _, _, write, _ in t.transitions)
     for t in cases:
