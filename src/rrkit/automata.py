@@ -13,7 +13,7 @@ from collections import deque
 from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InputError
 from .values import Frozen
@@ -21,28 +21,17 @@ from .values import Frozen
 EPSILON = ""
 
 
-def trim_states(
-    initial: str, accepting: Iterable[str], edges: Iterable[tuple[str, str]]
-) -> set[str]:
-    """States on some path from `initial` to an accepting state, plus
-    `initial` itself; `edges` are (src, dst) pairs, labels ignored."""
-    fwd: dict[str, set[str]] = {}
-    bwd: dict[str, set[str]] = {}
-    for src, dst in edges:
-        fwd.setdefault(src, set()).add(dst)
-        bwd.setdefault(dst, set()).add(src)
-
-    def closure(seeds: Iterable[str], step: dict[str, set[str]]) -> set[str]:
-        seen = set(seeds)
-        todo = list(seen)
-        while todo:
-            for nxt in step.get(todo.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return seen
-
-    return (closure({initial}, fwd) & closure(accepting, bwd)) | {initial}
+def reach(seeds: Iterable[Hashable], step: Mapping[Hashable, Iterable[Hashable]]) -> set:
+    """The seeds plus everything reachable from them along `step`, which
+    maps a node to its successors; a node missing from `step` has none."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for nxt in step.get(todo.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
 
 
 def machine_states(
@@ -67,11 +56,37 @@ def require_strings(names: Iterable) -> None:
             raise InputError(f"state and symbol names must be strings, got {name!r}")
 
 
+def check_machine(
+    states: frozenset[str], initial: str, accepting: frozenset[str], *alphabets: tuple[str, ...]
+) -> None:
+    """The checks every machine constructor starts with: states and
+    letters are strings, no alphabet repeats a letter or holds the epsilon
+    label, and the initial and accepting states are states."""
+    require_strings(chain(states, *alphabets))
+    for alphabet in alphabets:
+        if len(set(alphabet)) != len(alphabet):
+            raise InputError("alphabet contains duplicate symbols")
+        if EPSILON in alphabet:
+            raise InputError("the empty string is reserved for epsilon labels")
+    if initial not in states:
+        require_strings((initial,))
+        raise InputError(f"initial state {initial!r} is not a state")
+    bad = accepting - states
+    if bad:
+        require_strings(bad)
+        raise InputError(f"accepting states {sorted(bad)} are not states")
+
+
+def escape(name: str, separator: str = ",") -> str:
+    """`name` with backslash and `separator` escaped by a backslash, so
+    that names joined by `separator` split back one way only.  A name free
+    of those two characters is not changed."""
+    return name.replace("\\", "\\\\").replace(separator, "\\" + separator)
+
+
 def pair_name(left: str, right: str) -> str:
     """The name "(left,right)" of a product state, with backslash and
-    comma escaped in both parts, so that distinct pairs get distinct names.
-    Names free of those two characters are not changed."""
-    escape = lambda name: name.replace("\\", "\\\\").replace(",", "\\,")
+    comma escaped in both parts, so that distinct pairs get distinct names."""
     return f"({escape(left)},{escape(right)})"
 
 
@@ -180,18 +195,7 @@ class Nfa(Frozen):
     transitions: frozenset[tuple[str, str, str]]
 
     def _check(self) -> None:
-        require_strings(chain(self.states, self.alphabet))
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise InputError("alphabet contains duplicate symbols")
-        if EPSILON in self.alphabet:
-            raise InputError("the empty string is reserved for epsilon labels")
-        if self.initial not in self.states:
-            require_strings((self.initial,))
-            raise InputError(f"initial state {self.initial!r} is not a state")
-        bad = self.accepting - self.states
-        if bad:
-            require_strings(bad)
-            raise InputError(f"accepting states {sorted(bad)} are not states")
+        check_machine(self.states, self.initial, self.accepting, self.alphabet)
         symbols = set(self.alphabet)
         states = self.states
         for src, label, dst in self.transitions:
@@ -236,15 +240,7 @@ class Nfa(Frozen):
 
     def eps_closure(self, states: Iterable[str]) -> frozenset[str]:
         """All states reachable from `states` through epsilon moves alone."""
-        seen = set(states)
-        todo = list(seen)
-        while todo:
-            q = todo.pop()
-            for nxt in self._eps_out.get(q, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return frozenset(seen)
+        return frozenset(reach(states, self._eps_out))
 
     def step(self, states: Iterable[str], symbol: str) -> frozenset[str]:
         """Epsilon-closed successor set after reading one symbol."""

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .automata import EPSILON, Nfa, machine_states, pair_name, require_strings, synchronized_moves
+from .automata import (
+    EPSILON, Nfa, check_machine, machine_states, pair_name, reach, require_strings,
+    synchronized_moves,
+)
 from .errors import ContractError, InputError
 from .grammars import Cfg
 from .values import Frozen
@@ -30,14 +32,7 @@ class CounterAutomaton(Frozen):
     accept_mode: str = "final_state"
 
     def _check(self) -> None:
-        require_strings(chain(self.states, self.alphabet))
-        if self.initial not in self.states:
-            require_strings((self.initial,))
-            raise InputError(f"initial state {self.initial!r} is not a state")
-        bad = self.accepting - self.states
-        if bad:
-            require_strings(bad)
-            raise InputError("accepting states must be states")
+        check_machine(self.states, self.initial, self.accepting, self.alphabet)
         if self.accept_mode not in ACCEPT_MODES:
             raise InputError(f"unknown accept mode {self.accept_mode!r}")
         symbols = set(self.alphabet)
@@ -83,13 +78,7 @@ class CounterAutomaton(Frozen):
         back: dict[str, list[str]] = {}
         for src, *_, dst in self.transitions:
             back.setdefault(dst, []).append(src)
-        live = set(self.accepting)
-        todo = list(live)
-        while todo:
-            for src in back.get(todo.pop(), ()):
-                if src not in live:
-                    live.add(src)
-                    todo.append(src)
+        live = reach(self.accepting, back)
         return {q: tuple(m for m in self._by_state.get(q, ()) if m[3] in live) for q in self.states}
 
     def _guard_ok(self, guard: str, value: int) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
+from .automata import reach
 from .errors import ContractError, InputError
 from .values import Frozen
 
@@ -170,14 +171,7 @@ class Cfg(Frozen):
         merged: list[tuple[str, tuple[str, ...]]] = []
         seen = set()
         for a in sorted(nts, key=lambda x: (x != axiom, x)):
-            reach = {a}
-            todo = [a]
-            while todo:
-                for b in unit_out.get(todo.pop(), ()):
-                    if b not in reach:
-                        reach.add(b)
-                        todo.append(b)
-            for b in sorted(reach, key=lambda x: (x != a, x)):
+            for b in sorted(reach((a,), unit_out), key=lambda x: (x != a, x)):
                 for rhs in bodies.get(b, ()):
                     if (a, rhs) not in seen:
                         seen.add((a, rhs))

@@ -13,7 +13,7 @@ import heapq
 from itertools import repeat
 from typing import Iterator, Mapping, Optional
 
-from .automata import EPSILON, Nfa
+from .automata import EPSILON, Nfa, escape
 from .errors import ContractError, InputError
 from .filters import ALPHABET_FULL, dyck_alphabet, dyck_encoder, parse_filter_name
 from .grammars import Cfg
@@ -24,7 +24,9 @@ D2_ALPHABET = dyck_alphabet(2)
 
 
 def _triple(q: str, sym: str, p: str) -> str:
-    return f"[{q},{sym},{p}]"
+    """The name [q,sym,p], with backslash and comma escaped in each part,
+    so that distinct triples get distinct names."""
+    return f"[{escape(q)},{escape(sym)},{escape(p)}]"
 
 
 class _Moves:
@@ -241,6 +243,15 @@ def cs_transducer(g: Cfg) -> Transducer:
     opens = {nt: f"a{k}" for nt, k in index.items()}
     closes = {nt: f"abar{k}" for nt, k in index.items()}
     base = "pop"
+    # rule[L] and rule[L>c], primed where two keys would share a name
+    rule_states: dict[tuple[str, ...], str] = {}
+    taken: set[str] = set()
+
+    def rule_state(*key: str) -> str:
+        if key not in rule_states:
+            rule_states[key] = g1._fresh(f"rule[{'>'.join(key)}]", taken)
+        return rule_states[key]
+
     transitions: dict[tuple[str, str, str, str], None] = {}
     transitions[("start", opens[g1.axiom], EPSILON, base)] = None
     for lhs, rhs in g1.rules:
@@ -250,8 +261,8 @@ def cs_transducer(g: Cfg) -> Transducer:
             transitions[(base, closes[lhs], rhs[0], base)] = None
         else:
             b, c = rhs
-            s_rule = f"rule[{lhs}]"
-            s_pair = f"rule[{lhs}>{c}]"
+            s_rule = rule_state(lhs)
+            s_pair = rule_state(lhs, c)
             transitions[(base, closes[lhs], EPSILON, s_rule)] = None
             transitions[(s_rule, opens[c], EPSILON, s_pair)] = None
             transitions[(s_pair, opens[b], EPSILON, base)] = None
@@ -428,33 +439,35 @@ def reduce_d2_to_ssharpup(a: Nfa) -> Nfa:
         ("sfx2", "abar", "sfx3"),
     ]
     transitions.extend((names[f][0], EPSILON, "sfx0") for f in a.accepting if live[f] & 1)
+    # the middle states of a marked move are m[src|label|dst]k, with
+    # backslash and bar escaped in src and dst, once per live state
+    tags = {q: {i: escape(name, "|") for i, name in row.items()} for q, row in names.items()}
     add = transitions.append
     for q, label, p in a.transitions:
         shift = _SHIFT[label]
         # levels i with (q, i) and (p, i + shift) both live
         mask = live[q] & (live[p] >> shift if shift >= 0 else live[p] << -shift)
-        pairs = [
-            (names[q][i], names[p][i + shift]) for i in range(mask.bit_length()) if mask >> i & 1
-        ]
-        # one chained path per marked move, through middle states
-        # m[src|label|dst]k; the two image shapes are spelled out for speed
+        levels = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        src, dst, src_tag, dst_tag = names[q], names[p], tags[q], tags[p]
+        # one chained path per marked move; the two image shapes are
+        # spelled out for speed
         if label == EPSILON:
-            transitions.extend((src, EPSILON, dst) for src, dst in pairs)
+            transitions.extend((src[i], EPSILON, dst[i]) for i in levels)
         elif shift > 0:
             s1, s2 = _EMBED[label]
-            for src, dst in pairs:
-                m1 = f"m[{src}|{label}|{dst}]1"
-                add((src, s1, m1))
-                add((m1, s2, dst))
+            for i in levels:
+                m1 = f"m[{src_tag[i]}|{label}|{dst_tag[i + 1]}]1"
+                add((src[i], s1, m1))
+                add((m1, s2, dst[i + 1]))
         else:
             s1, s2, s3, s4 = _EMBED[label]
-            for src, dst in pairs:
-                head = f"m[{src}|{label}|{dst}]"
+            for i in levels:
+                head = f"m[{src_tag[i]}|{label}|{dst_tag[i - 1]}]"
                 m1, m2, m3 = head + "1", head + "2", head + "3"
-                add((src, s1, m1))
+                add((src[i], s1, m1))
                 add((m1, s2, m2))
                 add((m2, s3, m3))
-                add((m3, s4, dst))
+                add((m3, s4, dst[i - 1]))
     states = {name for row in names.values() for name in row.values()}
     states.update(t[2] for t in transitions)
     states.add("pre0")

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Mapping
 
 from .automata import (
-    EPSILON, Nfa, machine_json, machine_states, pair_name, require_strings,
-    synchronized_moves, trim_states,
+    EPSILON, Nfa, check_machine, machine_json, machine_states, pair_name, reach,
+    require_strings, synchronized_moves,
 )
 from .errors import ContractError, InputError
 from .values import Frozen
@@ -28,14 +27,9 @@ class Transducer(Frozen):
     transitions: frozenset[tuple[str, str, str, str]]  # (src, read, write, dst)
 
     def _check(self) -> None:
-        require_strings(chain(self.states, self.input_alphabet, self.output_alphabet))
-        if self.initial not in self.states:
-            require_strings((self.initial,))
-            raise InputError(f"initial state {self.initial!r} is not a state")
-        bad = self.accepting - self.states
-        if bad:
-            require_strings(bad)
-            raise InputError("accepting states must be states")
+        check_machine(
+            self.states, self.initial, self.accepting, self.input_alphabet, self.output_alphabet
+        )
         ins = set(self.input_alphabet)
         outs = set(self.output_alphabet)
         states = self.states
@@ -120,8 +114,10 @@ class Transducer(Frozen):
 
         The product moves jointly on real symbols; an epsilon write here or
         an epsilon read there advances one side alone.  Only state pairs
-        reachable from the initial pair are built, each named once by
-        pair_name, and the result is trimmed of dead states.
+        reachable from the initial pair are walked, and of those only the
+        initial pair and the pairs that reach an accepting pair are kept,
+        each named once by pair_name, with the moves between kept pairs:
+        the trimmed product, built and checked once.
         """
         if set(self.output_alphabet) != set(other.input_alphabet):
             raise ContractError("composition needs matching middle alphabets")
@@ -131,20 +127,28 @@ class Transducer(Frozen):
             ((src, write, read, dst) for src, read, write, dst in self.transitions),
             other.transitions,
         ))
+        back: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        for src, *_, dst in moves:
+            back.setdefault(dst, []).append(src)
         # every reachable pair is the start or the target of some move
-        names = {pair: pair_name(*pair) for pair in {start, *(move[-1] for move in moves)}}
-        composed = Transducer.build(
+        final = [
+            pair for pair in {start, *back}
+            if pair[0] in self.accepting and pair[1] in other.accepting
+        ]
+        names = {pair: pair_name(*pair) for pair in reach(final, back) | {start}}
+        return Transducer(
             self.input_alphabet,
             other.output_alphabet,
+            frozenset(names.values()),
             names[start],
-            {name for (f1, f2), name in names.items() if f1 in self.accepting and f2 in other.accepting},
+            frozenset(names[pair] for pair in final),
             # a None payload is the side that stays put: nothing read or written
-            {
+            frozenset(
                 (names[src], read or EPSILON, write or EPSILON, names[dst])
                 for src, _, read, write, dst in moves
-            },
+                if src in names and dst in names
+            ),
         )
-        return composed.trimmed()
 
     def compose_automaton(self, a: Nfa) -> Nfa:
         """NFA for {w : some output of this machine on w is accepted by a}.
@@ -178,17 +182,6 @@ class Transducer(Frozen):
             self.initial,
             self.accepting,
             frozenset((src, write, read, dst) for src, read, write, dst in self.transitions),
-        )
-
-    def trimmed(self) -> "Transducer":
-        keep = trim_states(self.initial, self.accepting, ((t[0], t[3]) for t in self.transitions))
-        return Transducer(
-            self.input_alphabet,
-            self.output_alphabet,
-            frozenset(keep),
-            self.initial,
-            self.accepting & keep,
-            frozenset(t for t in self.transitions if t[0] in keep and t[3] in keep),
         )
 
     # -- serialization -------------------------------------------------------

@@ -136,20 +136,24 @@ def test_counter_filter_with_integer_names_is_input_error():
 
 
 @pytest.mark.parametrize(
-    "fields",
+    "fields, message",
     [
-        {"states": frozenset({"q0", 0})},
-        {"alphabet": ("a1", "abar1", 0)},
-        {"initial": 0},
-        {"accepting": frozenset({"q0", 0})},
-        {"transitions": frozenset({("q0", "a1", "any", 0, 0)})},
-        {"transitions": frozenset({("q0", 0, "any", 0, "q0")})},
+        ({"states": frozenset({"q0", 0})}, "must be strings"),
+        ({"alphabet": ("a1", "abar1", 0)}, "must be strings"),
+        ({"initial": 0}, "must be strings"),
+        ({"accepting": frozenset({"q0", 0})}, "must be strings"),
+        ({"transitions": frozenset({("q0", "a1", "any", 0, 0)})}, "must be strings"),
+        ({"transitions": frozenset({("q0", 0, "any", 0, "q0")})}, "must be strings"),
+        # the alphabet is checked as Nfa's is
+        ({"alphabet": ("a1", "abar1", "a1")}, "duplicate symbols"),
+        ({"alphabet": ("a1", "abar1", "")}, "reserved for epsilon"),
     ],
-    ids=["states", "alphabet", "initial", "accepting", "endpoint", "read"],
+    ids=["states", "alphabet", "initial", "accepting", "endpoint", "read", "duplicate_letter",
+         "epsilon_letter"],
 )
-def test_constructor_rejects_non_string_names(fields):
+def test_constructor_rejects_non_string_names(fields, message):
     c = d1_counter()
-    with pytest.raises(InputError, match="must be strings"):
+    with pytest.raises(InputError, match=message):
         CounterAutomaton(**{"states": c.states, "alphabet": c.alphabet, "initial": c.initial,
                             "accepting": c.accepting, "transitions": c.transitions,
                             "accept_mode": c.accept_mode, **fields})

@@ -27,11 +27,15 @@ from rrkit import (
     ssharpup_embedding,
 )
 from rrkit.errors import ContractError
-from rrkit.filters import ALPHABET_FULL, dyck_grammar, m_inf_member, m_plus_member, s_sharp_up_member
+from rrkit.filters import (
+    ALPHABET_FULL, dyck_encoder, dyck_grammar, m_inf_member, m_plus_member,
+    s_sharp_up_member,
+)
 from rrkit.reductions import D2_ALPHABET
 
 from generators import random_cnf, random_nfa
 from oracles import (
+    dyck_oracle,
     dyck_words,
     enumerate_accepted,
     grammar_words,
@@ -123,6 +127,16 @@ def test_bar_hillel_handles_long_mixed_bodies():
     )
     words = product_words(g, a, 6)
     assert words == {(), ("a1", "abar1")}
+
+
+def test_bar_hillel_names_triples_injectively():
+    # unescaped, the triples (x, S, "T,y") and ("x,S", T, y) are both
+    # [x,S,T,y], so S, from x to the accepting "T,y", derived the b that T
+    # reads from "x,S" to y
+    g = parse_grammar("Z -> S | T\nS -> a\nT -> b")
+    a = Nfa.build(("a", "b"), "x", {"T,y"}, {("x,S", "b", "y")}, states={"y"})
+    assert intersection_shortest(g.cnf(), a) is None
+    assert bar_hillel(g, a).shortest_word() is None
 
 
 def test_intersection_helpers_agree_with_product():
@@ -231,6 +245,23 @@ def test_cs_transducer_empty_grammar_has_empty_range():
     t = cs_transducer(g)
     for u in dyck_words(2, 8):
         assert t.transduce(u, 4) == set(), u
+
+
+def test_cs_transducer_names_rule_states_injectively():
+    # the rule state of A>B and the state of A -> X B after opening B are
+    # both rule[A>B] unless one is primed; merged, A's rule opens B and then
+    # A>B's children Z and Y, so the input below is related to y z b
+    g = Cfg.build(
+        [("A", ("X", "B")), ("A>B", ("Y", "Z")), ("X", ("x",)), ("B", ("b",)),
+         ("Y", ("y",)), ("Z", ("z",))],
+        "A",
+    )
+    assert g.cnf().ordered_nonterminals == ("A", "X", "B", "A>B", "Y", "Z")
+    t = cs_transducer(g)
+    typed = ("a1", "abar1", "a3", "a6", "a5", "abar5", "abar6", "abar3")
+    (u,) = dyck_encoder(6).transduce(typed, 100)
+    assert t.transduce(u, 10) == set()
+    assert not g.cnf().cyk(("y", "z", "b"))
 
 
 # -- marking -------------------------------------------------------------------
@@ -429,3 +460,21 @@ def test_reduction_negative_empty():
     a = Nfa.build(D2_ALPHABET, "q0", {"q1"}, {("q0", "a1", "q1")})
     b = reduce_d2_to_ssharpup(a)
     assert b.shortest_witness() is None
+
+
+def test_reduction_names_middle_states_injectively():
+    # unescaped, the marked moves x -a1-> p and q -a1-> z from level 1 share
+    # their middle state m[(x,1)|a1|(y,1)|a1|(z,2)]1, so ℬ crosses from x's
+    # image into z and accepts the embedding of a2 a1 abar1 abar2, a
+    # balanced word that a does not accept
+    p, q = "y,1)|a1|(z", "x,1)|a1|(y"
+    a = Nfa.build(
+        D2_ALPHABET, "I", {"f"},
+        {("I", "a2", "x"), ("I", "a1", q), ("x", "a1", p), (q, "a1", "z"),
+         ("z", "abar1", "z2"), ("z2", "abar2", "f"), (p, "abar2", "P2"), ("P2", "abar1", "f")},
+    )
+    words = enumerate_accepted(a.transitions, a.initial, a.accepting, a.alphabet, 6)
+    assert words and not any(dyck_oracle(2, w) for w in words)
+    u = ssharpup_embedding(("a2", "a1", "abar1", "abar2"))
+    assert s_sharp_up_member(u)
+    assert not reduce_d2_to_ssharpup(a).accepts(u)

@@ -121,35 +121,36 @@ def test_domain_nfa():
     assert not dom.accepts(())
 
 
-def test_trimmed_preserves_relation():
-    t = Transducer.build(
-        ("a",),
-        ("x",),
-        "s",
-        {"t"},
-        {("s", "a", "x", "t"), ("dead", "a", "x", "dead")},
-    )
-    u = t.trimmed()
-    assert "dead" not in u.states
-    assert u.transduce(("a",), 5) == t.transduce(("a",), 5)
-
-
 @pytest.mark.parametrize(
-    "fields",
+    "fields, message",
     [
-        {"states": renamer().states | {0}},
-        {"output_alphabet": (*renamer().output_alphabet, 0)},
-        {"initial": 0},
-        {"transitions": renamer().transitions | {("s", "a", 0, "s")}},
+        ({"states": renamer().states | {0}}, "must be strings"),
+        ({"output_alphabet": (*renamer().output_alphabet, 0)}, "must be strings"),
+        ({"initial": 0}, "must be strings"),
+        ({"transitions": renamer().transitions | {("s", "a", 0, "s")}}, "must be strings"),
+        # the alphabets are checked as Nfa's is
+        ({"input_alphabet": ("a", "b", "a")}, "duplicate symbols"),
+        ({"output_alphabet": ("x", "y", "")}, "reserved for epsilon"),
     ],
-    ids=["states", "output_alphabet", "initial", "write"],
+    ids=["states", "output_alphabet", "initial", "write", "duplicate_letter", "epsilon_letter"],
 )
-def test_constructor_rejects_non_string_names(fields):
+def test_constructor_rejects_non_string_names(fields, message):
     t = renamer()
-    with pytest.raises(InputError, match="must be strings"):
+    with pytest.raises(InputError, match=message):
         Transducer(**{"input_alphabet": t.input_alphabet, "output_alphabet": t.output_alphabet,
                       "states": t.states, "initial": t.initial, "accepting": t.accepting,
                       "transitions": t.transitions, **fields})
+
+
+def test_compose_builds_one_transducer(monkeypatch):
+    """compose builds and checks one Transducer, the trimmed product."""
+    first, second = doubler(), doubler()
+    checks = []
+    check = Transducer._check
+    monkeypatch.setattr(Transducer, "_check", lambda t: checks.append(t) or check(t))
+    composed = first.compose(second)
+    assert checks == [composed]
+    assert composed.transduce(("a",), 10) == {("a",) * 4}
 
 
 def test_to_json_is_json_dumps_indent_2_sorted():
