@@ -238,13 +238,50 @@ class Nfa(Frozen):
                 out.setdefault((src, label), []).append(dst)
         return {k: tuple(sorted(ds)) for k, ds in out.items()}
 
+    @cached_property
+    def _closure(self) -> Mapping[str, tuple[str, ...]]:
+        """Each state's epsilon closure, sorted."""
+        if not self._eps_out:
+            return {q: (q,) for q in self.states}
+        return {q: tuple(sorted(reach((q,), self._eps_out))) for q in self.states}
+
+    @cached_property
+    def _closed_step(self) -> Mapping[tuple[str, str], tuple[str, ...]]:
+        """For each (q, letter) with some, the sorted states reachable from
+        q by epsilon moves, one move on the letter and epsilon moves: the
+        table _sym_out itself when the machine has no epsilon move."""
+        if not self._eps_out:
+            return self._sym_out
+        by_src: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        for (src, label), dsts in self._sym_out.items():
+            by_src.setdefault(src, []).append((label, dsts))
+        closure = self._closure
+        out: dict[tuple[str, str], set[str]] = {}
+        for q in self.states:
+            for mid in closure[q]:
+                for label, dsts in by_src.get(mid, ()):
+                    targets = out.setdefault((q, label), set())
+                    for dst in dsts:
+                        targets.update(closure[dst])
+        return {k: tuple(sorted(ts)) for k, ts in out.items()}
+
+    @cached_property
+    def _state_rank(self) -> Mapping[str, int]:
+        """Each state's position in sorted name order."""
+        return {q: i for i, q in enumerate(sorted(self.states))}
+
+    @cached_property
+    def _letters(self) -> frozenset[str]:
+        """The alphabet as a set, for membership tests."""
+        return frozenset(self.alphabet)
+
     def eps_closure(self, states: Iterable[str]) -> frozenset[str]:
         """All states reachable from `states` through epsilon moves alone."""
         return frozenset(reach(states, self._eps_out))
 
     def step(self, states: Iterable[str], symbol: str) -> frozenset[str]:
         """Epsilon-closed successor set after reading one symbol."""
-        if symbol not in self.alphabet:
+        if symbol not in self._letters:
             raise InputError(f"symbol {symbol!r} is not in the alphabet")
         after = set()
         for q in states:

@@ -21,7 +21,7 @@ from .automata import EPSILON, Nfa
 from .errors import InputError
 from .filters import FilterSpec, d1_counter
 from .grammars import Cfg
-from .reductions import Triple, _derivable, intersection_shortest
+from .reductions import _derivable, _goal_keys, intersection_shortest
 from .values import Frozen
 
 
@@ -201,12 +201,18 @@ def _grammar_edges(g: Cfg, a: Nfa) -> dict[tuple[str, str], tuple[str, ...]]:
     (q, p) that has one: the least word of the derivable triple
     (q, axiom, p), the empty word included (the all-pairs reachability
     of Reps, "Program analysis via graph reachability", 1998)."""
-    terminals = sorted(g.terminals)
-    return {
-        (q, p): tuple(terminals[k] for k in word)
-        for (q, sym, p), word in _derivable(g, a)
-        if sym == g.axiom
-    }
+    closure = _derivable(g, a)
+    table = g.cnf_table
+    states = sorted(a.states)
+    nq, nn, axiom = len(states), len(table.names), table.index[g.axiom]
+    terminals = table.terminals
+    edges = {}
+    for key, word in closure:
+        qa, p = divmod(key, nq)
+        q, sym = divmod(qa, nn)
+        if sym == axiom:
+            edges[(states[q], states[p])] = tuple(terminals[k] for k in word)
+    return edges
 
 
 def decide_substituted(
@@ -247,6 +253,8 @@ _SAMPLE_MOVES = 10_000
 _LANE_BITS = 14
 
 Edge = tuple[int, str, int]
+# (q, A, p), A numbered as in Cfg.cnf_table
+LaneTriple = tuple[int, int, int]
 # lanes[k]: the machines with move k; goals[p]: those accepting in state p
 Chunk = tuple[list[int], list[int]]
 
@@ -359,31 +367,27 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
     had a fresh one; a chunk stops there, or once no lane is alive.  The
     axiom is on no right-hand side, so its triples join nothing and only
     those from state 0 are built; its epsilon rule settles (0, axiom, 0)
-    at length 0 in every lane.
+    at length 0 in every lane.  The rules come from g.cnf_table, so a
+    triple's A is its nonterminal's number there.
     """
-    axiom = g.axiom
-    by_terminal: dict[str, list[str]] = {}
-    by_left: dict[str, list[tuple[str, str]]] = {}
-    for lhs, rhs in g.rules:
-        if len(rhs) == 1:
-            by_terminal.setdefault(rhs[0], []).append(lhs)
-        elif len(rhs) == 2:
-            by_left.setdefault(rhs[0], []).append((lhs, rhs[1]))
-    axiom_eps = (axiom, ()) in g.rules
+    table = g.cnf_table
+    axiom = table.index[g.axiom]
+    letters, by_left = table.letters, table.by_left
+    axiom_eps = axiom in table.epsilon
     best = None
     for lanes, goals in chunks:
         # open_[p]: the lanes of goals[p] still without a witness
         open_ = list(goals)
-        settled: dict[Triple, int] = {}
+        settled: dict[LaneTriple, int] = {}
         if axiom_eps:
             settled[(0, axiom, 0)] = -1  # every lane
             if open_[0]:
                 best = best or 0
                 open_[0] = 0
-        found: dict[Triple, int] = {}
+        found: dict[LaneTriple, int] = {}
         for (i, sym, j), bits in zip(edges, lanes):
-            if bits:
-                for a in by_terminal.get(sym, ()):
+            if bits and sym in letters:
+                for a in letters[sym][1]:
                     if i == 0 or a != axiom:
                         found[(i, a, j)] = found.get((i, a, j), 0) | bits
         # fresh[l], indexed for both sides of a join: left[l][B] lists
@@ -397,8 +401,8 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
                 alive |= waiting
             if not alive:
                 break
-            by_b: dict[str, list] = {}
-            by_cr: dict[tuple[str, int], list] = {}
+            by_b: dict[int, list] = {}
+            by_cr: dict[tuple[int, int], list] = {}
             for t, bits in found.items():
                 old = settled.get(t, 0)
                 bits &= alive & ~old
@@ -421,7 +425,7 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
             for i in range(1, length):
                 joins = right[length - i]
                 for b, entries in left[i].items():
-                    for a, c in by_left.get(b, ()):
+                    for a, c in by_left[b]:
                         for q, r, x in entries:
                             if q and a == axiom:
                                 continue
@@ -454,35 +458,42 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
     most log_{3/2} of the witness length plus a constant.  The empty
     word, accepted through the axiom's epsilon rule, needs no tree and
     gives depth 0.  Epsilon moves of a are absorbed by _derivable, which
-    also checks that f_grammar is in CNF.
+    also checks that f_grammar is in CNF before any table is read.
+    The walk works on _derivable's int keys, (rank(q)·|N| + rank(A))·|Q|
+    + rank(p) with states and nonterminals ranked in sorted name order:
+    the rules A -> B C come from f_grammar.cnf_table.by_lhs, in grammar
+    order, and the split states are the ranks 0..|Q|-1, which is sorted
+    order, so the tree and its figures are those of the name triples.
     """
-    # least words of the triples settled up to the least goal; a tree
-    # node's children have shorter words, so they are all settled by then
-    goals = {(a.initial, f_grammar.axiom, p) for p in a.accepting}
-    least: dict[Triple, tuple[int, ...]] = {}
-    for t, word in _derivable(f_grammar, a):
-        least[t] = word
-        if t in goals:
+    # least words of the triples settled up to the least goal, by key; a
+    # tree node's children have shorter words, so they are all settled by then
+    closure = _derivable(f_grammar, a)
+    goals = _goal_keys(f_grammar, a)
+    least: dict[int, tuple[int, ...]] = {}
+    for key, word in closure:
+        least[key] = word
+        if key in goals:
             break
     else:
         return CheckerStats(0, 0, False)
 
-    binary: dict[str, list[tuple[str, str]]] = {}
-    for lhs, rhs in f_grammar.rules:
-        if len(rhs) == 2:
-            binary.setdefault(lhs, []).append(rhs)
-    states = sorted(a.states)
+    table = f_grammar.cnf_table
+    by_lhs = table.by_lhs
+    nq, nn = len(a.states), len(table.names)
 
-    def children(t: Triple) -> tuple[Triple, Triple]:
-        q, sym, p = t
-        for b, c in binary[sym]:
-            for r in states:
-                left, right = (q, b, r), (r, c, p)
-                if left in least and right in least and least[left] + least[right] == least[t]:
+    def children(t: int) -> tuple[int, int]:
+        qa, p = divmod(t, nq)
+        q, sym = divmod(qa, nn)
+        word = least[t]
+        for b, c in by_lhs[sym]:
+            row = (q * nn + b) * nq
+            for r in range(nq):
+                left, right = row + r, (r * nn + c) * nq + p
+                if left in least and right in least and least[left] + least[right] == word:
                     return left, right
-        raise RuntimeError(f"internal error: no split reproduces the least word of {t}")
+        raise RuntimeError(f"internal error: no split reproduces the least word of triple {t}")
 
-    def depth(t: Triple) -> int:
+    def depth(t: int) -> int:
         n = len(least[t])
         if n <= 1:
             return n
@@ -495,5 +506,5 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
             t = heavy
         return 1 + max(map(depth, [t, *light]))
 
-    d = depth(t)
+    d = depth(key)
     return CheckerStats(d, d, True)

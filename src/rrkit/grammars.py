@@ -7,11 +7,35 @@ axiom in the text format), and all derived maps are computed lazily.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .automata import reach
 from .errors import ContractError, InputError
 from .values import Frozen
+
+
+class CnfTable(NamedTuple):
+    """The rule tables of the CFG∩NFA triple closure over a CNF grammar.
+
+    Nonterminals are numbered in sorted name order: names[i] is number i,
+    and index maps a name back to its number.  terminals are the sorted
+    terminal names, a letter's rank being its position there.  letters
+    maps each letter some rule derives to its rank word (the 1-tuple of
+    its rank) and the numbers of the left-hand sides deriving it, in
+    grammar order; epsilon numbers the left-hand sides of epsilon rules.
+    For the binary rules A -> B C, by_left[B] lists (A, C), by_right[C]
+    lists (A, B) and by_lhs[A] lists (B, C), each in grammar order.
+    A cache of the grammar's rules, not a value: Cfg.cnf_table builds it.
+    """
+
+    names: tuple[str, ...]
+    index: Mapping[str, int]
+    terminals: tuple[str, ...]
+    letters: Mapping[str, tuple[tuple[int], tuple[int, ...]]]
+    epsilon: tuple[int, ...]
+    by_left: tuple[tuple[tuple[int, int], ...], ...]
+    by_right: tuple[tuple[tuple[int, int], ...], ...]
+    by_lhs: tuple[tuple[tuple[int, int], ...], ...]
 
 
 class Cfg(Frozen):
@@ -100,6 +124,41 @@ class Cfg(Frozen):
             else:
                 return False
         return True
+
+    @cached_property
+    def cnf_table(self) -> CnfTable:
+        """The rule tables of the triple closure, built once per grammar.
+        Only a grammar in CNF has them: check is_cnf first."""
+        names = tuple(sorted(self.nonterminals))
+        index = {name: i for i, name in enumerate(names)}
+        terminals = tuple(sorted(self.terminals))
+        words = {t: (i,) for i, t in enumerate(terminals)}
+        letters: dict[str, list[int]] = {}
+        epsilon: list[int] = []
+        by_left: list[list[tuple[int, int]]] = [[] for _ in names]
+        by_right: list[list[tuple[int, int]]] = [[] for _ in names]
+        by_lhs: list[list[tuple[int, int]]] = [[] for _ in names]
+        for lhs, rhs in self.rules:
+            a = index[lhs]
+            if not rhs:
+                epsilon.append(a)
+            elif len(rhs) == 1:
+                letters.setdefault(rhs[0], []).append(a)
+            else:
+                b, c = index[rhs[0]], index[rhs[1]]
+                by_left[b].append((a, c))
+                by_right[c].append((a, b))
+                by_lhs[a].append((b, c))
+        return CnfTable(
+            names,
+            index,
+            terminals,
+            {t: (words[t], tuple(lhss)) for t, lhss in letters.items()},
+            tuple(epsilon),
+            tuple(map(tuple, by_left)),
+            tuple(map(tuple, by_right)),
+            tuple(map(tuple, by_lhs)),
+        )
 
     def _fresh(self, base: str, taken: set[str]) -> str:
         name = base

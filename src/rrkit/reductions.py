@@ -10,13 +10,14 @@ two-pair bracket realizability into S_#^up.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from itertools import repeat
 from typing import Iterator, Mapping, Optional
 
 from .automata import EPSILON, Nfa, escape
 from .errors import ContractError, InputError
 from .filters import ALPHABET_FULL, dyck_alphabet, dyck_encoder, parse_filter_name
-from .grammars import Cfg
+from .grammars import Cfg, CnfTable
 from .transducers import Transducer
 from .values import Frozen
 
@@ -29,32 +30,8 @@ def _triple(q: str, sym: str, p: str) -> str:
     return f"[{escape(q)},{escape(sym)},{escape(p)}]"
 
 
-class _Moves:
-    """Closure and symbol-step tables shared by the product constructions."""
-
-    def __init__(self, a: Nfa):
-        self.states = sorted(a.states)
-        self.closure = {q: tuple(sorted(a.eps_closure({q}))) for q in self.states}
-        self._step: dict[tuple[str, str], tuple[str, ...]] = {}
-        by_src: dict[str, list[tuple[str, str]]] = {}
-        for src, label, dst in a.transitions:
-            if label != EPSILON:
-                by_src.setdefault(src, []).append((label, dst))
-        for q in self.states:
-            per_symbol: dict[str, set[str]] = {}
-            for q2 in self.closure[q]:
-                for label, dst in by_src.get(q2, ()):
-                    per_symbol.setdefault(label, set()).update(self.closure[dst])
-            for label, targets in per_symbol.items():
-                self._step[(q, label)] = tuple(sorted(targets))
-
-    def targets(self, q: str, sigma: str) -> tuple[str, ...]:
-        """States reachable from q by eps-moves, one sigma move, eps-moves."""
-        return self._step.get((q, sigma), ())
-
-
 def _check_terminals(g: Cfg, a: Nfa) -> None:
-    alphabet = frozenset(a.alphabet)
+    alphabet = a._letters
     for t in g.terminals:
         if t not in alphabet:
             raise InputError(f"grammar terminal {t!r} is missing from the automaton alphabet")
@@ -74,8 +51,8 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     """
     terminal_set = set(g.terminals)
     _check_terminals(g, a)
-    moves = _Moves(a)
-    states = moves.states
+    states = sorted(a.states)
+    closure, step = a._closure, a._closed_step
 
     axiom = g.axiom + "'"
     nonterminals: list[str] = [axiom]
@@ -102,7 +79,7 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
                 return
             for v in states:
                 here = _use(start, sym, v)
-                for u in moves.closure[v]:
+                for u in closure[v]:
                     yield from walk(i + 1, u, acc + (here,))
 
         def _use(u: str, sym: str, v: str) -> str:
@@ -115,11 +92,11 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     for lhs, rhs in g.rules:
         if rhs == ():
             for q in states:
-                for p in moves.closure[q]:
+                for p in closure[q]:
                     rules[(_triple(q, lhs, p), ())] = None
         elif len(rhs) == 1 and rhs[0] in terminal_set:
             for q in states:
-                for p in moves.targets(q, rhs[0]):
+                for p in step.get((q, rhs[0]), ()):
                     rules[(_triple(q, lhs, p), (rhs[0],))] = None
         else:
             for q in states:
@@ -129,7 +106,7 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
 
     for u, sigma, v in bracket_uses:
         nonterminals.append(_triple(u, sigma, v))
-        if v in moves.targets(u, sigma):
+        if v in step.get((u, sigma), ()):
             rules[(_triple(u, sigma, v), (sigma,))] = None
 
     return Cfg(frozenset(nonterminals), g.terminals, tuple(rules), axiom)
@@ -140,16 +117,20 @@ def _require_cnf(g: Cfg) -> None:
         raise ContractError("this operation expects a grammar in Chomsky normal form")
 
 
-Triple = tuple[str, str, str]
+def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every derivable triple (q, A, p) of CNF g over a, by key, with its
+    least word.
 
-
-def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
-    """Every derivable triple (q, A, p) of CNF g over a, with its least word.
-
-    The one entry for CFG∩NFA questions: it checks that g is CNF and that
-    a reads its terminals.  A triple is derivable when some word derived
-    from A takes a from q to p, epsilon moves included; words are tuples
-    of ranks in the sorted terminal names, ordered by (length, ranks).
+    The one entry for CFG∩NFA questions: it checks at once, before the
+    first triple is asked for, that g is CNF and that a reads its
+    terminals, so a caller may then read g.cnf_table and a's ranks.  A
+    triple is derivable when some word derived from A takes a from q to p,
+    epsilon moves included; words are tuples of ranks in the sorted
+    terminal names, ordered by (length, ranks).  A triple's key is the int
+    (rank(q)·|N| + rank(A))·|Q| + rank(p), with the states ranked in
+    sorted name order (Nfa._state_rank) and the nonterminals in sorted
+    name order (g.cnf_table), so keys order as the (q, A, p) name tuples
+    do.
     Knuth's generalization of Dijkstra over the CFL-reachability worklist:
     the axiom's epsilon rule seeds the heap with (q, axiom, p) for each p
     in q's epsilon closure (the axiom is on no right-hand side, so these
@@ -157,52 +138,94 @@ def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
     settled triple joins, through each binary rule it can be a child of,
     with the settled siblings at its exact boundary state.  No epsilon
     path needs crossing there: the terminal moves are epsilon-closed on
-    both sides, so a sibling across an epsilon path is also a sibling at
-    the exact state, with the same word.
+    both sides (Nfa._closed_step), so a sibling across an epsilon path is
+    also a sibling at the exact state, with the same word.
     Concatenation is monotone and never shrinks a word in this order, so
-    a triple's first pop carries its least word and triples come out in
-    (length, ranks) order.
+    a triple's first pop carries its least word, and triples come out in
+    (length, ranks, key) order.  The heap breaks ties between equal words
+    on the key, and a key orders as its (q, A, p) name tuple, so the
+    order is (length, ranks, triple names), whatever order the states and
+    rules were created in.
     """
     _require_cnf(g)
     _check_terminals(g, a)
-    rank = {t: i for i, t in enumerate(sorted(g.terminals))}
-    moves = _Moves(a)
-    left_rules: dict[str, list[tuple[str, str]]] = {}
-    right_rules: dict[str, list[tuple[str, str]]] = {}
-    heap: list[tuple[int, tuple[int, ...], Triple]] = []
-    for lhs, rhs in g.rules:
-        if not rhs:
-            for q in moves.states:
-                heap.extend((0, (), (q, lhs, p)) for p in moves.closure[q])
-        elif len(rhs) == 1:
-            for q in moves.states:
-                for p in moves.targets(q, rhs[0]):
-                    heap.append((1, (rank[rhs[0]],), (q, lhs, p)))
-        elif len(rhs) == 2:
-            left_rules.setdefault(rhs[0], []).append((lhs, rhs[1]))
-            right_rules.setdefault(rhs[1], []).append((lhs, rhs[0]))
+    return _settle(g.cnf_table, a)
+
+
+def _settle(table: CnfTable, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The closure of _derivable, once its checks have passed."""
+    rank = a._state_rank
+    nq, nn = len(rank), len(table.names)
+    heap: list[tuple[int, tuple[int, ...], int]] = []
+    add = heap.append
+    closure = a._closure
+    for lhs in table.epsilon:
+        for q, i in rank.items():
+            base = (i * nn + lhs) * nq
+            for p in closure[q]:
+                add((0, (), base + rank[p]))
+    letters = table.letters
+    for (q, sym), targets in a._closed_step.items():
+        if sym in letters:
+            word, lhss = letters[sym]
+            for lhs in lhss:
+                base = (rank[q] * nn + lhs) * nq
+                for p in targets:
+                    add((1, word, base + rank[p]))
     heapq.heapify(heap)
 
-    settled: set[Triple] = set()
-    starts: dict[tuple[str, str], list[tuple[str, tuple[int, ...]]]] = {}
-    ends: dict[tuple[str, str], list[tuple[str, tuple[int, ...]]]] = {}
+    by_left, by_right = table.by_left, table.by_right
+    pop, push = heapq.heappop, heapq.heappush
+    block = nn * nq  # the keys of the triples from one state
+    settled: set[int] = set()
+    # starts[q·|N| + A] lists (p, length, word) of the settled triples
+    # (q, A, p) whose A is a right child, ends[A·|Q| + p] lists (q, length,
+    # word) of those whose A is a left child: the siblings a triple joins
+    starts: defaultdict[int, list[tuple[int, int, tuple[int, ...]]]] = defaultdict(list)
+    ends: defaultdict[int, list[tuple[int, int, tuple[int, ...]]]] = defaultdict(list)
     while heap:
-        n, word, t = heapq.heappop(heap)
-        if t in settled:
+        n, word, key = pop(heap)
+        if key in settled:
             continue
-        settled.add(t)
-        yield t, word
-        q, sym, p = t
-        starts.setdefault((sym, q), []).append((p, word))
-        ends.setdefault((sym, p), []).append((q, word))
-        for lhs, c in left_rules.get(sym, ()):
-            for p2, right in starts.get((c, p), ()):
-                if (q, lhs, p2) not in settled:
-                    heapq.heappush(heap, (n + len(right), word + right, (q, lhs, p2)))
-        for lhs, b in right_rules.get(sym, ()):
-            for q0, left in ends.get((b, q), ()):
-                if (q0, lhs, p) not in settled:
-                    heapq.heappush(heap, (len(left) + n, left + word, (q0, lhs, p)))
+        settled.add(key)
+        yield key, word
+        qa = key // nq
+        p = key - qa * nq
+        sym = qa % nn
+        q = qa // nn
+        as_left, as_right = by_left[sym], by_right[sym]
+        if as_right:
+            starts[qa].append((p, n, word))
+        if as_left:
+            ends[sym * nq + p].append((q, n, word))
+        # the parents (q, A, p2) of this triple as a left child, then the
+        # parents (q0, A, p) of it as a right child
+        row = q * block
+        prow = p * nn
+        for lhs, c in as_left:
+            siblings = starts.get(prow + c)
+            if siblings:
+                base = row + lhs * nq
+                for p2, m, right in siblings:
+                    if base + p2 not in settled:
+                        push(heap, (n + m, word + right, base + p2))
+        for lhs, b in as_right:
+            siblings = ends.get(b * nq + q)
+            if siblings:
+                tail = lhs * nq + p
+                for q0, m, left in siblings:
+                    k = q0 * block + tail
+                    if k not in settled:
+                        push(heap, (m + n, left + word, k))
+
+
+def _goal_keys(g: Cfg, a: Nfa) -> frozenset[int]:
+    """The keys of the triples (initial, axiom, f), f accepting, once
+    _derivable(g, a) has checked g and a."""
+    rank = a._state_rank
+    table = g.cnf_table
+    base = (rank[a.initial] * len(table.names) + table.index[g.axiom]) * len(rank)
+    return frozenset(base + rank[f] for f in a.accepting)
 
 
 def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
@@ -213,10 +236,11 @@ def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
     found without materializing the product, the empty word included.
     Epsilon moves of a may occur anywhere in a run, as in bar_hillel.
     """
-    goals = {(a.initial, g.axiom, p) for p in a.accepting}
-    terminals = sorted(g.terminals)
-    for t, word in _derivable(g, a):
-        if t in goals:
+    closure = _derivable(g, a)
+    goals = _goal_keys(g, a)
+    for key, word in closure:
+        if key in goals:
+            terminals = g.cnf_table.terminals
             return tuple(terminals[r] for r in word)
     return None
 

@@ -7,6 +7,7 @@ table printed at the bottom of this file (the n=3 row takes a few
 minutes, which is why tests compare against the frozen values instead of
 recomputing them).
 """
+import heapq
 from collections import deque
 from functools import lru_cache
 
@@ -236,6 +237,61 @@ def grammar_words(rules, axiom, max_len, nonterminals=None):
                     found[lhs].update(_concatenations(sources, max_len))
         new = {nt: found[nt] - words[nt] for nt in nonterminals}
     return sorted(words.get(axiom, ()), key=lambda w: (len(w), w))
+
+
+def string_keyed_closure(rules, terminals, states, transitions):
+    """Every derivable triple (q, A, p) of a CNF grammar over an automaton,
+    named by its state and nonterminal names, with its least word, in the
+    order the package's triple closure settles them.
+
+    Words are tuples of ranks in the sorted terminal names.  The heap
+    holds (length, word, (q, A, p)) entries keyed by the names
+    themselves, so ties between equal words break on the name tuple: the
+    reference for the package's numbered keys.  The axiom's epsilon rule
+    seeds (q, A, p) for p in q's epsilon closure, a letter rule (q, A, p)
+    for p reachable from q through epsilon moves, the letter and epsilon
+    moves, and each settled triple joins with the settled siblings at its
+    exact boundary states.
+    """
+    rank = {t: i for i, t in enumerate(sorted(terminals))}
+    states = sorted(states)
+    eps = [(src, dst) for src, label, dst in transitions if label == ""]
+    closure = {q: sorted(reachable({q}, eps)) for q in states}
+    targets = {}
+    for q in states:
+        for mid in closure[q]:
+            for src, label, dst in transitions:
+                if src == mid and label != "":
+                    targets.setdefault((q, label), set()).update(closure[dst])
+    left_rules, right_rules, heap = {}, {}, []
+    for lhs, rhs in rules:
+        if not rhs:
+            heap.extend((0, (), (q, lhs, p)) for q in states for p in closure[q])
+        elif len(rhs) == 1:
+            for q in states:
+                for p in sorted(targets.get((q, rhs[0]), ())):
+                    heap.append((1, (rank[rhs[0]],), (q, lhs, p)))
+        else:
+            left_rules.setdefault(rhs[0], []).append((lhs, rhs[1]))
+            right_rules.setdefault(rhs[1], []).append((lhs, rhs[0]))
+    heapq.heapify(heap)
+    settled, starts, ends, out = set(), {}, {}, []
+    while heap:
+        n, word, t = heapq.heappop(heap)
+        if t in settled:
+            continue
+        settled.add(t)
+        out.append((t, word))
+        q, sym, p = t
+        starts.setdefault((sym, q), []).append((p, word))
+        ends.setdefault((sym, p), []).append((q, word))
+        for lhs, c in left_rules.get(sym, ()):
+            for p2, right in starts.get((c, p), ()):
+                heapq.heappush(heap, (n + len(right), word + right, (q, lhs, p2)))
+        for lhs, b in right_rules.get(sym, ()):
+            for q0, left in ends.get((b, q), ()):
+                heapq.heappush(heap, (len(left) + n, left + word, (q0, lhs, p)))
+    return out
 
 
 def _concatenations(sources, max_len):

@@ -31,7 +31,7 @@ from rrkit.filters import (
     ALPHABET_FULL, dyck_encoder, dyck_grammar, m_inf_member, m_plus_member,
     s_sharp_up_member,
 )
-from rrkit.reductions import D2_ALPHABET
+from rrkit.reductions import D2_ALPHABET, _derivable
 
 from generators import random_cnf, random_nfa
 from oracles import (
@@ -42,6 +42,7 @@ from oracles import (
     mark_by_definition,
     naive_accepts,
     ssharpup_by_two_trims,
+    string_keyed_closure,
 )
 
 
@@ -178,6 +179,69 @@ def test_decide_matches_materialized_product():
             report = nrr_decide(a, f)
             assert report.witness == prod.shortest_word(), (name, a)
             assert report.stats["nonterminals_created"] == len(prod.nonterminals), (name, a)
+
+
+# names whose sorted order is not their creation order
+STATE_NAMES = ("q9", "q10", "b\\", "a,b", "q1", "a\\,", "b")
+NONTERMINAL_NAMES = ("S", "N9", "N10", "B,", "A\\")
+
+
+def _renamed_cfg(g):
+    """g with the nonterminals N<i> of random_cnf renamed from NONTERMINAL_NAMES."""
+    nt = {f"N{i}": name for i, name in enumerate(NONTERMINAL_NAMES)}
+    sym = lambda x: nt.get(x, x)
+    rules = tuple((sym(lhs), tuple(map(sym, rhs))) for lhs, rhs in g.rules)
+    return Cfg(frozenset(map(sym, g.nonterminals)), g.terminals, rules, sym(g.axiom))
+
+
+def _renamed_nfa(a):
+    """a with the states q<i> of random_nfa renamed from STATE_NAMES."""
+    state = {f"q{i}": name for i, name in enumerate(STATE_NAMES)}
+    return Nfa(
+        frozenset(state[q] for q in a.states), a.alphabet, state[a.initial],
+        frozenset(state[q] for q in a.accepting),
+        frozenset((state[src], label, state[dst]) for src, label, dst in a.transitions),
+    )
+
+
+def _closure_by_names(g, a):
+    """_derivable's triples in order, each key decoded to its (q, A, p)
+    names through the ranks the closure itself used, with its word."""
+    closure = _derivable(g, a)
+    names = g.cnf_table.names
+    rank = a._state_rank
+    states = sorted(rank, key=rank.__getitem__)
+    out = []
+    for key, word in closure:
+        qa, p = divmod(key, len(states))
+        q, sym = divmod(qa, len(names))
+        out.append(((states[q], names[sym], states[p]), word))
+    return out
+
+
+def test_derivable_settles_triples_in_name_order():
+    # keyed by ints, the closure must settle the triples in the order of
+    # the string-keyed closure: ties between equal words break on the
+    # (q, A, p) names, here names whose sorted order is not their
+    # creation order
+    rng = random.Random(2026)
+    cases = []
+    for k in range(300):
+        g = random_cnf(rng, max_nonterminals=5, terminals=("a1", "abar1", "a2"))
+        a = random_nfa(rng, max_states=len(STATE_NAMES), alphabet=("a1", "abar1", "a2"),
+                       allow_epsilon=k % 2 == 1)
+        cases.append((_renamed_cfg(g), _renamed_nfa(a)))
+    for name in ("dyck1", "dyck2", "sym", "symsharp"):
+        f = parse_filter_name(name)
+        for k in range(10):
+            a = random_nfa(rng, max_states=5, alphabet=f.alphabet, allow_epsilon=k % 2 == 1)
+            cases.append((f.cnf_grammar, _renamed_nfa(a)))
+    ties = 0
+    for g, a in cases:
+        expected = string_keyed_closure(g.rules, g.terminals, a.states, a.transitions)
+        assert _closure_by_names(g, a) == expected, (g, a)
+        ties += sum(x[1] == y[1] for x, y in zip(expected, expected[1:]))
+    assert ties > 1000, ties
 
 
 def test_intersection_epsilon_word():
