@@ -6,6 +6,7 @@ by final state, optionally also requiring counter value 0.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
@@ -65,21 +66,79 @@ class CounterAutomaton(Frozen):
 
     @cached_property
     def _by_state(self) -> Mapping[str, tuple[tuple[str, str, int, str], ...]]:
-        out: dict[str, list[tuple[str, str, int, str]]] = {}
+        out: dict[str, list[tuple[str, str, int, str]]] = {q: [] for q in self.states}
         for src, read, guard, delta, dst in self.transitions:
-            out.setdefault(src, []).append((read, guard, delta, dst))
+            out[src].append((read, guard, delta, dst))
         return {q: tuple(sorted(es)) for q, es in out.items()}
 
     @cached_property
+    def _ceiling(self) -> Mapping[str, float]:
+        """The highest counter value from which a state may still reach an
+        accepting configuration, for each state that may reach one at
+        some value (math.inf when no value is too high).  A state missing
+        here is dead.
+
+        Ignore the guards and the floor at 0.  A run from (q, v) that ends
+        accepting at value 0 is then a path of moves from q to an
+        accepting state whose deltas sum to -v, so v <= -dist(q), where
+        dist(q) is the least delta sum over such paths: a shortest path
+        (Bellman, 1958), found by a worklist over the reversed moves from
+        the accepting states.  Each estimate records its parent, the state
+        it came through.  When src would get a lower sum through q while
+        src is on q's chain of parents, that chain and the move src -> q
+        close a cycle whose deltas sum below 0 (each state on the chain
+        sums to at least its move's delta plus its parent's sum, and src's
+        new sum is below its old one): src, and every state that reaches
+        it, has no ceiling.  So the chains stay simple paths, every sum
+        stays above -|Q| and the worklist ends (the "walk to the root"
+        among the negative-cycle checks that Cherkassky and Goldberg,
+        1999, compare).  A state with dist(q) > 0 is dead.  In
+        final_state mode the value is not read at acceptance, so every
+        state that reaches an accepting state has no ceiling.
+        """
+        into: dict[str, list[tuple[int, str]]] = {}
+        for src, _, _, delta, dst in self.transitions:
+            into.setdefault(dst, []).append((delta, src))
+        back = {q: [src for _, src in moves] for q, moves in into.items()}
+        if self.accept_mode == "final_state":
+            return dict.fromkeys(reach(self.accepting, back), math.inf)
+        # dist[q] is the least delta sum found from q to an accepting
+        # state, through parent[q] (None for an accepting state at 0)
+        dist = dict.fromkeys(self.accepting, 0)
+        parent: dict[str, Optional[str]] = dict.fromkeys(self.accepting)
+        cyclic: set[str] = set()
+        todo = deque(self.accepting)
+        while todo:
+            q = todo.popleft()
+            if q in cyclic:
+                continue
+            base = dist[q]
+            for delta, src in into.get(q, ()):
+                known = dist.get(src)
+                if known is not None and known <= base + delta or src in cyclic:
+                    continue
+                if known is not None:
+                    on_path = q
+                    while on_path is not None and on_path != src:
+                        on_path = parent[on_path]
+                    if on_path is not None:
+                        cyclic.add(src)
+                        continue
+                dist[src] = base + delta
+                parent[src] = q
+                todo.append(src)
+        ceiling: dict[str, float] = {q: -total for q, total in dist.items() if total <= 0}
+        ceiling.update(dict.fromkeys(reach(cyclic, back), math.inf))
+        return ceiling
+
+    @cached_property
     def _live_moves(self) -> Mapping[str, tuple[tuple[str, str, int, str], ...]]:
-        """_by_state without the moves into states that reach no accepting
-        state, for every state: the backward closure of the accepting
-        states, built once per machine."""
-        back: dict[str, list[str]] = {}
-        for src, *_, dst in self.transitions:
-            back.setdefault(dst, []).append(src)
-        live = reach(self.accepting, back)
-        return {q: tuple(m for m in self._by_state.get(q, ()) if m[3] in live) for q in self.states}
+        """_by_state without the moves into dead states (those missing from
+        _ceiling), or _by_state itself when no state is dead."""
+        live = self._ceiling
+        if len(live) == len(self.states):
+            return self._by_state
+        return {q: tuple(m for m in self._by_state[q] if m[3] in live) for q in live}
 
     def _guard_ok(self, guard: str, value: int) -> bool:
         if guard == "zero":
@@ -157,11 +216,25 @@ class CounterAutomaton(Frozen):
         the caller picks it, as nrr_decide picks |P|² for the product
         machine P (to_nfa's default, which preserves emptiness).
 
-        Moves into states that reach no accepting state are dropped
-        (_live_moves): every configuration on an accepting run sits in a
-        state that reaches one, so the yields stay the same, and a dead
-        branch that pumps the counter is never walked.
+        The search claims no configuration (q, v) with v above
+        min(_ceiling[q], counter_cap), and none of a dead state, one
+        missing from _ceiling.  Ignoring guards and the floor at 0, a run
+        from (q, v) to an accepting configuration (f, 0) is a path of moves
+        from q to f whose deltas sum to -v, so v <= -dist(q), the ceiling
+        (in final_state mode, where the value is not read at acceptance, a
+        state that reaches an accepting state has no ceiling).  Every
+        successor of a cut configuration is cut too: a move q -> r with
+        delta d gives dist(q) <= d + dist(r), so v > -dist(q) implies
+        v + d > -dist(r).  No accepting run passes through a cut
+        configuration, so the words, their order and the first word stay
+        the same.  A branch that pumps the counter but can never bring it
+        back to an accepting zero is walked only as high as it could still
+        come back from, and a dead branch not at all.
         """
+        ceiling = self._ceiling
+        if self.initial not in ceiling:
+            return
+        top = {q: min(c, counter_cap) for q, c in ceiling.items()}
         moves = self._live_moves
         seen: set[tuple[str, int]] = set()
         pending = set(self.accepting)  # not yet yielded
@@ -183,7 +256,7 @@ class CounterAutomaton(Frozen):
                     if read != EPSILON or not self._guard_ok(guard, value):
                         continue
                     nxt = (dst, value + delta)
-                    if 0 <= nxt[1] <= counter_cap and nxt not in seen:
+                    if 0 <= nxt[1] <= top[dst] and nxt not in seen:
                         seen.add(nxt)
                         group.append(nxt)
             return group, accepted
@@ -211,7 +284,7 @@ class CounterAutomaton(Frozen):
                         if read == EPSILON or not self._guard_ok(guard, value):
                             continue
                         nval = value + delta
-                        if 0 <= nval <= counter_cap:
+                        if 0 <= nval <= top[dst]:
                             successors.setdefault(read, []).append((dst, nval))
                 for symbol in self.alphabet:
                     if symbol in successors:

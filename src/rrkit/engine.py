@@ -36,7 +36,9 @@ class DecisionReport(Frozen):
     the CNF filter grammar), states_created for the counter route
     (|P| + |P|·(|P|²+1) + 1: the states of the product counter machine P
     plus those of its unfolding at cap |P|², which the search walks
-    without building), shortest_witness_length when a witness exists.
+    without building; it is that size, not the number of configurations
+    the search claims, which the value ceiling keeps lower),
+    shortest_witness_length when a witness exists.
 
     The log2 route certifies the verdict without returning a word: its
     method is "log2", witness is None, stats is CheckerStats.to_dict(),
@@ -115,13 +117,22 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     through the product counter machine P: the witness is the first word
     P.least_words(|P|²) yields, which walks the configurations of the
     unfolding at counter cap |P|² on the fly, in the same (length, lex)
-    order, so it is the shortest witness of P's default unfolding, and the
-    unfolding's size is reported as states_created.  The witness is
-    re-checked against the automaton and the filter oracle before return.
+    order, so it is the shortest witness of P's default unfolding.  It
+    claims no configuration above a state's value ceiling (the highest
+    value from which the counter can still come back to an accepting
+    zero), so an empty product whose counter can only climb ends at once;
+    the unfolding's size is still what states_created reports.  The
+    witness is re-checked against the automaton and the filter oracle
+    before return, by CounterAutomaton.accepts, which keeps no ceiling.
     """
     if method == "counter" and f.kind != "counter":
         if not (f.kind == "dyck" and f.n == 1):
-            raise InputError(f"no counter realization is registered for filter kind {f.kind!r}")
+            what = f"filter kind {f.kind!r}"
+            if f.kind == "dyck":
+                what = f"the dyck filter with {f.n} bracket pairs"
+            raise InputError(
+                f"no counter realization is registered for {what}; only dyck1 has a counter route"
+            )
         f = FilterSpec.from_counter(d1_counter())
     elif method in ("bar-hillel", "log2") and f.kind == "counter":
         raise InputError("a counter-backed filter has no grammar route")

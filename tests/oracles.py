@@ -132,6 +132,26 @@ def trim(initial, accepting, edges):
     return (reachable({initial}, edges) & backward) | {initial}
 
 
+def counter_configs_to_acceptance(transitions, accepting, accept_mode, cap):
+    """Every configuration (state, value), 0 <= value <= cap, of a
+    one-counter machine from which a run that keeps the counter within
+    [0, cap] ends in an accepting configuration: an accepting state, at
+    value 0 in "final_state_and_zero" mode.  A move (src, read, guard,
+    delta, dst) takes (src, v) to (dst, v + delta) when the guard holds at
+    v ("zero": v == 0, "positive": v > 0, "any") and v + delta is in
+    [0, cap]; the answer is the backward closure of the accepting
+    configurations along those steps."""
+    holds = {"any": lambda v: True, "zero": lambda v: v == 0, "positive": lambda v: v > 0}
+    steps = [
+        ((src, v), (dst, v + delta))
+        for src, _, guard, delta, dst in transitions
+        for v in range(cap + 1)
+        if holds[guard](v) and 0 <= v + delta <= cap
+    ]
+    values = [0] if accept_mode == "final_state_and_zero" else range(cap + 1)
+    return reachable({(f, v) for f in accepting for v in values}, [(b, a) for a, b in steps])
+
+
 def mark_by_definition(states, transitions, initial, accepting, m):
     """Height marking over the two-pair brackets, one transition and one
     level at a time: states (q, i) for levels 0..m, opens a1/a2 go a level

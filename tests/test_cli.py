@@ -156,6 +156,15 @@ def test_counter_method_without_counter_filter(in_tests_dir, capsys):
     assert "no counter realization" in capsys.readouterr().err
 
 
+def test_counter_method_names_the_pair_count(in_tests_dir, capsys):
+    argv = ["decide", "--filter", "dyck2", "--nfa", "data/pair.json", "--method", "counter"]
+    err = assert_usage_error(capsys, argv)
+    assert err == (
+        "rr: error: no counter realization is registered for the dyck filter with 2 bracket"
+        " pairs; only dyck1 has a counter route\n"
+    )
+
+
 def test_reduce_missing_required_input(capsys):
     assert main(["reduce", "mark"]) == 2
     assert "requires --nfa" in capsys.readouterr().err

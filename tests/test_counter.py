@@ -6,17 +6,19 @@ the two must agree on every word whose runs stay under the cap.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
 from rrkit import CounterAutomaton, FilterSpec, Nfa, nrr_decide
 from rrkit.automata import pair_name
+from rrkit.counter import ACCEPT_MODES
 from rrkit.errors import ContractError, InputError
 from rrkit.filters import d1_counter
 
 from generators import coprime_cycle_nfa, random_counter, random_nfa
-from oracles import all_pairs_product, dyck_oracle, reachable
+from oracles import all_pairs_product, counter_configs_to_acceptance, dyck_oracle, reachable
 
 
 def all_words(alphabet, max_len):
@@ -319,6 +321,92 @@ def test_least_words_skips_a_dead_pumping_branch(mode):
     stuck = CounterAutomaton.build(alphabet, "q0", {"f"}, dead, states={"f"}, accept_mode=mode)
     assert list(stuck.least_words(len(stuck.states) ** 2)) == []
     assert stuck.to_nfa().shortest_witness() is None
+
+
+def unfolded_configs_to_acceptance(c, cap):
+    """The configurations (q, v) of c.to_nfa(cap) from which the unfolding
+    reaches an accepting state, read back from the names "(q,v)"; the
+    reject state moves nowhere, so it is never among them."""
+    unfolded = c.to_nfa(cap)
+    back = reachable(unfolded.accepting, [(dst, src) for src, _, dst in unfolded.transitions])
+    parts = (name[1:-1].rpartition(",") for name in back)
+    return {(q, int(v)) for q, _, v in parts}
+
+
+def test_ceiling_bounds_every_configuration_that_reaches_acceptance():
+    """Every configuration (q, v) from which an accepting configuration is
+    reachable under the cap has q in _ceiling and v <= _ceiling[q], so
+    least_words cuts no configuration on an accepting run.  The reference
+    is a backward search over the configurations from the definition,
+    checked against the unfolding at the same cap, in both accept modes;
+    the machines include d1 products of NFAs with epsilon moves."""
+    rng = random.Random(2027)
+    machines = [random_counter(rng, max_states=4) for _ in range(120)]
+    machines += [dense_counter(rng, ("a", "b")) for _ in range(120)]
+    machines += [
+        d1_counter().product(random_nfa(rng, max_states=5, allow_epsilon=True)) for _ in range(120)
+    ]
+    finite = 0
+    for m in machines:
+        for mode in ACCEPT_MODES:
+            c = CounterAutomaton(m.states, m.alphabet, m.initial, m.accepting, m.transitions, mode)
+            cap = len(c.states) ** 2
+            live = counter_configs_to_acceptance(c.transitions, c.accepting, mode, cap)
+            assert live == unfolded_configs_to_acceptance(c, cap), c
+            ceiling = c._ceiling
+            for q, v in live:
+                assert q in ceiling and v <= ceiling[q], (c, q, v, ceiling)
+            finite += sum(v < math.inf for v in ceiling.values())
+    assert finite > 100
+
+
+@pytest.mark.parametrize("mode", ACCEPT_MODES)
+def test_ceiling_values(mode):
+    """Exact ceilings: a bounded chain, a -1 loop before acceptance
+    (unbounded), a zero-sum cycle (bounded), states whose every path to
+    acceptance climbs (dead) and a state with no path (dead).  In
+    final_state mode every state that reaches acceptance is unbounded."""
+    moves = {
+        ("c0", "a", "any", 1, "c1"),  # c0 +1 c1 -1 c2 -1 f
+        ("c1", "b", "positive", -1, "c2"),
+        ("c2", "b", "positive", -1, "f"),
+        ("m", "a", "any", 0, "l"),  # a -1 loop on l, then f at zero
+        ("l", "b", "any", -1, "l"),
+        ("l", "", "zero", 0, "f"),
+        ("z", "a", "any", 1, "y"),  # the cycle z +1 y -1 z sums to 0
+        ("y", "b", "positive", -1, "z"),
+        ("z", "", "any", 0, "f"),
+        ("u", "a", "any", 1, "f"),  # from u and w every path climbs
+        ("u", "", "any", 0, "w"),
+        ("w", "a", "any", 1, "u"),
+    }
+    c = CounterAutomaton.build(("a", "b"), "c0", {"f"}, moves, accept_mode=mode, states={"x"})
+    if mode == "final_state_and_zero":
+        expected = {"c0": 1, "c1": 2, "c2": 1, "f": 0, "m": math.inf, "l": math.inf, "z": 0, "y": 1}
+    else:
+        expected = dict.fromkeys(("c0", "c1", "c2", "f", "m", "l", "z", "y", "u", "w"), math.inf)
+    assert c._ceiling == expected
+    assert set(c._live_moves) == set(expected)
+    d1 = d1_counter()
+    assert d1._ceiling == {"q0": math.inf} and d1._live_moves is d1._by_state
+
+
+@pytest.mark.parametrize("epsilon", [True, False])
+def test_ceiling_stops_a_climb_that_cannot_come_back(epsilon):
+    """A d1 product that climbs on every a1, reads no abar1 and must end
+    at zero: only the accepting state is live, at ceiling 0, so the search
+    ends at once, even at cap 10**6.  Without the ceiling it walked every
+    value up to the cap in each state of the a1 cycle."""
+    moves = {("q0", "a1", "q1"), ("q1", "a1", "q2"), ("q2", "a1", "q0"), ("q2", "a1", "f")}
+    if epsilon:
+        moves.add(("q1", "", "q0"))
+    a = Nfa.build(("a1", "abar1"), "q0", {"f"}, moves)
+    product = d1_counter().product(a)
+    ceiling = product._ceiling
+    assert len(ceiling) <= 1
+    assert all(v == math.inf or v <= len(product.states) for v in ceiling.values())
+    assert ceiling == {pair_name("q0", "f"): 0}
+    assert list(product.least_words(10**6)) == []
 
 
 def epsilon_pump():

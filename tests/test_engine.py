@@ -244,8 +244,10 @@ def test_decide_methods():
         assert "witness" not in log2.to_dict()
 
     sym = Nfa.build(("x1", "xbar1"), "q0", {"q0"}, set())
-    with pytest.raises(InputError, match="no counter realization"):
+    with pytest.raises(InputError, match="no counter realization .*'symmetric'; only dyck1"):
         nrr_decide(sym, FilterSpec.symmetric(), "counter")
+    with pytest.raises(InputError, match="no counter realization .* 2 bracket pairs; only dyck1"):
+        nrr_decide(pair_machine(), FilterSpec.dyck(2), "counter")
     for method in ("bar-hillel", "log2"):
         with pytest.raises(InputError, match="no grammar route"):
             nrr_decide(pair_machine(), counter_filter, method)
