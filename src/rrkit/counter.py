@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .automata import (
@@ -21,6 +22,7 @@ from .values import Frozen
 
 GUARDS = ("any", "zero", "positive")
 ACCEPT_MODES = ("final_state", "final_state_and_zero")
+REJECT = "r"  # the absorbing state of every unfolding, whose other names start with "("
 
 
 class CounterAutomaton(Frozen):
@@ -152,6 +154,22 @@ class CounterAutomaton(Frozen):
             return False
         return value == 0 if self.accept_mode == "final_state_and_zero" else True
 
+    @cached_property
+    def _back_steps(self) -> tuple[frozenset[str], dict, dict]:
+        """The moves read backward with the counter ignored: the states that
+        reach acceptance on epsilon moves; by (q, letter), those that reach q
+        on epsilon moves then that letter; and a memo of that step from a
+        set, with one entry per set and letter that accepts has met."""
+        eps_back: dict[str, list[str]] = {}
+        letter_back: dict[tuple[str, str], list[str]] = {}
+        for src, read, _, _, dst in self.transitions:
+            if read == EPSILON:
+                eps_back.setdefault(dst, []).append(src)
+            else:
+                letter_back.setdefault((dst, read), []).append(src)
+        steps = {key: reach(srcs, eps_back) for key, srcs in letter_back.items()}
+        return frozenset(reach(self.accepting, eps_back)), steps, {}
+
     def accepts(self, word: Iterable[str]) -> bool:
         """True when some run over the word ends accepting.
 
@@ -162,27 +180,45 @@ class CounterAutomaton(Frozen):
         machine nonempty, so epsilon moves may pump the counter
         quadratically high and the run is still found.  A linear cap
         misses such runs.
+
+        The word is first read backward with the counter ignored: live[i]
+        holds the states from which w[i:] may reach acceptance.  The search
+        enters no configuration outside them, and says no before it walks
+        any value when the initial state is not in live[0].
         """
         w = tuple(word)
         for sym in w:
             if sym not in self.alphabet:
                 raise InputError(f"symbol {sym!r} is not in the alphabet")
-        cap = (len(self.states) * (len(w) + 1)) ** 2
+        here, steps, known = self._back_steps
+        live = [here]
+        for sym in reversed(w):
+            key = (here, sym)
+            here = known.get(key)
+            if here is None:
+                here = known[key] = frozenset().union(*(steps.get((q, sym), ()) for q in key[0]))
+            live.append(here)
+        live.reverse()
+        if self.initial not in here:
+            return False
+        n = len(w)
+        cap = (len(self.states) * (n + 1)) ** 2
+        by_state, guard_ok = self._by_state, self._guard_ok
         start = (self.initial, 0, 0)
         seen = {start}
         queue = deque([start])
         while queue:
             state, pos, value = queue.popleft()
-            if pos == len(w) and self._is_accepting(state, value):
+            if pos == n and self._is_accepting(state, value):
                 return True
-            for read, guard, delta, dst in self._by_state.get(state, ()):
+            for read, guard, delta, dst in by_state[state]:
                 if read == EPSILON:
                     npos = pos
-                elif pos < len(w) and w[pos] == read:
+                elif pos < n and w[pos] == read:
                     npos = pos + 1
                 else:
                     continue
-                if not self._guard_ok(guard, value):
+                if dst not in live[npos] or not guard_ok(guard, value):
                     continue
                 nval = value + delta
                 if nval < 0 or nval > cap:
@@ -333,42 +369,38 @@ class CounterAutomaton(Frozen):
     def to_nfa(self, cap: Optional[int] = None) -> Nfa:
         """Finite unfolding of the counter up to `cap` (default |Q| squared).
 
-        States are (state, value) pairs; moves that would push the counter
-        past the cap fall into an absorbing reject state.  For a nonempty
+        States are (state, value) pairs named "(q,c)" for values 0..cap,
+        plus the absorbing reject state REJECT, where a move that would
+        take the counter below 0 or past the cap falls.  For a nonempty
         machine the default cap is large enough to keep some witness, so
         emptiness is preserved.  least_words walks these configurations on
         the fly; its first word is this automaton's shortest_witness.
         """
-        if cap is None:
-            cap = len(self.states) ** 2
-        # names[q][c] is the unfolded state (q, c), formatted once per call
+        return self._unfold(len(self.states) ** 2 if cap is None else cap)[0]
+
+    def _unfold(self, cap: int) -> tuple[Nfa, Mapping[str, list[str]]]:
+        """to_nfa(cap) and its name table, names[q][c] being (q, c).  Each
+        move pairs a slice of its source row with one of its target row
+        shifted by the delta, REJECT filling the values it leaves."""
         names = {q: [f"({q},{c})" for c in range(cap + 1)] for q in self.states}
-        reject = "reject"
-        while reject in self.states:
-            reject += "'"
         transitions: set[tuple[str, str, str]] = set()
         for src, read, guard, delta, dst in self.transitions:
-            for value in range(cap + 1):
-                if not self._guard_ok(guard, value):
-                    continue
-                nval = value + delta
-                if nval < 0:
-                    continue
-                target = names[dst][nval] if nval <= cap else reject
-                transitions.add((names[src][value], read, target))
+            sources, targets = names[src], names[dst]
+            if delta:
+                targets = targets[1:] + [REJECT] if delta > 0 else [REJECT] + targets[:-1]
+            if guard == "zero":
+                sources, targets = sources[:1], targets[:1]
+            elif guard == "positive":
+                sources, targets = sources[1:], targets[1:]
+            transitions.update(zip(sources, repeat(read), targets))
         if self.accept_mode == "final_state_and_zero":
             accepting = {names[q][0] for q in self.accepting}
         else:
             accepting = {name for q in self.accepting for name in names[q]}
-        states = {name for row in names.values() for name in row}
-        states.add(reject)
-        return Nfa(
-            frozenset(states),
-            self.alphabet,
-            names[self.initial][0],
-            frozenset(accepting),
-            frozenset(transitions),
-        )
+        states = frozenset((REJECT, *(name for row in names.values() for name in row)))
+        start = names[self.initial][0]
+        nfa = Nfa(states, self.alphabet, start, frozenset(accepting), frozenset(transitions))
+        return nfa, names
 
     def to_cfg(self) -> Cfg:
         """A grammar for L(self), with no cap on the counter: the triple

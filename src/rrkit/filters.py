@@ -94,15 +94,6 @@ def s_sharp_member(w: Iterable[str]) -> bool:
     return _s_sharp(word)
 
 
-def _m_span(word: tuple[str, ...], i: int, j: int) -> bool:
-    # w[i:j] ∈ M = a S_# abar ∪ {ε}; callers guarantee a bracket-free interior
-    if i == j:
-        return True
-    if word[i] != "a" or word[j - 1] != "abar":
-        return False
-    return _s_sharp(word[i + 1 : j - 1])
-
-
 def m_inf_member(w: Iterable[str]) -> bool:
     """Recursive bracket decomposition for the M-iteration language.
 
@@ -110,19 +101,13 @@ def m_inf_member(w: Iterable[str]) -> bool:
     a y1 (a z1 abar) y2 (a z2 abar) ... y_{n-1} (a z_{n-1} abar) y_n abar
     with every bracketed block recursively a member, every y-segment
     between two consecutive blocks nonempty, and a y1...y_n abar in M.
-    Spans are memoized so the recursion stays quadratic.
+    The blocks of a span are disjoint, so each span is checked once and
+    the recursion stays quadratic.
     """
     word = tuple(w)
     _check_word(word, _FULL_LETTERS)
-    memo: dict[tuple[int, int], bool] = {}
 
     def span(i: int, j: int) -> bool:
-        if (i, j) in memo:
-            return memo[(i, j)]
-        memo[(i, j)] = result = compute(i, j)
-        return result
-
-    def compute(i: int, j: int) -> bool:
         if i == j:
             return True
         if word[i] != "a" or word[j - 1] != "abar":
@@ -149,8 +134,6 @@ def m_inf_member(w: Iterable[str]) -> bool:
         if depth != 0:
             return False
         segments.append((seg_start, j - 1))
-        if not blocks:
-            return _m_span(word, i, j)
         for s, e in segments[1:-1]:
             if s == e:
                 return False

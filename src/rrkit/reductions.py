@@ -3,18 +3,19 @@
 Contents: the triple-product grammar for a CFG/NFA intersection; one
 ordered search over the same triples that answers intersection questions
 without materializing the grammar; a transducer turning Dyck words into
-the words of a given grammar; the derivation-height bound; the
-height-marking transformation; and the morphism reduction embedding
-two-pair bracket realizability into S_#^up.
+the words of a given grammar; the derivation-height bound; the height
+marking, which is the counter unfolding (CounterAutomaton.to_nfa) of the
+input machine read as a one-counter machine; and the morphism reduction
+embedding two-pair bracket realizability into S_#^up.
 """
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from itertools import repeat
 from typing import Iterator, Mapping, Optional
 
 from .automata import EPSILON, Nfa, escape
+from .counter import REJECT, CounterAutomaton
 from .errors import ContractError, InputError
 from .filters import ALPHABET_FULL, dyck_alphabet, dyck_encoder, parse_filter_name
 from .grammars import Cfg, CnfTable
@@ -22,6 +23,8 @@ from .transducers import Transducer
 from .values import Frozen
 
 D2_ALPHABET = dyck_alphabet(2)
+# the level change of each two-pair bracket move, in the marking and its live band
+_SHIFT = {EPSILON: 0, "a1": 1, "a2": 1, "abar1": -1, "abar2": -1}
 
 
 def _triple(q: str, sym: str, p: str) -> str:
@@ -315,12 +318,12 @@ def height_bound(a: Nfa) -> int:
 class MarkedNfa(Frozen):
     """An NFA over the two-pair bracket alphabet carrying a height marking.
 
-    Every transition of `nfa` between height-carrying states respects the
-    marking: opens go one level up, closes one level down, epsilon moves
-    stay level.  The marking is zero at the initial state and at every
-    accepting state.  Moves that would leave the tracked band fall into
-    `reject_state`, which carries no height, accepts nothing, and has no
-    way out.  Two markings compare equal only when they are the same object.
+    `nfa` is a counter unfolding: opens go one level up, closes one level
+    down, epsilon moves stay level, and `height` gives each (q, level)
+    state its level, zero at the initial and the accepting states.  Moves
+    that leave the band fall into the unfolding's `reject_state`, which
+    carries no height, accepts nothing, and has no way out.  Two markings
+    compare equal only when they are the same object.
     """
 
     nfa: Nfa
@@ -338,35 +341,20 @@ def _require_d2(a: Nfa) -> None:
 def mark_automaton(a: Nfa) -> MarkedNfa:
     """Height-marking transformation over the two-pair bracket alphabet.
 
-    States are (q, level) pairs for levels 0..m with m = height_bound(a);
-    bracket moves shift the level, epsilon moves copy it, and moves past
-    the band go to the absorbing reject state.  Intersection with the
-    two-pair Dyck language is empty before iff empty after, and every
-    accepted word has nonnegative prefix heights ending at zero.
+    The unfolding at cap height_bound(a) of a read as a one-counter
+    machine: opens +1, closes -1, epsilon moves 0, accepting at 0.
+    Intersection with the two-pair Dyck language is empty before iff empty
+    after, and every accepted word has nonnegative prefix heights ending
+    at zero.
     """
     _require_d2(a)
-    m = height_bound(a)
-    reject = "r"
-    # names[q][i] is the marked state (q, i), formatted once per call
-    names = {q: [f"({q},{i})" for i in range(m + 1)] for q in sorted(a.states)}
-    transitions: set[tuple[str, str, str]] = set()
-    for src, label, dst in a.transitions:
-        if label == EPSILON:
-            targets = names[dst]
-        elif label in ("a1", "a2"):
-            targets = names[dst][1:] + [reject]
-        else:
-            targets = [reject] + names[dst][:-1]
-        transitions.update(zip(names[src], repeat(label), targets))
-    height = {name: i for row in names.values() for i, name in enumerate(row)}
-    nfa = Nfa(
-        frozenset(height) | {reject},
-        D2_ALPHABET,
-        names[a.initial][0],
-        frozenset(names[q][0] for q in a.accepting),
-        frozenset(transitions),
+    moves = frozenset((src, label, "any", _SHIFT[label], dst) for src, label, dst in a.transitions)
+    brackets = CounterAutomaton(
+        a.states, D2_ALPHABET, a.initial, a.accepting, moves, "final_state_and_zero"
     )
-    return MarkedNfa(nfa, height, reject)
+    nfa, names = brackets._unfold(height_bound(a))
+    height = {name: i for row in names.values() for i, name in enumerate(row)}
+    return MarkedNfa(nfa, height, REJECT)
 
 
 _EMBED = {
@@ -383,10 +371,6 @@ def ssharpup_embedding(u: tuple[str, ...]) -> tuple[str, ...]:
     for sym in u:
         body.extend(_EMBED[sym])
     return ("a", "x1", "x2", *body, "xbar2", "xbar1", "abar")
-
-
-# the level change of each two-pair bracket move in the height marking
-_SHIFT = {EPSILON: 0, "a1": 1, "a2": 1, "abar1": -1, "abar2": -1}
 
 
 def _live_band(a: Nfa, m: int) -> dict[str, int]:

@@ -10,7 +10,11 @@ FRONT_END_CASES are the parser's own output, every help screen and the
 usage-error lines, recorded together in tests/data/front_end.json at a
 terminal width of FRONT_END_COLUMNS, since argparse wraps help text to
 the width in $COLUMNS.
+
+DEMOS are the scripts under demos/, each pinned by its standard output
+in tests/data/demos/<name>.txt.
 """
+import pathlib
 
 CASES = [
     ("member-true", ["member", "--filter", "dyck2", "--word", "a1 a2 abar2 abar1"]),
@@ -26,6 +30,8 @@ CASES = [
     ("reduce-ssharpup", ["reduce", "ssharpup", "--nfa", "data/d2pair.json", "--emit-stats"]),
     ("check-log2-stats", ["check-log2", "--grammar", "data/d1.txt", "--nfa", "data/pair.json", "--stats"]),
 ]
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 COMMANDS = ["member", "decide", "witness", "reduce", "index", "check-log2"]
 
@@ -68,3 +74,15 @@ def run_case(argv, allow_exit=False):
                 raise
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def run_demo(path):
+    """Run one demo script in-process as __main__; returns its stdout."""
+    import contextlib
+    import io
+    import runpy
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()

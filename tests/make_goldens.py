@@ -1,5 +1,6 @@
-"""Regenerate the golden CLI transcripts in tests/data/golden/ and the
-front-end transcript tests/data/front_end.json.
+"""Regenerate the golden CLI transcripts in tests/data/golden/, the
+front-end transcript tests/data/front_end.json and the demo transcripts
+in tests/data/demos/.
 
 Run from anywhere: `python3 tests/make_goldens.py`.  Review the diff
 before committing; the CLI tests compare byte for byte.
@@ -12,7 +13,7 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
-from cli_cases import CASES, FRONT_END_CASES, FRONT_END_COLUMNS, run_case
+from cli_cases import CASES, DEMOS, FRONT_END_CASES, FRONT_END_COLUMNS, run_case, run_demo
 
 
 def main():
@@ -33,6 +34,12 @@ def main():
     path = HERE / "data" / "front_end.json"
     path.write_text(json.dumps(front_end, indent=2, sort_keys=True) + "\n")
     print(f"front_end: {len(front_end)} cases")
+    demos = HERE / "data" / "demos"
+    demos.mkdir(exist_ok=True)
+    for path in DEMOS:
+        out = run_demo(path)
+        (demos / f"{path.stem}.txt").write_text(out)
+        print(f"demo {path.stem}: {len(out)}b stdout")
 
 
 if __name__ == "__main__":

@@ -152,32 +152,43 @@ def counter_configs_to_acceptance(transitions, accepting, accept_mode, cap):
     return reachable({(f, v) for f in accepting for v in values}, [(b, a) for a, b in steps])
 
 
-def mark_by_definition(states, transitions, initial, accepting, m):
-    """Height marking over the two-pair brackets, one transition and one
-    level at a time: states (q, i) for levels 0..m, opens a1/a2 go a level
-    up, the closes a level down, epsilon moves stay level, and a move past
-    the band goes to the sink "r".  Returns (states, initial, accepting,
-    transitions, height, reject)."""
-    name = lambda q, i: f"({q},{i})"
-    marked = set()
-    for src, label, dst in transitions:
-        for i in range(m + 1):
-            if label == "":
-                j = i
-            elif label in ("a1", "a2"):
-                j = i + 1
-            else:
-                j = i - 1
-            marked.add((name(src, i), label, name(dst, j) if 0 <= j <= m else "r"))
-    height = {name(q, i): i for q in states for i in range(m + 1)}
+def unfold_by_definition(states, transitions, initial, accepting, accept_mode, cap):
+    """The unfolding of a one-counter machine up to cap, one move and one
+    value at a time: states (q, c) named "(q,c)" for values 0..cap and the
+    sink "r".  A move (src, read, guard, delta, dst) leads from (src, c),
+    where the guard holds at c ("zero": c == 0, "positive": c > 0, "any"),
+    to (dst, c + delta), or to "r" when c + delta is below 0 or past cap.
+    (f, c) accepts for accepting f, at c == 0 only in
+    "final_state_and_zero" mode.  Returns (states, initial, accepting,
+    transitions, height, reject), height giving each (q, c) its c."""
+    name = lambda q, c: f"({q},{c})"
+    holds = {"any": lambda c: True, "zero": lambda c: c == 0, "positive": lambda c: c > 0}
+    unfolded = set()
+    for src, read, guard, delta, dst in transitions:
+        for c in range(cap + 1):
+            if holds[guard](c):
+                d = c + delta
+                unfolded.add((name(src, c), read, name(dst, d) if 0 <= d <= cap else "r"))
+    height = {name(q, c): c for q in states for c in range(cap + 1)}
+    values = [0] if accept_mode == "final_state_and_zero" else range(cap + 1)
     return (
         set(height) | {"r"},
         name(initial, 0),
-        {name(q, 0) for q in accepting},
-        marked,
+        {name(f, c) for f in accepting for c in values},
+        unfolded,
         height,
         "r",
     )
+
+
+def mark_by_definition(states, transitions, initial, accepting, m):
+    """Height marking over the two-pair brackets: the unfolding at cap m of
+    the machine read as a one-counter machine, opens a1/a2 a level up, the
+    closes a level down and epsilon moves level, all unguarded, accepting
+    at level 0.  Returns what unfold_by_definition returns."""
+    shift = {"": 0, "a1": 1, "a2": 1, "abar1": -1, "abar2": -1}
+    moves = [(src, label, "any", shift[label], dst) for src, label, dst in transitions]
+    return unfold_by_definition(states, moves, initial, accepting, "final_state_and_zero", m)
 
 
 def ssharpup_by_two_trims(states, initial, accepting, transitions):

@@ -18,7 +18,9 @@ from rrkit.errors import ContractError, InputError
 from rrkit.filters import d1_counter
 
 from generators import coprime_cycle_nfa, random_counter, random_nfa
-from oracles import all_pairs_product, counter_configs_to_acceptance, dyck_oracle, reachable
+from oracles import (
+    all_pairs_product, counter_configs_to_acceptance, dyck_oracle, reachable, unfold_by_definition,
+)
 
 
 def all_words(alphabet, max_len):
@@ -210,6 +212,27 @@ def dense_counter(rng, alphabet):
     return CounterAutomaton.build(
         alphabet, "q0", accepting, transitions, accept_mode=mode, states=states
     )
+
+
+def test_to_nfa_matches_definition():
+    """The unfolding is the one built move by move and value by value, with
+    the moves below 0 and past the cap sent to the sink r, on guarded
+    machines in both accept modes at caps 0 to 4 and the default |Q|²."""
+    rng = random.Random(619)
+    pops = set()
+    for k in range(300):
+        c = dense_counter(rng, ("a", "b")) if k % 2 else random_counter(rng, max_states=3)
+        cap = rng.choice((None, 0, 1, 2, 3, 4))
+        states, initial, accepting, transitions, _, _ = unfold_by_definition(
+            c.states, c.transitions, c.initial, c.accepting, c.accept_mode,
+            len(c.states) ** 2 if cap is None else cap,
+        )
+        expected = Nfa(
+            frozenset(states), c.alphabet, initial, frozenset(accepting), frozenset(transitions)
+        )
+        assert c.to_nfa(cap) == expected, (c, cap)
+        pops.update((guard, c.accept_mode) for _, _, guard, delta, _ in c.transitions if delta < 0)
+    assert pops == set(itertools.product(("any", "zero", "positive"), ACCEPT_MODES))
 
 
 def test_least_words_matches_unfolding():
@@ -438,6 +461,33 @@ def test_accepts_follows_epsilon_runs_past_a_linear_cap():
     one_state = Nfa.build(("a1", "abar1"), "q", {"q"}, set())
     report = nrr_decide(one_state, FilterSpec.from_counter(c))
     assert report.nonempty and report.witness == ()
+
+
+def test_accepts_rejects_a_dead_word_without_walking_the_counter(monkeypatch):
+    """Six states p0..p5 in a chain of epsilon moves, each with an epsilon
+    +1 self-loop and an a self-loop, then a b move into the accepting
+    state.  No word without b is accepted, so accepts says no before it
+    checks a guard; the wrapper stops it after 10,000 checks, far fewer
+    than a walk of every value up to the cap (|Q|·(|w|+1))² makes."""
+    moves = {("p5", "b", "any", 0, "f")}
+    moves |= {(f"p{i}", "", "any", 0, f"p{i + 1}") for i in range(5)}
+    for i in range(6):
+        moves |= {(f"p{i}", "", "any", 1, f"p{i}"), (f"p{i}", "a", "any", 0, f"p{i}")}
+    c = CounterAutomaton.build(("a", "b"), "p0", {"f"}, moves)
+    calls = 0
+    guard_ok = CounterAutomaton._guard_ok
+
+    def counted(self, guard, value):
+        nonlocal calls
+        calls += 1
+        assert calls <= 10_000, "accepts walked the counter"
+        return guard_ok(self, guard, value)
+
+    monkeypatch.setattr(CounterAutomaton, "_guard_ok", counted)
+    assert not c.accepts(("a",) * 1000)
+    assert not c.accepts(("b", "a"))
+    assert calls == 0
+    assert c.accepts(("a", "b"))
 
 
 def test_validation():
