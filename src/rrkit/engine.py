@@ -15,6 +15,7 @@ a log² n-space recognizer verifies.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Iterable, Mapping, Optional
 
 from .automata import EPSILON, Nfa
@@ -133,7 +134,7 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
             raise InputError(
                 f"no counter realization is registered for {what}; only dyck1 has a counter route"
             )
-        f = FilterSpec.from_counter(d1_counter())
+        f = _d1_counter_filter()
     elif method in ("bar-hillel", "log2") and f.kind == "counter":
         raise InputError("a counter-backed filter has no grammar route")
     elif method not in ("auto", "bar-hillel", "counter", "log2"):
@@ -171,6 +172,13 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
         if not f.contains(witness):
             raise RuntimeError("internal error: witness rejected by the filter oracle")
     return DecisionReport(witness is not None, witness, method, stats)
+
+
+@cache
+def _d1_counter_filter() -> FilterSpec:
+    """The counter route's filter for dyck1, built once per process, so
+    that its machine's per-machine tables are too."""
+    return FilterSpec.from_counter(d1_counter())
 
 
 def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
@@ -283,18 +291,33 @@ def rational_index(
     one of them.
 
     All machines are decided at once, one lane each.  Exhaustive mode
-    takes every move mask with every accepting state (_mask_chunks);
-    sample mode takes seeded random machines (_sample_chunks) and reports
-    the max found, a lower bound.  The lanes close over the filter's CNF
-    (_lane_index); each lane gets the length of its machine's shortest
-    witness, and stops there while the others go on.  For a counter
-    filter that is the CNF of its grammar (CounterAutomaton.to_cfg), so a
-    lane measures the shortest witness with no cap on the counter; the
-    tests check it against the witness of nrr_decide's counter route,
-    capped at |P|², on every machine.  The "index is undefined" error is
-    raised when no machine meets the filter.  Exhaustive mode refuses
-    more than 3 states or 20 possible moves, sample mode a sample count
-    below 1 or more than 10,000 possible moves, before building any.
+    takes every move mask with every accepting state, up to swapping
+    states 1 and 2 (_mask_chunks); sample mode takes seeded random
+    machines (_sample_chunks), drawing each lane's moves in move order,
+    and reports the max found, a lower bound.
+
+    The swap σ is exact.  It fixes state 0, so the axiom triples, which
+    start in state 0, and the epsilon seed (0, axiom, 0) do not change,
+    and it maps a machine accepting in p to one accepting in σ(p) with
+    the same language; every state is a goal in exhaustive mode, so a
+    chunk and its image have the same greatest witness length, or both
+    none.  From n = 3 on, exhaustive mode orders the moves so that the
+    chunk bits (the top moves - W, see _mask_chunks) hold as many
+    swapped pairs as fit, the loops (1, x, 1) and (2, x, 2) first, each
+    pair at adjacent bits, then moves the swap fixes; the low W moves
+    are then a set the swap maps onto itself.  At n <= 2, or when all
+    moves fit in one chunk, there is no pair and every chunk is closed.
+
+    The lanes close over the filter's CNF (_lane_index); each lane gets
+    the length of its machine's shortest witness, and stops there while
+    the others go on.  For a counter filter that is the CNF of its
+    grammar (CounterAutomaton.to_cfg), so a lane measures the shortest
+    witness with no cap on the counter; the tests check it against the
+    witness of nrr_decide's counter route, capped at |P|², on every
+    machine.  The "index is undefined" error is raised when no machine
+    meets the filter.  Exhaustive mode refuses more than 3 states or 20
+    possible moves, sample mode a sample count below 1 or more than
+    10,000 possible moves, before building any.
     """
     if n < 1:
         raise InputError("machines need at least one state")
@@ -317,19 +340,39 @@ def rational_index(
     if mode == "sample":
         chunks = _sample_chunks(n, moves, sample_count, seed)
     else:
-        chunks = _mask_chunks(n, moves)
+        # the chunk bits, the top moves - W, take as many swapped pairs as
+        # fit, the loops (1, x, 1), (2, x, 2) first, then fixed moves
+        top, pairs = moves - min(moves, _LANE_BITS), []
+        if n >= 3:
+            swap = (0, 2, 1, *range(3, n))
+            image = {e: (swap[e[0]], e[1], swap[e[2]]) for e in edges}
+            loops_first = sorted(edges, key=lambda e: e[0] != e[2])
+            pairs = [m for e in loops_first if e < image[e] for m in (e, image[e])][: top // 2 * 2]
+            high = pairs + [e for e in edges if e == image[e]][: top - len(pairs)]
+            edges = tuple(e for e in edges if e not in high) + tuple(high)
+        chunks = _mask_chunks(n, moves, len(pairs) // 2)
     best = _lane_index(f.cnf_grammar, edges, chunks)
     if best is None:
         raise InputError("no n-state machine meets the filter; the index is undefined")
     return best
 
 
-def _mask_chunks(n: int, moves: int):
-    """Every move mask with every accepting state: lane m of a chunk is
-    the mask whose low W = min(moves, _LANE_BITS) bits are m, and each
-    chunk of masks sharing their top moves - W bits is closed separately.
-    Every state is a goal in every lane."""
+def _mask_chunks(n: int, moves: int, pairs: int):
+    """Every move mask with every accepting state, up to renaming: lane m
+    of a chunk is the mask whose low W = min(moves, _LANE_BITS) bits are
+    m, and each chunk of masks sharing their top moves - W bits is closed
+    separately.  Every state is a goal in every lane.
+
+    Chunk bits 2k and 2k + 1, k < pairs, are the moves of a pair that
+    swapping states 1 and 2 exchanges, and the other chunk bits are moves
+    that the swap fixes, so the image of a chunk is the chunk with each
+    pair's two bits swapped.  A chunk whose image is a smaller number is
+    skipped: it holds the swapped copies of that chunk's machines, with
+    their languages, and so adds no witness length.  With no pairs
+    nothing is skipped."""
     width = min(moves, _LANE_BITS)
+    paired = (1 << 2 * pairs) - 1
+    evens = paired // 3
     full = (1 << (1 << width)) - 1
     # lanes of move k < width: runs of 2**k clear then 2**k set lanes
     periodic = [
@@ -338,6 +381,9 @@ def _mask_chunks(n: int, moves: int):
     ]
     goals = [full] * n
     for chunk in range(1 << (moves - width)):
+        image = chunk & ~paired | (chunk & evens) << 1 | chunk >> 1 & evens
+        if image < chunk:
+            continue
         yield periodic + [full if chunk >> k & 1 else 0 for k in range(moves - width)], goals
 
 

@@ -84,6 +84,21 @@ def test_decide_counter_route():
     assert report.stats["states_created"] > 0
 
 
+def test_counter_route_builds_its_dyck1_filter_once(monkeypatch):
+    machines = []
+    product = CounterAutomaton.product
+
+    def recording(self, a):
+        machines.append(self)
+        return product(self, a)
+
+    monkeypatch.setattr(CounterAutomaton, "product", recording)
+    for _ in range(2):
+        report = nrr_decide(pair_machine(), FilterSpec.dyck(1), method="counter")
+        assert report.witness == ("a1", "abar1")
+    assert len(machines) == 2 and machines[0] is machines[1]
+
+
 def test_decide_empty():
     a = Nfa.build(("a1", "abar1"), "q0", {"q1"}, {("q0", "a1", "q1")})
     report = nrr_decide(a, FilterSpec.dyck(1))
@@ -682,6 +697,96 @@ SAMPLED = {
 def test_rational_index_sample_values(name, n, seed):
     f = parse_filter_name(name)
     assert rational_index(f, n, mode="sample", sample_count=60, seed=seed) == SAMPLED[name, n, seed]
+
+
+# rational_index(f, 3, "sample", 6, seed) for seeds 0-9, the shape of the
+# benchmark's index/sample requests: sample mode draws each lane's moves
+# in move order, so these fix the draws as well as the values.
+SAMPLED_AT_3 = {
+    "sym": (0, 4, 8, 4, 2, 6, 2, 2, 2, 2),
+    "dyck2": (4, 4, 6, 4, 2, 6, 2, 2, 2, 2),
+    "symsharp": (0, 2, 4, 4, 2, 3, 3, 2, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_AT_3))
+def test_rational_index_sample_draws_at_three_states(name):
+    f = parse_filter_name(name)
+    values = tuple(rational_index(f, 3, "sample", 6, seed) for seed in range(10))
+    assert values == SAMPLED_AT_3[name]
+
+
+def _swapped(move):
+    """move with states 1 and 2 exchanged."""
+    i, sym, j = move
+    rename = {1: 2, 2: 1}
+    return rename.get(i, i), sym, rename.get(j, j)
+
+
+def _closed_chunks(monkeypatch, f, n):
+    """The move order and the chunks that exhaustive rational_index(f, n)
+    hands to _lane_index."""
+    seen = {}
+
+    def record(g, edges, chunks):
+        seen["edges"], seen["chunks"] = edges, list(chunks)
+        return 0
+
+    monkeypatch.setattr(engine, "_lane_index", record)
+    rational_index(f, n)
+    return seen["edges"], seen["chunks"]
+
+
+@pytest.mark.parametrize("lane_bits", [1, 2, 14])
+@pytest.mark.parametrize("text", ["S -> a", "S -> a | b"])
+def test_exhaustive_chunks_skip_only_swapped_copies(monkeypatch, text, lane_bits):
+    # A chunk holds the machines (S | X, p): S its set of top moves, X any
+    # set of its W low moves, p any state.  When swapping states 1 and 2
+    # maps the low moves onto themselves, it maps those machines onto the
+    # machines of the chunk with top moves swapped(S).  So every skipped
+    # chunk must be the swapped image of a closed one, and no two closed
+    # chunks may be images of each other.
+    monkeypatch.setattr(engine, "_LANE_BITS", lane_bits)
+    f = FilterSpec.from_grammar(parse_grammar(text))
+    for n in (1, 2, 3):
+        edges, chunks = _closed_chunks(monkeypatch, f, n)
+        assert sorted(edges) == sorted(_moves(f, n))
+        width = min(len(edges), lane_bits)
+        low, high = edges[:width], edges[width:]
+        full = (1 << (1 << width)) - 1
+        low_lanes = chunks[0][0][:width]
+        assert {tuple(bits >> b & 1 for bits in low_lanes) for b in range(1 << width)} == set(
+            itertools.product((0, 1), repeat=width)
+        )
+        closed = set()
+        for lanes, goals in chunks:
+            assert lanes[:width] == low_lanes and goals == [full] * n
+            assert all(bits in (0, full) for bits in lanes[width:])
+            closed.add(frozenset(e for e, bits in zip(high, lanes[width:]) if bits))
+        assert len(closed) == len(chunks)
+        if n < 3:
+            assert len(closed) == 1 << len(high)
+            continue
+        swap = {e: _swapped(e) for e in edges}
+        assert {swap[e] for e in low} == set(low)
+        image = {top: frozenset(map(swap.get, top)) for top in closed}
+        images = set(image.values())
+        assert len(closed | images) == 1 << len(high)
+        assert all(image[top] == top for top in closed & images)
+
+
+def test_rational_index_closes_ten_of_sixteen_dyck1_chunks(monkeypatch):
+    # 18 moves at three states, 14 in a chunk: two swapped pairs on the 4
+    # chunk bits, so 10 chunks, one per image pair or fixed chunk
+    closed = []
+    lane_index = engine._lane_index
+
+    def counting(g, edges, chunks):
+        return lane_index(g, edges, (closed.append(chunk) or chunk for chunk in chunks))
+
+    monkeypatch.setattr(engine, "_lane_index", counting)
+    assert rational_index(FilterSpec.dyck(1), 3) == RHO_DYCK1[3]
+    assert len(closed) == 10
 
 
 # -- recursive checker -------------------------------------------------------------
