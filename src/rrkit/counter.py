@@ -10,7 +10,7 @@ import math
 from collections import deque
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .automata import (
     EPSILON, Nfa, check_machine, machine_states, pair_name, reach, require_strings,
@@ -133,15 +133,6 @@ class CounterAutomaton(Frozen):
         ceiling.update(dict.fromkeys(reach(cyclic, back), math.inf))
         return ceiling
 
-    @cached_property
-    def _live_moves(self) -> Mapping[str, tuple[tuple[str, str, int, str], ...]]:
-        """_by_state without the moves into dead states (those missing from
-        _ceiling), or _by_state itself when no state is dead."""
-        live = self._ceiling
-        if len(live) == len(self.states):
-            return self._by_state
-        return {q: tuple(m for m in self._by_state[q] if m[3] in live) for q in live}
-
     def _guard_ok(self, guard: str, value: int) -> bool:
         if guard == "zero":
             return value == 0
@@ -229,110 +220,87 @@ class CounterAutomaton(Frozen):
                     queue.append(config)
         return False
 
-    def least_words(self, counter_cap: int) -> Iterator[tuple[str, tuple[str, ...]]]:
-        """Each accepting state once, with the least accepted word that
-        ends in it, in (length, lex) order of those words, over the runs
-        that keep the counter <= counter_cap.  Least means shortest, then
-        lexicographically smallest in the declared alphabet order: the
-        first word yielded is the one to_nfa(counter_cap)
-        .shortest_witness() returns, found without building the unfolding.
+    def least_word(self, counter_cap: int) -> Optional[tuple[str, ...]]:
+        """The least accepted word over the runs that keep the counter <=
+        counter_cap, or None: shortest, then lexicographically smallest in
+        the declared alphabet order, the word that
+        to_nfa(counter_cap).shortest_witness() returns, found without
+        building the unfolding.  The caller picks the cap, as nrr_decide
+        picks |P|² for the product machine P (to_nfa's default).
 
         Configurations (state, value) are claimed in (length, lex) order of
-        the words that reach them.  Each group holds the configurations
-        whose least word is the group's word; a group is created with its
-        epsilon closure, and each configuration is marked seen at that
-        moment, so a configuration's least word u·s comes from expanding
-        the group of u (itself u's least-word group) by s.  The first group
-        holding an accepting configuration of a state carries that state's
-        least word.  A group holds its word as a back-pointer, the pair
-        (parent group's pointer, last symbol), and the word is spelled only
-        when it is yielded, so extending a group costs one pair, not a copy
-        of the word.  The search ends once every accepting state is yielded
-        or a level claims no new configuration.  There is no default cap:
-        the caller picks it, as nrr_decide picks |P|² for the product
-        machine P (to_nfa's default, which preserves emptiness).
+        the words that reach them, a group per word: the configurations
+        whose least word it is, claimed with their epsilon closure and
+        marked seen then.  The same walk over their moves gathers the
+        group's letter successors, from which the groups of its one-letter
+        extensions are claimed.  The first group holding an accepting
+        configuration gives the word, kept until then as a back-pointer
+        (parent's pointer, last symbol); a level that claims nothing ends
+        the search.
 
-        The search claims no configuration (q, v) with v above
-        min(_ceiling[q], counter_cap), and none of a dead state, one
-        missing from _ceiling.  Ignoring guards and the floor at 0, a run
-        from (q, v) to an accepting configuration (f, 0) is a path of moves
-        from q to f whose deltas sum to -v, so v <= -dist(q), the ceiling
-        (in final_state mode, where the value is not read at acceptance, a
-        state that reaches an accepting state has no ceiling).  Every
-        successor of a cut configuration is cut too: a move q -> r with
-        delta d gives dist(q) <= d + dist(r), so v > -dist(q) implies
-        v + d > -dist(r).  No accepting run passes through a cut
-        configuration, so the words, their order and the first word stay
-        the same.  A branch that pumps the counter but can never bring it
-        back to an accepting zero is walked only as high as it could still
-        come back from, and a dead branch not at all.
+        No configuration (q, v) with v above min(_ceiling[q], counter_cap)
+        is claimed, nor any of a dead state, one missing from _ceiling.
+        Ignoring guards and the floor at 0, a run from (q, v) to an
+        accepting (f, 0) is a path whose deltas sum to -v, so v <=
+        -dist(q), the ceiling; a move q -> r with delta d gives dist(q) <=
+        d + dist(r), so the successors of a cut configuration are cut too,
+        and no accepting run passes through one.  A branch that pumps the
+        counter is walked only as high as it could still come back from.
         """
         ceiling = self._ceiling
         if self.initial not in ceiling:
-            return
+            return None
         top = {q: min(c, counter_cap) for q, c in ceiling.items()}
-        moves = self._live_moves
+        by_state, guard_ok = self._by_state, self._guard_ok
         seen: set[tuple[str, int]] = set()
-        pending = set(self.accepting)  # not yet yielded
 
-        def claim(configs: Iterable[tuple[str, int]]) -> tuple[list[tuple[str, int]], list[str]]:
-            """The unseen configurations and their epsilon closure, marked
-            seen, and the accepting states first reached among them."""
+        def claim(configs: Iterable[tuple[str, int]]) -> Optional[dict]:
+            """Mark the unseen configurations and their epsilon closure
+            seen: None when one of them accepts, else their letter
+            successors by letter."""
             group = []
             for config in configs:
                 if config not in seen:
                     seen.add(config)
                     group.append(config)
-            accepted = []
+            successors: dict[str, list[tuple[str, int]]] = {}
             for state, value in group:  # grows while it is walked
-                if state in pending and self._is_accepting(state, value):
-                    pending.remove(state)
-                    accepted.append(state)
-                for read, guard, delta, dst in moves[state]:
-                    if read != EPSILON or not self._guard_ok(guard, value):
-                        continue
+                if self._is_accepting(state, value):
+                    return None
+                for read, guard, delta, dst in by_state[state]:
                     nxt = (dst, value + delta)
-                    if 0 <= nxt[1] <= top[dst] and nxt not in seen:
+                    if not 0 <= nxt[1] <= top.get(dst, -1) or not guard_ok(guard, value):
+                        continue
+                    if read != EPSILON:
+                        successors.setdefault(read, []).append(nxt)
+                    elif nxt not in seen:
                         seen.add(nxt)
                         group.append(nxt)
-            return group, accepted
+            return successors
 
-        def spell(node: Optional[tuple]) -> tuple[str, ...]:
-            """The word of a group, read back along its parent pointers."""
-            symbols = []
-            while node is not None:
-                node, symbol = node
-                symbols.append(symbol)
-            return tuple(reversed(symbols))
-
-        start, accepted = claim([(self.initial, 0)])
-        for state in accepted:
-            yield state, ()
+        start = claim([(self.initial, 0)])
+        if start is None:
+            return ()
         # a group's word is its node: None for the empty word, else the
         # pair (parent's node, last symbol)
-        level: list[tuple[Optional[tuple], list[tuple[str, int]]]] = [(None, start)]
-        while level and pending:
+        level: list[tuple[Optional[tuple], dict]] = [(None, start)]
+        while level:
             created = []
-            for node, group in level:
-                successors: dict[str, list[tuple[str, int]]] = {}
-                for state, value in group:
-                    for read, guard, delta, dst in moves[state]:
-                        if read == EPSILON or not self._guard_ok(guard, value):
-                            continue
-                        nval = value + delta
-                        if 0 <= nval <= top[dst]:
-                            successors.setdefault(read, []).append((dst, nval))
+            for node, successors in level:
                 for symbol in self.alphabet:
                     if symbol in successors:
-                        fresh, accepted = claim(successors[symbol])
-                        if fresh:
-                            child = (node, symbol)
-                            if accepted:
-                                word = spell(child)
-                                for state in accepted:
-                                    yield state, word
-                            created.append((child, fresh))
+                        child = (node, symbol)
+                        after = claim(successors[symbol])
+                        if after is None:
+                            symbols = []
+                            while child is not None:
+                                child, last = child
+                                symbols.append(last)
+                            return tuple(reversed(symbols))
+                        if after:
+                            created.append((child, after))
             level = created
+        return None
 
     # -- constructions -------------------------------------------------------
 
@@ -373,8 +341,8 @@ class CounterAutomaton(Frozen):
         plus the absorbing reject state REJECT, where a move that would
         take the counter below 0 or past the cap falls.  For a nonempty
         machine the default cap is large enough to keep some witness, so
-        emptiness is preserved.  least_words walks these configurations on
-        the fly; its first word is this automaton's shortest_witness.
+        emptiness is preserved.  least_word walks these configurations on
+        the fly and returns this automaton's shortest_witness.
         """
         return self._unfold(len(self.states) ** 2 if cap is None else cap)[0]
 

@@ -105,26 +105,28 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     method "auto" takes the counter route for counter filters and the
     grammar route otherwise; "bar-hillel" and "counter" ask for one route
     ("counter" on the one-pair bracket filter decides against
-    d1_counter()); "log2" runs log2_check on f.cnf_grammar and the
-    automaton as given, and reports its verdict with no witness and
-    CheckerStats.to_dict() as stats.  A route the filter lacks, or an
-    unknown method, is an InputError; the s_sharp_up filter, which has
-    no grammar, gets FilterSpec.filter_grammar's UnsupportedFilterError.
+    d1_counter(); "bar-hillel" on a counter filter runs on the CNF of
+    its CounterAutomaton.to_cfg()); "log2" runs log2_check on
+    f.cnf_grammar and the automaton as given, and reports its verdict
+    with no witness and CheckerStats.to_dict() as stats.  A route the
+    filter lacks, or an unknown method, is an InputError; the
+    s_sharp_up filter, which has no grammar, gets
+    FilterSpec.filter_grammar's UnsupportedFilterError.
 
     Grammar-backed filters go through intersection_shortest on the CNF
     filter grammar: the least word (shortest, then lexicographic over the
     sorted terminal names) of the implicit triple product, whose size
     |N|·|Q|²+1 is reported as nonterminals_created.  Counter filters go
-    through the product counter machine P: the witness is the first word
-    P.least_words(|P|²) yields, which walks the configurations of the
-    unfolding at counter cap |P|² on the fly, in the same (length, lex)
-    order, so it is the shortest witness of P's default unfolding.  It
-    claims no configuration above a state's value ceiling (the highest
-    value from which the counter can still come back to an accepting
-    zero), so an empty product whose counter can only climb ends at once;
-    the unfolding's size is still what states_created reports.  The
-    witness is re-checked against the automaton and the filter oracle
-    before return, by CounterAutomaton.accepts, which keeps no ceiling.
+    through the product counter machine P: the witness is
+    P.least_word(|P|²), which walks the configurations of the unfolding
+    at counter cap |P|² on the fly, in the same (length, lex) order, so
+    it is the shortest witness of P's default unfolding.  It claims no
+    configuration above a state's value ceiling (the highest value from
+    which the counter can still come back to an accepting zero), so an
+    empty product whose counter can only climb ends at once; the
+    unfolding's size is still what states_created reports.  The witness
+    is re-checked against the automaton and the filter oracle before
+    return, by CounterAutomaton.accepts, which keeps no ceiling.
     """
     if method == "counter" and f.kind != "counter":
         if not (f.kind == "dyck" and f.n == 1):
@@ -135,8 +137,6 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
                 f"no counter realization is registered for {what}; only dyck1 has a counter route"
             )
         f = _d1_counter_filter()
-    elif method in ("bar-hillel", "log2") and f.kind == "counter":
-        raise InputError("a counter-backed filter has no grammar route")
     elif method not in ("auto", "bar-hillel", "counter", "log2"):
         raise InputError(f"unknown method {method!r}")
     letters = set(f.alphabet)
@@ -147,11 +147,11 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     if method == "log2":
         checked = log2_check(f.cnf_grammar, a_full)
         return DecisionReport(checked.result, None, "log2", checked.to_dict())
-    if f.kind == "counter":
+    if f.kind == "counter" and method != "bar-hillel":
         product = f.automaton.product(a_full)
         size = len(product.states)
         cap = size**2
-        witness = next((word for _, word in product.least_words(cap)), None)
+        witness = product.least_word(cap)
         method = "counter"
         stats = {
             "nonterminals_created": 0,

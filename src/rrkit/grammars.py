@@ -393,21 +393,25 @@ def parse_grammar(text: str) -> Cfg:
 def format_grammar(g: Cfg) -> str:
     """Render a grammar in the text format, axiom group first.
 
-    Nonterminals that have no rules cannot be expressed in this format and
-    are silently dropped by a parse of the output.
+    parse_grammar reads the text back with the same axiom and rules, but
+    for nonterminals with no rules: the axiom is then written "A -> A",
+    which keeps it the axiom and derives no word; any other is left out,
+    so a parse reads it as a terminal where it occurs in a rule body.  A
+    symbol the format cannot carry (empty, holding whitespace or "|", or
+    on a left-hand side holding "->" or starting with "#") is an
+    InputError.
     """
-    order: list[str] = []
-    grouped: dict[str, list[tuple[str, ...]]] = {}
+    grouped: dict[str, list[tuple[str, ...]]] = {g.axiom: []}
     for lhs, rhs in g.rules:
-        if lhs not in grouped:
-            grouped[lhs] = []
-            order.append(lhs)
-        grouped[lhs].append(rhs)
-    if g.axiom in grouped:
-        order.remove(g.axiom)
-        order.insert(0, g.axiom)
+        grouped.setdefault(lhs, []).append(rhs)
+    if not grouped[g.axiom]:
+        grouped[g.axiom].append((g.axiom,))
     lines = []
-    for lhs in order:
-        alts = " | ".join(" ".join(rhs) for rhs in grouped[lhs])
-        lines.append(f"{lhs} -> {alts}")
+    for lhs, bodies in grouped.items():
+        if "->" in lhs or lhs.startswith("#"):
+            raise InputError(f"left-hand side {lhs!r} cannot be written in the grammar format")
+        for sym in (lhs, *(sym for rhs in bodies for sym in rhs)):
+            if not sym or "|" in sym or any(ch.isspace() for ch in sym):
+                raise InputError(f"symbol {sym!r} cannot be written in the grammar format")
+        lines.append(f"{lhs} -> " + " | ".join(" ".join(rhs) for rhs in bodies))
     return "\n".join(lines) + "\n"

@@ -184,6 +184,36 @@ def test_reduce_ssharpup_without_accepting_state(tmp_path, capsys):
     assert json.loads(out)["states"] == ["pre0"]
 
 
+def test_reduce_bar_hillel_refuses_state_names_the_text_cannot_carry(tmp_path, capsys):
+    """Product nonterminals [q,S,p] take the state names: a space or a "|"
+    in one would split the symbol on reading back, so the command refuses
+    it instead of printing text that parses as another grammar."""
+    grammar = tmp_path / "g.txt"
+    grammar.write_text("S -> a1 S abar1 |\n")
+    for state in ("q 0", "q|1"):
+        nfa = tmp_path / "a.json"
+        nfa.write_text(rrkit.Nfa.build(
+            ("a1", "abar1"), state, {state}, {(state, "a1", state)}
+        ).to_json())
+        err = assert_usage_error(
+            capsys, ["reduce", "bar-hillel", "--grammar", str(grammar), "--nfa", str(nfa)]
+        )
+        assert "cannot be written" in err
+
+
+def test_reduce_bar_hillel_empty_product_reads_back_empty(tmp_path, capsys):
+    """With no accepting state the product axiom S' has no rule; the text
+    keeps it the axiom, so the grammar read back derives no word."""
+    grammar = tmp_path / "g.txt"
+    grammar.write_text("S -> a1 S abar1 |\n")
+    nfa = tmp_path / "a.json"
+    nfa.write_text(rrkit.Nfa.build(("a1", "abar1"), "q", set(), {("q", "a1", "q")}).to_json())
+    assert main(["reduce", "bar-hillel", "--grammar", str(grammar), "--nfa", str(nfa)]) == 0
+    read_back = rrkit.parse_grammar(capsys.readouterr().out)
+    assert read_back.axiom == "S'"
+    assert read_back.shortest_word() is None
+
+
 def test_index_seed_env_default(monkeypatch, capsys):
     argv = ["index", "--filter", "dyck1", "--states", "3", "--sample", "40"]
     monkeypatch.setenv("RR_SEED", "7")

@@ -192,7 +192,7 @@ def test_to_nfa_preserves_emptiness_on_random_instances():
     for _ in range(40):
         c = random_counter(rng, max_states=3)
         unfolded = c.to_nfa()
-        native = next(c.least_words(len(c.states) ** 2), None)
+        native = c.least_word(len(c.states) ** 2)
         assert (native is not None) == (unfolded.shortest_witness() is not None), c
 
 
@@ -235,40 +235,39 @@ def test_to_nfa_matches_definition():
     assert pops == set(itertools.product(("any", "zero", "positive"), ACCEPT_MODES))
 
 
+def accepting_only(c, f):
+    """c with f its one accepting state."""
+    return CounterAutomaton(
+        c.states, c.alphabet, c.initial, frozenset({f}), c.transitions, c.accept_mode
+    )
+
+
 def test_least_words_matches_unfolding():
     """The configuration search returns the unfolding's witness word for
     word.  Ties break in the declared alphabet order: over ("b", "a")
-    that differs from the order of the label strings.  Every accepting
-    state comes once, with the unfolding's least word ending in it, and
-    the words come in (length, lex) order."""
+    that differs from the order of the label strings.  With one accepting
+    state kept, it returns the unfolding's least word ending there."""
     rng = random.Random(613)
     machines = [random_counter(rng, max_states=3) for _ in range(40)]
     machines += [dense_counter(rng, ("b", "a")) for _ in range(600)]
     for c in machines:
-        rank = {sym: k for k, sym in enumerate(c.alphabet)}
         for cap in (len(c.states) ** 2, 1):
             unfolded = c.to_nfa(cap=cap)
-            yielded = list(c.least_words(cap))
-            witness = unfolded.shortest_witness()
-            assert (yielded[0][1] if yielded else None) == witness, (c, cap)
-            keys = [(len(w), [rank[sym] for sym in w]) for _, w in yielded]
-            assert keys == sorted(keys), (c, cap)
-            least = dict(yielded)
-            assert len(least) == len(yielded), (c, cap)
+            assert c.least_word(cap) == unfolded.shortest_witness(), (c, cap)
             for f in c.accepting:
                 # the unfolded states (f, value) are named "(f,value)"
                 ends = frozenset(q for q in unfolded.accepting if q[1:].rpartition(",")[0] == f)
                 alone = Nfa(unfolded.states, c.alphabet, unfolded.initial, ends, unfolded.transitions)
-                assert least.get(f) == alone.shortest_witness(), (c, cap, f)
+                assert accepting_only(c, f).least_word(cap) == alone.shortest_witness(), (c, cap, f)
 
 
 def test_least_words_deep_shared_prefix():
     """Least words hundreds of letters long, climbing to the cap: a chain
     of K states reads a^K, pushing the counter to K, and then f1 needs it
     back at zero (a^K b^K c) while f2 takes c at once (a^K b c).  The two
-    words share the prefix a^K b, so both are spelled from one chain of
-    back-pointers; each must be the unfolding's least word ending in its
-    state, and nothing is accepted when the cap is below K."""
+    words share the prefix a^K b; with both states accepting the search
+    returns the shorter, and with one it returns the unfolding's least
+    word ending there.  Nothing is accepted when the cap is below K."""
     k = 120
     chain = [f"c{i}" for i in range(k)]
     moves = {(src, "a", "any", 1, dst) for src, dst in zip(chain, chain[1:] + ["top"])}
@@ -279,18 +278,16 @@ def test_least_words_deep_shared_prefix():
         ("down", "c", "positive", 0, "f2"),
     }
     c = CounterAutomaton.build(("a", "b", "c"), "c0", {"f1", "f2"}, moves)
+    least = {"f2": ("a",) * k + ("b", "c"), "f1": ("a",) * k + ("b",) * k + ("c",)}
     for cap in (k, k + 3):
-        yielded = list(c.least_words(cap))
-        assert yielded == [
-            ("f2", ("a",) * k + ("b", "c")),
-            ("f1", ("a",) * k + ("b",) * k + ("c",)),
-        ]
+        assert c.least_word(cap) == least["f2"]
         unfolded = c.to_nfa(cap=cap)
-        for f, word in yielded:
+        for f, word in least.items():
+            assert accepting_only(c, f).least_word(cap) == word, (cap, f)
             ends = frozenset(q for q in unfolded.accepting if q.startswith(f"({f},"))
             alone = Nfa(unfolded.states, c.alphabet, unfolded.initial, ends, unfolded.transitions)
             assert word == alone.shortest_witness(), (cap, f)
-    assert list(c.least_words(k - 1)) == []
+    assert c.least_word(k - 1) is None
 
 
 @pytest.mark.parametrize("epsilon", [True, False])
@@ -303,18 +300,19 @@ def test_least_words_needs_a_quadratic_cap(epsilon):
     product = d1_counter().product(coprime_cycle_nfa(3, 4, epsilon))
     size = len(product.states)
     assert size == 8
-    assert list(product.least_words(size)) == []
+    assert product.least_word(size) is None
     assert product.to_nfa(size).shortest_witness() is None
     word = ("a1",) * 12 + ("abar1",) * 12
-    assert list(product.least_words(size**2)) == [(pair_name("q0", "q4"), word)]
+    assert product.least_word(size**2) == word
     assert product.to_nfa().shortest_witness() == word
 
 
 @pytest.mark.parametrize("mode", ["final_state", "final_state_and_zero"])
 def test_least_words_skips_a_dead_pumping_branch(mode):
     """A branch that pumps the counter and reaches no accepting state
-    changes no yield: the machine with it yields what the machine
-    without it yields, and its first word is the unfolding's witness.
+    changes no word: the machine with it returns what the machine
+    without it returns, the unfolding's witness, with both accepting
+    states and with each alone.
     The branch reads "a", the first letter, from the initial state, and
     its epsilon loop climbs to the cap; the search drops its moves."""
     live = {
@@ -335,14 +333,16 @@ def test_least_words_skips_a_dead_pumping_branch(mode):
     with_branch = CounterAutomaton.build(alphabet, "q0", {"f", "g"}, live | dead, accept_mode=mode)
     assert {"d0", "d1"} <= with_branch.states
     for cap in (1, 3, len(with_branch.states) ** 2):
-        yielded = list(with_branch.least_words(cap))
-        assert yielded == list(without.least_words(cap)), cap
-        witness = with_branch.to_nfa(cap).shortest_witness()
-        assert (yielded[0][1] if yielded else None) == witness, cap
-    assert list(with_branch.least_words(3)) == [("f", ("a", "b")), ("g", ("a", "b", "a"))]
+        word = with_branch.least_word(cap)
+        assert word == without.least_word(cap) == with_branch.to_nfa(cap).shortest_witness(), cap
+        for f in ("f", "g"):
+            alone = accepting_only(with_branch, f).least_word(cap)
+            assert alone == accepting_only(without, f).least_word(cap), (cap, f)
+    assert with_branch.least_word(3) == ("a", "b")
+    assert accepting_only(with_branch, "g").least_word(3) == ("a", "b", "a")
     # with every accepting state dead, only the initial state is searched
     stuck = CounterAutomaton.build(alphabet, "q0", {"f"}, dead, states={"f"}, accept_mode=mode)
-    assert list(stuck.least_words(len(stuck.states) ** 2)) == []
+    assert stuck.least_word(len(stuck.states) ** 2) is None
     assert stuck.to_nfa().shortest_witness() is None
 
 
@@ -359,7 +359,7 @@ def unfolded_configs_to_acceptance(c, cap):
 def test_ceiling_bounds_every_configuration_that_reaches_acceptance():
     """Every configuration (q, v) from which an accepting configuration is
     reachable under the cap has q in _ceiling and v <= _ceiling[q], so
-    least_words cuts no configuration on an accepting run.  The reference
+    least_word cuts no configuration on an accepting run.  The reference
     is a backward search over the configurations from the definition,
     checked against the unfolding at the same cap, in both accept modes;
     the machines include d1 products of NFAs with epsilon moves."""
@@ -409,9 +409,7 @@ def test_ceiling_values(mode):
     else:
         expected = dict.fromkeys(("c0", "c1", "c2", "f", "m", "l", "z", "y", "u", "w"), math.inf)
     assert c._ceiling == expected
-    assert set(c._live_moves) == set(expected)
-    d1 = d1_counter()
-    assert d1._ceiling == {"q0": math.inf} and d1._live_moves is d1._by_state
+    assert d1_counter()._ceiling == {"q0": math.inf}
 
 
 @pytest.mark.parametrize("epsilon", [True, False])
@@ -429,7 +427,7 @@ def test_ceiling_stops_a_climb_that_cannot_come_back(epsilon):
     assert len(ceiling) <= 1
     assert all(v == math.inf or v <= len(product.states) for v in ceiling.values())
     assert ceiling == {pair_name("q0", "f"): 0}
-    assert list(product.least_words(10**6)) == []
+    assert product.least_word(10**6) is None
 
 
 def epsilon_pump():
@@ -450,14 +448,14 @@ def test_accepts_follows_epsilon_runs_past_a_linear_cap():
     """The membership oracle of a counter filter caps the counter at
     (|Q|·(|w|+1))², the |P|² of the machine's product P with the word's
     path.  A linear cap |w|·|Q| + |Q| = 13 cuts off the run at 21: accepts
-    then said no, while least_words found the empty word, so nrr_decide
+    then said no, while least_word found the empty word, so nrr_decide
     rejected its own witness."""
     c = epsilon_pump()
     assert len(c.states) == 13
     assert c.accepts(())
     assert not c.accepts(("a1",))
-    assert list(c.least_words(13)) == []
-    assert list(c.least_words(len(c.states) ** 2)) == [("d0", ())]
+    assert c.least_word(13) is None
+    assert c.least_word(len(c.states) ** 2) == ()
     one_state = Nfa.build(("a1", "abar1"), "q", {"q"}, set())
     report = nrr_decide(one_state, FilterSpec.from_counter(c))
     assert report.nonempty and report.witness == ()

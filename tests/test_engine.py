@@ -240,8 +240,9 @@ def test_lane_index_keeps_a_long_lane_after_its_neighbours_close(f, p, q):
 
 def test_decide_methods():
     """nrr_decide selects the route: an explicit route agrees with auto,
-    log2 reports log2_check's figures, and a route the filter lacks is an
-    InputError."""
+    log2 reports log2_check's figures, a counter filter takes the grammar
+    routes on its machine's grammar with the verdict and witness of
+    dyck1, and a route the filter lacks is an InputError."""
     rng = random.Random(1317)  # draws empty and nonempty instances, witnesses of length 0 to 6
     dyck1 = FilterSpec.dyck(1)
     counter_filter = FilterSpec.from_counter(d1_counter())
@@ -253,6 +254,10 @@ def test_decide_methods():
         counter = nrr_decide(a, dyck1, "counter")
         assert counter.method == "counter" and counter.witness == auto.witness, a
         assert nrr_decide(a, counter_filter, "counter") == nrr_decide(a, counter_filter), a
+        grammar_route = nrr_decide(a, counter_filter, "bar-hillel")
+        assert (grammar_route.nonempty, grammar_route.witness) == (auto.nonempty, auto.witness), a
+        counter_log2 = nrr_decide(a, counter_filter, "log2")
+        assert (counter_log2.method, counter_log2.nonempty) == ("log2", auto.nonempty), a
         log2 = nrr_decide(a, dyck1, "log2")
         assert (log2.method, log2.nonempty, log2.witness) == ("log2", auto.nonempty, None), a
         assert log2.stats == log2_check(g, epsilon_free(a)).to_dict(), a
@@ -263,9 +268,6 @@ def test_decide_methods():
         nrr_decide(sym, FilterSpec.symmetric(), "counter")
     with pytest.raises(InputError, match="no counter realization .* 2 bracket pairs; only dyck1"):
         nrr_decide(pair_machine(), FilterSpec.dyck(2), "counter")
-    for method in ("bar-hillel", "log2"):
-        with pytest.raises(InputError, match="no grammar route"):
-            nrr_decide(pair_machine(), counter_filter, method)
     with pytest.raises(InputError, match="unknown method"):
         nrr_decide(pair_machine(), dyck1, "bogus")
 

@@ -60,6 +60,48 @@ def test_format_round_trip():
     assert h.axiom == g.axiom
 
 
+def test_format_reads_back_or_refuses():
+    """Seeded grammars with names drawn from a pool of legal and illegal
+    spellings: format_grammar refuses exactly those with a symbol the
+    text cannot carry, and otherwise parse_grammar reads back the same
+    axiom, rules and least word, a rule-less axiom as "A -> A"."""
+    legal = ["S'", "[q0,S,q1]", "(p,q)", "a->b", "#a", "x#"]
+    illegal = ["", "q 0", "q|1", "tab\tx", "line\nx"]
+    lhs_only_illegal = ["A->B", "#A"]
+    rng = random.Random(3001)
+    refused = kept = emptied = 0
+    for _ in range(400):
+        g = random_cnf(rng, terminals=("a1", "abar1"))
+        names = {}
+        for sym in sorted(g.nonterminals | g.terminals):
+            pool = legal + illegal + lhs_only_illegal if rng.random() < 0.15 else [None]
+            choice = rng.choice(pool)
+            names[sym] = sym if choice is None or choice in names.values() else choice
+        rules = [(names[lhs], [names[s] for s in rhs]) for lhs, rhs in g.rules]
+        if rng.random() < 0.2:  # the axiom keeps no rule
+            rules = [(lhs, rhs) for lhs, rhs in rules if lhs != names[g.axiom]]
+            emptied += 1
+        h = Cfg.build(rules, names[g.axiom], terminals=[names[t] for t in g.terminals])
+        written = {lhs for lhs, _ in h.rules} | {h.axiom}
+        bad = any(
+            not s or "|" in s or any(ch.isspace() for ch in s)
+            or s in written and ("->" in s or s.startswith("#"))
+            for s in written | {s for _, rhs in h.rules for s in rhs}
+        )
+        if bad:
+            with pytest.raises(InputError, match="cannot be written"):
+                format_grammar(h)
+            refused += 1
+            continue
+        back = parse_grammar(format_grammar(h))
+        assert back.axiom == h.axiom
+        extra = () if any(lhs == h.axiom for lhs, _ in h.rules) else ((h.axiom, (h.axiom,)),)
+        assert set(back.rules) == set(h.rules) | set(extra)
+        assert back.shortest_word() == h.shortest_word()
+        kept += 1
+    assert refused > 20 and kept > 200 and emptied > 40
+
+
 def test_cnf_shape():
     g = parse_grammar(D1_TEXT).cnf()
     assert g.is_cnf()
