@@ -1,10 +1,9 @@
 """The product grammar behind the grammar route.
 
 Intersecting a context-free grammar with an NFA yields another grammar
-whose nonterminals are (state, nonterminal, state) triples.  For an
-epsilon-free machine the construction creates exactly |N| * |Q|^2 + 1 of
-them, one per triple plus a fresh axiom, whether or not a triple can
-derive anything.
+whose nonterminals are (state, nonterminal, state) triples.  The
+construction creates exactly |N| * |Q|^2 + 1 of them, one per triple plus
+a fresh axiom, whether or not a triple can derive anything.
 """
 
 from rrkit import Nfa, bar_hillel

@@ -175,7 +175,12 @@ class CounterAutomaton(Frozen):
         The word is first read backward with the counter ignored: live[i]
         holds the states from which w[i:] may reach acceptance.  The search
         enters no configuration outside them, and says no before it walks
-        any value when the initial state is not in live[0].
+        any value when the initial state is not in live[0].  Nor does it
+        enter a value above the state's ceiling (_ceiling, shared with
+        least_word), from which no run returns to an accepting zero.  A
+        cut only removes runs, so a wrong ceiling would make accepts
+        reject more: nrr_decide's re-check of least_word's witness would
+        then raise "witness rejected", and never pass a wrong witness.
         """
         w = tuple(word)
         for sym in w:
@@ -194,6 +199,7 @@ class CounterAutomaton(Frozen):
             return False
         n = len(w)
         cap = (len(self.states) * (n + 1)) ** 2
+        top = {q: min(c, cap) for q, c in self._ceiling.items()}
         by_state, guard_ok = self._by_state, self._guard_ok
         start = (self.initial, 0, 0)
         seen = {start}
@@ -212,7 +218,7 @@ class CounterAutomaton(Frozen):
                 if dst not in live[npos] or not guard_ok(guard, value):
                     continue
                 nval = value + delta
-                if nval < 0 or nval > cap:
+                if nval < 0 or nval > top.get(dst, -1):
                     continue
                 config = (dst, npos, nval)
                 if config not in seen:

@@ -391,12 +391,14 @@ def parse_grammar(text: str) -> Cfg:
 
 
 def format_grammar(g: Cfg) -> str:
-    """Render a grammar in the text format, axiom group first.
+    """Render a grammar in the text format: the axiom's group first, then
+    the other groups in the order of their first rule, then the
+    nonterminals with no rules in sorted order.
 
-    parse_grammar reads the text back with the same axiom and rules, but
-    for nonterminals with no rules: the axiom is then written "A -> A",
-    which keeps it the axiom and derives no word; any other is left out,
-    so a parse reads it as a terminal where it occurs in a rule body.  A
+    parse_grammar reads the text back with the same axiom, nonterminals
+    and rules, plus "X -> X" for each nonterminal X with no rules, which
+    keeps X a nonterminal and derives no word.  Its terminals are those
+    that occur in some rule body: the text cannot declare another.  A
     symbol the format cannot carry (empty, holding whitespace or "|", or
     on a left-hand side holding "->" or starting with "#") is an
     InputError.
@@ -404,8 +406,8 @@ def format_grammar(g: Cfg) -> str:
     grouped: dict[str, list[tuple[str, ...]]] = {g.axiom: []}
     for lhs, rhs in g.rules:
         grouped.setdefault(lhs, []).append(rhs)
-    if not grouped[g.axiom]:
-        grouped[g.axiom].append((g.axiom,))
+    for sym in sorted(g.nonterminals):
+        grouped.setdefault(sym, [])
     lines = []
     for lhs, bodies in grouped.items():
         if "->" in lhs or lhs.startswith("#"):
@@ -413,5 +415,5 @@ def format_grammar(g: Cfg) -> str:
         for sym in (lhs, *(sym for rhs in bodies for sym in rhs)):
             if not sym or "|" in sym or any(ch.isspace() for ch in sym):
                 raise InputError(f"symbol {sym!r} cannot be written in the grammar format")
-        lines.append(f"{lhs} -> " + " | ".join(" ".join(rhs) for rhs in bodies))
+        lines.append(f"{lhs} -> " + " | ".join(" ".join(rhs) for rhs in bodies or [(lhs,)]))
     return "\n".join(lines) + "\n"

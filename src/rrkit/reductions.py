@@ -1,9 +1,10 @@
 """Grammar/automaton constructions the decision engine is built from.
 
-Contents: the triple-product grammar for a CFG/NFA intersection; one
-ordered search over the same triples that answers intersection questions
-without materializing the grammar; a transducer turning Dyck words into
-the words of a given grammar; the derivation-height bound; the height
+Contents: the triple-product grammar for a CFG/NFA intersection, which
+keeps the input's terminals in its rule bodies; one ordered search over
+the same triples that answers intersection questions without
+materializing the grammar; a transducer turning Dyck words into the
+words of a given grammar; the derivation-height bound; the height
 marking, which is the counter unfolding (CounterAutomaton.to_nfa) of the
 input machine read as a one-counter machine; and the morphism reduction
 embedding two-pair bracket realizability into S_#^up.
@@ -41,16 +42,17 @@ def _check_terminals(g: Cfg, a: Nfa) -> None:
 
 
 def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
-    """Triple-product grammar generating L(g) ∩ L(a).
+    """Triple-product grammar generating L(g) ∩ L(a) (Bar-Hillel, Perles
+    and Shamir, 1961).
 
     Nonterminals are a fresh axiom plus [q,A,p] for every grammar
-    nonterminal A and automaton state pair; a word derived from [q,A,p]
-    takes the automaton from q to p.  Epsilon transitions of the automaton
-    are absorbed by closing junction states under epsilon reachability.
-    Terminal rules A -> s become direct rules [q,A,p] -> s, so for a CNF
-    input the nonterminal count is exactly |N|*|Q|^2 + 1; bracket
-    nonterminals [q,s,p] for terminal s are materialized only for longer
-    mixed rule bodies.
+    nonterminal A and automaton state pair, exactly |N|·|Q|²+1 of them
+    for every grammar; a word derived from [q,A,p] takes the automaton
+    from q to p.  Terminals stay terminals: a rule A -> X1..Xk becomes
+    [q,A,p] -> Y1..Yk, where a terminal Xi is kept and read on one letter
+    move (epsilon-closed, Nfa._closed_step), and a nonterminal Xi becomes
+    [u,Xi,v] for any v.  The first symbol starts at q, the last ends at p,
+    and each junction may cross an epsilon path, as an epsilon rule may.
     """
     terminal_set = set(g.terminals)
     _check_terminals(g, a)
@@ -68,49 +70,30 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     for q_f in sorted(a.accepting):
         rules[(axiom, (_triple(a.initial, g.axiom, q_f),))] = None
 
-    # terminal bracket nonterminals demanded by mixed rule bodies, in
-    # first-use order; maps to True once the matching rule is emittable
-    bracket_uses: dict[tuple[str, str, str], None] = {}
-
-    def chain_bodies(rhs: tuple[str, ...], q: str, p: str) -> Iterator[tuple[str, ...]]:
-        # boundary states: the first symbol starts exactly at q, the last
-        # ends exactly at p, and each junction may cross an epsilon path
-        def walk(i: int, start: str, acc: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-            sym = rhs[i]
+    def bodies(rhs: tuple[str, ...], i: int, start: str, p: str) -> Iterator[tuple[str, ...]]:
+        # the bodies of rhs[i:] that take a from start to p
+        sym = rhs[i]
+        terminal = sym in terminal_set
+        for v in step.get((start, sym), ()) if terminal else states:
+            here = sym if terminal else _triple(start, sym, v)
             if i == len(rhs) - 1:
-                yield acc + (_use(start, sym, p),)
-                return
-            for v in states:
-                here = _use(start, sym, v)
-                for u in closure[v]:
-                    yield from walk(i + 1, u, acc + (here,))
-
-        def _use(u: str, sym: str, v: str) -> str:
-            if sym in terminal_set:
-                bracket_uses.setdefault((u, sym, v), None)
-            return _triple(u, sym, v)
-
-        return walk(0, q, ())
+                if v == p:
+                    yield (here,)
+                continue
+            # a terminal's step is epsilon-closed already
+            for u in (v,) if terminal else closure[v]:
+                for rest in bodies(rhs, i + 1, u, p):
+                    yield (here,) + rest
 
     for lhs, rhs in g.rules:
-        if rhs == ():
-            for q in states:
+        for q in states:
+            if rhs == ():
                 for p in closure[q]:
                     rules[(_triple(q, lhs, p), ())] = None
-        elif len(rhs) == 1 and rhs[0] in terminal_set:
-            for q in states:
-                for p in step.get((q, rhs[0]), ()):
-                    rules[(_triple(q, lhs, p), (rhs[0],))] = None
-        else:
-            for q in states:
-                for p in states:
-                    for body in chain_bodies(rhs, q, p):
-                        rules[(_triple(q, lhs, p), body)] = None
-
-    for u, sigma, v in bracket_uses:
-        nonterminals.append(_triple(u, sigma, v))
-        if v in step.get((u, sigma), ()):
-            rules[(_triple(u, sigma, v), (sigma,))] = None
+                continue
+            for p in states:
+                for body in bodies(rhs, 0, q, p):
+                    rules[(_triple(q, lhs, p), body)] = None
 
     return Cfg(frozenset(nonterminals), g.terminals, tuple(rules), axiom)
 

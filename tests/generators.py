@@ -50,6 +50,20 @@ def random_cnf(rng, max_nonterminals=4, terminals=("a1", "abar1")):
     return Cfg.build(rules, axiom, nonterminals=nts, terminals=terminals)
 
 
+def random_cfg(rng, max_nonterminals=4, terminals=("a1", "abar1")):
+    """A random grammar in no normal form: bodies of length 0-4 that mix
+    terminals and nonterminals, the axiom among them, epsilon rules, and
+    now and then a nonterminal with no rule (the axiom too)."""
+    nts = [f"N{i}" for i in range(rng.randint(1, max_nonterminals))]
+    symbols = nts + list(terminals)
+    rules = [
+        (nt, tuple(rng.choice(symbols) for _ in range(rng.randint(0, 4))))
+        for nt in nts
+        for _ in range(rng.choice((0, 1, 2, 3)))
+    ]
+    return Cfg.build(rules, nts[0], nonterminals=nts, terminals=terminals)
+
+
 def random_word(rng, alphabet, max_len=8):
     return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
 

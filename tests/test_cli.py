@@ -214,6 +214,17 @@ def test_reduce_bar_hillel_empty_product_reads_back_empty(tmp_path, capsys):
     assert read_back.shortest_word() is None
 
 
+def test_reduce_bar_hillel_golden_reads_back_as_the_product():
+    """The product that the reduce-bar-hillel golden records keeps its
+    terminals in the rule bodies, so its text reads back with the
+    product's terminals and least word, not with triples as letters."""
+    golden = json.loads((TESTS_DIR / "data" / "golden" / "reduce-bar-hillel.json").read_text())
+    read_back = rrkit.parse_grammar(golden["stdout"])
+    assert read_back.axiom == "S'"
+    assert read_back.terminals == {"a1", "abar1"}
+    assert read_back.shortest_word() == ("a1", "abar1")
+
+
 def test_index_seed_env_default(monkeypatch, capsys):
     argv = ["index", "--filter", "dyck1", "--states", "3", "--sample", "40"]
     monkeypatch.setenv("RR_SEED", "7")

@@ -488,6 +488,35 @@ def test_accepts_rejects_a_dead_word_without_walking_the_counter(monkeypatch):
     assert c.accepts(("a", "b"))
 
 
+def test_accepts_stops_at_the_value_ceiling(monkeypatch):
+    """The chain of the test above, but p5 moves on epsilon under
+    "positive" into f, which accepts only at zero, and no move counts
+    down.  Every state stays live at every position of aⁿ, so only the
+    counter forbids acceptance: every state's value ceiling is 0, and
+    accepts walks no higher.  Capped only at (|Q|·(|w|+1))², it checked
+    a guard at every value up to 5,929 for a¹⁰, and the wrapper stops it
+    after 1,000 checks."""
+    moves = {("p5", "", "positive", 0, "f")}
+    moves |= {(f"p{i}", "", "any", 0, f"p{i + 1}") for i in range(5)}
+    for i in range(6):
+        moves |= {(f"p{i}", "", "any", 1, f"p{i}"), (f"p{i}", "a", "any", 0, f"p{i}")}
+    c = CounterAutomaton.build(("a",), "p0", {"f"}, moves, accept_mode="final_state_and_zero")
+    assert set(c._ceiling.values()) == {0}
+    calls = 0
+    guard_ok = CounterAutomaton._guard_ok
+
+    def counted(self, guard, value):
+        nonlocal calls
+        calls += 1
+        assert calls <= 1_000, "accepts walked the counter"
+        return guard_ok(self, guard, value)
+
+    monkeypatch.setattr(CounterAutomaton, "_guard_ok", counted)
+    for n in (0, 1, 10):
+        assert not c.accepts(("a",) * n)
+    assert calls > 0
+
+
 def test_validation():
     with pytest.raises(InputError):
         CounterAutomaton.build(("a",), "s", {"s"}, {("s", "a", "wat", 0, "s")})

@@ -54,8 +54,8 @@ def test_parse_errors():
 def test_format_round_trip():
     g = parse_grammar(D1_TEXT)
     h = parse_grammar(format_grammar(g))
-    # rule-less nonterminals are dropped by the formatter, so compare
-    # the parts that matter for the language
+    # the formatter writes a rule-less nonterminal X as "X -> X", so
+    # compare the parts that matter for the language
     assert h.rules == g.rules
     assert h.axiom == g.axiom
 

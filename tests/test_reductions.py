@@ -6,6 +6,7 @@ small grammar.
 """
 
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from rrkit import (
     Nfa,
     bar_hillel,
     cs_transducer,
+    format_grammar,
     height_bound,
     intersection_nonempty,
     intersection_shortest,
@@ -33,7 +35,7 @@ from rrkit.filters import (
 )
 from rrkit.reductions import D2_ALPHABET, _derivable
 
-from generators import random_cnf, random_nfa
+from generators import random_cfg, random_cnf, random_nfa
 from oracles import (
     dyck_oracle,
     dyck_words,
@@ -44,6 +46,8 @@ from oracles import (
     ssharpup_by_two_trims,
     string_keyed_closure,
 )
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def product_words(g, a, max_len):
@@ -80,11 +84,14 @@ def test_bar_hillel_epsilon_junctions():
     assert product_words(g, a, 4) == {("a1", "abar1")}
 
 
-def test_bar_hillel_nonterminal_count_epsilon_free_cnf():
+def test_bar_hillel_nonterminal_count():
+    """The fresh axiom and one [q,A,p] per triple, |N|·|Q|²+1 in all, for
+    every grammar: a CNF one on rings of 1-3 states, and d1.txt's
+    S -> a1 S abar1 | S S | (no normal form), whose terminals stay in the
+    bodies, on the golden's pair machine and on one with epsilon moves."""
     g = parse_grammar("S -> A B\nA -> a1\nB -> abar1")
     assert g.is_cnf()
     for states in (1, 2, 3):
-        a = random_nfa(random.Random(states), max_states=1, alphabet=("a1", "abar1"))
         a = Nfa.build(
             ("a1", "abar1"),
             "q0",
@@ -94,6 +101,44 @@ def test_bar_hillel_nonterminal_count_epsilon_free_cnf():
         )
         prod = bar_hillel(g, a)
         assert len(prod.nonterminals) == 3 * states**2 + 1, states
+    d1 = parse_grammar((DATA / "d1.txt").read_text())
+    assert not d1.is_cnf()
+    pair = Nfa.from_json((DATA / "pair.json").read_text())
+    eps = Nfa.build(
+        ("a1", "abar1"),
+        "q0",
+        {"q0"},
+        {("q0", "a1", "q1"), ("q1", "", "q2"), ("q2", "abar1", "q3"), ("q3", "", "q0")},
+    )
+    for a in (pair, eps):
+        prod = bar_hillel(d1, a)
+        assert len(prod.nonterminals) == len(a.states) ** 2 + 1, a
+    assert len(bar_hillel(d1, pair).rules) == 32
+
+
+def test_bar_hillel_text_reads_back_as_the_product():
+    """The text format_grammar writes for a product reads back with the
+    product's axiom and least word, the same CYK verdict on every word up
+    to length 4, and as terminals those of the product that occur in some
+    rule body (the text cannot declare another).  Seeded grammars in no
+    normal form, with epsilon rules and nonterminals that have no rule,
+    against machines of at most 3 states, half with epsilon moves."""
+    rng = random.Random(931)
+    words = [w for n in range(5) for w in itertools.product(("a1", "abar1"), repeat=n)]
+    nonempty = 0
+    for i in range(60):
+        g = random_cfg(rng)
+        a = random_nfa(rng, max_states=3, allow_epsilon=i % 2 == 1)
+        prod = bar_hillel(g, a)
+        back = parse_grammar(format_grammar(prod))
+        assert back.axiom == prod.axiom, (g, a)
+        assert back.terminals == prod.terminals & {s for _, rhs in prod.rules for s in rhs}, (g, a)
+        assert back.shortest_word() == prod.shortest_word(), (g, a)
+        nonempty += prod.shortest_word() is not None
+        prod_cnf, back_cnf = prod.cnf(), back.cnf()
+        for w in words:
+            assert (set(w) <= back.terminals and back_cnf.cyk(w)) == prod_cnf.cyk(w), (g, a, w)
+    assert nonempty >= 15
 
 
 def test_bar_hillel_fresh_axiom_and_terminal_check():
