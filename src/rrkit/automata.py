@@ -77,6 +77,20 @@ def check_machine(
         raise InputError(f"accepting states {sorted(bad)} are not states")
 
 
+def _require_fields(value: object, fields: tuple[str, ...], what: str) -> None:
+    """Reject a loaded JSON value unless it is an object holding every
+    one of `fields`; the message names `what` and the fields expected."""
+    if not isinstance(value, dict):
+        got = type(value).__name__
+    else:
+        missing = [field for field in fields if field not in value]
+        if not missing:
+            return
+        got = f"one without {missing[0]!r}"
+    expected = ", ".join(map(repr, fields[:-1])) + f" and {fields[-1]!r}"
+    raise InputError(f"{what} must be an object with fields {expected}, got {got}")
+
+
 def escape(name: str, separator: str = ",") -> str:
     """`name` with backslash and `separator` escaped by a backslash, so
     that names joined by `separator` split back one way only.  A name free
@@ -128,12 +142,25 @@ def synchronized_moves(
 
 def machine_json(
     fields: Mapping[str, Union[str, list[str]]],
+    states: Iterable[str],
     transition_keys: tuple[str, ...],
     transitions: Iterable[tuple[str, ...]],
 ) -> str:
     """The text of json.dumps(doc, indent=2, sort_keys=True) plus a newline,
-    byte for byte, for the document doc = {**fields, "transitions": [...]}
-    whose transitions are dict(zip(transition_keys, t)), in the order given.
+    byte for byte, for the document doc = {**fields, "states":
+    sorted(states), "transitions": [...]} whose transitions are
+    dict(zip(transition_keys, t)) for t in sorted(transitions).
+
+    The writer owns that order.  It sorts the state names once, for the
+    "states" list, and writes the transitions grouped under their source
+    t[0] in that name order, sorting only a group of two or more, by the
+    whole tuple.  That is the order of sorted(transitions), since tuples
+    compare by their first item before the rest, provided every source is
+    one of `states`, which the machine constructors check.  A reduction's
+    output runs to tens of thousands of moves, most of them the one move
+    out of a middle state, so the grouping does much less comparing than
+    one sort of every tuple.  The grouping table and the ordered list are
+    freed before any record is built, so that they do not add to the peak.
 
     Every value is a string or a list of strings.  The writer exists
     because json.dumps with an indent skips the C encoder and runs the
@@ -147,12 +174,24 @@ def machine_json(
     joining every escaped value into the document directly kept all of
     them alive to the end, a larger peak than the records they make up.
     """
+    names = sorted(states)
+    groups: dict[str, list[tuple[str, ...]]] = {q: [] for q in names}
+    for t in transitions:
+        groups[t[0]].append(t)
+    ordered: list[tuple[str, ...]] = []
+    for group in groups.values():
+        if len(group) > 1:
+            group.sort()
+        ordered += group
+    del groups
     enc = encode_basestring_ascii
     values: dict[str, Iterable[str]] = {
         key: (enc(value),) if isinstance(value, str) else _json_list(value)
         for key, value in fields.items()
     }
-    values["transitions"] = _json_records(transition_keys, list(zip(*transitions)))
+    values["states"] = _json_list(names)
+    values["transitions"] = _json_records(transition_keys, list(zip(*ordered)))
+    del ordered
     text = []
     separator = "{\n  "
     for key in sorted(values):
@@ -351,33 +390,42 @@ class Nfa(Frozen):
     # -- serialization ----------------------------------------------------
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "Nfa":
-        try:
-            # a string in a list field would otherwise be read as its characters
-            for field in ("states", "alphabet", "accepting", "transitions"):
-                if not isinstance(data[field], list):
-                    kind = type(data[field]).__name__
-                    raise InputError(f"field {field!r} must be a list, got {kind}")
-            return cls(
-                frozenset(data["states"]),
-                tuple(data["alphabet"]),
-                data["initial"],
-                frozenset(data["accepting"]),
-                frozenset((t["from"], t["label"], t["to"]) for t in data["transitions"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed automaton object: {exc}") from exc
+    def from_dict(cls, data: object) -> "Nfa":
+        """The NFA a loaded JSON document describes, in the form to_json
+        writes.  A document of another shape is an InputError that names
+        the shape expected."""
+        _require_fields(data, ("states", "alphabet", "initial", "accepting", "transitions"),
+                        "an automaton")
+        # a string in a list field would otherwise be read as its characters
+        for field in ("states", "alphabet", "accepting", "transitions"):
+            if not isinstance(data[field], list):
+                kind = type(data[field]).__name__
+                raise InputError(f"field {field!r} must be a list, got {kind}")
+        moves = []
+        for i, t in enumerate(data["transitions"]):
+            _require_fields(t, ("from", "label", "to"), f"transition {i}")
+            moves.append((t["from"], t["label"], t["to"]))
+        # before any name is hashed: a list in place of a name is unhashable
+        require_strings(chain(data["states"], data["alphabet"], data["accepting"],
+                              (data["initial"],), chain.from_iterable(moves)))
+        return cls(
+            frozenset(data["states"]),
+            tuple(data["alphabet"]),
+            data["initial"],
+            frozenset(data["accepting"]),
+            frozenset(moves),
+        )
 
     def to_json(self) -> str:
         return machine_json(
             {
-                "states": sorted(self.states),
                 "alphabet": list(self.alphabet),
                 "initial": self.initial,
                 "accepting": sorted(self.accepting),
             },
+            self.states,
             ("from", "label", "to"),
-            sorted(self.transitions),
+            self.transitions,
         )
 
     @classmethod

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
 from .automata import EPSILON, Nfa, escape
@@ -365,19 +367,45 @@ def _live_band(a: Nfa, m: int) -> dict[str, int]:
     backward from the accepting pairs, over a's own moves, each shifting a
     whole mask of levels at once (opens up, closes down, epsilon moves
     level).  Levels pushed out of the band are dropped, as the marking
-    sends those moves to its reject state.
+    sends those moves to its reject state.  A state's bracket self-loops
+    are saturated when it is taken off the worklist, by doubling the
+    shift until the mask stops growing, rather than one level per pass
+    around the loop; this is exact because a run along a loop climbs or
+    falls monotonely, so it stays in the band if its last level does.
     """
     band = (1 << (m + 1)) - 1
 
+    def saturate(mask: int, shifts: list[int]) -> int:
+        # closed under every shift: after the steps s, 2s, .., 2^k s the
+        # mask holds every level j·s away from one of its own, j < 2^(k+1)
+        grown = True
+        while grown:
+            grown = False
+            for step in shifts:
+                while True:
+                    moved = (mask << step if step > 0 else mask >> -step) & band
+                    if moved | mask == mask:
+                        break
+                    mask |= moved
+                    step *= 2
+                    grown = True
+        return mask
+
     def closure(seeds: Mapping[str, int], moves: list[tuple[str, int, str]]) -> dict[str, int]:
         out: dict[str, list[tuple[int, str]]] = {}
+        loops: dict[str, list[int]] = {}
         for src, shift, dst in moves:
-            out.setdefault(src, []).append((shift, dst))
+            if src != dst:
+                out.setdefault(src, []).append((shift, dst))
+            elif shift:
+                loops.setdefault(src, []).append(shift)
         levels = dict(seeds)
         todo = list(levels)
         while todo:
             q = todo.pop()
             mask = levels[q]
+            if q in loops:
+                mask = levels[q] = saturate(mask, loops[q])
             for shift, dst in out.get(q, ()):
                 moved = (mask << shift if shift >= 0 else mask >> -shift) & band
                 old = levels.get(dst, 0)
@@ -431,8 +459,13 @@ def reduce_d2_to_ssharpup(a: Nfa) -> Nfa:
     ]
     transitions.extend((names[f][0], EPSILON, "sfx0") for f in a.accepting if live[f] & 1)
     # the middle states of a marked move are m[src|label|dst]k, with
-    # backslash and bar escaped in src and dst, once per live state
-    tags = {q: {i: escape(name, "|") for i, name in row.items()} for q, row in names.items()}
+    # backslash and bar escaped in src and dst: escaping (q,i) escapes q
+    # alone, so each input state is escaped once, and a state with
+    # nothing to escape is tagged by its own names
+    tags = {}
+    for q, row in names.items():
+        tag = escape(q, "|")
+        tags[q] = row if tag == q else {i: f"({tag},{i})" for i in row}
     add = transitions.append
     for q, label, p in a.transitions:
         shift = _SHIFT[label]
@@ -459,9 +492,8 @@ def reduce_d2_to_ssharpup(a: Nfa) -> Nfa:
                 add((m1, s2, m2))
                 add((m2, s3, m3))
                 add((m3, s4, dst[i - 1]))
-    states = {name for row in names.values() for name in row.values()}
-    states.update(t[2] for t in transitions)
-    states.add("pre0")
-    return Nfa(
-        frozenset(states), ALPHABET_FULL, "pre0", frozenset({"sfx3"}), frozenset(transitions)
-    )
+    # every live pair but (initial, 0) is entered by an embedded move, and
+    # (initial, 0) by the move out of pre2, so the targets and pre0 are
+    # all the states
+    states = frozenset(chain(("pre0",), map(itemgetter(2), transitions)))
+    return Nfa(states, ALPHABET_FULL, "pre0", frozenset({"sfx3"}), frozenset(transitions))

@@ -191,10 +191,10 @@ class Transducer(Frozen):
             {
                 "input_alphabet": list(self.input_alphabet),
                 "output_alphabet": list(self.output_alphabet),
-                "states": sorted(self.states),
                 "initial": self.initial,
                 "accepting": sorted(self.accepting),
             },
+            self.states,
             ("from", "read", "write", "to"),
-            sorted(self.transitions),
+            self.transitions,
         )

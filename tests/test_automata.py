@@ -91,9 +91,11 @@ def test_json_round_trip():
     assert Nfa.from_json(a.to_json()) == a
 
 
-# names JSON escapes (a quote, a backslash, a tab, non-ASCII letters) and
-# names that read as template slots
-ODD_NAMES = ('q"0', "a\\1", "t\tab", "\u00e9", "\u0434", "{0}", "%s")
+# names JSON escapes (a quote, a backslash, a tab, non-ASCII letters),
+# names that read as template slots, and names that share a prefix up to
+# a separator, which the writer must order as the tuple sort does
+ODD_NAMES = ('q"0', "a\\1", "t\tab", "\u00e9", "\u0434", "{0}", "%s",
+             "q", "q,1", "q 1", "q!", "q1")
 
 
 def test_to_json_is_json_dumps_indent_2_sorted():
@@ -102,6 +104,13 @@ def test_to_json_is_json_dumps_indent_2_sorted():
         Nfa.build(("a1",), "q0", set(), set()),  # no accepting state, no transition
         Nfa.build(("a1",), "q0", {"q0"}, {("q0", "a1", "q0")}),  # one item in every list
         Nfa.build(ODD_NAMES[:3], ODD_NAMES[3], {ODD_NAMES[4]}, {(ODD_NAMES[3], "", ODD_NAMES[5])}),
+        # several moves on one label out of one source, moves out of the
+        # prefixed names in both orders, and states with no move out
+        Nfa.build(("a1", "abar1"), "q", {"q1"}, {
+            ("q", "a1", "q1"), ("q", "a1", "q,1"), ("q", "a1", "q"), ("q", "a1", "q 1"),
+            ("q", "abar1", "q!"), ("q", "", "q1"), ("q1", "a1", "q"), ("q 1", "abar1", "q"),
+            ("q 1", "a1", "q!"), ("q!", "", "q,1"),
+        }, states=ODD_NAMES),
     ]
     for _ in range(60):
         a = random_nfa(rng, max_states=4, alphabet=("a1", "abar1", "\u00e9"),

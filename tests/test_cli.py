@@ -135,6 +135,36 @@ def test_one_state_written_as_string_is_exit_2(tmp_path, capsys):
     assert f"{nfa}: field 'states' must be a list, got str" in err
 
 
+AUTOMATON_FIELDS = "'states', 'alphabet', 'initial', 'accepting' and 'transitions'"
+MOVE_FIELDS = "'from', 'label' and 'to'"
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda a: [1, 2],
+         f"an automaton must be an object with fields {AUTOMATON_FIELDS}, got list"),
+        (lambda a: "q0",
+         f"an automaton must be an object with fields {AUTOMATON_FIELDS}, got str"),
+        (lambda a: {**a, "transitions": [1]},
+         f"transition 0 must be an object with fields {MOVE_FIELDS}, got int"),
+        (lambda a: {**a, "transitions": [{"from": "q0", "to": "q1"}]},
+         f"transition 0 must be an object with fields {MOVE_FIELDS}, got one without 'label'"),
+        (lambda a: {k: v for k, v in a.items() if k != "initial"},
+         f"an automaton must be an object with fields {AUTOMATON_FIELDS},"
+         " got one without 'initial'"),
+    ],
+    ids=["list", "string", "int-transition", "no-label", "no-initial"],
+)
+def test_malformed_automaton_names_the_expected_shape(edit, message, tmp_path, capsys):
+    # each of these once printed Python's exception text, such as
+    # "'int' object is not subscriptable"
+    nfa = tmp_path / "shape.json"
+    nfa.write_text(json.dumps(edit(json.loads((TESTS_DIR / "data" / "pair.json").read_text()))))
+    err = assert_usage_error(capsys, ["witness", "--filter", "dyck1", "--nfa", str(nfa)])
+    assert err == f"rr: error: {nfa}: {message}\n"
+
+
 def test_deeply_nested_json_is_exit_2(tmp_path, capsys):
     # json.loads recurses once per bracket and gives up with RecursionError
     nfa = tmp_path / "deep.json"

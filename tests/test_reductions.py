@@ -8,6 +8,7 @@ small grammar.
 import itertools
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -28,6 +29,7 @@ from rrkit import (
     reduce_d2_to_ssharpup,
     ssharpup_embedding,
 )
+from rrkit.automata import escape
 from rrkit.errors import ContractError
 from rrkit.filters import (
     ALPHABET_FULL, dyck_encoder, dyck_grammar, m_inf_member, m_plus_member,
@@ -537,14 +539,39 @@ def by_two_trims(a):
 def test_reduction_matches_two_trim_pipeline():
     """Building only the live band leaves nothing to trim: the output
     equals the marked, trimmed, embedded and trimmed again one, on machines
-    of 1 to 4 states, the sizes `rr reduce ssharpup` is benchmarked at."""
+    of 1 to 4 states, the sizes `rr reduce ssharpup` is benchmarked at, and
+    on machines whose live levels come from self-loops and cycles.  Every
+    state of ℬ but pre0 is entered by some move of ℬ."""
     rng = random.Random(919)
     sizes = {"empty": 0, "nonempty": 0}
-    for k in range(60):
-        a = random_nfa(rng, max_states=4, alphabet=D2_ALPHABET, allow_epsilon=k % 2 == 0)
+    build = lambda accepting, moves: Nfa.build(D2_ALPHABET, "q0", accepting, moves)
+    hand_built = [
+        # a climbing a1 loop and a climbing a2 loop, closed by falling loops
+        build({"q1"}, {("q0", "a1", "q0"), ("q0", "a2", "q0"), ("q0", "abar2", "q1"),
+                       ("q1", "abar1", "q1"), ("q1", "abar2", "q1")}),
+        # climbing and falling loops on one state
+        build({"q0"}, {("q0", "a1", "q0"), ("q0", "abar1", "q0")}),
+        # a falling abar1 loop entered high, after a climbing two-state cycle
+        build({"q2"}, {("q0", "a1", "q1"), ("q1", "a2", "q0"), ("q1", "", "q2"),
+                       ("q2", "abar1", "q2")}),
+        # epsilon self-loops next to a bracket loop
+        build({"q1"}, {("q0", "", "q0"), ("q0", "a1", "q1"), ("q1", "", "q1"),
+                       ("q1", "abar1", "q1"), ("q1", "a1", "q0")}),
+        # q2 is reached only after climbing the loop, and leaves falling
+        build({"q3"}, {("q0", "a1", "q0"), ("q0", "a2", "q1"), ("q1", "abar2", "q2"),
+                       ("q2", "abar1", "q3"), ("q3", "abar1", "q3")}),
+        # a climbing loop with no way back down: nothing is live
+        build({"q1"}, {("q0", "a1", "q0"), ("q0", "a2", "q1")}),
+    ]
+    machines = hand_built + [
+        random_nfa(rng, max_states=4, alphabet=D2_ALPHABET, allow_epsilon=k % 2 == 0)
+        for k in range(60)
+    ]
+    for a in machines:
         expected = by_two_trims(a)
         b = reduce_d2_to_ssharpup(a)
         assert b == expected, a
+        assert b.states == {t[2] for t in b.transitions} | {"pre0"}, a
         sizes["nonempty" if expected.accepting else "empty"] += 1
     assert min(sizes.values()) >= 1, sizes  # both branches ran
 
@@ -563,6 +590,48 @@ def test_reduction_reaches_the_top_of_the_band():
     assert f"(q1,{m})" not in b.states and f"(q0,{m + 1})" not in b.states
     assert ("(q0,0)", "abar1", "(q1,-1)") not in b.transitions
     assert not any(src == f"(q0,{m})" and label == "a" for src, label, _ in b.transitions)
+
+
+def test_reduction_escapes_each_marked_name_for_the_middle_states():
+    """ℬ of a machine with names that need escaping is ℬ of the same
+    machine with plain names, renamed: a pair (q,i) keeps its name, and a
+    middle state m[(q,i)|label|(p,j)]k holds each pair with backslash and
+    bar escaped, escape(f"({q},{i})", "|")."""
+    odd = ("q|\\1", "q,)2", "q3")
+    middle = re.compile(r"m\[\((s\d),(\d+)\)\|(\w+)\|\((s\d),(\d+)\)\](\d)")
+    pair = re.compile(r"\((s\d),(\d+)\)")
+    rng = random.Random(922)
+    checked = 0
+    for k in range(20):
+        a = random_nfa(rng, max_states=3, min_states=3, alphabet=D2_ALPHABET,
+                       allow_epsilon=k % 2 == 0)
+        plain = {q: f"s{q[1:]}" for q in a.states}
+        named = {plain[q]: name for q, name in zip(sorted(a.states), odd)}
+
+        def rename(state):
+            if found := middle.fullmatch(state):
+                q, i, label, p, j, step = found.groups()
+                src = escape(f"({named[q]},{i})", "|")
+                dst = escape(f"({named[p]},{j})", "|")
+                return f"m[{src}|{label}|{dst}]{step}"
+            if found := pair.fullmatch(state):
+                return f"({named[found[1]]},{found[2]})"
+            return state
+
+        def relabel(mapping):
+            return Nfa.build(
+                D2_ALPHABET, mapping[a.initial], {mapping[q] for q in a.accepting},
+                {(mapping[src], label, mapping[dst]) for src, label, dst in a.transitions},
+            )
+
+        b_plain = reduce_d2_to_ssharpup(relabel(plain))
+        b_odd = reduce_d2_to_ssharpup(relabel({q: named[plain[q]] for q in a.states}))
+        assert b_odd.states == {rename(q) for q in b_plain.states}
+        assert b_odd.transitions == {
+            (rename(src), label, rename(dst)) for src, label, dst in b_plain.transitions
+        }
+        checked += sum(1 for q in b_plain.states if middle.fullmatch(q))
+    assert checked > 1000
 
 
 def test_reduction_negative_empty():

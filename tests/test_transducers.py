@@ -161,6 +161,13 @@ def test_to_json_is_json_dumps_indent_2_sorted():
         Transducer.build(("a",), ("x",), "t0", set(), set()),  # no accepting state, no transition
         Transducer.build(("a",), ("x",), "t0", {"t0"}, {("t0", "a", "x", "t0")}),  # one of each
         Transducer.build(("a\tb",), ("\u00e9",), odd[0], set(), {(odd[0], "", "", odd[1])}),
+        # names that share a prefix up to a separator, several moves on one
+        # letter out of one source, and states with no move out
+        Transducer.build(("a", "b"), ("x",), "t", {"t1"}, {
+            ("t", "a", "x", "t1"), ("t", "a", "x", "t,1"), ("t", "a", "", "t"),
+            ("t", "a", "x", "t 1"), ("t", "b", "x", "t!"), ("t", "", "x", "t1"),
+            ("t1", "a", "", "t"), ("t 1", "b", "x", "t"), ("t 1", "a", "x", "t!"),
+        }, states=("t", "t,1", "t 1", "t!", "t1")),
     ]
     for _ in range(60):
         t = random_transducer(rng, inputs=("a", '"b'), outputs=("x", "\\y", "\u00e9"))
