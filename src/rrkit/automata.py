@@ -401,20 +401,26 @@ class Nfa(Frozen):
             if not isinstance(data[field], list):
                 kind = type(data[field]).__name__
                 raise InputError(f"field {field!r} must be a list, got {kind}")
-        moves = []
-        for i, t in enumerate(data["transitions"]):
-            _require_fields(t, ("from", "label", "to"), f"transition {i}")
-            moves.append((t["from"], t["label"], t["to"]))
-        # before any name is hashed: a list in place of a name is unhashable
-        require_strings(chain(data["states"], data["alphabet"], data["accepting"],
-                              (data["initial"],), chain.from_iterable(moves)))
-        return cls(
-            frozenset(data["states"]),
-            tuple(data["alphabet"]),
-            data["initial"],
-            frozenset(data["accepting"]),
-            frozenset(moves),
-        )
+        try:
+            return cls(
+                frozenset(data["states"]),
+                tuple(data["alphabet"]),
+                data["initial"],
+                frozenset(data["accepting"]),
+                frozenset((t["from"], t["label"], t["to"]) for t in data["transitions"]),
+            )
+        except (KeyError, TypeError):
+            # only a bad document gets here, so a well-formed one pays for
+            # no check the constructor makes anyway: a move that is not an
+            # object with its three fields, or a name that is not a string
+            # (a list in place of one is unhashable)
+            moves = data["transitions"]
+            for i, t in enumerate(moves):
+                _require_fields(t, ("from", "label", "to"), f"transition {i}")
+            require_strings(chain(data["states"], data["alphabet"], data["accepting"],
+                                  (data["initial"],),
+                                  chain.from_iterable((t["from"], t["label"], t["to"]) for t in moves)))
+            raise
 
     def to_json(self) -> str:
         return machine_json(
