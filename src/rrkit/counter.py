@@ -17,7 +17,7 @@ from .automata import (
     synchronized_moves,
 )
 from .errors import ContractError, InputError
-from .grammars import Cfg
+from .grammars import Cfg, fresh
 from .values import Frozen
 
 GUARDS = ("any", "zero", "positive")
@@ -146,11 +146,10 @@ class CounterAutomaton(Frozen):
         return value == 0 if self.accept_mode == "final_state_and_zero" else True
 
     @cached_property
-    def _back_steps(self) -> tuple[frozenset[str], dict, dict]:
+    def _back_steps(self) -> tuple[frozenset[str], dict]:
         """The moves read backward with the counter ignored: the states that
-        reach acceptance on epsilon moves; by (q, letter), those that reach q
-        on epsilon moves then that letter; and a memo of that step from a
-        set, with one entry per set and letter that accepts has met."""
+        reach acceptance on epsilon moves; and by (q, letter), those that
+        reach q on epsilon moves then that letter."""
         eps_back: dict[str, list[str]] = {}
         letter_back: dict[tuple[str, str], list[str]] = {}
         for src, read, _, _, dst in self.transitions:
@@ -159,7 +158,7 @@ class CounterAutomaton(Frozen):
             else:
                 letter_back.setdefault((dst, read), []).append(src)
         steps = {key: reach(srcs, eps_back) for key, srcs in letter_back.items()}
-        return frozenset(reach(self.accepting, eps_back)), steps, {}
+        return frozenset(reach(self.accepting, eps_back)), steps
 
     def accepts(self, word: Iterable[str]) -> bool:
         """True when some run over the word ends accepting.
@@ -186,13 +185,13 @@ class CounterAutomaton(Frozen):
         for sym in w:
             if sym not in self.alphabet:
                 raise InputError(f"symbol {sym!r} is not in the alphabet")
-        here, steps, known = self._back_steps
+        here, steps = self._back_steps
         live = [here]
         for sym in reversed(w):
-            key = (here, sym)
-            here = known.get(key)
-            if here is None:
-                here = known[key] = frozenset().union(*(steps.get((q, sym), ()) for q in key[0]))
+            before: set[str] = set()
+            for q in here:
+                before.update(steps.get((q, sym), ()))
+            here = before
             live.append(here)
         live.reverse()
         if self.initial not in here:
@@ -389,16 +388,16 @@ class CounterAutomaton(Frozen):
         t, then L[t,X,q].  The axiom U[initial,⊥] and every U[p,X] derive
         L[p,X,f] for accepting f; in final_state mode also L[p,X,q] a
         U[r,Z] for a +1 move a from q into r that is never undone.
-        Nonterminals are numbered after a prefix that starts no letter,
-        so no name is a letter or another's, whatever the machine's names.
+        Nonterminals are N0, N1, ..., each primed (grammars.fresh) past the
+        letters and the names before it, whatever the machine's names.
         """
-        prefix = "N"
-        while any(sym.startswith(prefix) for sym in self.alphabet):
-            prefix += "'"
+        taken = set(self.alphabet)
         names: dict[tuple, str] = {}
 
         def nt(*key) -> str:
-            return names.setdefault(key, f"{prefix}{len(names)}")
+            if key not in names:
+                names[key] = fresh(f"N{len(names)}", taken)
+            return names[key]
 
         states, accepting = sorted(self.states), sorted(self.accepting)
         # (src, letter, guard, delta, dst), the letter () on an epsilon move

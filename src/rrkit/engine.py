@@ -126,7 +126,7 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     empty product whose counter can only climb ends at once; the
     unfolding's size is still what states_created reports.  The witness
     is re-checked against the automaton and the filter oracle before
-    return, by CounterAutomaton.accepts, which keeps no ceiling.
+    return, by CounterAutomaton.accepts, which cuts at the ceilings too.
     """
     if method == "counter" and f.kind != "counter":
         if not (f.kind == "dyck" and f.n == 1):

@@ -370,10 +370,10 @@ def parse_filter_name(name: str) -> FilterSpec:
     if name in _NAMES:
         return _NAMES[name]
     if name.startswith("dyckN:"):
-        try:
-            n = int(name[6:])
-        except ValueError:
-            raise InputError(f"bad bracket-pair count in {name!r}") from None
+        digits = name[6:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise InputError(f"bad bracket-pair count in {name!r}")
+        n = int(digits)
         if n > _MAX_PAIRS:
             raise InputError(f"dyckN:k is limited to k <= {_MAX_PAIRS} bracket pairs, got {name!r}")
         return FilterSpec.dyck(n)

@@ -14,6 +14,16 @@ from .errors import ContractError, InputError
 from .values import Frozen
 
 
+def fresh(base: str, taken: set[str]) -> str:
+    """base, primed (') until it is not in taken, then added to taken: the
+    naming rule of Cfg.cnf, CounterAutomaton.to_cfg, cs_transducer, bar_hillel."""
+    name = base
+    while name in taken:
+        name += "'"
+    taken.add(name)
+    return name
+
+
 class CnfTable(NamedTuple):
     """The rule tables of the CFG∩NFA triple closure over a CNF grammar.
 
@@ -160,13 +170,6 @@ class Cfg(Frozen):
             tuple(map(tuple, by_lhs)),
         )
 
-    def _fresh(self, base: str, taken: set[str]) -> str:
-        name = base
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        return name
-
     def cnf(self) -> "Cfg":
         """Convert to Chomsky normal form.
 
@@ -184,7 +187,7 @@ class Cfg(Frozen):
         axiom = self.axiom
 
         if any(axiom in rhs for _, rhs in rules):
-            new_axiom = self._fresh(axiom + "0", taken)
+            new_axiom = fresh(axiom + "0", taken)
             rules.insert(0, (new_axiom, (axiom,)))
             axiom = new_axiom
 
@@ -245,7 +248,7 @@ class Cfg(Frozen):
                 tail = rhs[1:]
                 if tail not in chain_names:
                     # dots, not spaces: names must stay single tokens in the text format
-                    chain_names[tail] = self._fresh("<" + ".".join(tail) + ">", taken)
+                    chain_names[tail] = fresh("<" + ".".join(tail) + ">", taken)
                 split.append((lhs, (rhs[0], chain_names[tail])))
                 lhs, rhs = chain_names[tail], tail
             split.append((lhs, rhs))
@@ -265,7 +268,7 @@ class Cfg(Frozen):
                 for sym in rhs:
                     if sym in self.terminals:
                         if sym not in proxy_names:
-                            proxy_names[sym] = self._fresh("<" + sym + ">", taken)
+                            proxy_names[sym] = fresh("<" + sym + ">", taken)
                         body.append(proxy_names[sym])
                     else:
                         body.append(sym)

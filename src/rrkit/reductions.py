@@ -21,19 +21,13 @@ from .automata import EPSILON, Nfa, escape
 from .counter import REJECT, CounterAutomaton
 from .errors import ContractError, InputError
 from .filters import ALPHABET_FULL, dyck_alphabet, dyck_encoder, parse_filter_name
-from .grammars import Cfg, CnfTable
+from .grammars import Cfg, CnfTable, fresh
 from .transducers import Transducer
 from .values import Frozen
 
 D2_ALPHABET = dyck_alphabet(2)
 # the level change of each two-pair bracket move, in the marking and its live band
 _SHIFT = {EPSILON: 0, "a1": 1, "a2": 1, "abar1": -1, "abar2": -1}
-
-
-def _triple(q: str, sym: str, p: str) -> str:
-    """The name [q,sym,p], with backslash and comma escaped in each part,
-    so that distinct triples get distinct names."""
-    return f"[{escape(q)},{escape(sym)},{escape(p)}]"
 
 
 def _check_terminals(g: Cfg, a: Nfa) -> None:
@@ -47,37 +41,41 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     """Triple-product grammar generating L(g) ∩ L(a) (Bar-Hillel, Perles
     and Shamir, 1961).
 
-    Nonterminals are a fresh axiom plus [q,A,p] for every grammar
-    nonterminal A and automaton state pair, exactly |N|·|Q|²+1 of them
-    for every grammar; a word derived from [q,A,p] takes the automaton
-    from q to p.  Terminals stay terminals: a rule A -> X1..Xk becomes
-    [q,A,p] -> Y1..Yk, where a terminal Xi is kept and read on one letter
-    move (epsilon-closed, Nfa._closed_step), and a nonterminal Xi becomes
-    [u,Xi,v] for any v.  The first symbol starts at q, the last ends at p,
-    and each junction may cross an epsilon path, as an epsilon rule may.
+    Nonterminals are an axiom S' (S being g's axiom) plus [q,A,p] for
+    every grammar nonterminal A and automaton state pair, exactly
+    |N|·|Q|²+1 of them for every grammar; a word derived from [q,A,p]
+    takes the automaton from q to p.  Each name is made once, the axiom
+    first and then the triples in sorted (A, q, p) order, with backslash
+    and comma escaped in each part, and primed (grammars.fresh) past the
+    terminals and the names made before it.  Terminals stay terminals:
+    a rule A -> X1..Xk becomes [q,A,p] -> Y1..Yk, where a terminal Xi is
+    kept and read on one letter move (epsilon-closed, Nfa._closed_step),
+    and a nonterminal Xi becomes [u,Xi,v] for any v.  The first symbol
+    starts at q, the last ends at p, and each junction may cross an
+    epsilon path, as an epsilon rule may.
     """
     terminal_set = set(g.terminals)
     _check_terminals(g, a)
     states = sorted(a.states)
     closure, step = a._closure, a._closed_step
 
-    axiom = g.axiom + "'"
-    nonterminals: list[str] = [axiom]
-    for sym in g.nonterminals:
-        for q in states:
-            for p in states:
-                nonterminals.append(_triple(q, sym, p))
+    taken = set(g.terminals)
+    axiom = fresh(g.axiom + "'", taken)
+    name = {
+        (q, sym, p): fresh(f"[{escape(q)},{escape(sym)},{escape(p)}]", taken)
+        for sym in sorted(g.nonterminals) for q in states for p in states
+    }
 
     rules: dict[tuple[str, tuple[str, ...]], None] = {}
     for q_f in sorted(a.accepting):
-        rules[(axiom, (_triple(a.initial, g.axiom, q_f),))] = None
+        rules[(axiom, (name[a.initial, g.axiom, q_f],))] = None
 
     def bodies(rhs: tuple[str, ...], i: int, start: str, p: str) -> Iterator[tuple[str, ...]]:
         # the bodies of rhs[i:] that take a from start to p
         sym = rhs[i]
         terminal = sym in terminal_set
         for v in step.get((start, sym), ()) if terminal else states:
-            here = sym if terminal else _triple(start, sym, v)
+            here = sym if terminal else name[start, sym, v]
             if i == len(rhs) - 1:
                 if v == p:
                     yield (here,)
@@ -91,13 +89,13 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
         for q in states:
             if rhs == ():
                 for p in closure[q]:
-                    rules[(_triple(q, lhs, p), ())] = None
+                    rules[(name[q, lhs, p], ())] = None
                 continue
             for p in states:
                 for body in bodies(rhs, 0, q, p):
-                    rules[(_triple(q, lhs, p), body)] = None
+                    rules[(name[q, lhs, p], body)] = None
 
-    return Cfg(frozenset(nonterminals), g.terminals, tuple(rules), axiom)
+    return Cfg(frozenset((axiom, *name.values())), g.terminals, tuple(rules), axiom)
 
 
 def _require_cnf(g: Cfg) -> None:
@@ -261,7 +259,7 @@ def cs_transducer(g: Cfg) -> Transducer:
 
     def rule_state(*key: str) -> str:
         if key not in rule_states:
-            rule_states[key] = g1._fresh(f"rule[{'>'.join(key)}]", taken)
+            rule_states[key] = fresh(f"rule[{'>'.join(key)}]", taken)
         return rule_states[key]
 
     transitions: dict[tuple[str, str, str, str], None] = {}

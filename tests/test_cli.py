@@ -244,6 +244,24 @@ def test_reduce_bar_hillel_empty_product_reads_back_empty(tmp_path, capsys):
     assert read_back.shortest_word() is None
 
 
+@pytest.mark.parametrize("rules, moves, axiom", [
+    ("S -> a S' |", [("q0", "a", "q1"), ("q1", "S'", "q2")], "S''"),
+    ("S -> [q,S,q] a |", [("q", "[q,S,q]", "p"), ("p", "a", "q2")], "S'"),
+])
+def test_reduce_bar_hillel_primes_names_past_the_terminals(rules, moves, axiom, tmp_path, capsys):
+    """A terminal spelled like the product axiom S' or the triple [q,S,q]
+    is no collision: the product's own name is primed past it."""
+    grammar = tmp_path / "g.txt"
+    grammar.write_text(rules + "\n")
+    nfa = tmp_path / "a.json"
+    labels = tuple(label for _, label, _ in moves)
+    nfa.write_text(rrkit.Nfa.build(labels, moves[0][0], {"q2"}, set(moves)).to_json())
+    assert main(["reduce", "bar-hillel", "--grammar", str(grammar), "--nfa", str(nfa)]) == 0
+    read_back = rrkit.parse_grammar(capsys.readouterr().out)
+    assert read_back.axiom == axiom
+    assert read_back.shortest_word() == labels
+
+
 def test_reduce_bar_hillel_golden_reads_back_as_the_product():
     """The product that the reduce-bar-hillel golden records keeps its
     terminals in the rule bodies, so its text reads back with the

@@ -22,6 +22,7 @@ NON_STRINGS = [0, 7, 1.5, True, False, None]
 NEAR_MISSES = [
     "", "dyck", "dyck0x", "dyck3", "DYCK1", "dyck1 ", " sym", "symsharp2",
     "ssharp", "dyckN:", "dyckN:a1", "dyckN:1.5", "dyckN:0", "dyckN:-1",
+    "dyckN:+3", "dyckN: 2", "dyckN:1_0", "dyckN:\u0663",
 ]
 
 
@@ -92,6 +93,13 @@ def mutate(argv, rng, tmp_path, trial):
     path.write_bytes(blob)
     argv[pos] = str(path)
     return argv, f"{mutator.__name__} of {argv[pos - 1]}: {blob[:200]!r}"
+
+
+def test_near_miss_filter_names_fail_with_one_error_line():
+    for name in NEAR_MISSES:
+        code, out, err = run_case(["member", f"--filter={name}", "--word", "a1"])
+        assert (code, out) == (2, ""), (name, code, out)
+        assert len(err.splitlines()) == 1 and err.startswith("rr: error: "), (name, err)
 
 
 def test_corrupted_inputs_fail_with_one_error_line(tmp_path, monkeypatch):

@@ -150,6 +150,13 @@ def test_bar_hillel_fresh_axiom_and_terminal_check():
     assert prod.axiom == "S'"
     with pytest.raises(InputError):
         bar_hillel(g, Nfa.build(("b",), "q0", {"q0"}, set()))
+    # terminals spelled like the axiom and a triple: those two names are primed
+    g = parse_grammar("S -> a S | S' [q0,S,q0] S |")
+    moves = {("q0", "a", "q0"), ("q0", "S'", "q1"), ("q1", "[q0,S,q0]", "q1")}
+    a = Nfa.build(("a", "S'", "[q0,S,q0]"), "q0", {"q1"}, moves)
+    prod = bar_hillel(g, a)
+    assert prod.axiom == "S''" and "[q0,S,q0]'" in prod.nonterminals
+    assert prod.shortest_word() == intersection_shortest(g.cnf(), a) == ("S'", "[q0,S,q0]")
 
 
 def test_missing_terminal_message():
