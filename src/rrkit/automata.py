@@ -2,9 +2,10 @@
 
 Words are tuples of symbol names (symbols are multi-character strings such
 as "a1" or "abar2"), not single characters.  A transition label equal to
-the empty string denotes an epsilon move.  The order of the declared
-alphabet matters: shortest-witness extraction breaks ties lexicographically
-by that order.  Values are immutable; every operation returns a new object.
+the empty string denotes an epsilon move.  Shortest-witness extraction
+breaks ties lexicographically over the sorted letter names, whatever order
+the alphabet is declared in, as the grammar side does.  Values are
+immutable; every operation returns a new object.
 """
 from __future__ import annotations
 
@@ -366,7 +367,8 @@ class Nfa(Frozen):
         """A shortest accepted word, or None if the language is empty.
 
         Among all accepted words of minimum length, returns the smallest one
-        in the lexicographic order induced by the declared alphabet.
+        in the lexicographic order over the sorted letter names, whatever
+        the declared alphabet order: the order of Cfg.shortest_word.
         """
         back = self.distances_to_accepting()
         current = self.eps_closure({self.initial})
@@ -375,8 +377,9 @@ class Nfa(Frozen):
             return None
         word: list[str] = []
         remaining = best
+        letters = sorted(self.alphabet)
         while remaining > 0:
-            for symbol in self.alphabet:
+            for symbol in letters:
                 after = self.step(current, symbol)
                 if any(back.get(q, -1) == remaining - 1 for q in after):
                     word.append(symbol)

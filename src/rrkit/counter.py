@@ -227,11 +227,11 @@ class CounterAutomaton(Frozen):
 
     def least_word(self, counter_cap: int) -> Optional[tuple[str, ...]]:
         """The least accepted word over the runs that keep the counter <=
-        counter_cap, or None: shortest, then lexicographically smallest in
-        the declared alphabet order, the word that
-        to_nfa(counter_cap).shortest_witness() returns, found without
-        building the unfolding.  The caller picks the cap, as nrr_decide
-        picks |P|² for the product machine P (to_nfa's default).
+        counter_cap, or None: shortest, then lexicographically smallest
+        over the sorted letter names, whatever the declared alphabet order,
+        the word that to_nfa(counter_cap).shortest_witness() returns, found
+        without building the unfolding.  The caller picks the cap, as
+        nrr_decide picks |P|² for the product machine P (to_nfa's default).
 
         Configurations (state, value) are claimed in (length, lex) order of
         the words that reach them, a group per word: the configurations
@@ -292,18 +292,17 @@ class CounterAutomaton(Frozen):
         while level:
             created = []
             for node, successors in level:
-                for symbol in self.alphabet:
-                    if symbol in successors:
-                        child = (node, symbol)
-                        after = claim(successors[symbol])
-                        if after is None:
-                            symbols = []
-                            while child is not None:
-                                child, last = child
-                                symbols.append(last)
-                            return tuple(reversed(symbols))
-                        if after:
-                            created.append((child, after))
+                for symbol in sorted(successors):
+                    child = (node, symbol)
+                    after = claim(successors[symbol])
+                    if after is None:
+                        symbols = []
+                        while child is not None:
+                            child, last = child
+                            symbols.append(last)
+                        return tuple(reversed(symbols))
+                    if after:
+                        created.append((child, after))
             level = created
         return None
 

@@ -119,8 +119,10 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     |N|·|Q|²+1 is reported as nonterminals_created.  Counter filters go
     through the product counter machine P: the witness is
     P.least_word(|P|²), which walks the configurations of the unfolding
-    at counter cap |P|² on the fly, in the same (length, lex) order, so
-    it is the shortest witness of P's default unfolding.  It claims no
+    at counter cap |P|² on the fly, in the same (length, lex) order over
+    the sorted letter names, so it is the shortest witness of P's default
+    unfolding, and both routes break ties alike whatever order the
+    counter machine declares its alphabet in.  It claims no
     configuration above a state's value ceiling (the highest value from
     which the counter can still come back to an accepting zero), so an
     empty product whose counter can only climb ends at once; the

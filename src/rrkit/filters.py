@@ -307,8 +307,8 @@ class FilterSpec(Frozen):
         if self.kind == "s_sharp_up":
             return ALPHABET_FULL
         if self.kind == "user_grammar":
-            # sorted: grammar terminals are a set, and the alphabet order
-            # feeds witness tie-breaking, which must be stable
+            # sorted, for a stable order: grammar terminals are a set.
+            # Witness ties break over the sorted names whatever this order.
             return tuple(sorted(self.grammar.terminals))
         return self.automaton.alphabet
 

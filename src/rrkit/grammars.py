@@ -13,6 +13,9 @@ from .automata import reach
 from .errors import ContractError, InputError
 from .values import Frozen
 
+# what cyk and the triple closure raise on a grammar whose cnf_table is None
+NOT_CNF = "this operation expects a grammar in Chomsky normal form"
+
 
 def fresh(base: str, taken: set[str]) -> str:
     """base, primed (') until it is not in taken, then added to taken: the
@@ -25,17 +28,19 @@ def fresh(base: str, taken: set[str]) -> str:
 
 
 class CnfTable(NamedTuple):
-    """The rule tables of the CFG∩NFA triple closure over a CNF grammar.
+    """The rule tables of the CFG∩NFA triple closure and of CYK over a CNF
+    grammar.
 
     Nonterminals are numbered in sorted name order: names[i] is number i,
     and index maps a name back to its number.  terminals are the sorted
     terminal names, a letter's rank being its position there.  letters
     maps each letter some rule derives to its rank word (the 1-tuple of
     its rank) and the numbers of the left-hand sides deriving it, in
-    grammar order; epsilon numbers the left-hand sides of epsilon rules.
-    For the binary rules A -> B C, by_left[B] lists (A, C), by_right[C]
-    lists (A, B) and by_lhs[A] lists (B, C), each in grammar order.
-    A cache of the grammar's rules, not a value: Cfg.cnf_table builds it.
+    grammar order; epsilon holds the axiom's number when the axiom has an
+    epsilon rule, and is empty otherwise.  For the binary rules A -> B C,
+    by_left[B] lists (A, C), by_right[C] lists (A, B) and by_lhs[A] lists
+    (B, C), each in grammar order.  A cache of the grammar's rules, not a
+    value: Cfg.cnf_table builds it, for a grammar in CNF only.
     """
 
     names: tuple[str, ...]
@@ -112,37 +117,21 @@ class Cfg(Frozen):
 
     def is_cnf(self) -> bool:
         """Chomsky normal form: every rule is A -> B C, A -> t, or axiom -> eps,
-        and the axiom never appears on a right-hand side.  Computed once
-        per grammar."""
-        return self._is_cnf
+        and the axiom never appears on a right-hand side.  Read off
+        cnf_table, which checks once per grammar."""
+        return self.cnf_table is not None
 
     @cached_property
-    def _is_cnf(self) -> bool:
-        for _, rhs in self.rules:
-            if self.axiom in rhs:
-                return False
-        for lhs, rhs in self.rules:
-            if len(rhs) == 0:
-                if lhs != self.axiom:
-                    return False
-            elif len(rhs) == 1:
-                if rhs[0] not in self.terminals:
-                    return False
-            elif len(rhs) == 2:
-                if rhs[0] not in self.nonterminals or rhs[1] not in self.nonterminals:
-                    return False
-            else:
-                return False
-        return True
-
-    @cached_property
-    def cnf_table(self) -> CnfTable:
-        """The rule tables of the triple closure, built once per grammar.
-        Only a grammar in CNF has them: check is_cnf first."""
+    def cnf_table(self) -> Optional[CnfTable]:
+        """The rule tables of the triple closure and CYK, built once per
+        grammar, or None when the grammar is not in CNF: the one check of
+        the CNF contract, made by the pass that indexes the rules, which
+        stops at the first rule of another shape."""
         names = tuple(sorted(self.nonterminals))
         index = {name: i for i, name in enumerate(names)}
         terminals = tuple(sorted(self.terminals))
         words = {t: (i,) for i, t in enumerate(terminals)}
+        axiom = self.axiom
         letters: dict[str, list[int]] = {}
         epsilon: list[int] = []
         by_left: list[list[tuple[int, int]]] = [[] for _ in names]
@@ -150,15 +139,17 @@ class Cfg(Frozen):
         by_lhs: list[list[tuple[int, int]]] = [[] for _ in names]
         for lhs, rhs in self.rules:
             a = index[lhs]
-            if not rhs:
+            if not rhs and lhs == axiom:
                 epsilon.append(a)
-            elif len(rhs) == 1:
+            elif len(rhs) == 1 and rhs[0] in words:
                 letters.setdefault(rhs[0], []).append(a)
-            else:
+            elif len(rhs) == 2 and rhs[0] in index and rhs[1] in index and axiom not in rhs:
                 b, c = index[rhs[0]], index[rhs[1]]
                 by_left[b].append((a, c))
                 by_right[c].append((a, b))
                 by_lhs[a].append((b, c))
+            else:
+                return None
         return CnfTable(
             names,
             index,
@@ -201,21 +192,13 @@ class Cfg(Frozen):
                     nullable.add(lhs)
                     changed = True
         expanded: list[tuple[str, tuple[str, ...]]] = []
-        seen: set[tuple[str, tuple[str, ...]]] = set()
-
-        def emit(lhs: str, rhs: tuple[str, ...]) -> None:
-            rule = (lhs, rhs)
-            if rule not in seen:
-                seen.add(rule)
-                expanded.append(rule)
-
         for lhs, rhs in rules:
             optional = [i for i, s in enumerate(rhs) if s in nullable]
             for mask in range(1 << len(optional)):
                 dropped = {optional[i] for i in range(len(optional)) if mask >> i & 1}
                 body = tuple(s for i, s in enumerate(rhs) if i not in dropped)
                 if body:
-                    emit(lhs, body)
+                    expanded.append((lhs, body))
         if axiom in nullable:
             expanded.insert(0, (axiom, ()))
         rules = expanded
@@ -230,17 +213,14 @@ class Cfg(Frozen):
                 unit_out.setdefault(lhs, []).append(rhs[0])
             else:
                 bodies.setdefault(lhs, []).append(rhs)
-        merged: list[tuple[str, tuple[str, ...]]] = []
-        seen = set()
-        for a in sorted(nts, key=lambda x: (x != axiom, x)):
-            for b in sorted(reach((a,), unit_out), key=lambda x: (x != a, x)):
-                for rhs in bodies.get(b, ()):
-                    if (a, rhs) not in seen:
-                        seen.add((a, rhs))
-                        merged.append((a, rhs))
-        rules = merged
+        rules = [
+            (a, rhs)
+            for a in sorted(nts, key=lambda x: (x != axiom, x))
+            for b in sorted(reach((a,), unit_out), key=lambda x: (x != a, x))
+            for rhs in bodies.get(b, ())
+        ]
 
-        # split long rules
+        # split long rules, then drop the repeats of every step so far
         split: list[tuple[str, tuple[str, ...]]] = []
         chain_names: dict[tuple[str, ...], str] = {}
         for lhs, rhs in rules:
@@ -252,12 +232,7 @@ class Cfg(Frozen):
                 split.append((lhs, (rhs[0], chain_names[tail])))
                 lhs, rhs = chain_names[tail], tail
             split.append((lhs, rhs))
-        rules = []
-        seen = set()
-        for rule in split:
-            if rule not in seen:
-                seen.add(rule)
-                rules.append(rule)
+        rules = list(dict.fromkeys(split))
 
         # terminals inside two-symbol bodies
         proxy_names: dict[str, str] = {}
@@ -288,36 +263,35 @@ class Cfg(Frozen):
     # -- language queries ---------------------------------------------------
 
     def cyk(self, word: Iterable[str]) -> bool:
-        """CYK membership for CNF grammars."""
-        if not self.is_cnf():
-            raise ContractError("cyk requires a grammar in Chomsky normal form")
+        """CYK membership (Younger, 1967) on the numbered rules of
+        cnf_table; a grammar not in CNF is a ContractError."""
+        table = self.cnf_table
+        if table is None:
+            raise ContractError(NOT_CNF)
         w = tuple(word)
         for sym in w:
             if sym not in self.terminals:
                 raise InputError(f"word symbol {sym!r} is not a terminal")
+        axiom = table.index[self.axiom]
         if not w:
-            return (self.axiom, ()) in self.rules
-        n = len(w)
-        table: dict[tuple[int, int], set[str]] = {}
-        for i, sym in enumerate(w):
-            table[(i, 1)] = {
-                lhs for lhs, rhs in self.rules if rhs == (sym,)
-            }
-        binary = [
-            (lhs, rhs) for lhs, rhs in self.rules if len(rhs) == 2
-        ]
-        for span in range(2, n + 1):
-            for i in range(n - span + 1):
-                cell: set[str] = set()
+            return axiom in table.epsilon
+        letters, by_left = table.letters, table.by_left
+        # spans[k - 1][i] holds the nonterminals deriving w[i:i + k]
+        spans = [[set(letters[sym][1]) if sym in letters else set() for sym in w]]
+        for span in range(2, len(w) + 1):
+            row = []
+            for i in range(len(w) - span + 1):
+                cell: set[int] = set()
                 for k in range(1, span):
-                    left = table[(i, k)]
-                    right = table[(i + k, span - k)]
-                    if left and right:
-                        for lhs, (b, c) in binary:
-                            if b in left and c in right:
-                                cell.add(lhs)
-                table[(i, span)] = cell
-        return self.axiom in table[(0, n)]
+                    right = spans[span - k - 1][i + k]
+                    if right:
+                        for b in spans[k - 1][i]:
+                            for a, c in by_left[b]:
+                                if c in right:
+                                    cell.add(a)
+                row.append(cell)
+            spans.append(row)
+        return axiom in spans[-1][0]
 
     @cached_property
     def _terminal_rank(self) -> Mapping[str, int]:

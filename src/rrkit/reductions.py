@@ -21,7 +21,7 @@ from .automata import EPSILON, Nfa, escape
 from .counter import REJECT, CounterAutomaton
 from .errors import ContractError, InputError
 from .filters import ALPHABET_FULL, dyck_alphabet, dyck_encoder, parse_filter_name
-from .grammars import Cfg, CnfTable, fresh
+from .grammars import NOT_CNF, Cfg, CnfTable, fresh
 from .transducers import Transducer
 from .values import Frozen
 
@@ -98,18 +98,14 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     return Cfg(frozenset((axiom, *name.values())), g.terminals, tuple(rules), axiom)
 
 
-def _require_cnf(g: Cfg) -> None:
-    if not g.is_cnf():
-        raise ContractError("this operation expects a grammar in Chomsky normal form")
-
-
 def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Every derivable triple (q, A, p) of CNF g over a, by key, with its
     least word.
 
     The one entry for CFG∩NFA questions: it checks at once, before the
-    first triple is asked for, that g is CNF and that a reads its
-    terminals, so a caller may then read g.cnf_table and a's ranks.  A
+    first triple is asked for, that g has a cnf_table (the one test of
+    the CNF contract, and CYK's message when it fails) and that a reads
+    its terminals, so a caller may then read g.cnf_table and a's ranks.  A
     triple is derivable when some word derived from A takes a from q to p,
     epsilon moves included; words are tuples of ranks in the sorted
     terminal names, ordered by (length, ranks).  A triple's key is the int
@@ -133,9 +129,11 @@ def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:
     order is (length, ranks, triple names), whatever order the states and
     rules were created in.
     """
-    _require_cnf(g)
+    table = g.cnf_table
+    if table is None:
+        raise ContractError(NOT_CNF)
     _check_terminals(g, a)
-    return _settle(g.cnf_table, a)
+    return _settle(table, a)
 
 
 def _settle(table: CnfTable, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:

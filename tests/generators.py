@@ -92,6 +92,24 @@ def random_counter(rng, max_states=3, alphabet=("a1", "abar1"), allow_epsilon=Tr
     )
 
 
+def dense_counter(rng, alphabet):
+    """A 2-3 state machine with each (src, read, dst) move present at
+    random, so that several least-length words often tie."""
+    states = [f"q{i}" for i in range(rng.randint(2, 3))]
+    transitions = {
+        (src, read, rng.choice(("any", "zero", "positive")), rng.choice((-1, 0, 1)), dst)
+        for src in states
+        for read in (*alphabet, "")
+        for dst in states
+        if rng.random() < 0.5
+    }
+    accepting = rng.sample(states[1:], rng.randint(1, len(states) - 1))
+    mode = rng.choice(("final_state", "final_state_and_zero"))
+    return CounterAutomaton.build(
+        alphabet, "q0", accepting, transitions, accept_mode=mode, states=states
+    )
+
+
 def random_transducer(rng, max_states=3, inputs=("a", "b"), outputs=("x", "y")):
     """A small transducer with epsilon reads and epsilon writes."""
     n = rng.randint(1, max_states)

@@ -270,6 +270,27 @@ def grammar_words(rules, axiom, max_len, nonterminals=None):
     return sorted(words.get(axiom, ()), key=lambda w: (len(w), w))
 
 
+def cnf_by_definition(rules, axiom, nonterminals, terminals):
+    """Chomsky normal form read off the definition in two passes: the
+    axiom occurs in no body, then every rule is A -> B C over
+    nonterminals, A -> t over a terminal, or axiom -> eps."""
+    if any(axiom in rhs for _, rhs in rules):
+        return False
+    for lhs, rhs in rules:
+        if len(rhs) == 0:
+            if lhs != axiom:
+                return False
+        elif len(rhs) == 1:
+            if rhs[0] not in terminals:
+                return False
+        elif len(rhs) == 2:
+            if rhs[0] not in nonterminals or rhs[1] not in nonterminals:
+                return False
+        else:
+            return False
+    return True
+
+
 def string_keyed_closure(rules, terminals, states, transitions):
     """Every derivable triple (q, A, p) of a CNF grammar over an automaton,
     named by its state and nonterminal names, with its least word, in the

@@ -67,15 +67,16 @@ def test_shortest_witness_is_accepted_and_minimal():
         assert shorter == []
 
 
-def test_shortest_witness_tie_break_follows_alphabet_order():
+def test_shortest_witness_tie_break_follows_sorted_names():
     a = Nfa.build(
         ("b", "a"),
         "s",
         {"t"},
         {("s", "a", "t"), ("s", "b", "t")},
     )
-    # both length-1 words are accepted; "b" is declared first
-    assert a.shortest_witness() == ("b",)
+    # both length-1 words are accepted; "b" is declared first, but ties
+    # break over the sorted letter names, as on the grammar side
+    assert a.shortest_witness() == ("a",)
 
 
 def test_distances_to_accepting():

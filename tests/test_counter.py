@@ -17,7 +17,7 @@ from rrkit.counter import ACCEPT_MODES
 from rrkit.errors import ContractError, InputError
 from rrkit.filters import d1_counter
 
-from generators import coprime_cycle_nfa, random_counter, random_nfa
+from generators import coprime_cycle_nfa, dense_counter, random_counter, random_nfa
 from oracles import (
     all_pairs_product, counter_configs_to_acceptance, dyck_oracle, reachable, unfold_by_definition,
 )
@@ -196,24 +196,6 @@ def test_to_nfa_preserves_emptiness_on_random_instances():
         assert (native is not None) == (unfolded.shortest_witness() is not None), c
 
 
-def dense_counter(rng, alphabet):
-    """A 2-3 state machine with each (src, read, dst) move present at
-    random, so that several least-length words often tie."""
-    states = [f"q{i}" for i in range(rng.randint(2, 3))]
-    transitions = {
-        (src, read, rng.choice(("any", "zero", "positive")), rng.choice((-1, 0, 1)), dst)
-        for src in states
-        for read in (*alphabet, "")
-        for dst in states
-        if rng.random() < 0.5
-    }
-    accepting = rng.sample(states[1:], rng.randint(1, len(states) - 1))
-    mode = rng.choice(("final_state", "final_state_and_zero"))
-    return CounterAutomaton.build(
-        alphabet, "q0", accepting, transitions, accept_mode=mode, states=states
-    )
-
-
 def test_to_nfa_matches_definition():
     """The unfolding is the one built move by move and value by value, with
     the moves below 0 and past the cap sent to the sink r, on guarded
@@ -244,8 +226,8 @@ def accepting_only(c, f):
 
 def test_least_words_matches_unfolding():
     """The configuration search returns the unfolding's witness word for
-    word.  Ties break in the declared alphabet order: over ("b", "a")
-    that differs from the order of the label strings.  With one accepting
+    word.  Ties break over the sorted letter names on both sides, also
+    over the alphabet declared as ("b", "a").  With one accepting
     state kept, it returns the unfolding's least word ending there."""
     rng = random.Random(613)
     machines = [random_counter(rng, max_states=3) for _ in range(40)]

@@ -35,6 +35,7 @@ from rrkit.filters import d1_counter, dyck_grammar, parse_filter_name
 from generators import (
     coprime_cycle_moves,
     coprime_cycle_nfa,
+    dense_counter,
     random_cnf,
     random_counter,
     random_nfa,
@@ -170,6 +171,29 @@ def test_counter_route_matches_unfolding():
         assert report.witness == unfolded.shortest_witness(), a
         assert report.stats["states_created"] == len(product.states) + len(unfolded.states), a
         assert report.witness == nrr_decide(a, grammar_filter).witness, a
+
+
+def test_routes_break_ties_alike_over_unsorted_alphabets():
+    """Both routes of a counter filter return the least witness over the
+    sorted letter names, whatever order the counter machine declares its
+    alphabet in: the grammar route's order.  Seeded 2-3 state machines
+    over ("b", "a") with dense moves, so that words often tie."""
+    c = CounterAutomaton.build(
+        ("b", "a"), "s", {"t"}, {("s", "a", "any", 0, "t"), ("s", "b", "any", 0, "t")},
+        accept_mode="final_state_and_zero",
+    )
+    either = Nfa.build(("a", "b"), "p", {"r"}, {("p", "a", "r"), ("p", "b", "r")})
+    for method in ("auto", "bar-hillel"):
+        assert nrr_decide(either, FilterSpec.from_counter(c), method).witness == ("a",)
+    rng = random.Random(1317)
+    longer = 0
+    for _ in range(150):
+        f = FilterSpec.from_counter(dense_counter(rng, ("b", "a")))
+        a = random_nfa(rng, max_states=3, alphabet=("b", "a"), allow_epsilon=rng.random() < 0.5)
+        via_counter = nrr_decide(a, f)
+        assert via_counter.witness == nrr_decide(a, f, "bar-hillel").witness, (f, a)
+        longer += bool(via_counter.witness)
+    assert longer > 30
 
 
 def test_counter_route_names_pairs_injectively():

@@ -5,14 +5,15 @@ generated language up to a length cut, which is slow but independent
 of the conversion code.
 """
 
+import itertools
 import random
 
 import pytest
 
 from rrkit import Cfg, InputError, format_grammar, parse_grammar
 
-from generators import random_cnf
-from oracles import grammar_words
+from generators import random_cfg, random_cnf
+from oracles import cnf_by_definition, grammar_words
 
 D1_TEXT = """
 # one bracket pair
@@ -154,6 +155,40 @@ def test_cnf_epsilon_only_at_axiom():
     h = parse_grammar("S -> a").cnf()
     assert (h.axiom, ()) not in h.rules
     assert not h.cyk(())
+
+
+def test_is_cnf_matches_the_definition():
+    """is_cnf, read off the one pass of cnf_table, agrees with the
+    two-pass reference on seeded grammars: in no normal form, their CNFs,
+    in CNF, and in CNF with one rule of any shape added."""
+    rng = random.Random(3401)
+    verdicts = []
+    for _ in range(600):
+        g = random_cfg(rng)
+        h = random_cnf(rng)
+        symbols = sorted(h.nonterminals | h.terminals)
+        extra = (rng.choice(sorted(h.nonterminals)),
+                 tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3))))
+        for k in (g, g.cnf(), h, Cfg(h.nonterminals, h.terminals, h.rules + (extra,), h.axiom)):
+            expected = cnf_by_definition(k.rules, k.axiom, k.nonterminals, k.terminals)
+            assert k.is_cnf() == expected == (k.cnf_table is not None), k
+            verdicts.append(expected)
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 600
+
+
+def test_cyk_matches_enumeration_on_random_cnf():
+    """CYK answers every word up to length 6 as the enumeration of the
+    grammar's words does, on seeded grammars in CNF."""
+    rng = random.Random(3402)
+    members = 0
+    for _ in range(100):
+        g = random_cnf(rng)
+        derived = set(words_of(g, 6))
+        members += len(derived)
+        for n in range(7):
+            for w in itertools.product(sorted(g.terminals), repeat=n):
+                assert g.cyk(w) == (w in derived), (g, w)
+    assert members > 500
 
 
 def test_ordered_nonterminals_starts_with_axiom():

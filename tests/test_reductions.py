@@ -314,6 +314,32 @@ def test_intersection_requires_cnf():
         intersection_shortest(g, a)
 
 
+# one rule each that breaks CNF, added to a grammar in CNF
+NOT_CNF_RULES = {
+    "epsilon-on-a-non-axiom": "A ->",
+    "axiom-in-a-body": "A -> S B",
+    "unit-nonterminal-body": "A -> B",
+    "terminal-in-a-binary-body": "A -> a1 B",
+    "body-of-three": "A -> A B B",
+}
+
+
+@pytest.mark.parametrize("rule", NOT_CNF_RULES.values(), ids=NOT_CNF_RULES.keys())
+def test_each_non_cnf_shape_gets_one_contract_error(rule):
+    """Each rule shape outside CNF leaves the grammar without a cnf_table,
+    and CYK and the triple closure refuse it with the same message."""
+    base = "S -> A B |\nA -> a1\nB -> abar1\n"
+    assert parse_grammar(base).is_cnf()
+    g = parse_grammar(base + rule)
+    assert g.cnf_table is None and not g.is_cnf()
+    a = Nfa.build(("a1", "abar1"), "q0", {"q0"}, {("q0", "a1", "q0"), ("q0", "abar1", "q0")})
+    with pytest.raises(ContractError) as by_cyk:
+        g.cyk(("a1", "abar1"))
+    with pytest.raises(ContractError) as by_closure:
+        intersection_shortest(g, a)
+    assert str(by_cyk.value) == str(by_closure.value)
+
+
 # -- derivation transducer -----------------------------------------------------
 
 
