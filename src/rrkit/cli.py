@@ -228,18 +228,13 @@ _COMMANDS = (
 )
 
 
-def _command(name: str):
-    """The _COMMANDS row of the named command, or None."""
-    return next((entry for entry in _COMMANDS if entry[0] == name), None)
-
-
 def _dest(name: str) -> str:
     """The attribute argparse stores an option or positional under."""
     return name.lstrip("-").replace("-", "_")
 
 
 def _parse_plain(argv: list[str]) -> Optional[SimpleNamespace]:
-    """The namespace that build_parser(argv[0]).parse_args(argv) returns,
+    """The namespace that build_parser().parse_args(argv) returns,
     read from _COMMANDS without argparse; None unless argv is spelled the
     canonical way, and main then hands it to argparse.
 
@@ -252,7 +247,7 @@ def _parse_plain(argv: list[str]) -> Optional[SimpleNamespace]:
     declines.  The last occurrence of an option wins, and unset options
     get argparse's defaults.
     """
-    entry = _command(argv[0]) if argv else None
+    entry = next((row for row in _COMMANDS if row[0] == argv[0]), None) if argv else None
     if entry is None:
         return None
     command, _, options, handler = entry
@@ -291,17 +286,13 @@ def _parse_plain(argv: list[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(command=command, func=handler, **values)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The `rr` argparse parser, built from _COMMANDS: with every
-    subcommand when command is None, else with only the named one.
+def build_parser() -> argparse.ArgumentParser:
+    """The `rr` argparse parser, with every subcommand, built from
+    _COMMANDS.
 
     main reaches it only for what _parse_plain declines: help screens,
     usage errors and the spellings it does not read.  So argparse is
-    imported here, not on every launch.  A command's subparser is the
-    same either way, so `rr <command> ...` parses, and words its errors
-    and help, alike on both.  Only the top-level choice list differs, and
-    that shows only on `rr --help` and on a missing or unknown command,
-    which main parses with every subcommand.
+    imported here, not on every launch.
     """
     import argparse
 
@@ -318,11 +309,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_line, options, handler in _COMMANDS:
-        if command is None or command == name:
-            p = sub.add_parser(name, help=help_line)
-            for flag, keywords in options:
-                p.add_argument(flag, **keywords)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=help_line)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -332,19 +322,16 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     A command line in the canonical spelling (see _parse_plain) is read
     straight from the command table, without argparse.  Anything else
-    goes to argparse, which alone prints help screens and usage errors:
-    with only the invoked command's parser when argv starts with a
-    command name, and with the full parser for help on rr itself and a
-    missing or unknown command.  A usage error or a bad input prints one
-    `rr: error:` line and returns 2.
+    goes to the full argparse parser (build_parser), which alone prints
+    help screens and usage errors.  A usage error or a bad input prints
+    one `rr: error:` line and returns 2.
     """
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = _parse_plain(argv)
         if args is None:
-            command = argv[0] if argv and _command(argv[0]) else None
-            args = build_parser(command).parse_args(argv)
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ContractError, UnsupportedFilterError, OSError) as exc:
         print(f"rr: error: {exc}", file=sys.stderr)

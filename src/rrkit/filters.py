@@ -1,10 +1,11 @@
 """Built-in filter languages: membership oracles, grammars, encodings.
 
 Words are sequences of ASCII tokens ("a1", "abar1", "x1", "xbar2", "a",
-"abar", "#").  Membership oracles run by direct stack simulation or
-recursion; grammars exist for the languages other modules intersect with
-(Dyck, the symmetric language S and its #-padded variant), while the
-M-family languages get oracles only.
+"abar", "#").  Membership oracles read a word once, left to right, with
+a stack where the language nests, and never recurse; grammars exist for
+the languages other modules intersect with (Dyck, the symmetric language
+S and its #-padded variant), while the M-family languages get oracles
+only.
 """
 from __future__ import annotations
 
@@ -95,54 +96,40 @@ def s_sharp_member(w: Iterable[str]) -> bool:
 
 
 def m_inf_member(w: Iterable[str]) -> bool:
-    """Recursive bracket decomposition for the M-iteration language.
+    """Bracket decomposition for the M-iteration language.
 
     A word is in the language when it is in M, or when it splits as
     a y1 (a z1 abar) y2 (a z2 abar) ... y_{n-1} (a z_{n-1} abar) y_n abar
     with every bracketed block recursively a member, every y-segment
     between two consecutive blocks nonempty, and a y1...y_n abar in M.
-    The blocks of a span are disjoint, so each span is checked once and
-    the recursion stays quadratic.
+    One pass left to right over a stack of the open blocks, each with its
+    y-segment letters and whether a block has closed in it since its last
+    letter; a block is checked when its abar pops it.  Linear time, and
+    no recursion, however deep the nesting.
     """
     word = tuple(w)
     _check_word(word, _FULL_LETTERS)
-
-    def span(i: int, j: int) -> bool:
-        if i == j:
-            return True
-        if word[i] != "a" or word[j - 1] != "abar":
-            return False
-        blocks: list[tuple[int, int]] = []
-        segments: list[tuple[int, int]] = []
-        depth = 0
-        block_start = -1
-        seg_start = i + 1
-        for pos in range(i + 1, j - 1):
-            sym = word[pos]
-            if sym == "a":
-                if depth == 0:
-                    segments.append((seg_start, pos))
-                    block_start = pos
-                depth += 1
-            elif sym == "abar":
-                depth -= 1
-                if depth < 0:
-                    return False
-                if depth == 0:
-                    blocks.append((block_start, pos + 1))
-                    seg_start = pos + 1
-        if depth != 0:
-            return False
-        segments.append((seg_start, j - 1))
-        for s, e in segments[1:-1]:
-            if s == e:
+    fillers: list[list[str]] = []
+    after_block: list[bool] = []
+    for i, sym in enumerate(word):
+        if sym == "a":
+            if after_block and after_block[-1]:
+                return False  # two blocks with no letter between them
+            fillers.append([])
+            after_block.append(False)
+        elif not fillers:
+            return False  # a letter or abar outside every block
+        elif sym == "abar":
+            after_block.pop()
+            if not _s_sharp(tuple(fillers.pop())):
                 return False
-        if not all(span(s, e) for s, e in blocks):
-            return False
-        filler = tuple(sym for s, e in segments for sym in word[s:e])
-        return _s_sharp(filler)
-
-    return span(0, len(word))
+            if not after_block:
+                return i == len(word) - 1  # the top-level block ends the word
+            after_block[-1] = True
+        else:
+            fillers[-1].append(sym)
+            after_block[-1] = False
+    return not word  # the empty word, or a block left open
 
 
 def m_plus_member(w: Iterable[str]) -> bool:

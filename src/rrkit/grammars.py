@@ -83,20 +83,11 @@ class Cfg(Frozen):
         terminals: Iterable[str] = (),
     ) -> "Cfg":
         """Construct a grammar; nonterminals default to the set of lhs symbols."""
-        normalized: list[tuple[str, tuple[str, ...]]] = []
-        seen = set()
-        for lhs, rhs in rules:
-            rule = (lhs, tuple(rhs))
-            if rule not in seen:
-                seen.add(rule)
-                normalized.append(rule)
+        # duplicate rules removed, first occurrences kept
+        normalized = tuple(dict.fromkeys((lhs, tuple(rhs)) for lhs, rhs in rules))
         nts = set(nonterminals) | {axiom} | {lhs for lhs, _ in normalized}
-        terms = set(terminals)
-        for _, rhs in normalized:
-            for sym in rhs:
-                if sym not in nts:
-                    terms.add(sym)
-        return cls(frozenset(nts), frozenset(terms), tuple(normalized), axiom)
+        terms = set(terminals) | {sym for _, rhs in normalized for sym in rhs if sym not in nts}
+        return cls(frozenset(nts), frozenset(terms), normalized, axiom)
 
     @cached_property
     def ordered_nonterminals(self) -> tuple[str, ...]:

@@ -52,7 +52,11 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     kept and read on one letter move (epsilon-closed, Nfa._closed_step),
     and a nonterminal Xi becomes [u,Xi,v] for any v.  The first symbol
     starts at q, the last ends at p, and each junction may cross an
-    epsilon path, as an epsilon rule may.
+    epsilon path, as an epsilon rule may.  A rule's bodies from q are
+    grown in one forward pass, a symbol at a time, as (body, end state)
+    pairs in the order of the choices made, a repeated pair kept once;
+    they are written grouped by end state p in sorted state order.  So no
+    end state reruns the walk, and nothing recurses on a body's length.
     """
     terminal_set = set(g.terminals)
     _check_terminals(g, a)
@@ -70,30 +74,31 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     for q_f in sorted(a.accepting):
         rules[(axiom, (name[a.initial, g.axiom, q_f],))] = None
 
-    def bodies(rhs: tuple[str, ...], i: int, start: str, p: str) -> Iterator[tuple[str, ...]]:
-        # the bodies of rhs[i:] that take a from start to p
-        sym = rhs[i]
-        terminal = sym in terminal_set
-        for v in step.get((start, sym), ()) if terminal else states:
-            here = sym if terminal else name[start, sym, v]
-            if i == len(rhs) - 1:
-                if v == p:
-                    yield (here,)
-                continue
-            # a terminal's step is epsilon-closed already
-            for u in (v,) if terminal else closure[v]:
-                for rest in bodies(rhs, i + 1, u, p):
-                    yield (here,) + rest
-
     for lhs, rhs in g.rules:
+        last = len(rhs) - 1
         for q in states:
             if rhs == ():
                 for p in closure[q]:
                     rules[(name[q, lhs, p], ())] = None
                 continue
-            for p in states:
-                for body in bodies(rhs, 0, q, p):
-                    rules[(name[q, lhs, p], body)] = None
+            # the bodies of rhs[:i] from q, each with the state rhs[i]
+            # starts in, grown one symbol at a time in the order of the
+            # choices made; a repeated pair has the same continuations
+            grown = [((), q)]
+            for i, sym in enumerate(rhs):
+                terminal = sym in terminal_set
+                longer = []
+                for body, start in grown:
+                    for v in step.get((start, sym), ()) if terminal else states:
+                        here = body + (sym if terminal else name[start, sym, v],)
+                        # a terminal's step is epsilon-closed already, and
+                        # the last symbol ends at v
+                        for u in (v,) if terminal or i == last else closure[v]:
+                            longer.append((here, u))
+                grown = list(dict.fromkeys(longer))
+            # sorted is stable: grouped by end state, in choice order
+            for body, p in sorted(grown, key=itemgetter(1)):
+                rules[(name[q, lhs, p], body)] = None
 
     return Cfg(frozenset((axiom, *name.values())), g.terminals, tuple(rules), axiom)
 

@@ -1,6 +1,6 @@
 """Filter language memberships against the independent enumeration oracles.
 
-Each built-in language has two routes: the package's stack/recursion
+Each built-in language has two routes: the package's one-pass stack
 membership code and the oracle in tests/oracles.py, written separately
 from first principles.  Sweeps compare them on every short word; the
 grammar-backed filters additionally get grammar-versus-oracle sweeps.

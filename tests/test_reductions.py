@@ -184,6 +184,20 @@ def test_bar_hillel_handles_long_mixed_bodies():
     assert words == {(), ("a1", "abar1")}
 
 
+def test_bar_hillel_keeps_each_partial_body_once():
+    """Sixty letters over a machine that reads a1 from each of two states
+    into both: 2^60 runs, but each prefix reaches only two (body, state)
+    pairs, and the product has one rule per triple and accepting state."""
+    g = Cfg.build([("S", ("a1",) * 60)], "S")
+    a = Nfa.build(("a1",), "p", {"p", "q"}, {(s, "a1", t) for s in "pq" for t in "pq"})
+    product = bar_hillel(g, a)
+    assert sorted(product.rules) == [
+        ("S'", ("[p,S,p]",)),
+        ("S'", ("[p,S,q]",)),
+        *((f"[{s},S,{t}]", ("a1",) * 60) for s in "pq" for t in "pq"),
+    ]
+
+
 def test_bar_hillel_names_triples_injectively():
     # unescaped, the triples (x, S, "T,y") and ("x,S", T, y) are both
     # [x,S,T,y], so S, from x to the accepting "T,y", derived the b that T
