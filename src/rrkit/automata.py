@@ -13,7 +13,7 @@ import json
 from collections import deque
 from functools import cached_property
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InputError
@@ -193,6 +193,41 @@ def machine_json(
     values["states"] = _json_list(names)
     values["transitions"] = _json_records(transition_keys, list(zip(*ordered)))
     del ordered
+    return _json_object(values)
+
+
+def report_json(doc: Mapping[str, object]) -> str:
+    """The text of json.dumps(doc, indent=2, sort_keys=True) plus a newline,
+    byte for byte, for a dict whose values are scalars (strings, numbers,
+    booleans and None), lists of strings, or dicts of scalars: the shapes
+    of the reports `rr` prints with --json and --stats.
+
+    json.dumps with an indent runs the pure-Python encoder, a generator
+    step per token.  Here each string goes through json's C escaper and
+    each other scalar through json's C encoder, the ones json.dumps uses,
+    and machine_json's assembly joins the pieces once.
+    """
+    return _json_object({
+        key: _json_list(value) if isinstance(value, list)
+        else _json_scalars(value) if isinstance(value, dict)
+        else _encode_scalar(value, 0)
+        for key, value in doc.items()
+    })
+
+
+# json's C encoder without an indent: on a scalar it returns the list of
+# the one JSON token json.dumps writes for it
+_encode_scalar = c_make_encoder(
+    None, JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ", True, False, True
+)
+
+
+def _json_object(values: Mapping[str, Iterable[str]]) -> str:
+    """The text of an indented JSON object plus a newline, from the pieces
+    of each value at the first level of indentation, keys sorted."""
+    if not values:
+        return "{}\n"
+    enc = encode_basestring_ascii
     text = []
     separator = "{\n  "
     for key in sorted(values):
@@ -201,6 +236,15 @@ def machine_json(
         separator = ",\n  "
     text.append("\n}\n")
     return "".join(text)
+
+
+def _json_scalars(fields: Mapping[str, object]) -> tuple[str, ...]:
+    """The pieces of a dict of scalars at the second level of indentation."""
+    text = ",\n    ".join(
+        f"{encode_basestring_ascii(key)}: {_encode_scalar(value, 0)[0]}"
+        for key, value in sorted(fields.items())
+    )
+    return ("{\n    ", text, "\n  }") if text else ("{}",)
 
 
 def _json_list(items: Iterable[str]) -> tuple[str, ...]:

@@ -6,11 +6,18 @@ contract violation).  Words on the command line are space-separated
 symbol tokens, e.g. --word "a1 a2 abar2 abar1".  JSON output is emitted
 with sorted keys so golden files stay byte-stable.
 
+Each input file is read with one unbuffered binary read and decoded as
+strict UTF-8, with universal newlines: "\r\n" and a lone "\r" read as
+"\n", as in text mode.  The --json and --stats reports are written by
+the package's JSON writer (automata.report_json), byte for byte what
+json.dumps(report, indent=2, sort_keys=True) prints.
+
 Each command's options are declared once, as rows of _COMMANDS.  A
-command line in the canonical spelling is read from those rows directly;
-argparse, built from the same rows, handles every other spelling and
-alone prints help screens and usage errors.  So a launch that runs a
-well-formed command imports neither argparse nor gettext.
+command line in the canonical spelling is read from a table built from
+those rows once, at import; argparse, built from the same rows, handles
+every other spelling and alone prints help screens and usage errors.  So
+a launch that runs a well-formed command imports neither argparse nor
+gettext.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn, Optional
 
-from .automata import Nfa
+from .automata import Nfa, report_json
 from .engine import log2_check, nrr_decide, rational_index
 from .errors import ContractError, InputError, UnsupportedFilterError
 from .filters import parse_filter_name
@@ -33,10 +40,18 @@ if TYPE_CHECKING:
 
 def _load(path: str, parse):
     """parse applied to the text of the file at path, with every error
-    prefixed by the path."""
+    prefixed by the path.
+
+    The file is read in one unbuffered read and decoded as strict UTF-8;
+    "\r\n" and a lone "\r" become "\n", as text mode's universal
+    newlines make them, so a JSON error names the same line.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse(fh.read())
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return parse(text)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
@@ -50,7 +65,7 @@ def _load(path: str, parse):
 
 
 def _print_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    sys.stdout.write(report_json(data))
 
 
 def _emit_stats(stats: dict) -> None:
@@ -168,8 +183,8 @@ _JSON_REPORT = ("--json", {"action": "store_true", "help": "emit the decision re
 # One row per command, in the order `rr --help` lists them: (name, help
 # line, options, handler).  Each option is (flag or positional name,
 # add_argument keywords), in the order the command's help lists them.
-# build_parser hands the rows to argparse and _parse_plain reads them, so
-# the keywords stay within what _parse_plain knows: required, default,
+# build_parser hands the rows to argparse and _plain_table reads them, so
+# the keywords stay within what _plain_table knows: required, default,
 # choices, type, action="store_true" and help.
 _COMMANDS = (
     ("member", "test one word against a filter", (
@@ -233,10 +248,43 @@ def _dest(name: str) -> str:
     return name.lstrip("-").replace("-", "_")
 
 
+def _plain_table(command: str, options: tuple, handler) -> tuple:
+    """What _parse_plain reads of one command's rows: its flags, each
+    mapped to (dest, store_true, type, choices); its positionals' tuples
+    of the same, in order; the namespace before any token is read, which
+    holds the command, its handler and each optional flag's argparse
+    default; and the set of dests that must be given."""
+    flags = {}
+    positionals = []
+    start = {"command": command, "func": handler}
+    required = set()
+    for name, keywords in options:
+        dest = _dest(name)
+        store_true = keywords.get("action") == "store_true"
+        spec = (dest, store_true, keywords.get("type"), keywords.get("choices"))
+        if not name.startswith("-"):
+            positionals.append(spec)
+            required.add(dest)
+            continue
+        flags[name] = spec
+        if keywords.get("required"):
+            required.add(dest)
+        else:
+            start[dest] = False if store_true else keywords.get("default")
+    return flags, tuple(positionals), start, frozenset(required)
+
+
+# _parse_plain's tables, by command name, built once from _COMMANDS
+_PLAIN = {
+    command: _plain_table(command, options, handler)
+    for command, _, options, handler in _COMMANDS
+}
+
+
 def _parse_plain(argv: list[str]) -> Optional[SimpleNamespace]:
     """The namespace that build_parser().parse_args(argv) returns,
-    read from _COMMANDS without argparse; None unless argv is spelled the
-    canonical way, and main then hands it to argparse.
+    read from the command's _PLAIN table without argparse; None unless
+    argv is spelled the canonical way, and main then hands it to argparse.
 
     Canonical means that argv[0] is a command name and each later token is
     one of that command's flags exactly (no `--flag=value`, no
@@ -247,43 +295,40 @@ def _parse_plain(argv: list[str]) -> Optional[SimpleNamespace]:
     declines.  The last occurrence of an option wins, and unset options
     get argparse's defaults.
     """
-    entry = next((row for row in _COMMANDS if row[0] == argv[0]), None) if argv else None
-    if entry is None:
+    table = _PLAIN.get(argv[0]) if argv else None
+    if table is None:
         return None
-    command, _, options, handler = entry
-    flags = {name: keywords for name, keywords in options if name.startswith("-")}
-    positionals = [row for row in options if not row[0].startswith("-")]
-    values = {}
+    flags, positionals, start, required = table
+    values = dict(start)
+    positional = iter(positionals)
     tokens = iter(argv[1:])
     for token in tokens:
         if token in flags:
-            name, keywords = token, flags[token]
-            if keywords.get("action") == "store_true":
-                values[_dest(name)] = True
+            dest, store_true, convert, choices = flags[token]
+            if store_true:
+                values[dest] = True
                 continue
             token = next(tokens, None)
             if token is None:
                 return None
-        elif positionals:
-            name, keywords = positionals.pop(0)
         else:
-            return None
+            spec = next(positional, None)
+            if spec is None:
+                return None
+            dest, _, convert, choices = spec
         if token.startswith("-"):
             return None
-        try:
-            value = keywords["type"](token) if "type" in keywords else token
-        except ValueError:
-            return None
-        if "choices" in keywords and value not in keywords["choices"]:
-            return None
-        values[_dest(name)] = value
-    for name, keywords in options:
-        if _dest(name) not in values:
-            if keywords.get("required") or not name.startswith("-"):
+        if convert is not None:
+            try:
+                token = convert(token)
+            except ValueError:
                 return None
-            store_true = keywords.get("action") == "store_true"
-            values[_dest(name)] = False if store_true else keywords.get("default")
-    return SimpleNamespace(command=command, func=handler, **values)
+        if choices is not None and token not in choices:
+            return None
+        values[dest] = token
+    if not required <= values.keys():
+        return None
+    return SimpleNamespace(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +369,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     straight from the command table, without argparse.  Anything else
     goes to the full argparse parser (build_parser), which alone prints
     help screens and usage errors.  A usage error or a bad input prints
-    one `rr: error:` line and returns 2.
+    one `rr: error:` line and returns 2, also when that line cannot be
+    written, as when stderr is a closed pipe.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -334,7 +380,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ContractError, UnsupportedFilterError, OSError) as exc:
-        print(f"rr: error: {exc}", file=sys.stderr)
+        try:
+            print(f"rr: error: {exc}", file=sys.stderr)
+        except OSError:
+            pass
         return 2
 
 

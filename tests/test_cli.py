@@ -6,8 +6,9 @@ tests/data/golden/, and every help screen and usage-error line in
 cli_cases.FRONT_END_CASES against tests/data/front_end.json.  The
 remaining tests cover exit-code conventions and error paths that do not
 belong in frozen transcripts (their messages may embed absolute paths or
-evolve with Python's own error strings), and hold the plain command-line
-reader to argparse on a seeded corpus.
+evolve with Python's own error strings), line endings, the report
+writer against json.dumps, and hold the plain command-line reader to
+argparse on a seeded corpus.
 """
 
 import json
@@ -338,6 +339,81 @@ def test_non_utf8_inputs_are_exit_2(tmp_path, capsys):
     assert_usage_error(capsys, ["reduce", "cs", "--grammar", str(blob)])
 
 
+# a grammar over several lines, so that its line breaks separate rules
+LINE_GRAMMAR = "S -> a1 S abar1 | T\n# T doubles\nT -> S S |\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--json", "--filter", "dyck1", "--nfa", "NFA"],
+        ["check-log2", "--grammar", "GRAMMAR", "--nfa", "NFA", "--stats"],
+        ["reduce", "bar-hillel", "--grammar", "GRAMMAR", "--nfa", "NFA"],
+        ["reduce", "cs", "--grammar", "GRAMMAR"],
+    ],
+    ids=["witness", "check-log2", "reduce-bar-hillel", "reduce-cs"],
+)
+def test_line_endings_read_as_newlines(argv, newline, tmp_path):
+    """Automaton and grammar files written with "\\r\\n" or a lone "\\r"
+    give the output and exit code of the same files written with "\\n"."""
+    nfa_text = (TESTS_DIR / "data" / "pair.json").read_text()
+
+    def run(ending):
+        nfa, grammar = tmp_path / f"{len(ending)}.json", tmp_path / f"{len(ending)}.txt"
+        nfa.write_bytes(nfa_text.replace("\n", ending).encode())
+        grammar.write_bytes(LINE_GRAMMAR.replace("\n", ending).encode())
+        paths = {"NFA": str(nfa), "GRAMMAR": str(grammar)}
+        return run_case([paths.get(token, token) for token in argv])
+
+    code, out, err = run("\n")
+    assert (code, err) == (0, "")
+    assert run(newline) == (code, out, err)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_json_error_line_counts_every_line_ending(newline, tmp_path, capsys):
+    """A JSON syntax error names the line that text mode's universal
+    newlines gave it: "\\r\\n" and a lone "\\r" each end one line."""
+    nfa = tmp_path / "a.json"
+    nfa.write_bytes('{\n  "states": [\n    "q0",\n  ]\n}\n'.replace("\n", newline).encode())
+    err = assert_usage_error(capsys, ["decide", "--filter", "dyck1", "--nfa", str(nfa)])
+    assert err == f"rr: error: {nfa}: line 4: Expecting value\n"
+
+
+class ClosedPipe:
+    """A stream whose every write fails, as a pipe's does once its
+    reader has exited."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-log2", "--grammar", "data/d1.txt", "--nfa", "data/pair.json", "--stats"],
+        ["check-log2", "--grammar", "data/d1.txt", "--nfa", "data/pair.json"],
+        ["witness", "--json", "--filter", "dyck1", "--nfa", "data/pair.json"],
+    ],
+    ids=["stats", "verdict", "witness-json"],
+)
+def test_closed_stdout_and_stderr_is_exit_2(argv, in_tests_dir, monkeypatch):
+    """When stdout is a closed pipe, the failed write is an error, exit 2;
+    when stderr is closed too, so that the `rr: error:` line cannot be
+    written either, main still returns 2, not the 1 of "empty"."""
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", ClosedPipe())
+    assert main(argv) == 2
+
+
+def test_closed_stdout_prints_one_error_line(in_tests_dir, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    argv = ["check-log2", "--grammar", "data/d1.txt", "--nfa", "data/pair.json", "--stats"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "rr: error: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -573,6 +649,75 @@ def test_plain_reader_declines_to_argparse(argv, in_tests_dir, monkeypatch):
     through_main = run_case(argv, allow_exit=True)
     monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
     assert through_main == run_case(argv, allow_exit=True)
+
+
+def report_shapes():
+    """One document of each shape the CLI prints with --json or --stats."""
+    data = TESTS_DIR / "data"
+    pair = rrkit.Nfa.from_json((data / "pair.json").read_text())
+    odd = rrkit.Nfa.from_json((data / "odd.json").read_text())
+    at_start = rrkit.Nfa.build(("a1", "abar1"), "q0", {"q0"}, ())
+    dyck1 = rrkit.parse_filter_name("dyck1")
+    d1 = rrkit.parse_grammar((data / "d1.txt").read_text()).cnf()
+    return {
+        "witness-word": rrkit.nrr_decide(pair, dyck1).to_dict(),
+        "witness-empty-word": rrkit.nrr_decide(at_start, dyck1).to_dict(),
+        "witness-null": rrkit.nrr_decide(odd, dyck1).to_dict(),
+        "witness-counter": rrkit.nrr_decide(pair, dyck1, "counter").to_dict(),
+        "log2-report": rrkit.nrr_decide(pair, dyck1, "log2").to_dict(),
+        "index-json": {"index": rrkit.rational_index(dyck1, 2), "mode": "exhaustive", "states": 2},
+        "check-log2-stats": rrkit.log2_check(d1, pair).to_dict(),
+        "non-ascii": {
+            "method": "caf\u00e9",
+            "nonempty": True,
+            "stats": {"\u00f1": -3, "z": None, "\u2028": False},
+            "witness": ["\u00e4", "\U0001d51e", "\"\\\t"],
+        },
+        "empty-stats": {"nonempty": False, "stats": {}, "witness": []},
+    }
+
+
+def test_report_writer_matches_json_dumps(capsys):
+    """_print_json prints json.dumps(doc, indent=2, sort_keys=True) and a
+    newline, byte for byte, for every shape of report the CLI prints."""
+    shapes = report_shapes()
+    assert shapes["witness-word"]["witness"] == ["a1", "abar1"]
+    assert shapes["witness-empty-word"]["witness"] == []
+    assert shapes["witness-null"]["witness"] is None
+    assert shapes["log2-report"]["stats"]["result"] is True
+    assert shapes["check-log2-stats"]["result"] is True
+    for name, doc in shapes.items():
+        cli._print_json(doc)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n", name
+    cli._print_json(shapes["non-ascii"])
+    out = capsys.readouterr().out
+    assert out.isascii() and '"caf\\u00e9"' in out and '"\\ud835\\udd1e"' in out
+    cli._print_json({})
+    assert capsys.readouterr().out == "{}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--json", "--filter", "dyck1", "--nfa", "data/pair.json"],
+        ["decide", "--json", "--filter", "dyck1", "--nfa", "data/eps.json", "--method", "log2"],
+        ["index", "--filter", "dyck1", "--states", "2", "--json"],
+        ["check-log2", "--grammar", "data/d1.txt", "--nfa", "data/pair.json", "--stats"],
+    ],
+    ids=["witness", "decide-log2", "index", "check-log2"],
+)
+def test_json_reports_skip_the_pure_python_encoder(argv, in_tests_dir, monkeypatch, capsys):
+    """A well-formed request that prints a JSON report never reaches
+    json's pure-Python encoder, a generator step per token."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.undo()
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
 
 def test_command_launch_loads_no_argparse(in_tests_dir):
