@@ -1,8 +1,17 @@
-"""Context-free grammars: normal forms, membership, emptiness, shortest words.
+"""Context-free grammars: the Cfg value, Chomsky normal form, CYK
+membership, shortest words and the text format.
 
-Rules are (lhs, rhs) pairs where rhs is a tuple of symbols; the empty tuple
-is an epsilon rule.  The rule tuple keeps insertion order (first lhs is the
-axiom in the text format), and all derived maps are computed lazily.
+- Cfg holds rules as (lhs, rhs) pairs where rhs is a tuple of symbols; the
+  empty tuple is an epsilon rule.  The rule tuple keeps insertion order
+  (first lhs is the axiom in the text format), Cfg.build drops repeated
+  rules, and all derived maps are computed lazily.
+- Cfg.cnf converts to CNF.  Cfg.cnf_table is the one check of the CNF
+  contract (Cfg.is_cnf reads it) and the rule tables of Cfg.cyk and of the
+  CFG∩NFA triple closure; NOT_CNF is the message of a grammar without one.
+- Cfg.shortest_word is a least word, or None when the language is empty.
+- fresh primes a name until it is unused, the naming rule of every
+  construction that adds nonterminals.
+- parse_grammar and format_grammar read and write the line format.
 """
 from __future__ import annotations
 
@@ -161,6 +170,11 @@ class Cfg(Frozen):
         and finally replace terminals inside two-symbol bodies.
         Fresh nonterminals carry structured names derived from the content
         they stand for.
+
+        The output is fixed byte for byte: its nonterminals, its rules in
+        their order and its primed names.  The cs golden, the reduce-cs
+        answers of bench/data/answers.json and every filter's reported
+        nonterminals_created depend on it.
         """
         if self.is_cnf():
             return self
@@ -175,23 +189,17 @@ class Cfg(Frozen):
 
         # epsilon elimination
         nullable: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in rules:
-                if lhs not in nullable and all(s in nullable for s in rhs):
-                    nullable.add(lhs)
-                    changed = True
-        expanded: list[tuple[str, tuple[str, ...]]] = []
+        while more := {lhs for lhs, rhs in rules if lhs not in nullable and nullable.issuperset(rhs)}:
+            nullable |= more
+        expanded = [(axiom, ())] if axiom in nullable else []
         for lhs, rhs in rules:
-            optional = [i for i, s in enumerate(rhs) if s in nullable]
-            for mask in range(1 << len(optional)):
-                dropped = {optional[i] for i in range(len(optional)) if mask >> i & 1}
-                body = tuple(s for i, s in enumerate(rhs) if i not in dropped)
-                if body:
-                    expanded.append((lhs, body))
-        if axiom in nullable:
-            expanded.insert(0, (axiom, ()))
+            grown: list[tuple[str, ...]] = [()]
+            for sym in rhs:
+                kept = [body + (sym,) for body in grown]
+                # kept before dropped: the order of counting drop masks with the
+                # last nullable symbol as top bit, each repeat at its first place
+                grown = list(dict.fromkeys(kept + grown)) if sym in nullable else kept
+            expanded += [(lhs, body) for body in grown if body]
         rules = expanded
 
         # unit rule elimination
@@ -225,31 +233,18 @@ class Cfg(Frozen):
             split.append((lhs, rhs))
         rules = list(dict.fromkeys(split))
 
-        # terminals inside two-symbol bodies
-        proxy_names: dict[str, str] = {}
-        final: list[tuple[str, tuple[str, ...]]] = []
-        for lhs, rhs in rules:
-            if len(rhs) == 2:
-                body = []
-                for sym in rhs:
-                    if sym in self.terminals:
-                        if sym not in proxy_names:
-                            proxy_names[sym] = fresh("<" + sym + ">", taken)
-                        body.append(proxy_names[sym])
-                    else:
-                        body.append(sym)
-                final.append((lhs, tuple(body)))
-            else:
-                final.append((lhs, rhs))
-        for sym in sorted(proxy_names):
-            final.append((proxy_names[sym], (sym,)))
+        # terminals inside two-symbol bodies, each named on first need
+        proxies: dict[str, str] = {}
 
-        nts = {lhs for lhs, _ in final} | {axiom}
-        for _, rhs in final:
-            for sym in rhs:
-                if sym not in self.terminals:
-                    nts.add(sym)
-        return Cfg(frozenset(nts), self.terminals, tuple(final), axiom)
+        def proxy(sym: str) -> str:
+            if sym in self.terminals and sym not in proxies:
+                proxies[sym] = fresh("<" + sym + ">", taken)
+            return proxies.get(sym, sym)
+
+        rules = [(lhs, tuple(map(proxy, rhs)) if len(rhs) == 2 else rhs) for lhs, rhs in rules]
+        rules += [(proxies[sym], (sym,)) for sym in sorted(proxies)]
+        nts = {axiom, *(sym for lhs, rhs in rules for sym in (lhs, *rhs))} - self.terminals
+        return Cfg(frozenset(nts), self.terminals, tuple(rules), axiom)
 
     # -- language queries ---------------------------------------------------
 

@@ -5,8 +5,10 @@ generated language up to a length cut, which is slow but independent
 of the conversion code.
 """
 
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -140,6 +142,52 @@ def test_cnf_preserves_language_random():
             "S",
         )
         assert words_of(g, 6) == words_of(g.cnf(), 6), g
+
+
+def random_nullable_cfg(rng):
+    """A random grammar whose bodies hold 0-9 symbols, most of them copies
+    of one to three nonterminals that are often nullable."""
+    nts = [f"N{i}" for i in range(rng.randint(1, 3))]
+    symbols = nts * 3 + ["a1", "abar1"]
+    rules = [(nt, ()) for nt in nts if rng.random() < 0.7]
+    rules += [
+        (nt, tuple(rng.choice(symbols) for _ in range(rng.randint(0, 9))))
+        for nt in nts
+        for _ in range(rng.randint(1, 2))
+    ]
+    rng.shuffle(rules)
+    return Cfg.build(rules, nts[0], nonterminals=nts, terminals=("a1", "abar1"))
+
+
+# sha256 of the CNFs below: the cs golden, the reduce-cs answers of
+# bench/data/answers.json and every filter's nonterminals_created depend
+# on these bytes, so a change to Cfg.cnf must leave them as they are
+CNF_DIGEST = "db264b847f163f5666573eed81e5a6dd9b088d17fb7a9c2380f5b1d396b19bd2"
+
+
+def test_cnf_output_is_pinned_byte_for_byte():
+    """Cfg.cnf returns the same nonterminals, rules in the same order and
+    the same fresh names on 2,000 random_cfg grammars and 500 grammars of
+    long bodies with repeated nullable symbols."""
+    rng = random.Random(3801)
+    grammars = [random_cfg(rng) for _ in range(2000)]
+    grammars += [random_nullable_cfg(rng) for _ in range(500)]
+    digest = hashlib.sha256()
+    for g in grammars:
+        c = g.cnf()
+        digest.update(repr((sorted(c.nonterminals), c.rules, c.axiom)).encode())
+    assert digest.hexdigest() == CNF_DIGEST
+
+
+def test_cnf_of_repeated_nullable_symbols_is_fast():
+    """A body of 20 copies of one nullable symbol has 20 non-empty
+    subsequences, not 2^20, and converts well under a second."""
+    g = parse_grammar("S -> " + " A" * 20 + " |\nA -> a1 | |\n")
+    start = time.perf_counter()
+    c = g.cnf()
+    assert time.perf_counter() - start < 1.0
+    assert len(c.rules) == 40
+    assert words_of(c, 3) == words_of(g, 3)
 
 
 def test_cnf_is_identity_on_cnf_input():
