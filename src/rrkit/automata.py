@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Union
 
@@ -62,8 +62,15 @@ def check_machine(
 ) -> None:
     """The checks every machine constructor starts with: states and
     letters are strings, no alphabet repeats a letter or holds the epsilon
-    label, and the initial and accepting states are states."""
-    require_strings(chain(states, *alphabets))
+    label, and the initial and accepting states are states.  The string
+    check runs in C: joining the names raises TypeError exactly when some
+    name is not a str, and only then does require_strings walk them for
+    the message."""
+    try:
+        for names in (states, *alphabets):
+            "".join(names)
+    except TypeError:
+        require_strings(chain(states, *alphabets))
     for alphabet in alphabets:
         if len(set(alphabet)) != len(alphabet):
             raise InputError("alphabet contains duplicate symbols")
@@ -144,13 +151,14 @@ def synchronized_moves(
 def machine_json(
     fields: Mapping[str, Union[str, list[str]]],
     states: Iterable[str],
-    transition_keys: tuple[str, ...],
     transitions: Iterable[tuple[str, ...]],
 ) -> str:
     """The text of json.dumps(doc, indent=2, sort_keys=True) plus a newline,
     byte for byte, for the document doc = {**fields, "states":
     sorted(states), "transitions": [...]} whose transitions are
-    dict(zip(transition_keys, t)) for t in sorted(transitions).
+    dict(zip(keys, t)) for t in sorted(transitions), where the keys are
+    ("from", "label", "to") for an Nfa's 3-tuples and ("from", "read",
+    "write", "to") for a transducer's 4-tuples.
 
     The writer owns that order.  It sorts the state names once, for the
     "states" list, and writes the transitions grouped under their source
@@ -160,20 +168,23 @@ def machine_json(
     one of `states`, which the machine constructors check.  A reduction's
     output runs to tens of thousands of moves, most of them the one move
     out of a middle state, so the grouping does much less comparing than
-    one sort of every tuple.  The grouping table and the ordered list are
-    freed before any record is built, so that they do not add to the peak.
+    one sort of every tuple.  The grouping table is freed before any
+    record is built, so that it does not add to the peak.
 
     Every value is a string or a list of strings.  The writer exists
     because json.dumps with an indent skips the C encoder and runs the
     pure-Python one, a generator step per token, and `rr reduce` outputs
-    run to thousands of transitions.  It passes each string once through
-    json's C escaper, the one json.dumps uses, and copies the text once:
-    each transition record is joined into one string from its fixed key
-    text and its escaped values, and the records, the list fields and the
-    lines between them go into a single join for the document.  Joining
-    each nesting level on its own copied the whole text at every level;
-    joining every escaped value into the document directly kept all of
-    them alive to the end, a larger peak than the records they make up.
+    run to thousands of transitions.  Strings go through json's C
+    escaper, the one json.dumps uses.  Each state name is escaped once,
+    in the sorted list, and that text serves the "states" list and every
+    record's "from" and "to": a name recurs in many records, and escaping
+    it again per occurrence was most of the escaper's work.  Each record
+    is one f-string, so the interpreter builds its text in one step from
+    the fixed key text and the escaped values, with no per-record join or
+    template.  Each record also carries the separator before it (",\n",
+    or "[\n" for the first), so the records go straight into the single
+    join for the document: joining them into a list text first would
+    hold a second copy of every record at the peak.
     """
     names = sorted(states)
     groups: dict[str, list[tuple[str, ...]]] = {q: [] for q in names}
@@ -186,13 +197,29 @@ def machine_json(
         ordered += group
     del groups
     enc = encode_basestring_ascii
+    name = dict(zip(names, map(enc, names)))
     values: dict[str, Iterable[str]] = {
-        key: (enc(value),) if isinstance(value, str) else _json_list(value)
+        key: (enc(value),) if isinstance(value, str) else _json_list(map(enc, value))
         for key, value in fields.items()
     }
-    values["states"] = _json_list(names)
-    values["transitions"] = _json_records(transition_keys, list(zip(*ordered)))
-    del ordered
+    values["states"] = _json_list(name.values())
+    head = ',\n    {\n      "from": '
+    if ordered and len(ordered[0]) == 3:
+        records = [
+            f'{head}{name[src]},\n      "label": {enc(label)},\n      "to": {name[dst]}\n    }}'
+            for src, label, dst in ordered
+        ]
+    else:
+        records = [
+            f'{head}{name[src]},\n      "read": {enc(read)},\n      "to": {name[dst]},'
+            f'\n      "write": {enc(write)}\n    }}'
+            for src, read, write, dst in ordered
+        ]
+    del ordered, name
+    if records:
+        records[0] = "[\n" + records[0][2:]
+        records.append("\n  ]")
+    values["transitions"] = records or ("[]",)
     return _json_object(values)
 
 
@@ -208,7 +235,7 @@ def report_json(doc: Mapping[str, object]) -> str:
     and machine_json's assembly joins the pieces once.
     """
     return _json_object({
-        key: _json_list(value) if isinstance(value, list)
+        key: _json_list(map(encode_basestring_ascii, value)) if isinstance(value, list)
         else _json_scalars(value) if isinstance(value, dict)
         else _encode_scalar(value, 0)
         for key, value in doc.items()
@@ -247,28 +274,11 @@ def _json_scalars(fields: Mapping[str, object]) -> tuple[str, ...]:
     return ("{\n    ", text, "\n  }") if text else ("{}",)
 
 
-def _json_list(items: Iterable[str]) -> tuple[str, ...]:
-    """The pieces of a list of strings at the second level of indentation."""
-    text = ",\n    ".join(map(encode_basestring_ascii, items))
+def _json_list(escaped: Iterable[str]) -> tuple[str, ...]:
+    """The pieces of a list at the second level of indentation, from its
+    items' escaped text."""
+    text = ",\n    ".join(escaped)
     return ("[\n    ", text, "\n  ]") if text else ("[]",)
-
-
-def _json_records(keys: tuple[str, ...], columns: list[tuple[str, ...]]) -> Iterable[str]:
-    """The pieces of the transitions list, one string per record, from the
-    columns of the records' values."""
-    if not columns:
-        return ("[]",)
-    enc = encode_basestring_ascii
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    # per record: the fixed text before each value in sorted key order,
-    # the escaped value, and the closing brace; a record opens the list
-    # or follows the comma after the one before
-    head = f"    {{\n      {enc(keys[order[0]])}: "
-    row = [chain((f"[\n{head}",), repeat(f",\n{head}")), map(enc, columns[order[0]])]
-    for k in order[1:]:
-        row += repeat(f",\n      {enc(keys[k])}: "), map(enc, columns[k])
-    row.append(repeat("\n    }"))
-    return chain(map("".join, zip(*row)), ("\n  ]",))
 
 
 class Nfa(Frozen):
@@ -477,7 +487,6 @@ class Nfa(Frozen):
                 "accepting": sorted(self.accepting),
             },
             self.states,
-            ("from", "label", "to"),
             self.transitions,
         )
 

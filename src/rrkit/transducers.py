@@ -195,6 +195,5 @@ class Transducer(Frozen):
                 "accepting": sorted(self.accepting),
             },
             self.states,
-            ("from", "read", "write", "to"),
             self.transitions,
         )

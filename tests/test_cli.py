@@ -720,6 +720,32 @@ def test_json_reports_skip_the_pure_python_encoder(argv, in_tests_dir, monkeypat
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "mark", "--nfa", "data/d2pair.json"],
+        ["reduce", "ssharpup", "--nfa", "data/d2pair.json"],
+        ["reduce", "cs", "--grammar", "data/d1.txt"],
+    ],
+    ids=["mark", "ssharpup", "cs"],
+)
+def test_reduce_skips_the_pure_python_encoder(argv, in_tests_dir, monkeypatch, capsys):
+    """`rr reduce` writes its machine through automata.machine_json and
+    never reaches json's pure-Python encoder, a generator step per token;
+    the text is still what json.dumps(indent=2, sort_keys=True) writes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.undo()
+    doc = json.loads(out)
+    assert doc["transitions"]
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out
+
+
 def test_command_launch_loads_no_argparse(in_tests_dir):
     """A launch that runs a well-formed command imports neither argparse
     nor gettext; `rr witness --help` still prints the pinned screen."""

@@ -163,6 +163,33 @@ def test_constructor_rejects_non_string_names(fields, message):
                             "accept_mode": c.accept_mode, **fields})
 
 
+@pytest.mark.parametrize("field", ["states", "alphabet"])
+def test_one_non_string_among_many_names(field):
+    """One name that is not a string among 1,000 that are is found, and
+    named in the message, among the states and among the letters alike."""
+    c = d1_counter()
+    names = [f"n{i}" for i in range(1000)]
+    names.insert(500, 7)
+    fields = {"states": c.states, "alphabet": c.alphabet, "initial": c.initial,
+              "accepting": c.accepting, "transitions": c.transitions,
+              "accept_mode": c.accept_mode}
+    fields[field] = c.states | set(names) if field == "states" else (*c.alphabet, *names)
+    with pytest.raises(InputError) as info:
+        CounterAutomaton(**fields)
+    assert str(info.value) == "state and symbol names must be strings, got 7"
+
+
+def test_str_subclass_names_are_accepted():
+    class Name(str):
+        pass
+
+    c = CounterAutomaton.build((Name("a1"), "abar1"), Name("q"), {"q"},
+                               {(Name("q"), Name("a1"), "any", 1, "q"),
+                                ("q", "abar1", "positive", -1, Name("q"))},
+                               accept_mode="final_state_and_zero")
+    assert c.accepts(("a1", "abar1")) and not c.accepts(("a1",))
+
+
 def test_pair_names_are_injective():
     """Distinct pairs get distinct names, also when the parts hold the
     separator or the escape character; plain names keep their old form."""
