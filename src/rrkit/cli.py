@@ -2,9 +2,9 @@
 
 Exit codes follow one convention across commands: 0 means true/nonempty,
 1 means false/empty, 2 means any error (bad usage, unreadable file,
-contract violation).  Words on the command line are space-separated
-symbol tokens, e.g. --word "a1 a2 abar2 abar1".  JSON output is emitted
-with sorted keys so golden files stay byte-stable.
+contract violation, internal error: see main).  Words on the command
+line are space-separated symbol tokens, e.g. --word "a1 a2 abar2 abar1".
+JSON output is emitted with sorted keys so golden files stay byte-stable.
 
 Each input file is read with one unbuffered binary read and decoded as
 strict UTF-8, with universal newlines: "\r\n" and a lone "\r" read as
@@ -370,7 +370,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     goes to the full argparse parser (build_parser), which alone prints
     help screens and usage errors.  A usage error or a bad input prints
     one `rr: error:` line and returns 2, also when that line cannot be
-    written, as when stderr is a closed pipe.
+    written, as when stderr is a closed pipe.  Any other exception is an
+    internal error: its traceback goes to stderr, with no `rr: error:`
+    line, and main returns 2, never the 1 of "empty".  SystemExit and
+    KeyboardInterrupt pass through.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -382,6 +385,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputError, ContractError, UnsupportedFilterError, OSError) as exc:
         try:
             print(f"rr: error: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+        return 2
+    except Exception:
+        import traceback
+
+        try:
+            traceback.print_exc()
         except OSError:
             pass
         return 2

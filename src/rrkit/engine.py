@@ -127,9 +127,11 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     which the counter can still come back to an accepting zero), so an
     empty product whose counter can only climb ends at once; the
     unfolding's size is still what states_created reports.  The witness
-    is re-checked against the automaton and the filter oracle before
-    return, by CounterAutomaton.accepts, which cuts at the ceilings too.
+    is re-checked against the automaton and the caller's filter before
+    return (the dyck1 oracle when d1_counter() found it; for a counter
+    filter CounterAutomaton.accepts, which cuts at the ceilings too).
     """
+    machine = f.automaton if method != "bar-hillel" else None
     if method == "counter" and f.kind != "counter":
         if not (f.kind == "dyck" and f.n == 1):
             what = f"filter kind {f.kind!r}"
@@ -138,7 +140,7 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
             raise InputError(
                 f"no counter realization is registered for {what}; only dyck1 has a counter route"
             )
-        f = _d1_counter_filter()
+        machine = _d1_counter()
     elif method not in ("auto", "bar-hillel", "counter", "log2"):
         raise InputError(f"unknown method {method!r}")
     letters = set(f.alphabet)
@@ -149,8 +151,8 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     if method == "log2":
         checked = log2_check(f.cnf_grammar, a_full)
         return DecisionReport(checked.result, None, "log2", checked.to_dict())
-    if f.kind == "counter" and method != "bar-hillel":
-        product = f.automaton.product(a_full)
+    if machine is not None:
+        product = machine.product(a_full)
         size = len(product.states)
         cap = size**2
         witness = product.least_word(cap)
@@ -176,11 +178,8 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     return DecisionReport(witness is not None, witness, method, stats)
 
 
-@cache
-def _d1_counter_filter() -> FilterSpec:
-    """The counter route's filter for dyck1, built once per process, so
-    that its machine's per-machine tables are too."""
-    return FilterSpec.from_counter(d1_counter())
+# dyck1's counter machine, built once per process, as are its tables
+_d1_counter = cache(d1_counter)
 
 
 def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:

@@ -369,45 +369,37 @@ def _live_band(a: Nfa, m: int) -> dict[str, int]:
     whole mask of levels at once (opens up, closes down, epsilon moves
     level).  Levels pushed out of the band are dropped, as the marking
     sends those moves to its reject state.  A state's bracket self-loops
-    are saturated when it is taken off the worklist, by doubling the
-    shift until the mask stops growing, rather than one level per pass
-    around the loop; this is exact because a run along a loop climbs or
-    falls monotonely, so it stays in the band if its last level does.
+    are closed in one step when it leaves the worklist: an opening loop
+    adds every level from the mask's lowest up to m, a closing loop every
+    level from its highest down to 0.  This is exact because a bracket
+    moves the level by exactly one, so a run around a loop passes every
+    level between its ends, all inside the band.  Read backward, an open
+    falls and a close climbs.
     """
     band = (1 << (m + 1)) - 1
+    forward: dict[str, list[tuple[int, str]]] = {}
+    backward: dict[str, list[tuple[int, str]]] = {}
+    # the states with an opening (+1) or a closing (-1) self-loop
+    loops: dict[int, set[str]] = {1: set(), -1: set()}
+    for src, label, dst in a.transitions:
+        shift = _SHIFT[label]
+        if src != dst:
+            forward.setdefault(src, []).append((shift, dst))
+            backward.setdefault(dst, []).append((-shift, src))
+        elif shift:
+            loops[shift].add(src)
 
-    def saturate(mask: int, shifts: list[int]) -> int:
-        # closed under every shift: after the steps s, 2s, .., 2^k s the
-        # mask holds every level j·s away from one of its own, j < 2^(k+1)
-        grown = True
-        while grown:
-            grown = False
-            for step in shifts:
-                while True:
-                    moved = (mask << step if step > 0 else mask >> -step) & band
-                    if moved | mask == mask:
-                        break
-                    mask |= moved
-                    step *= 2
-                    grown = True
-        return mask
-
-    def closure(seeds: Mapping[str, int], moves: list[tuple[str, int, str]]) -> dict[str, int]:
-        out: dict[str, list[tuple[int, str]]] = {}
-        loops: dict[str, list[int]] = {}
-        for src, shift, dst in moves:
-            if src != dst:
-                out.setdefault(src, []).append((shift, dst))
-            elif shift:
-                loops.setdefault(src, []).append(shift)
-        levels = dict(seeds)
+    def closure(levels: dict[str, int], moves: dict, up: set[str], down: set[str]) -> dict[str, int]:
         todo = list(levels)
         while todo:
             q = todo.pop()
             mask = levels[q]
-            if q in loops:
-                mask = levels[q] = saturate(mask, loops[q])
-            for shift, dst in out.get(q, ()):
+            if q in up:  # -mask has every bit from mask's lowest one up
+                mask |= band & -mask
+            if q in down:  # every bit up to mask's highest one
+                mask |= (1 << mask.bit_length()) - 1
+            levels[q] = mask
+            for shift, dst in moves.get(q, ()):
                 moved = (mask << shift if shift >= 0 else mask >> -shift) & band
                 old = levels.get(dst, 0)
                 if moved | old != old:
@@ -415,12 +407,9 @@ def _live_band(a: Nfa, m: int) -> dict[str, int]:
                     todo.append(dst)
         return levels
 
-    moves = [(src, _SHIFT[label], dst) for src, label, dst in a.transitions]
-    forward = closure({a.initial: 1}, moves)
-    backward = closure(
-        {f: 1 for f in a.accepting}, [(dst, -shift, src) for src, shift, dst in moves]
-    )
-    return {q: forward.get(q, 0) & backward.get(q, 0) for q in a.states}
+    reach = closure({a.initial: 1}, forward, loops[1], loops[-1])
+    coreach = closure(dict.fromkeys(a.accepting, 1), backward, loops[-1], loops[1])
+    return {q: reach.get(q, 0) & coreach.get(q, 0) for q in a.states}
 
 
 def reduce_d2_to_ssharpup(a: Nfa) -> Nfa:

@@ -191,6 +191,38 @@ def mark_by_definition(states, transitions, initial, accepting, m):
     return unfold_by_definition(states, moves, initial, accepting, "final_state_and_zero", m)
 
 
+def live_band_by_pairs(a, m):
+    """The live pairs of the height marking of a two-pair bracket machine
+    a, as {q: set of levels i} over a.states: (q, i) is live when a walk
+    over (state, level) pairs reaches it from (a.initial, 0) and reaches
+    some (accepting, 0) from it, every pair on the way inside [0, m].  An
+    open a1/a2 goes a level up, a close a level down, an epsilon move
+    stays level; the backward walk runs the moves in reverse."""
+    shift = {"": 0, "a1": 1, "a2": 1, "abar1": -1, "abar2": -1}
+    succ, pred = {}, {}
+    for src, label, dst in a.transitions:
+        succ.setdefault(src, []).append((shift[label], dst))
+        pred.setdefault(dst, []).append((-shift[label], src))
+
+    def walk(seeds, moves):
+        seen = set(seeds)
+        todo = list(seen)
+        while todo:
+            q, i = todo.pop()
+            for delta, p in moves.get(q, ()):
+                pair = (p, i + delta)
+                if 0 <= i + delta <= m and pair not in seen:
+                    seen.add(pair)
+                    todo.append(pair)
+        return seen
+
+    live = walk({(a.initial, 0)}, succ) & walk({(f, 0) for f in a.accepting}, pred)
+    band = {q: set() for q in a.states}
+    for q, i in live:
+        band[q].add(i)
+    return band
+
+
 def ssharpup_by_two_trims(states, initial, accepting, transitions):
     """The embedding of a height-marked machine into the S_#^up alphabet,
     trimmed before and after: the marked machine is trimmed; the prefix

@@ -414,6 +414,28 @@ def test_closed_stdout_prints_one_error_line(in_tests_dir, monkeypatch, capsys):
     assert capsys.readouterr().err == "rr: error: [Errno 32] Broken pipe\n"
 
 
+def test_internal_error_is_exit_2_with_its_traceback(in_tests_dir, monkeypatch, capsys):
+    """An internal failure, here the witness re-check against a filter
+    oracle that rejects every word, exits 2, never the 1 of "empty", and
+    prints its traceback instead of an `rr: error:` line, so it still
+    reads apart from an input error."""
+    monkeypatch.setattr(rrkit.FilterSpec, "contains", lambda self, word: False)
+    assert main(["decide", "--filter", "dyck1", "--nfa", "data/pair.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback") and "rr: error:" not in err
+    assert err.endswith("RuntimeError: internal error: witness rejected by the filter oracle\n")
+
+
+def test_keyboard_interrupt_passes_through(in_tests_dir, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "nrr_decide", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["decide", "--filter", "dyck1", "--nfa", "data/pair.json"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -100,6 +100,15 @@ def test_counter_route_builds_its_dyck1_filter_once(monkeypatch):
     assert len(machines) == 2 and machines[0] is machines[1]
 
 
+def test_counter_route_rechecks_against_the_named_filter(monkeypatch):
+    """The counter route on dyck1 finds its witness on d1_counter() and
+    re-checks it with the dyck1 oracle the caller named, not with that
+    machine."""
+    monkeypatch.setattr("rrkit.filters.dyck_member", lambda n, word: False)
+    with pytest.raises(RuntimeError, match="filter oracle"):
+        nrr_decide(pair_machine(), FilterSpec.dyck(1), "counter")
+
+
 def test_decide_empty():
     a = Nfa.build(("a1", "abar1"), "q0", {"q1"}, {("q0", "a1", "q1")})
     report = nrr_decide(a, FilterSpec.dyck(1))

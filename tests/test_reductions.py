@@ -35,7 +35,7 @@ from rrkit.filters import (
     ALPHABET_FULL, dyck_encoder, dyck_grammar, m_inf_member, m_plus_member,
     s_sharp_up_member,
 )
-from rrkit.reductions import D2_ALPHABET, _derivable
+from rrkit.reductions import D2_ALPHABET, _derivable, _live_band
 
 from generators import random_cfg, random_cnf, random_nfa
 from oracles import (
@@ -43,6 +43,7 @@ from oracles import (
     dyck_words,
     enumerate_accepted,
     grammar_words,
+    live_band_by_pairs,
     mark_by_definition,
     naive_accepts,
     ssharpup_by_two_trims,
@@ -621,6 +622,38 @@ def test_reduction_matches_two_trim_pipeline():
         assert b.states == {t[2] for t in b.transitions} | {"pre0"}, a
         sizes["nonempty" if expected.accepting else "empty"] += 1
     assert min(sizes.values()) >= 1, sizes  # both branches ran
+
+
+def test_live_band_matches_a_walk_over_pairs():
+    """_live_band's masks hold exactly the live pairs that a plain walk
+    over (state, level) pairs finds, on 1,500 seeded machines of 1 to 4
+    states with epsilon moves, where two states in five carry an opening
+    self-loop, a closing one or both; each at a random band top in 0..4
+    and at height_bound(a)."""
+    rng = random.Random(929)
+    labels = D2_ALPHABET + ("",)
+    loops = (("a1",), ("a2",), ("abar1",), ("abar2",), ("a1", "abar2"), ("a2", "abar1"))
+    climbed = 0
+    for _ in range(1500):
+        states = [f"q{i}" for i in range(rng.randint(1, 4))]
+        moves = {
+            (src, rng.choice(labels), rng.choice(states))
+            for src in states
+            for _ in range(rng.randint(0, 3))
+        }
+        for q in states:
+            if rng.random() < 0.4:
+                moves.update((q, label, q) for label in rng.choice(loops))
+        accepting = rng.sample(states, rng.randint(1, len(states)))
+        a = Nfa.build(D2_ALPHABET, "q0", accepting, moves, states=states)
+        for m in (rng.randint(0, 4), height_bound(a)):
+            band = {
+                q: {i for i in range(mask.bit_length()) if mask >> i & 1}
+                for q, mask in _live_band(a, m).items()
+            }
+            assert band == live_band_by_pairs(a, m), (a, m)
+            climbed += any(max(levels, default=0) > 1 for levels in band.values())
+    assert climbed >= 800, climbed  # loops and cycles lift many bands past level 1
 
 
 def test_reduction_reaches_the_top_of_the_band():
