@@ -74,42 +74,39 @@ class CounterAutomaton(Frozen):
         return {q: tuple(sorted(es)) for q, es in out.items()}
 
     @cached_property
-    def _ceiling(self) -> Mapping[str, float]:
-        """The highest counter value from which a state may still reach an
-        accepting configuration, for each state that may reach one at
-        some value (math.inf when no value is too high).  A state missing
-        here is dead.
-
-        Ignore the guards and the floor at 0.  A run from (q, v) that ends
-        accepting at value 0 is then a path of moves from q to an
-        accepting state whose deltas sum to -v, so v <= -dist(q), where
-        dist(q) is the least delta sum over such paths: a shortest path
-        (Bellman, 1958), found by a worklist over the reversed moves from
-        the accepting states.  Each estimate records its parent, the state
-        it came through.  When src would get a lower sum through q while
-        src is on q's chain of parents, that chain and the move src -> q
-        close a cycle whose deltas sum below 0 (each state on the chain
-        sums to at least its move's delta plus its parent's sum, and src's
-        new sum is below its old one): src, and every state that reaches
-        it, has no ceiling.  So the chains stay simple paths, every sum
-        stays above -|Q| and the worklist ends (the "walk to the root"
-        among the negative-cycle checks that Cherkassky and Goldberg,
-        1999, compare).  A state with dist(q) > 0 is dead.  In
-        final_state mode the value is not read at acceptance, so every
-        state that reaches an accepting state has no ceiling.
-        """
+    def _reversed(self) -> tuple[Mapping[str, list[tuple[int, str]]], Mapping[str, list[str]]]:
+        """The moves read backward with the guards ignored: by target, the
+        (delta, source) pairs; and by target, the sources alone."""
         into: dict[str, list[tuple[int, str]]] = {}
         for src, _, _, delta, dst in self.transitions:
             into.setdefault(dst, []).append((delta, src))
-        back = {q: [src for _, src in moves] for q, moves in into.items()}
-        if self.accept_mode == "final_state":
-            return dict.fromkeys(reach(self.accepting, back), math.inf)
-        # dist[q] is the least delta sum found from q to an accepting
-        # state, through parent[q] (None for an accepting state at 0)
-        dist = dict.fromkeys(self.accepting, 0)
-        parent: dict[str, Optional[str]] = dict.fromkeys(self.accepting)
+        return into, {q: [src for _, src in moves] for q, moves in into.items()}
+
+    def _least_sums(self, seeds: Iterable[str]) -> tuple[dict[str, int], set[str]]:
+        """For each state that reaches a seed, the least delta sum over the
+        paths of moves from it to a seed (0 at a seed); and the states that
+        reach a cycle whose deltas sum below 0, which have no least sum
+        (their entries are left as found).
+
+        A shortest path (Bellman, 1958), found by a worklist over the
+        reversed moves from the seeds.  Each estimate records its parent,
+        the state it came through.  When src would get a lower sum through
+        q while src is on q's chain of parents, that chain and the move
+        src -> q close a cycle whose deltas sum below 0 (each state on the
+        chain sums to at least its move's delta plus its parent's sum, and
+        src's new sum is below its old one): src, and every state that
+        reaches it, has no least sum.  So the chains stay simple paths,
+        every sum stays above -|Q| and the worklist ends (the "walk to the
+        root" among the negative-cycle checks that Cherkassky and
+        Goldberg, 1999, compare).
+        """
+        into, back = self._reversed
+        # dist[q] is the least delta sum found from q to a seed, through
+        # parent[q] (None for a seed at 0)
+        dist = dict.fromkeys(seeds, 0)
+        parent: dict[str, Optional[str]] = dict.fromkeys(dist)
         cyclic: set[str] = set()
-        todo = deque(self.accepting)
+        todo = deque(dist)
         while todo:
             q = todo.popleft()
             if q in cyclic:
@@ -129,9 +126,51 @@ class CounterAutomaton(Frozen):
                 dist[src] = base + delta
                 parent[src] = q
                 todo.append(src)
+        return dist, reach(cyclic, back)
+
+    @cached_property
+    def _ceiling(self) -> Mapping[str, float]:
+        """The highest counter value from which a state may still reach an
+        accepting configuration, for each state that may reach one at
+        some value (math.inf when no value is too high).  A state missing
+        here is dead.
+
+        Ignore the guards and the floor at 0.  A run from (q, v) that ends
+        accepting at value 0 is then a path of moves from q to an
+        accepting state whose deltas sum to -v, so v <= -dist(q), where
+        dist(q) is the least delta sum over such paths (_least_sums from
+        the accepting states).  A state that reaches a cycle whose deltas
+        sum below 0 has no ceiling, and one with dist(q) > 0 is dead.  In
+        final_state mode the value is not read at acceptance, so every
+        state that reaches an accepting state has no ceiling.
+        """
+        if self.accept_mode == "final_state":
+            return dict.fromkeys(reach(self.accepting, self._reversed[1]), math.inf)
+        dist, cyclic = self._least_sums(self.accepting)
         ceiling: dict[str, float] = {q: -total for q, total in dist.items() if total <= 0}
-        ceiling.update(dict.fromkeys(reach(cyclic, back), math.inf))
+        ceiling.update(dict.fromkeys(cyclic, math.inf))
         return ceiling
+
+    @cached_property
+    def _floor(self) -> Mapping[str, float]:
+        """For each state q, drop(q) + 1, where drop(q) is the largest total
+        fall of the counter over any path of moves from q, guards and the
+        floor at 0 ignored: -dist(q) for the least delta sum dist(q) over
+        the paths from q, the empty one included (_least_sums with every
+        state seeded at 0).  It is math.inf when q reaches a cycle whose
+        deltas sum below 0.
+
+        From (q, v) with v > drop(q) the counter stays above 0 on every
+        run, so every zero guard fails, every positive guard passes,
+        every -1 move is enabled and no run accepts at zero, whatever v
+        is: all those values behave alike, and accepts stores the least
+        of them.  A move q -> r with delta d gives drop(q) >= drop(r) - d,
+        so the successors of a value above drop(q) lie above drop(r) too.
+        """
+        dist, cyclic = self._least_sums(self.states)
+        floor: dict[str, float] = {q: 1 - total for q, total in dist.items()}
+        floor.update(dict.fromkeys(cyclic, math.inf))
+        return floor
 
     def _guard_ok(self, guard: str, value: int) -> bool:
         if guard == "zero":
@@ -180,6 +219,17 @@ class CounterAutomaton(Frozen):
         cut only removes runs, so a wrong ceiling would make accepts
         reject more: nrr_decide's re-check of least_word's witness would
         then raise "witness rejected", and never pass a wrong witness.
+
+        A value above drop(q), the largest fall of the counter along any
+        path of moves from q, is stored as drop(q) + 1 (_floor): from all
+        such values the runs are the same.  So epsilon moves that pump the
+        counter add at most drop(q) + 2 values per state and position, and
+        the search is linear in the word.  A stored value is never above
+        the values it stands for, so the cap cuts no run that it kept
+        before, and the verdict stays that of the uncapped machine, which
+        the cap already gives.  A state that reaches a cycle whose deltas
+        sum below 0 gets no floor: its values are walked up to the ceiling
+        or the cap, as before.
         """
         w = tuple(word)
         for sym in w:
@@ -199,7 +249,7 @@ class CounterAutomaton(Frozen):
         n = len(w)
         cap = (len(self.states) * (n + 1)) ** 2
         top = {q: min(c, cap) for q, c in self._ceiling.items()}
-        by_state, guard_ok = self._by_state, self._guard_ok
+        by_state, guard_ok, floor = self._by_state, self._guard_ok, self._floor
         start = (self.initial, 0, 0)
         seen = {start}
         queue = deque([start])
@@ -219,7 +269,7 @@ class CounterAutomaton(Frozen):
                 nval = value + delta
                 if nval < 0 or nval > top.get(dst, -1):
                     continue
-                config = (dst, npos, nval)
+                config = (dst, npos, min(nval, floor[dst]))
                 if config not in seen:
                     seen.add(config)
                     queue.append(config)

@@ -63,19 +63,20 @@ class DecisionReport(Frozen):
 
 
 class CheckerStats(Frozen):
-    """Space figures of the recursive verification of one certificate.
+    """Space figures of the frame-by-frame verification of one certificate.
 
     max_recursion_depth is the number of nested frames the 1/3–2/3
     decomposition of the least witness's derivation tree needs (a leaf
     is one frame; see log2_check).  max_live_triples counts, at any
-    instant, the triples pinned by the recursion stack (one per frame)
-    plus the single chain triple the active frame is extending;
-    suspended frames' chain positions are recoverable from the
-    deterministic iteration order and are not counted.  A frame walks a
-    chain only above a composite subtree, whose own frames then run one
-    level deeper, so the peak equals max_recursion_depth.  Both are 0
-    when no tree is needed: an empty intersection, or the empty word
-    accepted through the axiom's epsilon rule.
+    instant, the triples pinned by the open frames, one per level of
+    nesting from the root to the active frame, plus the single chain
+    triple the active frame is extending; suspended frames' chain
+    positions are recoverable from the deterministic iteration order and
+    are not counted.  A frame walks a chain only above a composite
+    subtree, whose own frames then run one level deeper, so the peak
+    equals max_recursion_depth.  Both are 0 when no tree is needed: an
+    empty intersection, or the empty word accepted through the axiom's
+    epsilon rule.
     """
 
     max_recursion_depth: int
@@ -129,7 +130,10 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     unfolding's size is still what states_created reports.  The witness
     is re-checked against the automaton and the caller's filter before
     return (the dyck1 oracle when d1_counter() found it; for a counter
-    filter CounterAutomaton.accepts, which cuts at the ceilings too).
+    filter CounterAutomaton.accepts, which cuts at the ceilings too and
+    stores each value above a state's floor, past which no run can bring
+    the counter to 0, as the least such value; a state that reaches a
+    cycle of falling moves has no floor).
     """
     machine = f.automaton if method != "bar-hillel" else None
     if method == "counter" and f.kind != "counter":
@@ -494,7 +498,7 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
     return best
 
 
-# -- instrumented recursive checker ---------------------------------------------
+# -- instrumented certificate checker -------------------------------------------
 
 
 def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
@@ -513,10 +517,14 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
     its frame verifies the central subtree and every light sibling passed
     on the way down, each in a frame one level deeper.  Every frame
     shrinks the yield by a factor of at least 2/3, so the depth is at
-    most log_{3/2} of the witness length plus a constant.  The empty
-    word, accepted through the axiom's epsilon rule, needs no tree and
-    gives depth 0.  Epsilon moves of a are absorbed by _derivable, which
-    also checks that f_grammar is in CNF before any table is read.
+    most log_{3/2} of the witness length plus a constant.  The frames
+    wait on an explicit stack of (triple, level) pairs, not on Python's
+    call stack: a frame whose triple has a word of n <= 1 letters is a
+    leaf and ends at level + n, and the depth is the deepest such end.
+    The empty word, accepted through the axiom's epsilon rule, needs no
+    tree and gives depth 0.  Epsilon moves of a are absorbed by
+    _derivable, which also checks that f_grammar is in CNF before any
+    table is read.
     The walk works on _derivable's int keys, (rank(q)·|N| + rank(A))·|Q|
     + rank(p) with states and nonterminals ranked in sorted name order:
     the rules A -> B C come from f_grammar.cnf_table.by_lhs, in grammar
@@ -551,18 +559,19 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
                     return left, right
         raise RuntimeError(f"internal error: no split reproduces the least word of triple {t}")
 
-    def depth(t: int) -> int:
+    # the frames (triple, level) still to verify
+    d, frames = 0, [(key, 0)]
+    while frames:
+        t, level = frames.pop()
         n = len(least[t])
         if n <= 1:
-            return n
-        light = []
+            d = max(d, level + n)
+            continue
         while 3 * len(least[t]) > 2 * n:
             heavy, other = children(t)
             if len(least[heavy]) < len(least[other]):
                 heavy, other = other, heavy
-            light.append(other)
+            frames.append((other, level + 1))
             t = heavy
-        return 1 + max(map(depth, [t, *light]))
-
-    d = depth(key)
+        frames.append((t, level + 1))
     return CheckerStats(d, d, True)

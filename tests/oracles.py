@@ -378,6 +378,54 @@ def string_keyed_closure(rules, terminals, states, transitions):
     return out
 
 
+def lsh_depth(rules, axiom, terminals, states, transitions, initial, accepting):
+    """The nesting depth of the 1/3-2/3 verification of Lewis, Stearns and
+    Hartmanis (1965) over the derivation tree of a CNF grammar's least
+    word through an automaton, or None when it reads no such word.
+
+    The least words are string_keyed_closure's, up to the first settled
+    triple (initial, axiom, f) with f accepting.  A triple of word length
+    n <= 1 is a leaf of depth n.  Otherwise its children are those of the
+    first rule A -> B C in grammar order and the first split state r in
+    sorted name order whose children's least words concatenate to its
+    own; the walk descends into the longer child (the left one on a tie)
+    while the yield exceeds 2n/3, and the depth is 1 plus the largest
+    depth of the central triple and the light siblings passed on the way.
+    """
+    least = {}
+    for t, word in string_keyed_closure(rules, terminals, states, transitions):
+        least[t] = word
+        if t[0] == initial and t[1] == axiom and t[2] in accepting:
+            break
+    else:
+        return None
+    states = sorted(states)
+
+    def children(t):
+        q, sym, p = t
+        for b, c in (rhs for lhs, rhs in rules if lhs == sym and len(rhs) == 2):
+            for r in states:
+                left, right = (q, b, r), (r, c, p)
+                if left in least and right in least and least[left] + least[right] == least[t]:
+                    return left, right
+        raise AssertionError(f"no split reproduces the least word of {t}")
+
+    def depth(t):
+        n = len(least[t])
+        if n <= 1:
+            return n
+        light = []
+        while 3 * len(least[t]) > 2 * n:
+            heavy, other = children(t)
+            if len(least[heavy]) < len(least[other]):
+                heavy, other = other, heavy
+            light.append(other)
+            t = heavy
+        return 1 + max(depth(u) for u in [t, *light])
+
+    return depth(t)
+
+
 def _concatenations(sources, max_len):
     """Every concatenation of one word from each source, up to max_len."""
     partial = [()]

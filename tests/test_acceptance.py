@@ -10,11 +10,13 @@ are seeded so failures reproduce.
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import random
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 from rrkit import (
@@ -241,34 +243,54 @@ def _counter_bounds_hold(machine, n):
     return pinned is not None
 
 
+GUARDS = ("any", "zero", "positive")
+DELTAS = (-1, 0, 1)
+MODES = ("final_state", "final_state_and_zero")
+DOUBLE = [(src, read, g, d, dst)
+          for src in ("q0", "q1") for read in ("a", "b", "")
+          for g in GUARDS for d in DELTAS for dst in ("q0", "q1")]
+
+
+def _double_part(i, w):
+    """Check the two-state machines of every w-th combination of at most
+    three moves from the i-th, in both modes: (machines, nonempty)."""
+    total = nonempty = 0
+    combos = itertools.chain.from_iterable(itertools.combinations(DOUBLE, k) for k in range(4))
+    for combo in itertools.islice(combos, i, None, w):
+        for mode in MODES:
+            m = CounterAutomaton.build(
+                ("a", "b"), "q0", {"q1"}, combo, accept_mode=mode, states=["q0", "q1"]
+            )
+            total += 1
+            nonempty += _counter_bounds_hold(m, 2)
+    return total, nonempty
+
+
 def test_criterion_06_counter_bounds_exhaustive():
+    """The two-state machines are split between two worker processes,
+    started by spawn, which is safe whatever threads this process runs;
+    an assertion that fails there names its machine, and the pool raises
+    it here."""
     with _criterion(6) as detail:
-        guards = ("any", "zero", "positive")
-        deltas = (-1, 0, 1)
         t0 = time.monotonic()
-        total = nonempty = 0
-        single = [("q0", read, g, d, "q0")
-                  for read in ("a", "b", "") for g in guards for d in deltas]
-        for k in range(3):
-            for combo in itertools.combinations(single, k):
-                for mode in ("final_state", "final_state_and_zero"):
-                    m = CounterAutomaton.build(
-                        ("a", "b"), "q0", {"q0"}, combo, accept_mode=mode, states=["q0"]
-                    )
-                    total += 1
-                    nonempty += _counter_bounds_hold(m, 1)
-        double = [(src, read, g, d, dst)
-                  for src in ("q0", "q1") for read in ("a", "b", "")
-                  for g in guards for d in deltas for dst in ("q0", "q1")]
-        for k in range(4):
-            for combo in itertools.combinations(double, k):
-                for mode in ("final_state", "final_state_and_zero"):
-                    m = CounterAutomaton.build(
-                        ("a", "b"), "q0", {"q1"}, combo, accept_mode=mode,
-                        states=["q0", "q1"],
-                    )
-                    total += 1
-                    nonempty += _counter_bounds_hold(m, 2)
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(2, mp_context=spawn) as pool:
+            parts = pool.map(_double_part, range(2), itertools.repeat(2))
+            total = nonempty = 0
+            single = [("q0", read, g, d, "q0")
+                      for read in ("a", "b", "") for g in GUARDS for d in DELTAS]
+            for k in range(3):
+                for combo in itertools.combinations(single, k):
+                    for mode in MODES:
+                        m = CounterAutomaton.build(
+                            ("a", "b"), "q0", {"q0"}, combo, accept_mode=mode, states=["q0"]
+                        )
+                        total += 1
+                        nonempty += _counter_bounds_hold(m, 1)
+            for part_total, part_nonempty in parts:
+                total += part_total
+                nonempty += part_nonempty
+        assert (total, nonempty) == (420_844, 109_961)
         elapsed = time.monotonic() - t0
         detail.append(
             f"{total} machines (2 states x 2 letters, <=3 transitions), "

@@ -17,7 +17,7 @@ from rrkit.counter import ACCEPT_MODES
 from rrkit.errors import ContractError, InputError
 from rrkit.filters import d1_counter
 
-from generators import coprime_cycle_nfa, dense_counter, random_counter, random_nfa
+from generators import coprime_cycle_nfa, dense_counter, random_counter, random_nfa, random_word
 from oracles import (
     all_pairs_product, counter_configs_to_acceptance, dyck_oracle, reachable, unfold_by_definition,
 )
@@ -397,7 +397,10 @@ def test_ceiling_values(mode):
     """Exact ceilings: a bounded chain, a -1 loop before acceptance
     (unbounded), a zero-sum cycle (bounded), states whose every path to
     acceptance climbs (dead) and a state with no path (dead).  In
-    final_state mode every state that reaches acceptance is unbounded."""
+    final_state mode every state that reaches acceptance is unbounded.
+    The floors, drop(q) + 1 for the largest fall drop(q) along a path
+    from q, read no guard and no accepting state, so both modes agree:
+    none for l and m, which reach the -1 loop."""
     moves = {
         ("c0", "a", "any", 1, "c1"),  # c0 +1 c1 -1 c2 -1 f
         ("c1", "b", "positive", -1, "c2"),
@@ -419,6 +422,10 @@ def test_ceiling_values(mode):
         expected = dict.fromkeys(("c0", "c1", "c2", "f", "m", "l", "z", "y", "u", "w"), math.inf)
     assert c._ceiling == expected
     assert d1_counter()._ceiling == {"q0": math.inf}
+    assert c._floor == {
+        "c0": 2, "c1": 3, "c2": 2, "f": 1, "m": math.inf, "l": math.inf,
+        "z": 1, "y": 2, "u": 1, "w": 1, "x": 1,
+    }
 
 
 @pytest.mark.parametrize("epsilon", [True, False])
@@ -470,17 +477,23 @@ def test_accepts_follows_epsilon_runs_past_a_linear_cap():
     assert report.nonempty and report.witness == ()
 
 
-def test_accepts_rejects_a_dead_word_without_walking_the_counter(monkeypatch):
+def pumping_chain():
     """Six states p0..p5 in a chain of epsilon moves, each with an epsilon
     +1 self-loop and an a self-loop, then a b move into the accepting
-    state.  No word without b is accepted, so accepts says no before it
-    checks a guard; the wrapper stops it after 10,000 checks, far fewer
-    than a walk of every value up to the cap (|Q|·(|w|+1))² makes."""
+    state f: the language a*b, with the counter free to climb anywhere."""
     moves = {("p5", "b", "any", 0, "f")}
     moves |= {(f"p{i}", "", "any", 0, f"p{i + 1}") for i in range(5)}
     for i in range(6):
         moves |= {(f"p{i}", "", "any", 1, f"p{i}"), (f"p{i}", "a", "any", 0, f"p{i}")}
-    c = CounterAutomaton.build(("a", "b"), "p0", {"f"}, moves)
+    return CounterAutomaton.build(("a", "b"), "p0", {"f"}, moves)
+
+
+def test_accepts_rejects_a_dead_word_without_walking_the_counter(monkeypatch):
+    """The pumping chain.  No word without b is accepted, so accepts says
+    no before it checks a guard; the wrapper stops it after 10,000
+    checks, far fewer than a walk of every value up to the cap
+    (|Q|·(|w|+1))² makes."""
+    c = pumping_chain()
     calls = 0
     guard_ok = CounterAutomaton._guard_ok
 
@@ -524,6 +537,47 @@ def test_accepts_stops_at_the_value_ceiling(monkeypatch):
     for n in (0, 1, 10):
         assert not c.accepts(("a",) * n)
     assert calls > 0
+
+
+def test_accepts_is_linear_on_a_pumping_chain(monkeypatch):
+    """The pumping chain reads aⁿb.  Every state stays live up to the b,
+    and no move brings the counter down, so no path falls and every
+    state's floor is 1: accepts walks the values 0 and 1 at each
+    position, 68,024 guard checks for a²⁰⁰⁰b.  Walked up to the cap
+    (|Q|·(|w|+1))², it took 957 ms at n = 400, growing as n², and the
+    wrapper stops it after 100,000 checks."""
+    c = pumping_chain()
+    calls = 0
+    guard_ok = CounterAutomaton._guard_ok
+
+    def counted(self, guard, value):
+        nonlocal calls
+        calls += 1
+        assert calls <= 100_000, "accepts walked the counter"
+        return guard_ok(self, guard, value)
+
+    monkeypatch.setattr(CounterAutomaton, "_guard_ok", counted)
+    assert c.accepts(("a",) * 2000 + ("b",))
+    assert not c.accepts(("a",) * 2000 + ("b", "a"))
+    assert c._floor == dict.fromkeys(c.states, 1)
+
+
+def test_accepts_matches_the_unfolding_at_its_cap():
+    """accepts(w) is the verdict of to_nfa((|Q|·(|w|+1))²), the unfolding
+    at the cap that accepts itself names, on seeded machines in both
+    accept modes with epsilon moves: storing a value above drop(q) as
+    drop(q) + 1 changes no verdict."""
+    rng = random.Random(4242)
+    machines = [random_counter(rng, max_states=3) for _ in range(60)]
+    machines += [dense_counter(rng, ("a1", "abar1")) for _ in range(60)]
+    accepted = 0
+    for c in machines:
+        for _ in range(4):
+            w = random_word(rng, c.alphabet, max_len=4)
+            verdict = c.accepts(w)
+            assert verdict == c.to_nfa((len(c.states) * (len(w) + 1)) ** 2).accepts(w), (c, w)
+            accepted += verdict
+    assert accepted > 50, accepted
 
 
 def test_validation():

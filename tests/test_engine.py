@@ -1,5 +1,5 @@
 """The decision engine: route dispatch, witnesses, substitution, the
-rational index, and the instrumented recursive checker.
+rational index, and the instrumented certificate checker.
 
 Cross-route agreement carries most of the weight: the grammar product and
 the counter product decide the same one-pair bracket questions, and both
@@ -44,6 +44,7 @@ from oracles import (
     RHO_ALLWORDS,
     RHO_DYCK1,
     enumerate_accepted,
+    lsh_depth,
     rho_allwords,
     rho_dyck1,
     substituted_member,
@@ -824,7 +825,7 @@ def test_rational_index_closes_ten_of_sixteen_dyck1_chunks(monkeypatch):
     assert len(closed) == 10
 
 
-# -- recursive checker -------------------------------------------------------------
+# -- certificate checker -----------------------------------------------------------
 
 
 def d1_cnf():
@@ -941,6 +942,54 @@ def test_log2_check_depth_tracks_the_decomposition():
         d = depth(L)
         assert previous <= d <= math.ceil(math.log(L, 1.5)) + 2, L
         previous = d
+
+
+def test_log2_check_matches_the_recursive_reference():
+    """The frame stack gives the depth of the recursive walk in the
+    oracles, which keys the triples by their names, on seeded dyck1,
+    dyck2, sym and random CNF grammars over 1-6 state machines, half of
+    them with epsilon moves, and on the paths a1^k abar1^k."""
+    rng = random.Random(4141)
+    cases = []
+    for name in ("dyck1", "dyck2", "sym"):
+        f = parse_filter_name(name)
+        cases += [
+            (f.cnf_grammar, random_nfa(rng, 6, alphabet=f.alphabet, allow_epsilon=k % 2 == 1))
+            for k in range(100)
+        ]
+    cases += [
+        (random_cnf(rng, max_nonterminals=5), random_nfa(rng, 6, allow_epsilon=k % 2 == 1))
+        for k in range(100)
+    ]
+    cases += [(d1_cnf(), path_nfa(("a1",) * k + ("abar1",) * k)) for k in (5, 11, 23, 40)]
+    deep = 0
+    for g, a in cases:
+        stats = log2_check(g, a)
+        expected = lsh_depth(
+            g.rules, g.axiom, g.terminals, a.states, a.transitions, a.initial, a.accepting
+        )
+        assert stats.result == (expected is not None), (g, a)
+        assert stats.max_recursion_depth == (expected or 0), (g, a)
+        deep += stats.max_recursion_depth >= 3
+    assert deep > 15, deep
+
+
+def test_log2_check_counts_a_light_sibling_deeper_than_the_central_triple():
+    """S -> C32 B6 derives a^96 alone: B6 is a balanced tree of yield 64,
+    the central triple, of depth 7; C32 is a caterpillar A C31, ..., of
+    yield 32, a light sibling, of depth 8.  The light sibling's frame
+    runs one level below the root's, like the central one, so the depth
+    is 1 + 8, which the recursive reference gives too."""
+    lines = ["S -> C32 B6", "A -> a", "B0 -> a", "C1 -> a"]
+    lines += [f"B{i} -> B{i - 1} B{i - 1}" for i in range(1, 7)]
+    lines += [f"C{i} -> A C{i - 1}" for i in range(2, 33)]
+    g = parse_grammar("\n".join(lines))
+    a = Nfa.build(("a",), "q", {"q"}, {("q", "a", "q")})
+    assert log2_check(g, a) == CheckerStats(9, 9, True)
+    reference = lsh_depth(
+        g.rules, g.axiom, g.terminals, a.states, a.transitions, a.initial, a.accepting
+    )
+    assert reference == 9
 
 
 def test_report_serialization_shapes():
