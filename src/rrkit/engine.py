@@ -15,14 +15,13 @@ a log² n-space recognizer verifies.
 from __future__ import annotations
 
 import random
-from functools import cache
 from typing import Iterable, Mapping, Optional
 
 from .automata import EPSILON, Nfa
 from .errors import InputError
 from .filters import FilterSpec, d1_counter
 from .grammars import Cfg
-from .reductions import _derivable, _goal_keys, intersection_shortest
+from .reductions import Triple, _derivable, _goal_triples, intersection_shortest
 from .values import Frozen
 
 
@@ -144,7 +143,7 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
             raise InputError(
                 f"no counter realization is registered for {what}; only dyck1 has a counter route"
             )
-        machine = _d1_counter()
+        machine = d1_counter()
     elif method not in ("auto", "bar-hillel", "counter", "log2"):
         raise InputError(f"unknown method {method!r}")
     letters = set(f.alphabet)
@@ -180,10 +179,6 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
         if not f.contains(witness):
             raise RuntimeError("internal error: witness rejected by the filter oracle")
     return DecisionReport(witness is not None, witness, method, stats)
-
-
-# dyck1's counter machine, built once per process, as are its tables
-_d1_counter = cache(d1_counter)
 
 
 def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
@@ -228,15 +223,12 @@ def _grammar_edges(g: Cfg, a: Nfa) -> dict[tuple[str, str], tuple[str, ...]]:
     closure = _derivable(g, a)
     table = g.cnf_table
     states = sorted(a.states)
-    nq, nn, axiom = len(states), len(table.names), table.index[g.axiom]
-    terminals = table.terminals
-    edges = {}
-    for key, word in closure:
-        qa, p = divmod(key, nq)
-        q, sym = divmod(qa, nn)
-        if sym == axiom:
-            edges[(states[q], states[p])] = tuple(terminals[k] for k in word)
-    return edges
+    axiom, terminals = table.index[g.axiom], table.terminals
+    return {
+        (states[q], states[p]): tuple(terminals[k] for k in word)
+        for (q, sym, p), word in closure
+        if sym == axiom
+    }
 
 
 def decide_substituted(
@@ -525,42 +517,41 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
     tree and gives depth 0.  Epsilon moves of a are absorbed by
     _derivable, which also checks that f_grammar is in CNF before any
     table is read.
-    The walk works on _derivable's int keys, (rank(q)·|N| + rank(A))·|Q|
-    + rank(p) with states and nonterminals ranked in sorted name order:
-    the rules A -> B C come from f_grammar.cnf_table.by_lhs, in grammar
-    order, and the split states are the ranks 0..|Q|-1, which is sorted
-    order, so the tree and its figures are those of the name triples.
+    The walk works on _derivable's rank triples (q, A, p), with states
+    and nonterminals ranked in sorted name order: the rules A -> B C come
+    from f_grammar.cnf_table.by_lhs, in grammar order, and the split
+    states are the ranks 0..|Q|-1, which is sorted order, so the tree and
+    its figures are those of the name triples.
     """
-    # least words of the triples settled up to the least goal, by key; a
-    # tree node's children have shorter words, so they are all settled by then
+    # least words of the triples settled up to the least goal; a tree
+    # node's children have shorter words, so they are all settled by then
     closure = _derivable(f_grammar, a)
-    goals = _goal_keys(f_grammar, a)
-    least: dict[int, tuple[int, ...]] = {}
-    for key, word in closure:
-        least[key] = word
-        if key in goals:
+    goals = _goal_triples(f_grammar, a)
+    least: dict[Triple, tuple[int, ...]] = {}
+    for triple, word in closure:
+        least[triple] = word
+        if triple in goals:
             break
     else:
         return CheckerStats(0, 0, False)
 
-    table = f_grammar.cnf_table
-    by_lhs = table.by_lhs
-    nq, nn = len(a.states), len(table.names)
+    by_lhs = f_grammar.cnf_table.by_lhs
+    splits = range(len(a.states))
 
-    def children(t: int) -> tuple[int, int]:
-        qa, p = divmod(t, nq)
-        q, sym = divmod(qa, nn)
+    def children(t: Triple) -> tuple[Triple, Triple]:
+        q, sym, p = t
         word = least[t]
         for b, c in by_lhs[sym]:
-            row = (q * nn + b) * nq
-            for r in range(nq):
-                left, right = row + r, (r * nn + c) * nq + p
-                if left in least and right in least and least[left] + least[right] == word:
-                    return left, right
+            for r in splits:
+                left = least.get((q, b, r))
+                if left is not None:
+                    right = least.get((r, c, p))
+                    if right is not None and left + right == word:
+                        return (q, b, r), (r, c, p)
         raise RuntimeError(f"internal error: no split reproduces the least word of triple {t}")
 
     # the frames (triple, level) still to verify
-    d, frames = 0, [(key, 0)]
+    d, frames = 0, [(triple, 0)]
     while frames:
         t, level = frames.pop()
         n = len(least[t])

@@ -28,6 +28,8 @@ from .values import Frozen
 D2_ALPHABET = dyck_alphabet(2)
 # the level change of each two-pair bracket move, in the marking and its live band
 _SHIFT = {EPSILON: 0, "a1": 1, "a2": 1, "abar1": -1, "abar2": -1}
+# (rank(q), rank(A), rank(p)): a triple of the CFG∩NFA closure
+Triple = tuple[int, int, int]
 
 
 def _check_terminals(g: Cfg, a: Nfa) -> None:
@@ -103,9 +105,9 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     return Cfg(frozenset((axiom, *name.values())), g.terminals, tuple(rules), axiom)
 
 
-def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every derivable triple (q, A, p) of CNF g over a, by key, with its
-    least word.
+def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
+    """Every derivable triple (q, A, p) of CNF g over a, as the rank
+    triple (rank(q), rank(A), rank(p)), with its least word.
 
     The one entry for CFG∩NFA questions: it checks at once, before the
     first triple is asked for, that g has a cnf_table (the one test of
@@ -113,11 +115,10 @@ def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:
     its terminals, so a caller may then read g.cnf_table and a's ranks.  A
     triple is derivable when some word derived from A takes a from q to p,
     epsilon moves included; words are tuples of ranks in the sorted
-    terminal names, ordered by (length, ranks).  A triple's key is the int
-    (rank(q)·|N| + rank(A))·|Q| + rank(p), with the states ranked in
-    sorted name order (Nfa._state_rank) and the nonterminals in sorted
-    name order (g.cnf_table), so keys order as the (q, A, p) name tuples
-    do.
+    terminal names, ordered by (length, ranks).  States are ranked in
+    sorted name order (Nfa._state_rank) and nonterminals in sorted name
+    order (g.cnf_table), so rank triples order as the (q, A, p) name
+    tuples do.
     Knuth's generalization of Dijkstra over the CFL-reachability worklist:
     the axiom's epsilon rule seeds the heap with (q, axiom, p) for each p
     in q's epsilon closure (the axiom is on no right-hand side, so these
@@ -129,10 +130,9 @@ def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:
     also a sibling at the exact state, with the same word.
     Concatenation is monotone and never shrinks a word in this order, so
     a triple's first pop carries its least word, and triples come out in
-    (length, ranks, key) order.  The heap breaks ties between equal words
-    on the key, and a key orders as its (q, A, p) name tuple, so the
-    order is (length, ranks, triple names), whatever order the states and
-    rules were created in.
+    (length, ranks, triple) order: the heap breaks ties between equal
+    words on the triple, so the order is (length, ranks, triple names),
+    whatever order the states and rules were created in.
     """
     table = g.cnf_table
     if table is None:
@@ -141,8 +141,13 @@ def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:
     return _settle(table, a)
 
 
-def _settle(table: CnfTable, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The closure of _derivable, once its checks have passed."""
+def _settle(table: CnfTable, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
+    """The closure of _derivable, once its checks have passed.
+
+    The heap and the settled set key a rank triple (q, A, p) by the int
+    (q·|N| + A)·|Q| + p, which orders as the triple does; only this
+    function builds or splits such a key.
+    """
     rank = a._state_rank
     nq, nn = len(rank), len(table.names)
     heap: list[tuple[int, tuple[int, ...], int]] = []
@@ -177,11 +182,11 @@ def _settle(table: CnfTable, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:
         if key in settled:
             continue
         settled.add(key)
-        yield key, word
         qa = key // nq
         p = key - qa * nq
         sym = qa % nn
         q = qa // nn
+        yield (q, sym, p), word
         as_left, as_right = by_left[sym], by_right[sym]
         if as_right:
             starts[qa].append((p, n, word))
@@ -208,13 +213,12 @@ def _settle(table: CnfTable, a: Nfa) -> Iterator[tuple[int, tuple[int, ...]]]:
                         push(heap, (m + n, left + word, k))
 
 
-def _goal_keys(g: Cfg, a: Nfa) -> frozenset[int]:
-    """The keys of the triples (initial, axiom, f), f accepting, once
+def _goal_triples(g: Cfg, a: Nfa) -> frozenset[Triple]:
+    """The rank triples (initial, axiom, f), f accepting, once
     _derivable(g, a) has checked g and a."""
     rank = a._state_rank
-    table = g.cnf_table
-    base = (rank[a.initial] * len(table.names) + table.index[g.axiom]) * len(rank)
-    return frozenset(base + rank[f] for f in a.accepting)
+    q, axiom = rank[a.initial], g.cnf_table.index[g.axiom]
+    return frozenset((q, axiom, rank[f]) for f in a.accepting)
 
 
 def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
@@ -226,9 +230,9 @@ def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
     Epsilon moves of a may occur anywhere in a run, as in bar_hillel.
     """
     closure = _derivable(g, a)
-    goals = _goal_keys(g, a)
-    for key, word in closure:
-        if key in goals:
+    goals = _goal_triples(g, a)
+    for triple, word in closure:
+        if triple in goals:
             terminals = g.cnf_table.terminals
             return tuple(terminals[r] for r in word)
     return None

@@ -318,7 +318,7 @@ def test_criterion_07_log2_checker():
                 assert stats.max_recursion_depth <= bound, f"instance {i}: {stats}"
                 assert stats.max_live_triples <= stats.max_recursion_depth + 1
                 deepest = max(deepest, stats.max_recursion_depth)
-        detail.append(f"100 seeded instances agree, max recursion depth {deepest}")
+        detail.append(f"100 seeded instances agree, max frame depth {deepest}")
 
 
 # -- 8: rational index golden values ---------------------------------------------

@@ -578,6 +578,19 @@ def test_accepts_matches_the_unfolding_at_its_cap():
             assert verdict == c.to_nfa((len(c.states) * (len(w) + 1)) ** 2).accepts(w), (c, w)
             accepted += verdict
     assert accepted > 50, accepted
+    # the pumping chain with a falling epsilon loop on p0: p0 gets no
+    # floor, so accepts stores its values as they come
+    chain = pumping_chain()
+    c = CounterAutomaton.build(
+        chain.alphabet, chain.initial, chain.accepting,
+        chain.transitions | {("p0", "", "positive", -1, "p0")},
+    )
+    assert c._floor["p0"] == math.inf
+    assert all(c._floor[q] == 1 for q in c.states - {"p0"})
+    words = [w for n in range(4) for w in itertools.product("ab", repeat=n)]
+    verdicts = [c.accepts(w) for w in words]
+    assert verdicts == [c.to_nfa((len(c.states) * (len(w) + 1)) ** 2).accepts(w) for w in words]
+    assert [w for w, ok in zip(words, verdicts) if ok] == [("b",), ("a", "b"), ("a", "a", "b")]
 
 
 def test_validation():

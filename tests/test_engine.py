@@ -86,7 +86,7 @@ def test_decide_counter_route():
     assert report.stats["states_created"] > 0
 
 
-def test_counter_route_builds_its_dyck1_filter_once(monkeypatch):
+def test_counter_route_runs_on_the_dyck1_counter_machine(monkeypatch):
     machines = []
     product = CounterAutomaton.product
 
@@ -98,7 +98,7 @@ def test_counter_route_builds_its_dyck1_filter_once(monkeypatch):
     for _ in range(2):
         report = nrr_decide(pair_machine(), FilterSpec.dyck(1), method="counter")
         assert report.witness == ("a1", "abar1")
-    assert len(machines) == 2 and machines[0] is machines[1]
+    assert machines == [d1_counter(), d1_counter()]
 
 
 def test_counter_route_rechecks_against_the_named_filter(monkeypatch):

@@ -274,18 +274,13 @@ def _renamed_nfa(a):
 
 
 def _closure_by_names(g, a):
-    """_derivable's triples in order, each key decoded to its (q, A, p)
-    names through the ranks the closure itself used, with its word."""
+    """_derivable's rank triples in order, each named (q, A, p) through
+    the ranks the closure itself used, with its word."""
     closure = _derivable(g, a)
     names = g.cnf_table.names
     rank = a._state_rank
     states = sorted(rank, key=rank.__getitem__)
-    out = []
-    for key, word in closure:
-        qa, p = divmod(key, len(states))
-        q, sym = divmod(qa, len(names))
-        out.append(((states[q], names[sym], states[p]), word))
-    return out
+    return [((states[q], names[sym], states[p]), word) for (q, sym, p), word in closure]
 
 
 def test_derivable_settles_triples_in_name_order():
