@@ -16,8 +16,8 @@ f = parse_filter_name("dyck1")
 
 print("exhaustive:")
 for n in (1, 2, 3):
-    print(f"  rho({n}) = {rational_index(f, n, 'exhaustive')}")
+    print(f"  rho({n}) = {rational_index(f, n)}")
 
 print("sampled (200 machines per size, seed 0):")
 for n in (2, 3, 4):
-    print(f"  rho({n}) >= {rational_index(f, n, 'sample', seed=0)}")
+    print(f"  rho({n}) >= {rational_index(f, n, sample=200)}")

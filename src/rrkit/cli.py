@@ -22,7 +22,6 @@ gettext.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn, Optional
@@ -139,23 +138,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    f = parse_filter_name(args.filter)
-    if args.sample is None:
-        value = rational_index(f, args.states, mode="exhaustive")
-        mode = "exhaustive"
-    else:
-        seed = args.seed
-        if seed is None:
-            raw = os.environ.get("RR_SEED", "0")
-            try:
-                seed = int(raw)
-            except ValueError:
-                raise InputError(f"RR_SEED must be an integer, got {raw!r}") from None
-        value = rational_index(
-            f, args.states, mode="sample", sample_count=args.sample, seed=seed
-        )
-        mode = "sample"
+    value = rational_index(parse_filter_name(args.filter), args.states, args.sample, args.seed)
     if args.json:
+        mode = "exhaustive" if args.sample is None else "sample"
         _print_json({"index": value, "mode": mode, "states": args.states})
     else:
         print(value)
@@ -225,11 +210,7 @@ _COMMANDS = (
             "default": None,
             "help": "sample this many machines instead of enumerating",
         }),
-        ("--seed", {
-            "type": int,
-            "default": None,
-            "help": "sampling seed (default: RR_SEED env var, else 0)",
-        }),
+        ("--seed", {"type": int, "default": 0, "help": "sampling seed (default: 0)"}),
         ("--json", {"action": "store_true"}),
     ), _cmd_index),
     ("check-log2", "run the instrumented certificate search", (

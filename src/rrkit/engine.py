@@ -275,9 +275,7 @@ LaneTriple = tuple[int, int, int]
 Chunk = tuple[list[int], list[int]]
 
 
-def rational_index(
-    f: FilterSpec, n: int, mode: str = "exhaustive", sample_count: int = 200, seed: int = 0
-) -> int:
+def rational_index(f: FilterSpec, n: int, sample: Optional[int] = None, seed: int = 0) -> int:
     """Worst case over n-state machines of the shortest witness length.
 
     The machines are epsilon-free, with initial state 0 and a single
@@ -287,11 +285,12 @@ def rational_index(
     with several accepting states realizes its shortest witness through
     one of them.
 
-    All machines are decided at once, one lane each.  Exhaustive mode
-    takes every move mask with every accepting state, up to swapping
-    states 1 and 2 (_mask_chunks); sample mode takes seeded random
-    machines (_sample_chunks), drawing each lane's moves in move order,
-    and reports the max found, a lower bound.
+    With sample None (exhaustive mode) every move mask is taken with
+    every accepting state, up to swapping states 1 and 2 (_mask_chunks).
+    With an int sample (sample mode) that many random machines seeded by
+    seed are taken (_sample_chunks), each lane's moves drawn in move
+    order, and the max found is reported, a lower bound; seed is read
+    only when sampling.  All machines are decided at once, one lane each.
 
     The swap σ is exact.  It fixes state 0, so the axiom triples, which
     start in state 0, and the epsilon seed (0, axiom, 0) do not change,
@@ -311,32 +310,28 @@ def rational_index(
     grammar (CounterAutomaton.to_cfg), so a lane measures the shortest
     witness with no cap on the counter; the tests check it against the
     witness of nrr_decide's counter route, capped at |P|², on every
-    machine.  The "index is undefined" error is raised when no machine
-    meets the filter.  Exhaustive mode refuses more than 3 states or 20
-    possible moves, sample mode a sample count below 1 or more than
-    10,000 possible moves, before building any.
+    machine.  An error saying the index is undefined is raised when no
+    machine taken meets the filter.  Exhaustive mode refuses more than 3
+    states or 20 possible moves, sample mode a sample below 1 or more
+    than 10,000 possible moves, before building any.
     """
     if n < 1:
         raise InputError("machines need at least one state")
     moves = n * n * len(f.alphabet)
-    if mode == "exhaustive":
+    if sample is None:
         if n > _EXHAUSTIVE_STATES:
             raise InputError(f"exhaustive mode is limited to {_EXHAUSTIVE_STATES} states")
         if moves > _EXHAUSTIVE_MOVES:
             raise InputError("exhaustive enumeration over this alphabet/state count is too large")
-    elif mode == "sample":
-        if sample_count < 1:
-            raise InputError(f"sample mode needs a sample count of at least 1, got {sample_count}")
+    else:
+        if sample < 1:
+            raise InputError(f"sample mode needs a sample count of at least 1, got {sample}")
         if moves > _SAMPLE_MOVES:
             raise InputError(
                 f"sample mode is limited to {_SAMPLE_MOVES:,} possible moves (states^2 * letters)"
             )
-    else:
-        raise InputError(f"unknown mode {mode!r}; expected exhaustive or sample")
     edges = tuple((i, sym, j) for i in range(n) for sym in f.alphabet for j in range(n))
-    if mode == "sample":
-        chunks = _sample_chunks(n, moves, sample_count, seed)
-    else:
+    if sample is None:
         # the chunk bits, the top moves - W, take as many swapped pairs as
         # fit, the loops (1, x, 1), (2, x, 2) first, then fixed moves
         top, pairs = moves - min(moves, _LANE_BITS), []
@@ -348,9 +343,16 @@ def rational_index(
             high = pairs + [e for e in edges if e == image[e]][: top - len(pairs)]
             edges = tuple(e for e in edges if e not in high) + tuple(high)
         chunks = _mask_chunks(n, moves, len(pairs) // 2)
+    else:
+        chunks = _sample_chunks(n, moves, sample, seed)
     best = _lane_index(f.cnf_grammar, edges, chunks)
+    if best is None and sample is None:
+        raise InputError(f"no {n}-state machine meets the filter; the index is undefined")
     if best is None:
-        raise InputError("no n-state machine meets the filter; the index is undefined")
+        raise InputError(
+            f"none of the {sample} sampled {n}-state machines meets the filter, "
+            "so the sample leaves the index undefined"
+        )
     return best
 
 

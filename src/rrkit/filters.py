@@ -206,33 +206,21 @@ def dyck_encoder(n: int) -> Transducer:
 
     h embeds the n-pair bracket language into the two-pair one: h(u) is
     balanced over two pair types exactly when u is balanced over n.  One
-    symbol is written per transition, so each image letter gets a short
-    chain of writing states.
+    symbol is written per transition, so each letter is one path from s
+    back to s through its own chain of writing states.
     """
-    source = dyck_alphabet(n)
-    target = dyck_alphabet(2)
     transitions: set[tuple[str, str, str, str]] = set()
     for k in range(1, n + 1):
-        # a_k: read once writing a1, then k epsilon steps writing a2
-        prev = "s"
-        for i in range(1, k + 1):
-            state = f"open{k}.{i}"
-            read = f"a{k}" if i == 1 else ""
-            write = "a1" if i == 1 else "a2"
-            transitions.add((prev, read, write, state))
-            prev = state
-        transitions.add((prev, "", "a2", "s"))
-        # abar_k: read once writing abar2, k-1 more abar2, then abar1
-        prev = "s"
-        for i in range(1, k):
-            state = f"close{k}.{i}"
-            read = f"abar{k}" if i == 1 else ""
-            transitions.add((prev, read, "abar2", state))
-            prev = state
-        read = f"abar{k}" if k == 1 else ""
-        transitions.add((prev, read, "abar2", f"close{k}.{k}"))
-        transitions.add((f"close{k}.{k}", "", "abar1", "s"))
-    return Transducer.build(source, target, "s", {"s"}, transitions)
+        for chain, letter, image in (
+            ("open", f"a{k}", ("a1",) + ("a2",) * k),
+            ("close", f"abar{k}", ("abar2",) * k + ("abar1",)),
+        ):
+            # s, chain{k}.1, ..., chain{k}.k, s: the letter is read on the
+            # first move and its image written one symbol per move
+            path = ["s", *(f"{chain}{k}.{i}" for i in range(1, k + 1)), "s"]
+            reads = [letter] + [""] * k
+            transitions.update(zip(path, reads, image, path[1:]))
+    return Transducer.build(dyck_alphabet(n), dyck_alphabet(2), "s", {"s"}, transitions)
 
 
 # -- filter specifications -------------------------------------------------------

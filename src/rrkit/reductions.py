@@ -269,20 +269,19 @@ def cs_transducer(g: Cfg) -> Transducer:
             rule_states[key] = fresh(f"rule[{'>'.join(key)}]", taken)
         return rule_states[key]
 
-    transitions: dict[tuple[str, str, str, str], None] = {}
-    transitions[("start", opens[g1.axiom], EPSILON, base)] = None
+    transitions = {("start", opens[g1.axiom], EPSILON, base)}
     for lhs, rhs in g1.rules:
         if rhs == ():
-            transitions[(base, closes[lhs], EPSILON, base)] = None
+            transitions.add((base, closes[lhs], EPSILON, base))
         elif len(rhs) == 1:
-            transitions[(base, closes[lhs], rhs[0], base)] = None
+            transitions.add((base, closes[lhs], rhs[0], base))
         else:
             b, c = rhs
             s_rule = rule_state(lhs)
             s_pair = rule_state(lhs, c)
-            transitions[(base, closes[lhs], EPSILON, s_rule)] = None
-            transitions[(s_rule, opens[c], EPSILON, s_pair)] = None
-            transitions[(s_pair, opens[b], EPSILON, base)] = None
+            transitions.add((base, closes[lhs], EPSILON, s_rule))
+            transitions.add((s_rule, opens[c], EPSILON, s_pair))
+            transitions.add((s_pair, opens[b], EPSILON, base))
     replay = Transducer.build(
         dyck_alphabet(len(g1.nonterminals)),
         sorted(g1.terminals),

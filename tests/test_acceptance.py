@@ -330,8 +330,8 @@ def test_criterion_08_rational_index_goldens():
         allwords = FilterSpec.from_grammar(parse_grammar("T -> a T |"))
         d1 = parse_filter_name("dyck1")
         for n in (1, 2, 3):
-            assert rational_index(allwords, n, "exhaustive") == RHO_ALLWORDS[n] == n - 1
-            assert rational_index(d1, n, "exhaustive") == RHO_DYCK1[n]
+            assert rational_index(allwords, n) == RHO_ALLWORDS[n] == n - 1
+            assert rational_index(d1, n) == RHO_DYCK1[n]
         for n in (1, 2):
             assert rho_allwords(n) == RHO_ALLWORDS[n]
             assert rho_dyck1(n) == RHO_DYCK1[n]

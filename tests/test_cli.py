@@ -295,14 +295,15 @@ def test_reduce_bar_hillel_answers_a_long_rule(tmp_path, capsys):
     assert read_back.shortest_word() == ()
 
 
-def test_index_seed_env_default(monkeypatch, capsys):
+def test_index_seed_flag_defaults_to_0(capsys):
     argv = ["index", "--filter", "dyck1", "--states", "3", "--sample", "40"]
-    monkeypatch.setenv("RR_SEED", "7")
+    dyck1 = rrkit.parse_filter_name("dyck1")
+    # seed 2's sample reads 6 where seed 0's reads 4, so the flag is seen
+    for seed in (7, 2):
+        assert main(argv + ["--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == f"{rrkit.rational_index(dyck1, 3, 40, seed)}\n"
     assert main(argv) == 0
-    via_env = capsys.readouterr().out
-    monkeypatch.delenv("RR_SEED")
-    assert main(argv + ["--seed", "7"]) == 0
-    assert capsys.readouterr().out == via_env
+    assert capsys.readouterr().out == f"{rrkit.rational_index(dyck1, 3, 40, 0)}\n"
 
 
 def assert_usage_error(capsys, argv):
@@ -316,15 +317,15 @@ def assert_usage_error(capsys, argv):
     return err
 
 
-def test_index_bad_seed_env_is_exit_2(monkeypatch, capsys):
-    monkeypatch.setenv("RR_SEED", "abc")
-    assert_usage_error(capsys, ["index", "--filter", "dyck1", "--states", "2", "--sample", "5"])
-
-
-def test_bad_seed_env_is_ignored_outside_sampling(monkeypatch, capsys):
-    monkeypatch.setenv("RR_SEED", "abc")
-    assert main(["member", "--filter", "dyck1", "--word", "a1 abar1"]) == 0
-    assert capsys.readouterr().out == "true\n"
+def test_index_names_a_sample_that_misses_the_filter(capsys):
+    argv = ["index", "--filter", "dyck2", "--states", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "4\n"
+    err = assert_usage_error(capsys, argv + ["--sample", "1", "--seed", "2"])
+    assert err == (
+        "rr: error: none of the 1 sampled 2-state machines meets the filter, "
+        "so the sample leaves the index undefined\n"
+    )
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])

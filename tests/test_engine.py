@@ -492,8 +492,6 @@ def test_rational_index_limits():
         rational_index(f, 4)
     with pytest.raises(InputError):
         rational_index(f, 0)
-    with pytest.raises(InputError):
-        rational_index(f, 3, mode="nope")
     # four letters at three states is past the enumeration budget
     with pytest.raises(InputError):
         rational_index(FilterSpec.symmetric(), 3)
@@ -519,32 +517,32 @@ def test_rational_index_sample_mode_rejects_large_machines_before_building_them(
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match="sample mode is limited"):
-            rational_index(f, 3000, mode="sample", sample_count=1)
+            rational_index(f, 3000, sample=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     # 70 states of two letters is 9,800 possible moves, inside the limit
-    assert rational_index(f, 70, mode="sample", sample_count=1) >= 0
+    assert rational_index(f, 70, sample=1) >= 0
 
 
 @pytest.mark.parametrize("count", [0, -5])
 def test_rational_index_refuses_an_empty_sample(count):
     # an empty sample says nothing of the index, which is defined for dyck1
     with pytest.raises(InputError, match=f"sample count of at least 1, got {count}$"):
-        rational_index(FilterSpec.dyck(1), 2, mode="sample", sample_count=count)
+        rational_index(FilterSpec.dyck(1), 2, sample=count)
 
 
 def test_rational_index_undefined_when_no_machine_qualifies():
     empty_language = FilterSpec.from_grammar(parse_grammar("T -> T a"))
-    with pytest.raises(InputError):
-        rational_index(empty_language, 1)
+    with pytest.raises(InputError, match="^no 2-state machine meets the filter; the index is undefined$"):
+        rational_index(empty_language, 2)
 
 
 def test_rational_index_sampling_is_seeded_and_bounded():
     f = FilterSpec.dyck(1)
-    one = rational_index(f, 2, mode="sample", sample_count=60, seed=5)
-    two = rational_index(f, 2, mode="sample", sample_count=60, seed=5)
+    one = rational_index(f, 2, sample=60, seed=5)
+    two = rational_index(f, 2, sample=60, seed=5)
     assert one == two
     assert one <= rational_index(f, 2)
 
@@ -717,7 +715,7 @@ def test_rational_index_sample_mode_matches_every_draw(monkeypatch, lane_bits):
     for k, f in enumerate(filters + counters):
         n, count, seed = 2 + k % 3, 25 + k % 2, k
         expected = _every_draw_max(f, n, count, seed)
-        _assert_index(f, n, expected, mode="sample", sample_count=count, seed=seed)
+        _assert_index(f, n, expected, sample=count, seed=seed)
 
 
 # Sample-mode values for fixed seeds, which fix the draws (see
@@ -732,10 +730,10 @@ SAMPLED = {
 @pytest.mark.parametrize("name, n, seed", sorted(SAMPLED))
 def test_rational_index_sample_values(name, n, seed):
     f = parse_filter_name(name)
-    assert rational_index(f, n, mode="sample", sample_count=60, seed=seed) == SAMPLED[name, n, seed]
+    assert rational_index(f, n, sample=60, seed=seed) == SAMPLED[name, n, seed]
 
 
-# rational_index(f, 3, "sample", 6, seed) for seeds 0-9, the shape of the
+# rational_index(f, 3, sample=6, seed=seed) for seeds 0-9, the shape of the
 # benchmark's index/sample requests: sample mode draws each lane's moves
 # in move order, so these fix the draws as well as the values.
 SAMPLED_AT_3 = {
@@ -748,7 +746,7 @@ SAMPLED_AT_3 = {
 @pytest.mark.parametrize("name", sorted(SAMPLED_AT_3))
 def test_rational_index_sample_draws_at_three_states(name):
     f = parse_filter_name(name)
-    values = tuple(rational_index(f, 3, "sample", 6, seed) for seed in range(10))
+    values = tuple(rational_index(f, 3, sample=6, seed=seed) for seed in range(10))
     assert values == SAMPLED_AT_3[name]
 
 
