@@ -18,6 +18,10 @@ those rows once, at import; argparse, built from the same rows, handles
 every other spelling and alone prints help screens and usage errors.  So
 a launch that runs a well-formed command imports neither argparse nor
 gettext.
+
+The targets of `rr reduce` are the rows of _REDUCTIONS.  A row declares
+the inputs its target reads, its construction, the text it prints and
+its --emit-stats figures, and _cmd_reduce runs every row on one path.
 """
 from __future__ import annotations
 
@@ -67,10 +71,6 @@ def _print_json(data) -> None:
     sys.stdout.write(report_json(data))
 
 
-def _emit_stats(stats: dict) -> None:
-    print(json.dumps(stats, sort_keys=True), file=sys.stderr)
-
-
 def _cmd_member(args) -> int:
     f = parse_filter_name(args.filter)
     word = tuple(args.word.split())
@@ -95,45 +95,40 @@ def _cmd_decide(args) -> int:
     return 0 if report.nonempty else 1
 
 
+# One row per `rr reduce` target, in the order its help lists them: the
+# inputs it reads, in load order, each parsed by _PARSERS; its
+# construction, called on them; the text it prints of the result; and the
+# figures of the result that --emit-stats prints.
+_PARSERS = {"grammar": parse_grammar, "nfa": Nfa.from_json}
+_REDUCTIONS = {
+    "bar-hillel": (
+        ("grammar", "nfa"), bar_hillel, format_grammar,
+        lambda g: {"nonterminals": len(g.nonterminals), "rules": len(g.rules)},
+    ),
+    "cs": (
+        ("grammar",), cs_transducer, lambda t: t.to_json(),
+        lambda t: {"states": len(t.states), "transitions": len(t.transitions)},
+    ),
+    "mark": (
+        ("nfa",), mark_automaton, lambda m: m.nfa.to_json(),
+        lambda m: {"height_bound": max(m.height.values()), "states": len(m.nfa.states)},
+    ),
+    "ssharpup": (
+        ("nfa",), reduce_d2_to_ssharpup, Nfa.to_json,
+        lambda a: {"states": len(a.states)},
+    ),
+}
+
+
 def _cmd_reduce(args) -> int:
-    needs = {
-        "bar-hillel": ("grammar", "nfa"),
-        "cs": ("grammar",),
-        "mark": ("nfa",),
-        "ssharpup": ("nfa",),
-    }[args.target]
-    for name in needs:
+    inputs, build, text, stats = _REDUCTIONS[args.target]
+    for name in inputs:
         if getattr(args, name) is None:
             raise InputError(f"reduce {args.target} requires --{name}")
-    if args.target == "bar-hillel":
-        grammar = _load(args.grammar, parse_grammar)
-        a = _load(args.nfa, Nfa.from_json)
-        product = bar_hillel(grammar, a)
-        sys.stdout.write(format_grammar(product))
-        if args.emit_stats:
-            _emit_stats(
-                {"nonterminals": len(product.nonterminals), "rules": len(product.rules)}
-            )
-    elif args.target == "cs":
-        grammar = _load(args.grammar, parse_grammar)
-        t = cs_transducer(grammar)
-        sys.stdout.write(t.to_json())
-        if args.emit_stats:
-            _emit_stats({"states": len(t.states), "transitions": len(t.transitions)})
-    elif args.target == "mark":
-        a = _load(args.nfa, Nfa.from_json)
-        marked = mark_automaton(a)
-        sys.stdout.write(marked.nfa.to_json())
-        if args.emit_stats:
-            _emit_stats(
-                {"height_bound": max(marked.height.values()), "states": len(marked.nfa.states)}
-            )
-    else:
-        a = _load(args.nfa, Nfa.from_json)
-        reduced = reduce_d2_to_ssharpup(a)
-        sys.stdout.write(reduced.to_json())
-        if args.emit_stats:
-            _emit_stats({"states": len(reduced.states)})
+    result = build(*[_load(getattr(args, name), _PARSERS[name]) for name in inputs])
+    sys.stdout.write(text(result))
+    if args.emit_stats:
+        print(json.dumps(stats(result), sort_keys=True), file=sys.stderr)
     return 0
 
 
@@ -194,7 +189,7 @@ _COMMANDS = (
     ), _cmd_decide),
     ("reduce", "emit one of the constructions", (
         ("target", {
-            "choices": ("bar-hillel", "cs", "mark", "ssharpup"),
+            "choices": tuple(_REDUCTIONS),
             "help": "bar-hillel: product grammar; cs: shape transducer; "
             "mark: height-marked automaton; ssharpup: one-filter embedding",
         }),

@@ -2,8 +2,10 @@
 front-end transcript tests/data/front_end.json and the demo transcripts
 in tests/data/demos/.
 
-Run from anywhere: `python3 tests/make_goldens.py`.  Review the diff
-before committing; the CLI tests compare byte for byte.
+Run from anywhere: `python3 tests/make_goldens.py`.  The checkout's
+src/ goes first on sys.path, so the goldens always come from the tree
+beside them, with no install or PYTHONPATH.  Review the diff before
+committing; the CLI tests compare byte for byte.
 """
 import json
 import os
@@ -11,7 +13,7 @@ import pathlib
 import sys
 
 HERE = pathlib.Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE))
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 from cli_cases import CASES, DEMOS, FRONT_END_CASES, FRONT_END_COLUMNS, run_case, run_demo
 

@@ -203,6 +203,43 @@ def test_reduce_missing_required_input(capsys):
     assert "requires --grammar" in capsys.readouterr().err
 
 
+def test_reduce_checks_its_inputs_in_load_order(in_tests_dir, capsys):
+    """The grammar is checked and loaded before the automaton: with
+    neither given, the one error names --grammar; with both missing
+    files, the grammar's path is the one that fails."""
+    err = assert_usage_error(capsys, ["reduce", "bar-hillel"])
+    assert err == "rr: error: reduce bar-hillel requires --grammar\n"
+    err = assert_usage_error(
+        capsys, ["reduce", "bar-hillel", "--grammar", "missing.txt", "--nfa", "missing.json"]
+    )
+    assert "missing.txt" in err
+    assert "missing.json" not in err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("reduce-mark", ["reduce", "mark", "--grammar", "missing.txt", "--nfa", "data/d2loop.json"]),
+    ("reduce-cs", ["reduce", "cs", "--grammar", "data/tiny.txt", "--nfa", "missing.json"]),
+], ids=["mark", "cs"])
+def test_reduce_never_reads_an_input_it_does_not_use(name, argv, in_tests_dir, capsys):
+    expected = json.loads((TESTS_DIR / "data" / "golden" / f"{name}.json").read_text())
+    assert main([*argv, "--emit-stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected["stdout"]
+    assert captured.err == expected["stderr"]
+
+
+def test_reduce_input_help_names_the_targets_that_read_it():
+    """The --grammar and --nfa help lines list, in parentheses, exactly
+    the _REDUCTIONS rows that read that input, in the rows' order."""
+    (options,) = [options for name, _, options, _ in cli._COMMANDS if name == "reduce"]
+    helps = dict(options)
+    assert helps["target"]["choices"] == tuple(cli._REDUCTIONS)
+    for name in ("grammar", "nfa"):
+        listed = helps[f"--{name}"]["help"].partition("(")[2].rstrip(")").split(", ")
+        readers = [target for target, row in cli._REDUCTIONS.items() if name in row[0]]
+        assert listed == readers, name
+
+
 def test_reduce_ssharpup_without_accepting_state(tmp_path, capsys):
     nfa = tmp_path / "a.json"
     nfa.write_text(rrkit.Nfa.build(

@@ -251,7 +251,7 @@ def accepting_only(c, f):
     )
 
 
-def test_least_words_matches_unfolding():
+def test_least_word_matches_unfolding():
     """The configuration search returns the unfolding's witness word for
     word.  Ties break over the sorted letter names on both sides, also
     over the alphabet declared as ("b", "a").  With one accepting
@@ -270,7 +270,7 @@ def test_least_words_matches_unfolding():
                 assert accepting_only(c, f).least_word(cap) == alone.shortest_witness(), (c, cap, f)
 
 
-def test_least_words_deep_shared_prefix():
+def test_least_word_deep_shared_prefix():
     """Least words hundreds of letters long, climbing to the cap: a chain
     of K states reads a^K, pushing the counter to K, and then f1 needs it
     back at zero (a^K b^K c) while f2 takes c at once (a^K b c).  The two
@@ -300,7 +300,7 @@ def test_least_words_deep_shared_prefix():
 
 
 @pytest.mark.parametrize("epsilon", [True, False])
-def test_least_words_needs_a_quadratic_cap(epsilon):
+def test_least_word_needs_a_quadratic_cap(epsilon):
     """The coprime-cycle family (generators.coprime_cycle_moves, after
     Chrobak, TCS 1986) at p=3, q=4: the product P with d1_counter() has
     8 states and its least word a1^12 abar1^12 climbs the counter to 12.
@@ -488,25 +488,31 @@ def pumping_chain():
     return CounterAutomaton.build(("a", "b"), "p0", {"f"}, moves)
 
 
+def count_guard_checks(monkeypatch, limit):
+    """Count the calls of CounterAutomaton._guard_ok, failing the test
+    once they pass limit; returns the count, as a one-item list."""
+    calls = [0]
+    guard_ok = CounterAutomaton._guard_ok
+
+    def counted(self, guard, value):
+        calls[0] += 1
+        assert calls[0] <= limit, "accepts walked the counter"
+        return guard_ok(self, guard, value)
+
+    monkeypatch.setattr(CounterAutomaton, "_guard_ok", counted)
+    return calls
+
+
 def test_accepts_rejects_a_dead_word_without_walking_the_counter(monkeypatch):
     """The pumping chain.  No word without b is accepted, so accepts says
     no before it checks a guard; the wrapper stops it after 10,000
     checks, far fewer than a walk of every value up to the cap
     (|Q|·(|w|+1))² makes."""
     c = pumping_chain()
-    calls = 0
-    guard_ok = CounterAutomaton._guard_ok
-
-    def counted(self, guard, value):
-        nonlocal calls
-        calls += 1
-        assert calls <= 10_000, "accepts walked the counter"
-        return guard_ok(self, guard, value)
-
-    monkeypatch.setattr(CounterAutomaton, "_guard_ok", counted)
+    calls = count_guard_checks(monkeypatch, 10_000)
     assert not c.accepts(("a",) * 1000)
     assert not c.accepts(("b", "a"))
-    assert calls == 0
+    assert calls[0] == 0
     assert c.accepts(("a", "b"))
 
 
@@ -524,19 +530,10 @@ def test_accepts_stops_at_the_value_ceiling(monkeypatch):
         moves |= {(f"p{i}", "", "any", 1, f"p{i}"), (f"p{i}", "a", "any", 0, f"p{i}")}
     c = CounterAutomaton.build(("a",), "p0", {"f"}, moves, accept_mode="final_state_and_zero")
     assert set(c._ceiling.values()) == {0}
-    calls = 0
-    guard_ok = CounterAutomaton._guard_ok
-
-    def counted(self, guard, value):
-        nonlocal calls
-        calls += 1
-        assert calls <= 1_000, "accepts walked the counter"
-        return guard_ok(self, guard, value)
-
-    monkeypatch.setattr(CounterAutomaton, "_guard_ok", counted)
+    calls = count_guard_checks(monkeypatch, 1_000)
     for n in (0, 1, 10):
         assert not c.accepts(("a",) * n)
-    assert calls > 0
+    assert calls[0] > 0
 
 
 def test_accepts_is_linear_on_a_pumping_chain(monkeypatch):
@@ -547,16 +544,7 @@ def test_accepts_is_linear_on_a_pumping_chain(monkeypatch):
     (|Q|·(|w|+1))², it took 957 ms at n = 400, growing as n², and the
     wrapper stops it after 100,000 checks."""
     c = pumping_chain()
-    calls = 0
-    guard_ok = CounterAutomaton._guard_ok
-
-    def counted(self, guard, value):
-        nonlocal calls
-        calls += 1
-        assert calls <= 100_000, "accepts walked the counter"
-        return guard_ok(self, guard, value)
-
-    monkeypatch.setattr(CounterAutomaton, "_guard_ok", counted)
+    count_guard_checks(monkeypatch, 100_000)
     assert c.accepts(("a",) * 2000 + ("b",))
     assert not c.accepts(("a",) * 2000 + ("b", "a"))
     assert c._floor == dict.fromkeys(c.states, 1)

@@ -245,7 +245,7 @@ def test_counter_substituent_reaches_a_quadratic_counter(epsilon):
 
 
 @pytest.mark.parametrize("p, q", [(3, 4), (4, 5), (5, 6)])
-def test_counter_lane_index_reaches_a_quadratic_counter(p, q):
+def test_lane_index_reaches_a_quadratic_counter(p, q):
     # one lane holding the epsilon-free machine, accepting in one state
     moves, accepting = coprime_cycle_moves(p, q, epsilon=False)
     n = 1 + p + q
