@@ -8,9 +8,10 @@ JSON output is emitted with sorted keys so golden files stay byte-stable.
 
 Each input file is read with one unbuffered binary read and decoded as
 strict UTF-8, with universal newlines: "\r\n" and a lone "\r" read as
-"\n", as in text mode.  The --json and --stats reports are written by
-the package's JSON writer (automata.report_json), byte for byte what
-json.dumps(report, indent=2, sort_keys=True) prints.
+"\n", as in text mode.  One leading byte-order mark is dropped.  The
+--json and --stats reports are written by the package's JSON writer
+(automata.report_json), byte for byte what json.dumps(report, indent=2,
+sort_keys=True) prints.
 
 Each command's options are declared once, as rows of _COMMANDS.  A
 command line in the canonical spelling is read from a table built from
@@ -45,13 +46,14 @@ def _load(path: str, parse):
     """parse applied to the text of the file at path, with every error
     prefixed by the path.
 
-    The file is read in one unbuffered read and decoded as strict UTF-8;
-    "\r\n" and a lone "\r" become "\n", as text mode's universal
-    newlines make them, so a JSON error names the same line.
+    The file is read in one unbuffered read and decoded as strict UTF-8,
+    dropping one leading byte-order mark, which would otherwise start the
+    first symbol; "\r\n" and a lone "\r" become "\n", as text mode's
+    universal newlines make them, so a JSON error names the same line.
     """
     try:
         with open(path, "rb", buffering=0) as fh:
-            text = fh.read().decode("utf-8")
+            text = fh.read().decode("utf-8").removeprefix("\ufeff")
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         return parse(text)
@@ -184,7 +186,11 @@ _COMMANDS = (
     ("witness", "print a shortest witness word", (
         _FILTER,
         _NFA,
-        ("--method", {"choices": ("auto", "bar-hillel", "counter"), "default": "auto"}),
+        ("--method", {
+            "choices": ("auto", "bar-hillel", "counter"),
+            "default": "auto",
+            "help": "decision route",
+        }),
         _JSON_REPORT,
     ), _cmd_decide),
     ("reduce", "emit one of the constructions", (
@@ -199,14 +205,14 @@ _COMMANDS = (
     ), _cmd_reduce),
     ("index", "measure the rational index at one state count", (
         _FILTER,
-        ("--states", {"type": int, "required": True}),
+        ("--states", {"type": int, "required": True, "help": "states of each machine measured"}),
         ("--sample", {
             "type": int,
             "default": None,
             "help": "sample this many machines instead of enumerating",
         }),
         ("--seed", {"type": int, "default": 0, "help": "sampling seed (default: 0)"}),
-        ("--json", {"action": "store_true"}),
+        ("--json", {"action": "store_true", "help": "emit the index report as JSON"}),
     ), _cmd_index),
     ("check-log2", "run the instrumented certificate search", (
         ("--grammar", {"required": True, "help": "grammar text file (converted to CNF)"}),

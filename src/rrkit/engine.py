@@ -21,7 +21,7 @@ from .automata import EPSILON, Nfa
 from .errors import InputError
 from .filters import FilterSpec, d1_counter
 from .grammars import Cfg
-from .reductions import Triple, _derivable, _goal_triples, intersection_shortest
+from .reductions import Triple, _derivable, intersection_shortest
 from .values import Frozen
 
 
@@ -220,7 +220,7 @@ def _grammar_edges(g: Cfg, a: Nfa) -> dict[tuple[str, str], tuple[str, ...]]:
     (q, p) that has one: the least word of the derivable triple
     (q, axiom, p), the empty word included (the all-pairs reachability
     of Reps, "Program analysis via graph reachability", 1998)."""
-    closure = _derivable(g, a)
+    closure, _ = _derivable(g, a)
     table = g.cnf_table
     states = sorted(a.states)
     axiom, terminals = table.index[g.axiom], table.terminals
@@ -517,8 +517,9 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
     leaf and ends at level + n, and the depth is the deepest such end.
     The empty word, accepted through the axiom's epsilon rule, needs no
     tree and gives depth 0.  Epsilon moves of a are absorbed by
-    _derivable, which also checks that f_grammar is in CNF before any
-    table is read.
+    _derivable, which checks that f_grammar is in CNF before any table
+    is read and returns the goal triples (initial, axiom, f) with its
+    closure; the closure is read up to the least of them.
     The walk works on _derivable's rank triples (q, A, p), with states
     and nonterminals ranked in sorted name order: the rules A -> B C come
     from f_grammar.cnf_table.by_lhs, in grammar order, and the split
@@ -527,8 +528,7 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
     """
     # least words of the triples settled up to the least goal; a tree
     # node's children have shorter words, so they are all settled by then
-    closure = _derivable(f_grammar, a)
-    goals = _goal_triples(f_grammar, a)
+    closure, goals = _derivable(f_grammar, a)
     least: dict[Triple, tuple[int, ...]] = {}
     for triple, word in closure:
         least[triple] = word

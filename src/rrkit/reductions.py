@@ -30,6 +30,8 @@ D2_ALPHABET = dyck_alphabet(2)
 _SHIFT = {EPSILON: 0, "a1": 1, "a2": 1, "abar1": -1, "abar2": -1}
 # (rank(q), rank(A), rank(p)): a triple of the CFG∩NFA closure
 Triple = tuple[int, int, int]
+# the closure's stream: each derivable triple with its least word
+Closure = Iterator[tuple[Triple, tuple[int, ...]]]
 
 
 def _check_terminals(g: Cfg, a: Nfa) -> None:
@@ -105,9 +107,10 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
     return Cfg(frozenset((axiom, *name.values())), g.terminals, tuple(rules), axiom)
 
 
-def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
-    """Every derivable triple (q, A, p) of CNF g over a, as the rank
-    triple (rank(q), rank(A), rank(p)), with its least word.
+def _derivable(g: Cfg, a: Nfa) -> tuple[Closure, frozenset[Triple]]:
+    """(closure, goals) for CNF g over a: the closure yields each derivable
+    triple (q, A, p) as the rank triple (rank(q), rank(A), rank(p)) with its
+    least word; the goals are the triples (initial, axiom, f), f accepting.
 
     The one entry for CFG∩NFA questions: it checks at once, before the
     first triple is asked for, that g has a cnf_table (the one test of
@@ -138,10 +141,11 @@ def _derivable(g: Cfg, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
     if table is None:
         raise ContractError(NOT_CNF)
     _check_terminals(g, a)
-    return _settle(table, a)
+    rank, axiom = a._state_rank, table.index[g.axiom]
+    return _settle(table, a), frozenset((rank[a.initial], axiom, rank[f]) for f in a.accepting)
 
 
-def _settle(table: CnfTable, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]:
+def _settle(table: CnfTable, a: Nfa) -> Closure:
     """The closure of _derivable, once its checks have passed.
 
     The heap and the settled set key a rank triple (q, A, p) by the int
@@ -213,14 +217,6 @@ def _settle(table: CnfTable, a: Nfa) -> Iterator[tuple[Triple, tuple[int, ...]]]
                         push(heap, (m + n, left + word, k))
 
 
-def _goal_triples(g: Cfg, a: Nfa) -> frozenset[Triple]:
-    """The rank triples (initial, axiom, f), f accepting, once
-    _derivable(g, a) has checked g and a."""
-    rank = a._state_rank
-    q, axiom = rank[a.initial], g.cnf_table.index[g.axiom]
-    return frozenset((q, axiom, rank[f]) for f in a.accepting)
-
-
 def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
     """The least word of L(g) ∩ L(a) for CNF g, or None when empty.
 
@@ -229,13 +225,10 @@ def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
     found without materializing the product, the empty word included.
     Epsilon moves of a may occur anywhere in a run, as in bar_hillel.
     """
-    closure = _derivable(g, a)
-    goals = _goal_triples(g, a)
-    for triple, word in closure:
-        if triple in goals:
-            terminals = g.cnf_table.terminals
-            return tuple(terminals[r] for r in word)
-    return None
+    closure, goals = _derivable(g, a)
+    least = next((word for triple, word in closure if triple in goals), None)
+    terminals = g.cnf_table.terminals
+    return None if least is None else tuple(terminals[r] for r in least)
 
 
 def intersection_nonempty(g: Cfg, a: Nfa) -> bool:

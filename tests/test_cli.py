@@ -240,6 +240,12 @@ def test_reduce_input_help_names_the_targets_that_read_it():
         assert listed == readers, name
 
 
+def test_every_option_has_a_help_line():
+    missing = [(command, flag) for command, _, options, _ in cli._COMMANDS
+               for flag, keywords in options if not keywords.get("help")]
+    assert missing == []
+
+
 def test_reduce_ssharpup_without_accepting_state(tmp_path, capsys):
     nfa = tmp_path / "a.json"
     nfa.write_text(rrkit.Nfa.build(
@@ -417,6 +423,39 @@ def test_json_error_line_counts_every_line_ending(newline, tmp_path, capsys):
     nfa.write_bytes('{\n  "states": [\n    "q0",\n  ]\n}\n'.replace("\n", newline).encode())
     err = assert_usage_error(capsys, ["decide", "--filter", "dyck1", "--nfa", str(nfa)])
     assert err == f"rr: error: {nfa}: line 4: Expecting value\n"
+
+
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize(
+    "argv,bommed",
+    [
+        (["reduce", "cs", "--grammar", "data/d1.txt"], "data/d1.txt"),
+        (["check-log2", "--grammar", "data/d1.txt", "--nfa", "data/pair.json"], "data/d1.txt"),
+        (["decide", "--filter", "dyck1", "--nfa", "data/pair.json"], "data/pair.json"),
+    ],
+    ids=["reduce-cs", "check-log2", "decide"],
+)
+def test_leading_byte_order_mark_is_dropped(argv, bommed, in_tests_dir, tmp_path):
+    """A file saved with a leading UTF-8 byte-order mark prints exactly
+    what the same file without it prints: the mark does not start the
+    grammar's first symbol, and JSON does not refuse it."""
+    copy = tmp_path / pathlib.Path(bommed).name
+    copy.write_bytes(BOM + (TESTS_DIR / bommed).read_bytes())
+    expected = run_case(argv)
+    assert expected[0] == 0
+    assert run_case([str(copy) if token == bommed else token for token in argv]) == expected
+
+
+def test_byte_order_mark_is_dropped_only_once_and_only_first(tmp_path):
+    """Only one leading mark is dropped: a second one, or one later in
+    the file, is read as the character it is."""
+    path = tmp_path / "g.txt"
+    for text, read in (("\ufeffS -> a1", "S -> a1"), ("\ufeff\ufeffS", "\ufeffS"),
+                       ("S -> a1\ufeff", "S -> a1\ufeff"), ("S\n\ufeffT", "S\n\ufeffT")):
+        path.write_bytes(text.encode())
+        assert cli._load(str(path), str) == read
 
 
 class ClosedPipe:

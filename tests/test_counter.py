@@ -317,7 +317,7 @@ def test_least_word_needs_a_quadratic_cap(epsilon):
 
 
 @pytest.mark.parametrize("mode", ["final_state", "final_state_and_zero"])
-def test_least_words_skips_a_dead_pumping_branch(mode):
+def test_least_word_skips_a_dead_pumping_branch(mode):
     """A branch that pumps the counter and reaches no accepting state
     changes no word: the machine with it returns what the machine
     without it returns, the unfolding's witness, with both accepting

@@ -276,7 +276,7 @@ def _renamed_nfa(a):
 def _closure_by_names(g, a):
     """_derivable's rank triples in order, each named (q, A, p) through
     the ranks the closure itself used, with its word."""
-    closure = _derivable(g, a)
+    closure, _ = _derivable(g, a)
     names = g.cnf_table.names
     rank = a._state_rank
     states = sorted(rank, key=rank.__getitem__)
