@@ -21,8 +21,9 @@ a launch that runs a well-formed command imports neither argparse nor
 gettext.
 
 The targets of `rr reduce` are the rows of _REDUCTIONS.  A row declares
-the inputs its target reads, its construction, the text it prints and
-its --emit-stats figures, and _cmd_reduce runs every row on one path.
+the inputs its target reads, the name of its construction in
+rrkit.reductions, the text it prints and its --emit-stats figures, and
+_cmd_reduce runs every row on one path.
 """
 from __future__ import annotations
 
@@ -31,12 +32,12 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn, Optional
 
+from . import reductions
 from .automata import Nfa, report_json
-from .engine import log2_check, nrr_decide, rational_index
+from .engine import METHODS, log2_check, nrr_decide, rational_index
 from .errors import ContractError, InputError, UnsupportedFilterError
 from .filters import parse_filter_name
 from .grammars import format_grammar, parse_grammar
-from .reductions import bar_hillel, cs_transducer, mark_automaton, reduce_d2_to_ssharpup
 
 if TYPE_CHECKING:
     import argparse
@@ -98,35 +99,36 @@ def _cmd_decide(args) -> int:
 
 
 # One row per `rr reduce` target, in the order its help lists them: the
-# inputs it reads, in load order, each parsed by _PARSERS; its
-# construction, called on them; the text it prints of the result; and the
-# figures of the result that --emit-stats prints.
+# inputs it reads, in load order, each parsed by _PARSERS; its construction,
+# named in rrkit.reductions, looked up when the row runs and called on them;
+# the text it prints of the result; and the figures that --emit-stats prints.
 _PARSERS = {"grammar": parse_grammar, "nfa": Nfa.from_json}
 _REDUCTIONS = {
     "bar-hillel": (
-        ("grammar", "nfa"), bar_hillel, format_grammar,
+        ("grammar", "nfa"), "bar_hillel", format_grammar,
         lambda g: {"nonterminals": len(g.nonterminals), "rules": len(g.rules)},
     ),
     "cs": (
-        ("grammar",), cs_transducer, lambda t: t.to_json(),
+        ("grammar",), "cs_transducer", lambda t: t.to_json(),
         lambda t: {"states": len(t.states), "transitions": len(t.transitions)},
     ),
     "mark": (
-        ("nfa",), mark_automaton, lambda m: m.nfa.to_json(),
+        ("nfa",), "mark_automaton", lambda m: m.nfa.to_json(),
         lambda m: {"height_bound": max(m.height.values()), "states": len(m.nfa.states)},
     ),
     "ssharpup": (
-        ("nfa",), reduce_d2_to_ssharpup, Nfa.to_json,
+        ("nfa",), "reduce_d2_to_ssharpup", Nfa.to_json,
         lambda a: {"states": len(a.states)},
     ),
 }
 
 
 def _cmd_reduce(args) -> int:
-    inputs, build, text, stats = _REDUCTIONS[args.target]
+    inputs, construction, text, stats = _REDUCTIONS[args.target]
     for name in inputs:
         if getattr(args, name) is None:
             raise InputError(f"reduce {args.target} requires --{name}")
+    build = getattr(reductions, construction)
     result = build(*[_load(getattr(args, name), _PARSERS[name]) for name in inputs])
     sys.stdout.write(text(result))
     if args.emit_stats:
@@ -177,7 +179,7 @@ _COMMANDS = (
         _FILTER,
         _NFA,
         ("--method", {
-            "choices": ("auto", "bar-hillel", "counter", "log2"),
+            "choices": METHODS,
             "default": "auto",
             "help": "decision route; log2 runs the instrumented certificate search",
         }),
@@ -187,7 +189,7 @@ _COMMANDS = (
         _FILTER,
         _NFA,
         ("--method", {
-            "choices": ("auto", "bar-hillel", "counter"),
+            "choices": tuple(m for m in METHODS if m != "log2"),  # log2 gives no word
             "default": "auto",
             "help": "decision route",
         }),

@@ -82,11 +82,10 @@ class CounterAutomaton(Frozen):
             into.setdefault(dst, []).append((delta, src))
         return into, {q: [src for _, src in moves] for q, moves in into.items()}
 
-    def _least_sums(self, seeds: Iterable[str]) -> tuple[dict[str, int], set[str]]:
+    def _least_sums(self, seeds: Iterable[str]) -> dict[str, float]:
         """For each state that reaches a seed, the least delta sum over the
-        paths of moves from it to a seed (0 at a seed); and the states that
-        reach a cycle whose deltas sum below 0, which have no least sum
-        (their entries are left as found).
+        paths of moves from it to a seed (0 at a seed): -math.inf for a
+        state that reaches a cycle whose deltas sum below 0.
 
         A shortest path (Bellman, 1958), found by a worklist over the
         reversed moves from the seeds.  Each estimate records its parent,
@@ -95,15 +94,15 @@ class CounterAutomaton(Frozen):
         src -> q close a cycle whose deltas sum below 0 (each state on the
         chain sums to at least its move's delta plus its parent's sum, and
         src's new sum is below its old one): src, and every state that
-        reaches it, has no least sum.  So the chains stay simple paths,
-        every sum stays above -|Q| and the worklist ends (the "walk to the
-        root" among the negative-cycle checks that Cherkassky and
+        reaches it, gets -math.inf.  So the chains stay simple paths,
+        every finite sum stays above -|Q| and the worklist ends (the "walk
+        to the root" among the negative-cycle checks that Cherkassky and
         Goldberg, 1999, compare).
         """
         into, back = self._reversed
         # dist[q] is the least delta sum found from q to a seed, through
         # parent[q] (None for a seed at 0)
-        dist = dict.fromkeys(seeds, 0)
+        dist: dict[str, float] = dict.fromkeys(seeds, 0)
         parent: dict[str, Optional[str]] = dict.fromkeys(dist)
         cyclic: set[str] = set()
         todo = deque(dist)
@@ -126,7 +125,8 @@ class CounterAutomaton(Frozen):
                 dist[src] = base + delta
                 parent[src] = q
                 todo.append(src)
-        return dist, reach(cyclic, back)
+        dist.update(dict.fromkeys(reach(cyclic, back), -math.inf))
+        return dist
 
     @cached_property
     def _ceiling(self) -> Mapping[str, float]:
@@ -140,16 +140,14 @@ class CounterAutomaton(Frozen):
         accepting state whose deltas sum to -v, so v <= -dist(q), where
         dist(q) is the least delta sum over such paths (_least_sums from
         the accepting states).  A state that reaches a cycle whose deltas
-        sum below 0 has no ceiling, and one with dist(q) > 0 is dead.  In
+        sum below 0 has dist(q) = -math.inf, so no ceiling; one with
+        dist(q) > 0 is dead.  In
         final_state mode the value is not read at acceptance, so every
         state that reaches an accepting state has no ceiling.
         """
         if self.accept_mode == "final_state":
             return dict.fromkeys(reach(self.accepting, self._reversed[1]), math.inf)
-        dist, cyclic = self._least_sums(self.accepting)
-        ceiling: dict[str, float] = {q: -total for q, total in dist.items() if total <= 0}
-        ceiling.update(dict.fromkeys(cyclic, math.inf))
-        return ceiling
+        return {q: -total for q, total in self._least_sums(self.accepting).items() if total <= 0}
 
     @cached_property
     def _floor(self) -> Mapping[str, float]:
@@ -158,7 +156,7 @@ class CounterAutomaton(Frozen):
         floor at 0 ignored: -dist(q) for the least delta sum dist(q) over
         the paths from q, the empty one included (_least_sums with every
         state seeded at 0).  It is math.inf when q reaches a cycle whose
-        deltas sum below 0.
+        deltas sum below 0, where dist(q) is -math.inf.
 
         From (q, v) with v > drop(q) the counter stays above 0 on every
         run, so every zero guard fails, every positive guard passes,
@@ -167,10 +165,7 @@ class CounterAutomaton(Frozen):
         of them.  A move q -> r with delta d gives drop(q) >= drop(r) - d,
         so the successors of a value above drop(q) lie above drop(r) too.
         """
-        dist, cyclic = self._least_sums(self.states)
-        floor: dict[str, float] = {q: 1 - total for q, total in dist.items()}
-        floor.update(dict.fromkeys(cyclic, math.inf))
-        return floor
+        return {q: 1 - total for q, total in self._least_sums(self.states).items()}
 
     def _guard_ok(self, guard: str, value: int) -> bool:
         if guard == "zero":
@@ -229,7 +224,7 @@ class CounterAutomaton(Frozen):
         before, and the verdict stays that of the uncapped machine, which
         the cap already gives.  A state that reaches a cycle whose deltas
         sum below 0 gets no floor: its values are walked up to the ceiling
-        or the cap, as before.
+        or the cap.
         """
         w = tuple(word)
         for sym in w:

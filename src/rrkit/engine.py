@@ -24,6 +24,9 @@ from .grammars import Cfg
 from .reductions import Triple, _derivable, intersection_shortest
 from .values import Frozen
 
+# nrr_decide's methods, in the order `rr decide --help` lists them
+METHODS = ("auto", "bar-hillel", "counter", "log2")
+
 
 class DecisionReport(Frozen):
     """Outcome of one realizability decision.
@@ -134,18 +137,17 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     the counter to 0, as the least such value; a state that reaches a
     cycle of falling moves has no floor).
     """
-    machine = f.automaton if method != "bar-hillel" else None
-    if method == "counter" and f.kind != "counter":
-        if not (f.kind == "dyck" and f.n == 1):
-            what = f"filter kind {f.kind!r}"
-            if f.kind == "dyck":
-                what = f"the dyck filter with {f.n} bracket pairs"
-            raise InputError(
-                f"no counter realization is registered for {what}; only dyck1 has a counter route"
-            )
-        machine = d1_counter()
-    elif method not in ("auto", "bar-hillel", "counter", "log2"):
+    if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
+    borrowed = method == "counter" and f.kind != "counter"
+    if borrowed and not (f.kind == "dyck" and f.n == 1):
+        what = f"filter kind {f.kind!r}"
+        if f.kind == "dyck":
+            what = f"the dyck filter with {f.n} bracket pairs"
+        raise InputError(
+            f"no counter realization is registered for {what}; only dyck1 has a counter route"
+        )
+    machine = None if method == "bar-hillel" else d1_counter() if borrowed else f.automaton
     letters = set(f.alphabet)
     for sym in a.alphabet:
         if sym not in letters:

@@ -80,6 +80,12 @@ def test_member_empty_word(capsys):
     assert capsys.readouterr().out == "true\n"
 
 
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["rr", "member", "--filter", "dyck1", "--word", "a1 abar1"])
+    assert main() == 0
+    assert capsys.readouterr().out == "true\n"
+
+
 def test_witness_none(in_tests_dir, capsys):
     assert main(["witness", "--filter", "dyck1", "--nfa", "data/odd.json"]) == 1
     assert capsys.readouterr().out == "none\n"

@@ -110,6 +110,23 @@ def test_counter_route_rechecks_against_the_named_filter(monkeypatch):
         nrr_decide(pair_machine(), FilterSpec.dyck(1), "counter")
 
 
+# a dyck1 word that pair_machine() rejects
+REJECTED = ("a1", "a1", "abar1", "abar1")
+
+
+def test_grammar_route_rechecks_against_the_input_automaton(monkeypatch):
+    """A witness the automaton rejects is an internal error, not a report."""
+    monkeypatch.setattr(engine, "intersection_shortest", lambda g, a: REJECTED)
+    with pytest.raises(RuntimeError, match="rejected by the input automaton"):
+        nrr_decide(pair_machine(), FilterSpec.dyck(1))
+
+
+def test_counter_route_rechecks_against_the_input_automaton(monkeypatch):
+    monkeypatch.setattr(CounterAutomaton, "least_word", lambda self, cap: REJECTED)
+    with pytest.raises(RuntimeError, match="rejected by the input automaton"):
+        nrr_decide(pair_machine(), FilterSpec.dyck(1), method="counter")
+
+
 def test_decide_empty():
     a = Nfa.build(("a1", "abar1"), "q0", {"q1"}, {("q0", "a1", "q1")})
     report = nrr_decide(a, FilterSpec.dyck(1))
