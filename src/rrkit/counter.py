@@ -151,21 +151,28 @@ class CounterAutomaton(Frozen):
 
     @cached_property
     def _floor(self) -> Mapping[str, float]:
-        """For each state q, drop(q) + 1, where drop(q) is the largest total
-        fall of the counter over any path of moves from q, guards and the
-        floor at 0 ignored: -dist(q) for the least delta sum dist(q) over
-        the paths from q, the empty one included (_least_sums with every
-        state seeded at 0).  It is math.inf when q reaches a cycle whose
-        deltas sum below 0, where dist(q) is -math.inf.
+        """For each state q that reaches an accepting state, drop(q) + 1,
+        where drop(q) is the largest total fall of the counter over any
+        path of moves from q through states that reach one, guards and
+        the floor at 0 ignored: -dist(q) for the least delta sum dist(q)
+        over those paths, the empty one included (_least_sums seeded at 0
+        on every such state).  It is math.inf when such a path reaches a
+        cycle whose deltas sum below 0, where dist(q) is -math.inf.  A
+        state missing here is dead.
 
-        From (q, v) with v > drop(q) the counter stays above 0 on every
+        An accepting run visits only states that reach acceptance.  From
+        (q, v) with v > drop(q) the counter stays above 0 on every such
         run, so every zero guard fails, every positive guard passes,
         every -1 move is enabled and no run accepts at zero, whatever v
         is: all those values behave alike, and accepts stores the least
-        of them.  A move q -> r with delta d gives drop(q) >= drop(r) - d,
-        so the successors of a value above drop(q) lie above drop(r) too.
+        of them.  A move q -> r between such states with delta d gives
+        drop(q) >= drop(r) - d, so the successors of a value above
+        drop(q) lie above drop(r) too.
         """
-        return {q: 1 - total for q, total in self._least_sums(self.states).items()}
+        return {
+            q: 1 - total
+            for q, total in self._least_sums(reach(self.accepting, self._reversed[1])).items()
+        }
 
     def _guard_ok(self, guard: str, value: int) -> bool:
         if guard == "zero":
@@ -180,19 +187,14 @@ class CounterAutomaton(Frozen):
         return value == 0 if self.accept_mode == "final_state_and_zero" else True
 
     @cached_property
-    def _back_steps(self) -> tuple[frozenset[str], dict]:
-        """The moves read backward with the counter ignored: the states that
-        reach acceptance on epsilon moves; and by (q, letter), those that
-        reach q on epsilon moves then that letter."""
-        eps_back: dict[str, list[str]] = {}
-        letter_back: dict[tuple[str, str], list[str]] = {}
-        for src, read, _, _, dst in self.transitions:
-            if read == EPSILON:
-                eps_back.setdefault(dst, []).append(src)
-            else:
-                letter_back.setdefault((dst, read), []).append(src)
-        steps = {key: reach(srcs, eps_back) for key, srcs in letter_back.items()}
-        return frozenset(reach(self.accepting, eps_back)), steps
+    def _backward(self) -> Nfa:
+        """The machine's moves reversed, counter and guards dropped, as an
+        Nfa: the states it reaches from the accepting ones are those that
+        reach acceptance here."""
+        return Nfa(
+            self.states, self.alphabet, self.initial, self.accepting,
+            frozenset((dst, read, src) for src, read, _, _, dst in self.transitions),
+        )
 
     def accepts(self, word: Iterable[str]) -> bool:
         """True when some run over the word ends accepting.
@@ -205,45 +207,37 @@ class CounterAutomaton(Frozen):
         quadratically high and the run is still found.  A linear cap
         misses such runs.
 
-        The word is first read backward with the counter ignored: live[i]
-        holds the states from which w[i:] may reach acceptance.  The search
-        enters no configuration outside them, and says no before it walks
-        any value when the initial state is not in live[0].  Nor does it
-        enter a value above the state's ceiling (_ceiling, shared with
-        least_word), from which no run returns to an accepting zero.  A
-        cut only removes runs, so a wrong ceiling would make accepts
-        reject more: nrr_decide's re-check of least_word's witness would
-        then raise "witness rejected", and never pass a wrong witness.
+        The word is first read backward with the counter ignored, by
+        stepping _backward over it from its accepting states: live[i]
+        holds the states from which w[i:] may reach acceptance.  The
+        search enters no configuration outside them, and says no before
+        it walks any value when the initial state is not in live[0].
 
         A value above drop(q), the largest fall of the counter along any
-        path of moves from q, is stored as drop(q) + 1 (_floor): from all
-        such values the runs are the same.  So epsilon moves that pump the
-        counter add at most drop(q) + 2 values per state and position, and
-        the search is linear in the word.  A stored value is never above
-        the values it stands for, so the cap cuts no run that it kept
-        before, and the verdict stays that of the uncapped machine, which
-        the cap already gives.  A state that reaches a cycle whose deltas
-        sum below 0 gets no floor: its values are walked up to the ceiling
-        or the cap.
+        path of moves from q through states that reach acceptance, is
+        stored as drop(q) + 1 (_floor): from all such values the runs are
+        the same.  So epsilon moves that pump the counter add at most
+        drop(q) + 2 values per state and position, and the search is
+        linear in the word.  A stored value is never above the values it
+        stands for, so the cap cuts no run that it kept before, and the
+        verdict stays that of the uncapped machine, which the cap already
+        gives.  A state that reaches a cycle whose deltas sum below 0,
+        through states that reach acceptance, gets no floor: its values
+        are walked up to the cap.
         """
         w = tuple(word)
         for sym in w:
             if sym not in self.alphabet:
                 raise InputError(f"symbol {sym!r} is not in the alphabet")
-        here, steps = self._back_steps
-        live = [here]
+        back = self._backward
+        live = [back.eps_closure(self.accepting)]
         for sym in reversed(w):
-            before: set[str] = set()
-            for q in here:
-                before.update(steps.get((q, sym), ()))
-            here = before
-            live.append(here)
+            live.append(back.step(live[-1], sym))
         live.reverse()
-        if self.initial not in here:
+        if self.initial not in live[0]:
             return False
         n = len(w)
         cap = (len(self.states) * (n + 1)) ** 2
-        top = {q: min(c, cap) for q, c in self._ceiling.items()}
         by_state, guard_ok, floor = self._by_state, self._guard_ok, self._floor
         start = (self.initial, 0, 0)
         seen = {start}
@@ -262,7 +256,7 @@ class CounterAutomaton(Frozen):
                 if dst not in live[npos] or not guard_ok(guard, value):
                     continue
                 nval = value + delta
-                if nval < 0 or nval > top.get(dst, -1):
+                if nval < 0 or nval > cap:
                     continue
                 config = (dst, npos, min(nval, floor[dst]))
                 if config not in seen:

@@ -132,10 +132,11 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     unfolding's size is still what states_created reports.  The witness
     is re-checked against the automaton and the caller's filter before
     return (the dyck1 oracle when d1_counter() found it; for a counter
-    filter CounterAutomaton.accepts, which cuts at the ceilings too and
-    stores each value above a state's floor, past which no run can bring
-    the counter to 0, as the least such value; a state that reaches a
-    cycle of falling moves has no floor).
+    filter CounterAutomaton.accepts, which reads no ceiling: it stores
+    each value above a state's floor, past which no run to acceptance
+    can bring the counter to 0, as the least such value; a state that
+    reaches a cycle of falling moves on the way to acceptance has no
+    floor).
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")

@@ -399,8 +399,9 @@ def test_ceiling_values(mode):
     acceptance climbs (dead) and a state with no path (dead).  In
     final_state mode every state that reaches acceptance is unbounded.
     The floors, drop(q) + 1 for the largest fall drop(q) along a path
-    from q, read no guard and no accepting state, so both modes agree:
-    none for l and m, which reach the -1 loop."""
+    from q, read no guard and no accept mode, so both modes agree: none
+    for l and m, which reach the -1 loop.  Floors cover only the states
+    that reach f, so x, which has no move, has none."""
     moves = {
         ("c0", "a", "any", 1, "c1"),  # c0 +1 c1 -1 c2 -1 f
         ("c1", "b", "positive", -1, "c2"),
@@ -424,7 +425,7 @@ def test_ceiling_values(mode):
     assert d1_counter()._ceiling == {"q0": math.inf}
     assert c._floor == {
         "c0": 2, "c1": 3, "c2": 2, "f": 1, "m": math.inf, "l": math.inf,
-        "z": 1, "y": 2, "u": 1, "w": 1, "x": 1,
+        "z": 1, "y": 2, "u": 1, "w": 1,
     }
 
 
@@ -516,14 +517,15 @@ def test_accepts_rejects_a_dead_word_without_walking_the_counter(monkeypatch):
     assert c.accepts(("a", "b"))
 
 
-def test_accepts_stops_at_the_value_ceiling(monkeypatch):
+def test_accepts_stops_a_climb_at_the_floor(monkeypatch):
     """The chain of the test above, but p5 moves on epsilon under
     "positive" into f, which accepts only at zero, and no move counts
     down.  Every state stays live at every position of aⁿ, so only the
-    counter forbids acceptance: every state's value ceiling is 0, and
-    accepts walks no higher.  Capped only at (|Q|·(|w|+1))², it checked
-    a guard at every value up to 5,929 for a¹⁰, and the wrapper stops it
-    after 1,000 checks."""
+    counter forbids acceptance: every state's value ceiling is 0.
+    accepts reads no ceiling, but no path falls, so every state's floor
+    is 1 and holds the climb: accepts stores every value above 0 as 1.
+    Capped only at (|Q|·(|w|+1))², it checked a guard at every value up
+    to 5,929 for a¹⁰, and the wrapper stops it after 1,000 checks."""
     moves = {("p5", "", "positive", 0, "f")}
     moves |= {(f"p{i}", "", "any", 0, f"p{i + 1}") for i in range(5)}
     for i in range(6):
@@ -548,6 +550,33 @@ def test_accepts_is_linear_on_a_pumping_chain(monkeypatch):
     assert c.accepts(("a",) * 2000 + ("b",))
     assert not c.accepts(("a",) * 2000 + ("b", "a"))
     assert c._floor == dict.fromkeys(c.states, 1)
+
+
+def dead_falling_branch():
+    """Six states p0..p5 in a chain of epsilon moves, each with an epsilon
+    +1 self-loop and an a +1 self-loop, then a b move under "zero" into
+    the accepting state f: the language b.  p0 also moves on a into d,
+    whose epsilon -1 self-loop falls without end, but d reaches no
+    accepting state."""
+    moves = {("p5", "b", "zero", 0, "f"), ("p0", "a", "any", 0, "d"), ("d", "", "positive", -1, "d")}
+    moves |= {(f"p{i}", "", "any", 0, f"p{i + 1}") for i in range(5)}
+    for i in range(6):
+        moves |= {(f"p{i}", "", "any", 1, f"p{i}"), (f"p{i}", "a", "any", 1, f"p{i}")}
+    return CounterAutomaton.build(("a", "b"), "p0", {"f"}, moves)
+
+
+def test_accepts_ignores_a_dead_falling_cycle(monkeypatch):
+    """The dead falling branch reads a¹⁶b.  p0 reaches d's falling cycle,
+    but d reaches no accepting state, so the floor, which counts only the
+    states that reach acceptance, is 1 at p0 and absent at d.  When every
+    state was counted p0 had no floor, and accepts(a¹⁶b) took 1,036,706
+    guard checks, walking p0's values up to the cap; the wrapper stops
+    it after 10,000."""
+    c = dead_falling_branch()
+    count_guard_checks(monkeypatch, 10_000)
+    assert not c.accepts(("a",) * 16 + ("b",))
+    assert c.accepts(("b",))
+    assert c._floor["p0"] == 1 and "d" not in c._floor
 
 
 def test_accepts_matches_the_unfolding_at_its_cap():
@@ -579,6 +608,12 @@ def test_accepts_matches_the_unfolding_at_its_cap():
     verdicts = [c.accepts(w) for w in words]
     assert verdicts == [c.to_nfa((len(c.states) * (len(w) + 1)) ** 2).accepts(w) for w in words]
     assert [w for w, ok in zip(words, verdicts) if ok] == [("b",), ("a", "b"), ("a", "a", "b")]
+    # the dead falling branch: d falls without end but is dead, so p0
+    # keeps its floor
+    c = dead_falling_branch()
+    verdicts = [c.accepts(w) for w in words]
+    assert verdicts == [c.to_nfa((len(c.states) * (len(w) + 1)) ** 2).accepts(w) for w in words]
+    assert [w for w, ok in zip(words, verdicts) if ok] == [("b",)]
 
 
 def test_validation():
