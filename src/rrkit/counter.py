@@ -190,7 +190,8 @@ class CounterAutomaton(Frozen):
     def _backward(self) -> Nfa:
         """The machine's moves reversed, counter and guards dropped, as an
         Nfa: the states it reaches from the accepting ones are those that
-        reach acceptance here."""
+        reach acceptance here.  accepts reads a word backward by looking
+        each letter up in its _closed_step."""
         return Nfa(
             self.states, self.alphabet, self.initial, self.accepting,
             frozenset((dst, read, src) for src, read, _, _, dst in self.transitions),
@@ -207,11 +208,16 @@ class CounterAutomaton(Frozen):
         quadratically high and the run is still found.  A linear cap
         misses such runs.
 
-        The word is first read backward with the counter ignored, by
-        stepping _backward over it from its accepting states: live[i]
-        holds the states from which w[i:] may reach acceptance.  The
-        search enters no configuration outside them, and says no before
-        it walks any value when the initial state is not in live[0].
+        The word is first read backward with the counter ignored, from
+        the epsilon closure of the accepting states in _backward, each
+        letter looked up in _backward._closed_step: live[i] holds the
+        states from which w[i:] may reach acceptance.  The search takes no
+        move into a state outside them, and tests that before the move's
+        guard: a move from the start into live[npos] would put the start
+        in live[0], so a word no run can finish is rejected before any
+        guard is checked.  Every move it takes is still read from
+        _by_state, so a wrong live set could refuse a good word but never
+        accept a bad one.
 
         A value above drop(q), the largest fall of the counter along any
         path of moves from q through states that reach acceptance, is
@@ -230,12 +236,11 @@ class CounterAutomaton(Frozen):
             if sym not in self.alphabet:
                 raise InputError(f"symbol {sym!r} is not in the alphabet")
         back = self._backward
+        steps = back._closed_step
         live = [back.eps_closure(self.accepting)]
         for sym in reversed(w):
-            live.append(back.step(live[-1], sym))
+            live.append({src for q in live[-1] for src in steps.get((q, sym), ())})
         live.reverse()
-        if self.initial not in live[0]:
-            return False
         n = len(w)
         cap = (len(self.states) * (n + 1)) ** 2
         by_state, guard_ok, floor = self._by_state, self._guard_ok, self._floor
@@ -282,19 +287,17 @@ class CounterAutomaton(Frozen):
         (parent's pointer, last symbol); a level that claims nothing ends
         the search.
 
-        No configuration (q, v) with v above min(_ceiling[q], counter_cap)
-        is claimed, nor any of a dead state, one missing from _ceiling.
-        Ignoring guards and the floor at 0, a run from (q, v) to an
-        accepting (f, 0) is a path whose deltas sum to -v, so v <=
-        -dist(q), the ceiling; a move q -> r with delta d gives dist(q) <=
-        d + dist(r), so the successors of a cut configuration are cut too,
-        and no accepting run passes through one.  A branch that pumps the
+        No move enters a configuration (q, v) with v above
+        min(_ceiling[q], counter_cap), nor one of a dead state, missing
+        from _ceiling.  Ignoring guards and the floor at 0, a run from
+        (q, v) to an accepting (f, 0) is a path whose deltas sum to -v, so
+        v <= -dist(q), the ceiling; a move q -> r with delta d gives
+        dist(q) <= d + dist(r), so the successors of a cut configuration
+        are cut too, and no accepting run passes through one: a dead start
+        is claimed alone and the search ends.  A branch that pumps the
         counter is walked only as high as it could still come back from.
         """
-        ceiling = self._ceiling
-        if self.initial not in ceiling:
-            return None
-        top = {q: min(c, counter_cap) for q, c in ceiling.items()}
+        top = {q: min(c, counter_cap) for q, c in self._ceiling.items()}
         by_state, guard_ok = self._by_state, self._guard_ok
         seen: set[tuple[str, int]] = set()
 

@@ -125,18 +125,13 @@ def nrr_decide(a: Nfa, f: FilterSpec, method: str = "auto") -> DecisionReport:
     at counter cap |P|² on the fly, in the same (length, lex) order over
     the sorted letter names, so it is the shortest witness of P's default
     unfolding, and both routes break ties alike whatever order the
-    counter machine declares its alphabet in.  It claims no
-    configuration above a state's value ceiling (the highest value from
-    which the counter can still come back to an accepting zero), so an
-    empty product whose counter can only climb ends at once; the
-    unfolding's size is still what states_created reports.  The witness
-    is re-checked against the automaton and the caller's filter before
-    return (the dyck1 oracle when d1_counter() found it; for a counter
-    filter CounterAutomaton.accepts, which reads no ceiling: it stores
-    each value above a state's floor, past which no run to acceptance
-    can bring the counter to 0, as the least such value; a state that
-    reaches a cycle of falling moves on the way to acceptance has no
-    floor).
+    counter machine declares its alphabet in.  It walks no value above
+    a state's _ceiling, so an empty product whose counter can only climb
+    ends at once; the unfolding's size is still what states_created
+    reports.  The witness is re-checked against the automaton and the
+    caller's filter before return (the dyck1 oracle when d1_counter()
+    found it; for a counter filter CounterAutomaton.accepts, which reads
+    no ceiling but stores the values above a state's _floor as one).
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")

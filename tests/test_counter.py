@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from rrkit import CounterAutomaton, FilterSpec, Nfa, nrr_decide
+from rrkit import CounterAutomaton, FilterSpec, Nfa, automata, nrr_decide
 from rrkit.automata import pair_name
 from rrkit.counter import ACCEPT_MODES
 from rrkit.errors import ContractError, InputError
@@ -550,6 +550,38 @@ def test_accepts_is_linear_on_a_pumping_chain(monkeypatch):
     assert c.accepts(("a",) * 2000 + ("b",))
     assert not c.accepts(("a",) * 2000 + ("b", "a"))
     assert c._floor == dict.fromkeys(c.states, 1)
+
+
+@pytest.mark.parametrize(
+    "machine, word",
+    [
+        (d1_counter, lambda n: ("a1",) * n + ("abar1",) * n),
+        (pumping_chain, lambda n: ("a",) * n + ("b",)),
+    ],
+    ids=["d1_counter", "pumping_chain"],
+)
+def test_accepts_reads_its_live_sets_off_cached_steps(monkeypatch, machine, word):
+    """accepts reads w backward through _backward._closed_step, built once
+    per machine, so after one warm-up call it runs automata.reach the same
+    number of times whatever |w|.  Stepping with Nfa.step, which
+    epsilon-closes every step, ran it once per letter: 11, 101 and 1,001
+    times on d1_counter() for n = 5, 50 and 500."""
+    c = machine()
+    assert c.accepts(word(1))
+    calls = [0]
+    reach = automata.reach
+
+    def counted(*args):
+        calls[0] += 1
+        return reach(*args)
+
+    monkeypatch.setattr(automata, "reach", counted)
+    counts = []
+    for n in (5, 50, 500):
+        calls[0] = 0
+        assert c.accepts(word(n))
+        counts.append(calls[0])
+    assert len(set(counts)) == 1, counts
 
 
 def dead_falling_branch():
