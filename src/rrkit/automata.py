@@ -385,6 +385,13 @@ class Nfa(Frozen):
     # -- language operations ---------------------------------------------
 
     def accepts(self, word: Iterable[str]) -> bool:
+        """True when some run over the word ends accepting.  Every letter
+        is checked against the alphabet before any is read, so a foreign
+        letter raises InputError even after the run has died."""
+        word = tuple(word)
+        for symbol in word:
+            if symbol not in self._letters:
+                raise InputError(f"symbol {symbol!r} is not in the alphabet")
         current = self.eps_closure({self.initial})
         for symbol in word:
             current = self.step(current, symbol)

@@ -74,32 +74,34 @@ class CounterAutomaton(Frozen):
         return {q: tuple(sorted(es)) for q, es in out.items()}
 
     @cached_property
-    def _reversed(self) -> tuple[Mapping[str, list[tuple[int, str]]], Mapping[str, list[str]]]:
-        """The moves read backward with the guards ignored: by target, the
-        (delta, source) pairs; and by target, the sources alone."""
-        into: dict[str, list[tuple[int, str]]] = {}
+    def _reversed(self) -> Mapping[str, Mapping[str, int]]:
+        """The moves read backward with the guards ignored: by target, each
+        source with the least delta of its moves into that target, all a
+        least sum or a negative cycle reads (reach reads the sources)."""
+        into: dict[str, dict[str, int]] = {}
         for src, _, _, delta, dst in self.transitions:
-            into.setdefault(dst, []).append((delta, src))
-        return into, {q: [src for _, src in moves] for q, moves in into.items()}
+            sources = into.setdefault(dst, {})
+            sources[src] = min(delta, sources.get(src, delta))
+        return into
 
     def _least_sums(self, seeds: Iterable[str]) -> dict[str, float]:
         """For each state that reaches a seed, the least delta sum over the
         paths of moves from it to a seed (0 at a seed): -math.inf for a
         state that reaches a cycle whose deltas sum below 0.
 
-        A shortest path (Bellman, 1958), found by a worklist over the
-        reversed moves from the seeds.  Each estimate records its parent,
-        the state it came through.  When src would get a lower sum through
-        q while src is on q's chain of parents, that chain and the move
-        src -> q close a cycle whose deltas sum below 0 (each state on the
-        chain sums to at least its move's delta plus its parent's sum, and
-        src's new sum is below its old one): src, and every state that
-        reaches it, gets -math.inf.  So the chains stay simple paths,
-        every finite sum stays above -|Q| and the worklist ends (the "walk
-        to the root" among the negative-cycle checks that Cherkassky and
-        Goldberg, 1999, compare).
+        A shortest path (Bellman, 1958), found by a worklist over
+        _reversed from the seeds, one least delta per pair of states.
+        Each estimate records its parent, the state it came through.  When
+        src would get a lower sum through q while src is on q's chain of
+        parents, that chain and the move src -> q close a cycle whose
+        deltas sum below 0 (each state on the chain sums to at least its
+        move's delta plus its parent's sum, and src's new sum is below its
+        old one): src, and every state that reaches it, gets -math.inf.
+        So the chains stay simple paths, every finite sum stays above -|Q|
+        and the worklist ends (the "walk to the root" among the
+        negative-cycle checks that Cherkassky and Goldberg, 1999, compare).
         """
-        into, back = self._reversed
+        into = self._reversed
         # dist[q] is the least delta sum found from q to a seed, through
         # parent[q] (None for a seed at 0)
         dist: dict[str, float] = dict.fromkeys(seeds, 0)
@@ -111,7 +113,7 @@ class CounterAutomaton(Frozen):
             if q in cyclic:
                 continue
             base = dist[q]
-            for delta, src in into.get(q, ()):
+            for src, delta in into.get(q, {}).items():
                 known = dist.get(src)
                 if known is not None and known <= base + delta or src in cyclic:
                     continue
@@ -125,7 +127,7 @@ class CounterAutomaton(Frozen):
                 dist[src] = base + delta
                 parent[src] = q
                 todo.append(src)
-        dist.update(dict.fromkeys(reach(cyclic, back), -math.inf))
+        dist.update(dict.fromkeys(reach(cyclic, into), -math.inf))
         return dist
 
     @cached_property
@@ -146,7 +148,7 @@ class CounterAutomaton(Frozen):
         state that reaches an accepting state has no ceiling.
         """
         if self.accept_mode == "final_state":
-            return dict.fromkeys(reach(self.accepting, self._reversed[1]), math.inf)
+            return dict.fromkeys(reach(self.accepting, self._reversed), math.inf)
         return {q: -total for q, total in self._least_sums(self.accepting).items() if total <= 0}
 
     @cached_property
@@ -171,7 +173,7 @@ class CounterAutomaton(Frozen):
         """
         return {
             q: 1 - total
-            for q, total in self._least_sums(reach(self.accepting, self._reversed[1])).items()
+            for q, total in self._least_sums(reach(self.accepting, self._reversed)).items()
         }
 
     def _guard_ok(self, guard: str, value: int) -> bool:
@@ -278,14 +280,17 @@ class CounterAutomaton(Frozen):
         nrr_decide picks |P|² for the product machine P (to_nfa's default).
 
         Configurations (state, value) are claimed in (length, lex) order of
-        the words that reach them, a group per word: the configurations
-        whose least word it is, claimed with their epsilon closure and
+        the words that reach them, a group per word.  A level lists one
+        entry per word: the word's node, kept as a back-pointer (None for
+        the empty word, else the pair (parent's node, last symbol)), and
+        the configurations it still has to claim, starting from
+        [(None, [(initial, 0)])].  An entry is claimed when the loop
+        reaches it: its unseen configurations with their epsilon closure,
         marked seen then.  The same walk over their moves gathers the
-        group's letter successors, from which the groups of its one-letter
-        extensions are claimed.  The first group holding an accepting
-        configuration gives the word, kept until then as a back-pointer
-        (parent's pointer, last symbol); a level that claims nothing ends
-        the search.
+        group's letter successors, one entry per letter, in sorted letter
+        order, on the next level.  The first group holding an accepting
+        configuration gives the word; a level with no entry ends the
+        search.
 
         No move enters a configuration (q, v) with v above
         min(_ceiling[q], counter_cap), nor one of a dead state, missing
@@ -300,51 +305,34 @@ class CounterAutomaton(Frozen):
         top = {q: min(c, counter_cap) for q, c in self._ceiling.items()}
         by_state, guard_ok = self._by_state, self._guard_ok
         seen: set[tuple[str, int]] = set()
-
-        def claim(configs: Iterable[tuple[str, int]]) -> Optional[dict]:
-            """Mark the unseen configurations and their epsilon closure
-            seen: None when one of them accepts, else their letter
-            successors by letter."""
-            group = []
-            for config in configs:
-                if config not in seen:
-                    seen.add(config)
-                    group.append(config)
-            successors: dict[str, list[tuple[str, int]]] = {}
-            for state, value in group:  # grows while it is walked
-                if self._is_accepting(state, value):
-                    return None
-                for read, guard, delta, dst in by_state[state]:
-                    nxt = (dst, value + delta)
-                    if not 0 <= nxt[1] <= top.get(dst, -1) or not guard_ok(guard, value):
-                        continue
-                    if read != EPSILON:
-                        successors.setdefault(read, []).append(nxt)
-                    elif nxt not in seen:
-                        seen.add(nxt)
-                        group.append(nxt)
-            return successors
-
-        start = claim([(self.initial, 0)])
-        if start is None:
-            return ()
-        # a group's word is its node: None for the empty word, else the
-        # pair (parent's node, last symbol)
-        level: list[tuple[Optional[tuple], dict]] = [(None, start)]
+        level: list[tuple[Optional[tuple], list[tuple[str, int]]]] = [(None, [(self.initial, 0)])]
         while level:
             created = []
-            for node, successors in level:
-                for symbol in sorted(successors):
-                    child = (node, symbol)
-                    after = claim(successors[symbol])
-                    if after is None:
+            for node, configs in level:
+                group = []
+                for config in configs:
+                    if config not in seen:
+                        seen.add(config)
+                        group.append(config)
+                successors: dict[str, list[tuple[str, int]]] = {}
+                for state, value in group:  # grows while it is walked
+                    if self._is_accepting(state, value):
                         symbols = []
-                        while child is not None:
-                            child, last = child
+                        while node is not None:
+                            node, last = node
                             symbols.append(last)
                         return tuple(reversed(symbols))
-                    if after:
-                        created.append((child, after))
+                    for read, guard, delta, dst in by_state[state]:
+                        nxt = (dst, value + delta)
+                        if not 0 <= nxt[1] <= top.get(dst, -1) or not guard_ok(guard, value):
+                            continue
+                        if read != EPSILON:
+                            successors.setdefault(read, []).append(nxt)
+                        elif nxt not in seen:
+                            seen.add(nxt)
+                            group.append(nxt)
+                for symbol in sorted(successors):
+                    created.append(((node, symbol), successors[symbol]))
             level = created
         return None
 

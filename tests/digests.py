@@ -9,12 +9,18 @@ running the same script on both trees, from the change's checkout:
     PYTHONPATH=<tree>/src:tests python3 tests/digests.py
 
 `rrkit` comes from <tree>, the generators from this checkout.  pytest
-does not collect this file.
+does not collect this file; tests/test_digests.py pins the two fast
+lines, bounds and closure.
 """
 import hashlib
+import math
 import random
 
-from generators import dense_counter, random_counter, random_word
+from generators import dense_counter, random_cnf, random_counter, random_nfa, random_word
+from rrkit import Nfa
+from rrkit.engine import _grammar_edges, log2_check
+from rrkit.filters import parse_filter_name
+from rrkit.reductions import intersection_shortest
 
 
 def counter_digests() -> list[tuple[str, str, int, int]]:
@@ -43,8 +49,57 @@ def counter_digests() -> list[tuple[str, str, int, int]]:
     ]
 
 
+def bounds_digest() -> tuple[str, str, int, int]:
+    """bounds: repr((sorted(_ceiling.items()), sorted(_floor.items()))) per
+    machine on 3,000 random_counter machines of up to 4 states, then
+    1,000 dense_counter machines over {a1, abar1}, from one
+    random.Random(46); counting the machines with math.inf among their
+    floors."""
+    rng = random.Random(46)
+    machines = [random_counter(rng, max_states=4) for _ in range(3000)]
+    machines += [dense_counter(rng, ("a1", "abar1")) for _ in range(1000)]
+    digest = hashlib.sha256()
+    unbounded = 0
+    for c in machines:
+        digest.update(repr((sorted(c._ceiling.items()), sorted(c._floor.items()))).encode())
+        unbounded += math.inf in c._floor.values()
+    return "bounds", digest.hexdigest()[:16], len(machines), unbounded
+
+
+def closure_digest() -> tuple[str, str, int, int]:
+    """closure: repr((intersection_shortest(g, a), sorted(_grammar_edges(g,
+    a).items()), repr(log2_check(g, a)))) per grammar and automaton, from
+    one random.Random(42): 1,500 random_cnf grammars, each with a
+    random_nfa of up to 6 states; then 100 such NFAs each against the CNF
+    grammars of dyck1, dyck2, sym and symsharp; every second NFA of each
+    run has epsilon moves.  Last the paths a1^k abar1^k, k = 1..59,
+    against dyck1's.  Counting the pairs with a witness."""
+    rng = random.Random(42)
+    pairs = []
+    for i in range(1500):
+        g = random_cnf(rng)
+        pairs.append((g, random_nfa(rng, max_states=6, allow_epsilon=i % 2 == 1)))
+    for name in ("dyck1", "dyck2", "sym", "symsharp"):
+        f = parse_filter_name(name)
+        pairs += [
+            (f.cnf_grammar, random_nfa(rng, max_states=6, alphabet=f.alphabet, allow_epsilon=i % 2 == 1))
+            for i in range(100)
+        ]
+    dyck1 = parse_filter_name("dyck1")
+    for k in range(1, 60):
+        path = [(f"p{i}", "a1" if i < k else "abar1", f"p{i + 1}") for i in range(2 * k)]
+        pairs.append((dyck1.cnf_grammar, Nfa.build(dyck1.alphabet, "p0", {f"p{2 * k}"}, path)))
+    digest = hashlib.sha256()
+    nonempty = 0
+    for g, a in pairs:
+        word = intersection_shortest(g, a)
+        digest.update(repr((word, sorted(_grammar_edges(g, a).items()), repr(log2_check(g, a)))).encode())
+        nonempty += word is not None
+    return "closure", digest.hexdigest()[:16], len(pairs), nonempty
+
+
 def main():
-    for name, digest, total, count in counter_digests():
+    for name, digest, total, count in [*counter_digests(), bounds_digest(), closure_digest()]:
         print(name, digest, total, count)
 
 

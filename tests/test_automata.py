@@ -36,8 +36,10 @@ def test_accepts_basic():
 
 
 def test_accepts_rejects_foreign_symbol():
-    with pytest.raises(InputError):
-        simple().accepts(("b",))
+    """The foreign letter raises even when the run dies before it."""
+    for word in (("b",), ("abar1", "b")):
+        with pytest.raises(InputError, match="symbol 'b' is not in the alphabet"):
+            simple().accepts(word)
 
 
 def test_accepts_matches_naive_oracle_on_random_instances():

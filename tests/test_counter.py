@@ -401,7 +401,8 @@ def test_ceiling_values(mode):
     The floors, drop(q) + 1 for the largest fall drop(q) along a path
     from q, read no guard and no accept mode, so both modes agree: none
     for l and m, which reach the -1 loop.  Floors cover only the states
-    that reach f, so x, which has no move, has none."""
+    that reach f, so x, which has no move, has none.  v has two moves
+    into f, whose deltas differ: the least, -1, sets both its bounds."""
     moves = {
         ("c0", "a", "any", 1, "c1"),  # c0 +1 c1 -1 c2 -1 f
         ("c1", "b", "positive", -1, "c2"),
@@ -415,17 +416,21 @@ def test_ceiling_values(mode):
         ("u", "a", "any", 1, "f"),  # from u and w every path climbs
         ("u", "", "any", 0, "w"),
         ("w", "a", "any", 1, "u"),
+        ("v", "a", "any", 1, "f"),  # two moves into f, +1 and -1
+        ("v", "b", "positive", -1, "f"),
     }
     c = CounterAutomaton.build(("a", "b"), "c0", {"f"}, moves, accept_mode=mode, states={"x"})
     if mode == "final_state_and_zero":
-        expected = {"c0": 1, "c1": 2, "c2": 1, "f": 0, "m": math.inf, "l": math.inf, "z": 0, "y": 1}
+        expected = {
+            "c0": 1, "c1": 2, "c2": 1, "f": 0, "m": math.inf, "l": math.inf, "z": 0, "y": 1, "v": 1,
+        }
     else:
-        expected = dict.fromkeys(("c0", "c1", "c2", "f", "m", "l", "z", "y", "u", "w"), math.inf)
+        expected = dict.fromkeys(("c0", "c1", "c2", "f", "m", "l", "z", "y", "u", "w", "v"), math.inf)
     assert c._ceiling == expected
     assert d1_counter()._ceiling == {"q0": math.inf}
     assert c._floor == {
         "c0": 2, "c1": 3, "c2": 2, "f": 1, "m": math.inf, "l": math.inf,
-        "z": 1, "y": 2, "u": 1, "w": 1,
+        "z": 1, "y": 2, "u": 1, "w": 1, "v": 2,
     }
 
 
