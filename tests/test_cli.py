@@ -8,9 +8,11 @@ remaining tests cover exit-code conventions and error paths that do not
 belong in frozen transcripts (their messages may embed absolute paths or
 evolve with Python's own error strings), line endings, the report
 writer against json.dumps, and hold the plain command-line reader to
-argparse on a seeded corpus.
+argparse on a seeded corpus.  Last come the collector's pause around
+each command and the check that no command leaves a reference cycle.
 """
 
+import gc
 import json
 import os
 import pathlib
@@ -23,8 +25,12 @@ import pytest
 import rrkit
 from rrkit import cli
 from rrkit.cli import main
+from rrkit.filters import symmetric_sharp_grammar
+from rrkit.grammars import format_grammar
+from rrkit.reductions import D2_ALPHABET
 
 from cli_cases import CASES, FRONT_END_CASES, FRONT_END_COLUMNS, run_case
+from generators import random_nfa
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
 
@@ -89,6 +95,15 @@ def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
 def test_witness_none(in_tests_dir, capsys):
     assert main(["witness", "--filter", "dyck1", "--nfa", "data/odd.json"]) == 1
     assert capsys.readouterr().out == "none\n"
+
+
+def test_witness_empty_word_is_an_empty_line(tmp_path, capsys):
+    """The empty witness prints as an empty line, apart from the `none`
+    of an empty intersection."""
+    path = tmp_path / "start.json"
+    path.write_text(rrkit.Nfa.build(("a1", "abar1"), "q", {"q"}, set()).to_json())
+    assert main(["witness", "--filter", "dyck1", "--nfa", str(path)]) == 0
+    assert capsys.readouterr().out == "\n"
 
 
 def test_unreadable_nfa_is_exit_2(in_tests_dir, capsys):
@@ -878,3 +893,102 @@ print(json.dumps([exit_code, loaded, help_exit, screen.getvalue()]))
     assert exit_code == 0
     assert loaded == []
     assert (help_exit, screen) == (0, FRONT_END["witness-help"]["stdout"])
+
+
+@pytest.fixture()
+def collector():
+    """Puts the collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize(
+    "ending, nfa, code",
+    [
+        ("nonempty", "data/pair.json", 0),
+        ("empty", "data/odd.json", 1),
+        ("input-error", "data/nope.json", 2),
+        ("internal-error", "data/pair.json", 2),
+    ],
+    ids=["nonempty", "empty", "input-error", "internal-error"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_gives_the_collector_back_as_it_found_it(
+    ending, nfa, code, enabled, collector, in_tests_dir, monkeypatch, capsys
+):
+    """The handler runs with the collector paused, and main leaves it as
+    it was on entry after an answer, an `rr: error:` exit and an internal
+    error alike."""
+    paused = []
+    load = cli._load
+
+    def recording(path, parse):
+        paused.append(not gc.isenabled())
+        if ending == "internal-error":
+            raise RuntimeError("handler failed")
+        return load(path, parse)
+
+    monkeypatch.setattr(cli, "_load", recording)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    assert main(["decide", "--filter", "dyck1", "--nfa", nfa]) == code
+    assert gc.isenabled() == enabled
+    assert paused == [True]
+    err = capsys.readouterr().err
+    assert err.startswith("rr: error:") == (ending == "input-error")
+    assert err.endswith("RuntimeError: handler failed\n") == (ending == "internal-error")
+
+
+def leaves_no_cycles(argv):
+    """The exit code of argv run through main with the collector off,
+    once gc.collect() has found nothing left behind: every object the
+    command made was freed by reference counting, so pausing the
+    collector cannot grow memory."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        code, _, _ = run_case(argv)
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert found == 0, f"{argv} left {found} objects in reference cycles"
+    return code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for _, argv in CASES]
+    + [
+        ["decide", "--filter", "dyck1", "--nfa", "data/bad.json"],
+        ["decide", "--filter", "dyck1", "--nfa", "data/nope.json"],
+    ],
+    ids=[name for name, _ in CASES] + ["bad-json", "missing-file"],
+)
+def test_command_leaves_no_cycles(argv, in_tests_dir):
+    leaves_no_cycles(argv)
+
+
+def test_large_reductions_leave_no_cycles(tmp_path):
+    """The constructions with the largest outputs: ssharpup and mark on a
+    4-state two-pair machine with epsilon moves, and cs on the symsharp
+    grammar."""
+    a = random_nfa(random.Random(5), max_states=4, min_states=4, alphabet=D2_ALPHABET,
+                   allow_epsilon=True)
+    nfa = tmp_path / "d2.json"
+    nfa.write_text(a.to_json())
+    grammar = tmp_path / "symsharp.txt"
+    grammar.write_text(format_grammar(symmetric_sharp_grammar()))
+    for argv in (
+        ["reduce", "ssharpup", "--nfa", str(nfa)],
+        ["reduce", "mark", "--nfa", str(nfa)],
+        ["reduce", "cs", "--grammar", str(grammar)],
+    ):
+        assert leaves_no_cycles(argv) == 0

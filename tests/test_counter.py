@@ -616,6 +616,23 @@ def test_accepts_ignores_a_dead_falling_cycle(monkeypatch):
     assert c._floor["p0"] == 1 and "d" not in c._floor
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a state that reaches a falling cycle gets no floor")
+def test_accepts_is_linear_past_a_live_falling_cycle(monkeypatch):
+    """The pumping chain with an epsilon "positive" -1 self-loop on p0
+    reads a⁴⁰⁰b.  That falling cycle reaches acceptance, so p0 gets no
+    floor and its values climb with the word: 25,438, 90,838 and 341,638
+    guard checks for n = 100, 200 and 400, against 13,624 for a⁴⁰⁰b
+    without the loop.  The wrapper stops it after 50 checks per
+    position."""
+    chain = pumping_chain()
+    c = CounterAutomaton.build(
+        chain.alphabet, chain.initial, chain.accepting,
+        chain.transitions | {("p0", "", "positive", -1, "p0")},
+    )
+    count_guard_checks(monkeypatch, 50 * 401)
+    assert c.accepts(("a",) * 400 + ("b",))
+
+
 def test_accepts_matches_the_unfolding_at_its_cap():
     """accepts(w) is the verdict of to_nfa((|Q|·(|w|+1))²), the unfolding
     at the cap that accepts itself names, on seeded machines in both
