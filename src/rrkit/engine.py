@@ -185,21 +185,25 @@ def substitution_collapse(a: Nfa, sub: Mapping[str, FilterSpec]) -> Nfa:
 
     L(a) meets the substituted language sigma(L) exactly when the collapsed
     automaton meets L itself.  Each distinct substituent is decided for
-    every state pair at once, over r, a restricted to its letters; outer
-    letters sharing a substituent share that work.  Each substituent
-    takes one run of the triple closure over its CNF (_grammar_edges); a
-    counter machine's is that of its grammar (CounterAutomaton.to_cfg),
-    which caps no counter.  Every edge's word is re-checked: the states r
-    reaches from q on it must hold p, and the filter oracle must accept
-    it, as nrr_decide checks its witnesses.
+    every state pair at once; outer letters sharing a substituent share
+    that work.  All run over one r, a restricted to the sorted union of
+    the substituents' alphabets (a itself when that is a's alphabet): a
+    closure seeds only its own terminals' moves, and the union holds all
+    of them, so every substituent reads r as it would read a restricted
+    to its own letters.  Each substituent takes one run of the triple
+    closure over its CNF (_grammar_edges); a counter machine's is that of
+    its grammar (CounterAutomaton.to_cfg), which caps no counter.  Every
+    edge's word is re-checked: the states r reaches from q on it must
+    hold p, and the filter oracle must accept it, as nrr_decide checks
+    its witnesses.
     """
     outer = tuple(sorted(sub))
     letters: dict[FilterSpec, list[str]] = {}
     for x in outer:
         letters.setdefault(sub[x], []).append(x)
+    r = _restrict(a, tuple(sorted({x for f in letters for x in f.alphabet})))
     transitions: set[tuple[str, str, str]] = set()
     for f, xs in letters.items():
-        r = _restrict(a, f.alphabet)
         edges = _grammar_edges(f.cnf_grammar, r)
         for (q, p), word in edges.items():
             reached = r.eps_closure({q})
@@ -418,11 +422,16 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
     on only the alive lanes are settled and joined.  The longer half of a
     least word is itself least and lies in [l/2, l), so no lane first
     reaches a triple after a gap past twice the last length at which it
-    had a fresh one; a chunk stops there, or once no lane is alive.  The
-    axiom is on no right-hand side, so its triples join nothing and only
-    those from state 0 are built; its epsilon rule settles (0, axiom, 0)
-    at length 0 in every lane.  The rules come from g.cnf_table, so a
-    triple's A is its nonterminal's number there.
+    had a fresh one; a chunk stops there, or once no lane is alive.
+    fresh_at[l] is the union of the lanes of the non-axiom triples settled
+    at length l, so every lane of left[l] and right[l] is in it; a split i
+    of length l is joined only when fresh_at[i] & fresh_at[l - i] & alive
+    is not 0, since a skipped split could find only lanes that the settle
+    step masks out with alive.  The axiom is on no right-hand side, so its
+    triples join nothing and only those from state 0 are built; its
+    epsilon rule settles (0, axiom, 0) at length 0 in every lane.  The
+    rules come from g.cnf_table, so a triple's A is its nonterminal's
+    number there.
     """
     table = g.cnf_table
     axiom = table.index[g.axiom]
@@ -448,6 +457,8 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
         # (q, r, lanes) of the triples (q, B, r), right[l][(C, r)] lists (p, lanes)
         left: list[dict] = [{}]
         right: list[dict] = [{}]
+        # fresh_at[l]: the lanes of left[l] and right[l]
+        fresh_at = [0]
         length, last = 1, 0
         while True:
             alive = 0
@@ -457,6 +468,7 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
                 break
             by_b: dict[int, list] = {}
             by_cr: dict[tuple[int, int], list] = {}
+            fresh = 0
             for t, bits in found.items():
                 old = settled.get(t, 0)
                 bits &= alive & ~old
@@ -465,6 +477,7 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
                     last = length
                     q, sym, p = t
                     if sym != axiom:
+                        fresh |= bits
                         by_b.setdefault(sym, []).append((q, p, bits))
                         by_cr.setdefault((sym, q), []).append((p, bits))
                     elif bits & open_[p]:
@@ -472,11 +485,14 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
                         best = max(best or 0, length)
             left.append(by_b)
             right.append(by_cr)
+            fresh_at.append(fresh)
             length += 1
             if length > 2 * last:
                 break
             found = {}
             for i in range(1, length):
+                if not fresh_at[i] & fresh_at[length - i] & alive:
+                    continue
                 joins = right[length - i]
                 for b, entries in left[i].items():
                     for a, c in by_left[b]:

@@ -9,15 +9,15 @@ running the same script on both trees, from the change's checkout:
     PYTHONPATH=<tree>/src:tests python3 tests/digests.py
 
 `rrkit` comes from <tree>, the generators from this checkout.  pytest
-does not collect this file; tests/test_digests.py pins the two fast
-lines, bounds and closure.
+does not collect this file; tests/test_digests.py pins the three fast
+lines, bounds, closure and index.
 """
 import hashlib
 import math
 import random
 
 from generators import dense_counter, random_cnf, random_counter, random_nfa, random_word
-from rrkit import Nfa
+from rrkit import InputError, Nfa, rational_index
 from rrkit.engine import _grammar_edges, log2_check
 from rrkit.filters import parse_filter_name
 from rrkit.reductions import intersection_shortest
@@ -98,8 +98,30 @@ def closure_digest() -> tuple[str, str, int, int]:
     return "closure", digest.hexdigest()[:16], len(pairs), nonempty
 
 
+def index_digest() -> tuple[str, str, int, int]:
+    """index: repr of rational_index(f, n), or of the InputError message
+    where one is raised, for dyck1, dyck2, sym and symsharp in turn: at
+    n = 1, 2, 3 exhaustively, then at n = 2, 3, 4 on a sample of 6 with
+    seeds 0-29 each.  Counting the values."""
+    digest = hashlib.sha256()
+    total = values = 0
+    for name in ("dyck1", "dyck2", "sym", "symsharp"):
+        f = parse_filter_name(name)
+        cases = [(n, None, 0) for n in (1, 2, 3)]
+        cases += [(n, 6, seed) for n in (2, 3, 4) for seed in range(30)]
+        for n, sample, seed in cases:
+            try:
+                value = rational_index(f, n, sample, seed)
+            except InputError as err:
+                value = str(err)
+            digest.update(repr(value).encode())
+            total += 1
+            values += isinstance(value, int)
+    return "index", digest.hexdigest()[:16], total, values
+
+
 def main():
-    for name, digest, total, count in [*counter_digests(), bounds_digest(), closure_digest()]:
+    for name, digest, total, count in [*counter_digests(), bounds_digest(), closure_digest(), index_digest()]:
         print(name, digest, total, count)
 
 

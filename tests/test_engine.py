@@ -449,6 +449,38 @@ def test_substitution_collapse_matches_per_pair_decisions():
     assert edges > 1000
 
 
+@pytest.mark.parametrize("eps", (False, True))
+@pytest.mark.parametrize("alphabet", (
+    ("xbar2", "x1", "abar1", "xbar1", "a1", "x2"),  # declared in another order
+    ("a1", "abar1", "x1", "xbar1", "xbar2"),  # no x2, a letter of sym and c4
+    ("a1", "abar1", "x1", "x2", "xbar1", "xbar2", "zz"),  # zz: no substituent's
+))
+def test_substitution_collapse_restricts_once(alphabet, eps, monkeypatch):
+    """One restriction to the union of the substituents' alphabets serves
+    every substituent, whatever letters the automaton declares."""
+    rng = random.Random(1414)
+    sub = {
+        "c1": FilterSpec.dyck(1),
+        "c2": FilterSpec.symmetric(),
+        "c3": runs_grammar("x1"),
+        "c4": FilterSpec.from_grammar(parse_grammar("S -> | x1 S xbar1 | x2")),
+        "c5": FilterSpec.from_counter(d1_counter()),
+    }
+    restrict, calls = engine._restrict, []
+
+    def counted(a, letters):
+        calls.append(letters)
+        return restrict(a, letters)
+
+    monkeypatch.setattr(engine, "_restrict", counted)
+    for _ in range(8):
+        a = random_nfa(rng, max_states=4, alphabet=alphabet, allow_epsilon=eps)
+        calls.clear()
+        collapsed = substitution_collapse(a, sub)
+        assert len(calls) == 1
+        assert collapsed == _per_pair_collapse(a, sub), a
+
+
 def test_substitution_collapse_rejects_reduction_only_substituent():
     a = Nfa.build(("a", "abar"), "q0", {"q0"}, {("q0", "a", "q0")})
     sub = {"a1": FilterSpec.dyck(1), "abar1": FilterSpec.s_sharp_up()}
