@@ -431,11 +431,19 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
     triples join nothing and only those from state 0 are built; its
     epsilon rule settles (0, axiom, 0) at length 0 in every lane.  The
     rules come from g.cnf_table, so a triple's A is its nonterminal's
-    number there.
+    number there, and its by_left groups the rules A -> B C sharing B
+    and C, so the fresh triples (q, B, r) meet their siblings (r, C, p)
+    through one lookup per (B, r, C) and each lane AND x & y is made once
+    for all the parents A (the axiom left out of them when q is not 0).
     """
     table = g.cnf_table
     axiom = table.index[g.axiom]
-    letters, by_left = table.letters, table.by_left
+    letters = table.letters
+    # by_left's groups with the group's parents from q = 0, then from q > 0
+    by_left = [
+        [(c, parents, tuple(a for a in parents if a != axiom)) for c, parents in row]
+        for row in table.by_left
+    ]
     axiom_eps = axiom in table.epsilon
     best = None
     for lanes, goals in chunks:
@@ -453,8 +461,8 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
                 for a in letters[sym][1]:
                     if i == 0 or a != axiom:
                         found[(i, a, j)] = found.get((i, a, j), 0) | bits
-        # fresh[l], indexed for both sides of a join: left[l][B] lists
-        # (q, r, lanes) of the triples (q, B, r), right[l][(C, r)] lists (p, lanes)
+        # fresh[l], indexed for both sides of a join: left[l][(B, r)] lists
+        # (q, lanes) of the triples (q, B, r), right[l][(C, r)] lists (p, lanes)
         left: list[dict] = [{}]
         right: list[dict] = [{}]
         # fresh_at[l]: the lanes of left[l] and right[l]
@@ -466,7 +474,7 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
                 alive |= waiting
             if not alive:
                 break
-            by_b: dict[int, list] = {}
+            by_br: dict[tuple[int, int], list] = {}
             by_cr: dict[tuple[int, int], list] = {}
             fresh = 0
             for t, bits in found.items():
@@ -478,12 +486,12 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
                     q, sym, p = t
                     if sym != axiom:
                         fresh |= bits
-                        by_b.setdefault(sym, []).append((q, p, bits))
+                        by_br.setdefault((sym, p), []).append((q, bits))
                         by_cr.setdefault((sym, q), []).append((p, bits))
                     elif bits & open_[p]:
                         open_[p] &= ~bits
                         best = max(best or 0, length)
-            left.append(by_b)
+            left.append(by_br)
             right.append(by_cr)
             fresh_at.append(fresh)
             length += 1
@@ -494,15 +502,20 @@ def _lane_index(g: Cfg, edges: tuple[Edge, ...], chunks: Iterable[Chunk]) -> Opt
                 if not fresh_at[i] & fresh_at[length - i] & alive:
                     continue
                 joins = right[length - i]
-                for b, entries in left[i].items():
-                    for a, c in by_left[b]:
-                        for q, r, x in entries:
-                            if q and a == axiom:
+                for (b, r), entries in left[i].items():
+                    for c, from_0, from_q in by_left[b]:
+                        ends = joins.get((c, r))
+                        if not ends:
+                            continue
+                        for q, x in entries:
+                            parents = from_q if q else from_0
+                            if not parents:
                                 continue
-                            for p, y in joins.get((c, r), ()):
+                            for p, y in ends:
                                 z = x & y
                                 if z:
-                                    found[(q, a, p)] = found.get((q, a, p), 0) | z
+                                    for a in parents:
+                                        found[(q, a, p)] = found.get((q, a, p), 0) | z
     return best
 
 
@@ -532,8 +545,9 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
     The empty word, accepted through the axiom's epsilon rule, needs no
     tree and gives depth 0.  Epsilon moves of a are absorbed by
     _derivable, which checks that f_grammar is in CNF before any table
-    is read and returns the goal triples (initial, axiom, f) with its
-    closure; the closure is read up to the least of them.
+    is read and returns the goal triples (initial, axiom, f), f reached
+    from the initial state, with its closure; the closure is read up to
+    the least of them, and not started when there is none.
     The walk works on _derivable's rank triples (q, A, p), with states
     and nonterminals ranked in sorted name order: the rules A -> B C come
     from f_grammar.cnf_table.by_lhs, in grammar order, and the split
@@ -543,6 +557,8 @@ def log2_check(f_grammar: Cfg, a: Nfa) -> CheckerStats:
     # least words of the triples settled up to the least goal; a tree
     # node's children have shorter words, so they are all settled by then
     closure, goals = _derivable(f_grammar, a)
+    if not goals:
+        return CheckerStats(0, 0, False)
     least: dict[Triple, tuple[int, ...]] = {}
     for triple, word in closure:
         least[triple] = word

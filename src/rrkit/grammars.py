@@ -47,9 +47,12 @@ class CnfTable(NamedTuple):
     its rank) and the numbers of the left-hand sides deriving it, in
     grammar order; epsilon holds the axiom's number when the axiom has an
     epsilon rule, and is empty otherwise.  For the binary rules A -> B C,
-    by_left[B] lists (A, C), by_right[C] lists (A, B) and by_lhs[A] lists
-    (B, C), each in grammar order.  A cache of the grammar's rules, not a
-    value: Cfg.cnf_table builds it, for a grammar in CNF only.
+    by_left[B] lists (C, parents) and by_right[C] lists (B, parents), one
+    group per sibling in the order of its first rule, parents being the
+    left-hand sides A of the rules A -> B C in grammar order, so a join
+    of B and C is made once for all of them; by_lhs[A] lists (B, C) in
+    grammar order.  A cache of the grammar's rules, not a value:
+    Cfg.cnf_table builds it, for a grammar in CNF only.
     """
 
     names: tuple[str, ...]
@@ -57,8 +60,8 @@ class CnfTable(NamedTuple):
     terminals: tuple[str, ...]
     letters: Mapping[str, tuple[tuple[int], tuple[int, ...]]]
     epsilon: tuple[int, ...]
-    by_left: tuple[tuple[tuple[int, int], ...], ...]
-    by_right: tuple[tuple[tuple[int, int], ...], ...]
+    by_left: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    by_right: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     by_lhs: tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -134,8 +137,9 @@ class Cfg(Frozen):
         axiom = self.axiom
         letters: dict[str, list[int]] = {}
         epsilon: list[int] = []
-        by_left: list[list[tuple[int, int]]] = [[] for _ in names]
-        by_right: list[list[tuple[int, int]]] = [[] for _ in names]
+        # by_left[B][C] and by_right[C][B]: the parents of B C
+        by_left: list[dict[int, list[int]]] = [{} for _ in names]
+        by_right: list[dict[int, list[int]]] = [{} for _ in names]
         by_lhs: list[list[tuple[int, int]]] = [[] for _ in names]
         for lhs, rhs in self.rules:
             a = index[lhs]
@@ -145,8 +149,8 @@ class Cfg(Frozen):
                 letters.setdefault(rhs[0], []).append(a)
             elif len(rhs) == 2 and rhs[0] in index and rhs[1] in index and axiom not in rhs:
                 b, c = index[rhs[0]], index[rhs[1]]
-                by_left[b].append((a, c))
-                by_right[c].append((a, b))
+                by_left[b].setdefault(c, []).append(a)
+                by_right[c].setdefault(b, []).append(a)
                 by_lhs[a].append((b, c))
             else:
                 return None
@@ -156,8 +160,8 @@ class Cfg(Frozen):
             terminals,
             {t: (words[t], tuple(lhss)) for t, lhss in letters.items()},
             tuple(epsilon),
-            tuple(map(tuple, by_left)),
-            tuple(map(tuple, by_right)),
+            tuple(tuple((k, tuple(v)) for k, v in row.items()) for row in by_left),
+            tuple(tuple((k, tuple(v)) for k, v in row.items()) for row in by_right),
             tuple(map(tuple, by_lhs)),
         )
 
@@ -250,7 +254,8 @@ class Cfg(Frozen):
 
     def cyk(self, word: Iterable[str]) -> bool:
         """CYK membership (Younger, 1967) on the numbered rules of
-        cnf_table; a grammar not in CNF is a ContractError."""
+        cnf_table, a cell taking all the parents of a pair B C in one
+        step; a grammar not in CNF is a ContractError."""
         table = self.cnf_table
         if table is None:
             raise ContractError(NOT_CNF)
@@ -272,9 +277,9 @@ class Cfg(Frozen):
                     right = spans[span - k - 1][i + k]
                     if right:
                         for b in spans[k - 1][i]:
-                            for a, c in by_left[b]:
+                            for c, parents in by_left[b]:
                                 if c in right:
-                                    cell.add(a)
+                                    cell.update(parents)
                 row.append(cell)
             spans.append(row)
         return axiom in spans[-1][0]

@@ -17,7 +17,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
-from .automata import EPSILON, Nfa, escape
+from .automata import EPSILON, Nfa, escape, reach
 from .counter import REJECT, CounterAutomaton
 from .errors import ContractError, InputError
 from .filters import ALPHABET_FULL, dyck_alphabet, dyck_encoder, parse_filter_name
@@ -110,7 +110,12 @@ def bar_hillel(g: Cfg, a: Nfa) -> Cfg:
 def _derivable(g: Cfg, a: Nfa) -> tuple[Closure, frozenset[Triple]]:
     """(closure, goals) for CNF g over a: the closure yields each derivable
     triple (q, A, p) as the rank triple (rank(q), rank(A), rank(p)) with its
-    least word; the goals are the triples (initial, axiom, f), f accepting.
+    least word; the goals are the triples (initial, axiom, f) for each
+    accepting f that some run from the initial state reaches, epsilon
+    moves included (one automata.reach over a's moves), since no other
+    goal is derivable.  The closure is a generator that builds no table
+    until its first triple is asked for, so a caller given no goal
+    answers without starting it.
 
     The one entry for CFG∩NFA questions: it checks at once, before the
     first triple is asked for, that g has a cnf_table (the one test of
@@ -141,8 +146,13 @@ def _derivable(g: Cfg, a: Nfa) -> tuple[Closure, frozenset[Triple]]:
     if table is None:
         raise ContractError(NOT_CNF)
     _check_terminals(g, a)
+    moves: dict[str, list[str]] = {}
+    for src, _, dst in a.transitions:
+        moves.setdefault(src, []).append(dst)
+    reached = reach((a.initial,), moves)
     rank, axiom = a._state_rank, table.index[g.axiom]
-    return _settle(table, a), frozenset((rank[a.initial], axiom, rank[f]) for f in a.accepting)
+    goals = frozenset((rank[a.initial], axiom, rank[f]) for f in a.accepting if f in reached)
+    return _settle(table, a), goals
 
 
 def _settle(table: CnfTable, a: Nfa) -> Closure:
@@ -150,7 +160,9 @@ def _settle(table: CnfTable, a: Nfa) -> Closure:
 
     The heap and the settled set key a rank triple (q, A, p) by the int
     (q·|N| + A)·|Q| + p, which orders as the triple does; only this
-    function builds or splits such a key.
+    function builds or splits such a key.  A settled triple meets each
+    sibling once per group of the grouped cnf_table rows, and the joined
+    word is built once for all the group's parents not yet settled.
     """
     rank = a._state_rank
     nq, nn = len(rank), len(table.names)
@@ -200,21 +212,29 @@ def _settle(table: CnfTable, a: Nfa) -> Closure:
         # parents (q0, A, p) of it as a right child
         row = q * block
         prow = p * nn
-        for lhs, c in as_left:
+        for c, parents in as_left:
             siblings = starts.get(prow + c)
             if siblings:
-                base = row + lhs * nq
                 for p2, m, right in siblings:
-                    if base + p2 not in settled:
-                        push(heap, (n + m, word + right, base + p2))
-        for lhs, b in as_right:
+                    joined = None
+                    for lhs in parents:
+                        k = row + lhs * nq + p2
+                        if k not in settled:
+                            if joined is None:
+                                joined = word + right
+                            push(heap, (n + m, joined, k))
+        for b, parents in as_right:
             siblings = ends.get(b * nq + q)
             if siblings:
-                tail = lhs * nq + p
                 for q0, m, left in siblings:
-                    k = q0 * block + tail
-                    if k not in settled:
-                        push(heap, (m + n, left + word, k))
+                    joined = None
+                    tail = q0 * block + p
+                    for lhs in parents:
+                        k = tail + lhs * nq
+                        if k not in settled:
+                            if joined is None:
+                                joined = left + word
+                            push(heap, (m + n, joined, k))
 
 
 def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
@@ -224,8 +244,12 @@ def intersection_shortest(g: Cfg, a: Nfa) -> Optional[tuple[str, ...]]:
     terminal names: the word bar_hillel(g, a).shortest_word() returns,
     found without materializing the product, the empty word included.
     Epsilon moves of a may occur anywhere in a run, as in bar_hillel.
+    When no accepting state is reachable there is no goal, and the
+    answer is None with no closure started.
     """
     closure, goals = _derivable(g, a)
+    if not goals:
+        return None
     least = next((word for triple, word in closure if triple in goals), None)
     terminals = g.cnf_table.terminals
     return None if least is None else tuple(terminals[r] for r in least)

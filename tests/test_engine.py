@@ -27,7 +27,7 @@ from rrkit import (
     rational_index,
     substitution_collapse,
 )
-from rrkit import engine
+from rrkit import engine, reductions
 from rrkit.counter import ACCEPT_MODES, GUARDS
 from rrkit.errors import ContractError, UnsupportedFilterError
 from rrkit.filters import d1_counter, dyck_grammar, parse_filter_name
@@ -744,8 +744,16 @@ def test_rational_index_matches_every_machine_in_narrow_chunks(monkeypatch, term
 
 # Languages whose worst machine needs the last move (so the top move bit
 # of every chunk), or whose least lengths skip a value (1, 2, 4, 8 for
-# a^8), pinned at the default chunk width and at one lane bit.
-PINNED_GRAMMARS = ["S -> a b", "S -> b A | a\nA -> b | a A", "S -> A A\nA -> B B\nB -> C C\nC -> a"]
+# a^8), or in which two rules other than the axiom's share both children
+# (X and Y, one group of two parents; the index is 3 at one state from
+# aba, through Y, and 4 at two from abbb, through X), pinned at the
+# default chunk width and at one lane bit.
+PINNED_GRAMMARS = [
+    "S -> a b",
+    "S -> b A | a\nA -> b | a A",
+    "S -> A A\nA -> B B\nB -> C C\nC -> a",
+    "S -> X C | Y A\nX -> A B\nY -> A B\nC -> B B\nA -> a\nB -> b",
+]
 
 
 @pytest.mark.parametrize("lane_bits", [14, 1])
@@ -958,6 +966,101 @@ def test_empty_word_through_an_epsilon_path():
     assert log2_check(g, a) == CheckerStats(0, 0, True)
     closure = {("q0", "q0"), ("q0", "q1"), ("q0", "q2"), ("q1", "q1"), ("q1", "q2"), ("q2", "q2")}
     assert engine._grammar_edges(g, a) == {pair: () for pair in closure}
+
+
+def unreached_machine():
+    """A machine whose one accepting state, q2, no run from q0 reaches,
+    though runs from q2 read dyck1 words."""
+    return Nfa.build(
+        ("a1", "abar1"), "q0", {"q2"},
+        {("q0", "a1", "q1"), ("q1", "abar1", "q0"), ("q2", "a1", "q2"), ("q2", "abar1", "q0")},
+    )
+
+
+def forbid_closure(monkeypatch):
+    """Make the triple closure raise once it is started; _settle is a
+    generator, so like the real one it runs only when first read."""
+    def started(table, a):
+        raise AssertionError("the triple closure started")
+        yield
+
+    monkeypatch.setattr(reductions, "_settle", started)
+
+
+def record_closures(monkeypatch):
+    """The alphabets of the automata the triple closure starts on, in
+    order, recorded as each closure is first read."""
+    alphabets = []
+    settle = reductions._settle
+
+    def recorded(table, a):
+        alphabets.append(a.alphabet)
+        yield from settle(table, a)
+
+    monkeypatch.setattr(reductions, "_settle", recorded)
+    return alphabets
+
+
+def test_no_reachable_accepting_state_starts_no_closure(monkeypatch):
+    forbid_closure(monkeypatch)
+    a = unreached_machine()
+    assert intersection_shortest(d1_cnf(), a) is None
+    assert log2_check(d1_cnf(), a) == CheckerStats(0, 0, False)
+    assert nrr_decide(a, FilterSpec.dyck(1), method="bar-hillel").witness is None
+    # the checks still come first
+    with pytest.raises(ContractError):
+        intersection_shortest(parse_grammar("S -> a1 S abar1 |"), a)
+    with pytest.raises(ContractError):
+        log2_check(parse_grammar("S -> a1 S abar1 |"), a)
+    narrow = Nfa.build(("a1",), "q0", {"q2"}, {("q0", "a1", "q1")}, states={"q2"})
+    with pytest.raises(InputError, match="missing from the automaton alphabet"):
+        intersection_shortest(d1_cnf(), narrow)
+    with pytest.raises(InputError, match="missing from the automaton alphabet"):
+        log2_check(d1_cnf(), narrow)
+
+
+def test_decide_substituted_skips_the_closure_of_an_unreached_collapse(monkeypatch):
+    # the collapse reads a1 on x1-runs and abar1 on x2-runs; its accepting
+    # state q2 has moves out but none in
+    a = Nfa.build(
+        ("x1", "x2"), "q0", {"q2"},
+        {("q0", "x1", "q1"), ("q1", "x2", "q0"), ("q2", "x1", "q2"), ("q2", "x2", "q0")},
+    )
+    sub = {"a1": runs_grammar("x1"), "abar1": runs_grammar("x2")}
+    alphabets = record_closures(monkeypatch)
+    report = decide_substituted(a, FilterSpec.dyck(1), sub)
+    assert report == engine.DecisionReport(
+        False, None, "substitution", {"nonterminals_created": 46, "states_created": 3}
+    )
+    # one closure per substituent over the input, none over the collapse
+    assert alphabets == [("x1", "x2"), ("x1", "x2")]
+
+
+def test_an_accepting_state_reached_by_epsilon_runs_the_closure(monkeypatch):
+    # q1 is reached only through the epsilon move; q3 not at all
+    a = Nfa.build(
+        ("a1", "abar1"), "q0", {"q1", "q3"},
+        {("q0", "", "q1"), ("q1", "a1", "q2"), ("q3", "abar1", "q0")},
+    )
+    alphabets = record_closures(monkeypatch)
+    assert intersection_shortest(d1_cnf(), a) == ()
+    assert log2_check(d1_cnf(), a) == CheckerStats(0, 0, True)
+    assert alphabets == [("a1", "abar1")] * 2
+
+
+def test_grammar_edges_ignore_the_goals():
+    # every pair with a dyck1 word gets its edge, from the unreached q2 too
+    a = unreached_machine()
+    g = d1_cnf()
+    between = lambda q, p: Nfa(a.states, a.alphabet, q, frozenset({p}), a.transitions)
+    expected = {
+        (q, p): word
+        for q in sorted(a.states)
+        for p in sorted(a.states)
+        if (word := intersection_shortest(g, between(q, p))) is not None
+    }
+    assert expected[("q2", "q2")] == () and expected[("q2", "q0")] == ("a1", "abar1")
+    assert engine._grammar_edges(g, a) == expected
 
 
 def test_log2_check_agrees_with_engine():

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from rrkit import Cfg, InputError, format_grammar, parse_grammar
+from rrkit import Cfg, InputError, format_grammar, parse_filter_name, parse_grammar
 
 from generators import random_cfg, random_cnf
 from oracles import cnf_by_definition, grammar_words
@@ -222,6 +222,30 @@ def test_is_cnf_matches_the_definition():
             assert k.is_cnf() == expected == (k.cnf_table is not None), k
             verdicts.append(expected)
     assert verdicts.count(True) > 1000 and verdicts.count(False) > 600
+
+
+def test_cnf_table_groups_the_rules_sharing_a_child():
+    """by_left[B] holds one (C, parents) group per sibling C and by_right[C]
+    one (B, parents) group per sibling B, each in the order of its first
+    rule, the parents A of the rules A -> B C in grammar order."""
+    t = parse_filter_name("dyck1").cnf_grammar.cnf_table
+    assert t.names == ("<S.abar1>", "<a1>", "<abar1>", "S", "S0")
+    # S0 and S share all three bodies: S S, <a1> <S.abar1>, <a1> <abar1>
+    assert t.by_left == ((), ((0, (4, 3)), (2, (4, 3))), (), ((3, (4, 3)), (2, (0,))), ())
+    assert t.by_right == (((1, (4, 3)),), (), ((3, (0,)), (1, (4, 3))), ((3, (4, 3)),), ())
+    assert t.by_lhs == (((3, 2),), (), (), ((3, 3), (1, 0), (1, 2)), ((3, 3), (1, 0), (1, 2)))
+    rng = random.Random(3403)
+    for _ in range(200):
+        g = random_cnf(rng)
+        t = g.cnf_table
+        binary = [(t.index[lhs], *map(t.index.__getitem__, rhs)) for lhs, rhs in g.rules if len(rhs) == 2]
+        for rows, child, sibling in ((t.by_left, 1, 2), (t.by_right, 2, 1)):
+            for x, row in enumerate(rows):
+                mine = [r for r in binary if r[child] == x]
+                assert row == tuple(
+                    (y, tuple(r[0] for r in mine if r[sibling] == y))
+                    for y in dict.fromkeys(r[sibling] for r in mine)
+                ), g
 
 
 def test_cyk_matches_enumeration_on_random_cnf():
